@@ -7,15 +7,21 @@ When the buffer pins at capacity the client advertises a zero window and the
 remaining bytes can only enter as fast as playback frees space.
 
 Occupancy evolves as a piecewise-linear fluid with breakpoints computed in
-closed form, so runs are exact and independent of any step size. ACK events
-are synthesized per delivered segment for the profiler's benefit.
+closed form, so runs are exact and independent of any step size. A delivery
+records its fluid pieces and its explicit ACKs (each zero-window pin and the
+final cumulative ACK). From these it offers two views of the ACK stream:
+``DeliveryResult.feedback``, the breakpoint ACKs the profiler needs, and
+``DeliveryResult.acks``, the exact per-segment stream, expanded only when
+read. Both views come from one segment-ACK formula.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple, \
+    Union
 
 
 class DeliveryOrderError(ValueError):
@@ -29,9 +35,133 @@ class AckEvent:
     advertised_window_bytes: float
 
 
+class FluidPiece(NamedTuple):
+    """One closed-form stretch of a delivery.
+
+    From ``t0``, with ``cum0`` bytes delivered so far and ``occ0`` bytes
+    buffered, bytes enter at ``fill`` byte/s and occupancy moves at ``net``
+    byte/s (0 while pinned) until ``moved`` bytes have entered.
+    """
+
+    t0: float
+    cum0: float
+    occ0: float
+    fill: float
+    net: float
+    moved: float
+
+
+class SegmentAcks(Sequence):
+    """The per-segment ACK stream of one delivery, expanded on demand.
+
+    ``parts`` holds, in time order, the delivery's fluid pieces and its
+    explicit ACKs. A piece stands for one ACK per segment boundary it
+    crosses; its length is counted from the piece without building them.
+    """
+
+    def __init__(self, parts: List[Union[FluidPiece, AckEvent]],
+                 segment_bytes: int, capacity_bytes: float):
+        self.parts = parts
+        self.segment_bytes = segment_bytes
+        self.capacity_bytes = capacity_bytes
+
+    def _segments(self, piece: FluidPiece) -> range:
+        """Indices of the segments whose last byte enters during ``piece``."""
+        seg = self.segment_bytes
+        return range(math.floor(piece.cum0 / seg) + 1,
+                     math.floor((piece.cum0 + piece.moved) / seg) + 1)
+
+    def _segment_acks(self, piece: FluidPiece,
+                      ks: Iterable[int]) -> List[AckEvent]:
+        """The ACKs of segments ``ks`` of ``piece``, at the instant each
+        segment's last byte enters the buffer."""
+        seg, cap = self.segment_bytes, self.capacity_bytes
+        t0, cum0, occ0, fill, net, _ = piece
+        out = []
+        for k in ks:
+            dt = (k * seg - cum0) / fill
+            occ = min(max(occ0 + net * dt, 0.0), cap)
+            out.append(AckEvent(t0 + dt, float(k * seg), max(cap - occ, 0.0)))
+        return out
+
+    def _part_len(self, part: Union[FluidPiece, AckEvent]) -> int:
+        return 1 if isinstance(part, AckEvent) else len(self._segments(part))
+
+    def __len__(self) -> int:
+        return sum(self._part_len(part) for part in self.parts)
+
+    def __iter__(self) -> Iterator[AckEvent]:
+        for part in self.parts:
+            if isinstance(part, AckEvent):
+                yield part
+            else:
+                yield from self._segment_acks(part, self._segments(part))
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return list(self)[i]
+        if i < 0:
+            i += len(self)
+        if i >= 0:
+            for part in self.parts:
+                n = self._part_len(part)
+                if i < n:
+                    if isinstance(part, AckEvent):
+                        return part
+                    return self._segment_acks(
+                        part, (self._segments(part)[i],))[0]
+                i -= n
+        raise IndexError("ack index out of range")
+
+    def feedback(self) -> List[AckEvent]:
+        """The breakpoint ACKs: the explicit ACKs and, of each piece, the
+        first and last segment ACK plus the first zero-window one.
+
+        Fed to a ``TrafficProfiler`` registered at the delivery's first
+        byte, they yield the same observation as the whole stream: it keeps
+        the first and the last ACK, the highest cumulative ACK, and the
+        first zero-window ACK. Within a piece the window is monotone, so
+        that ACK is the piece's first one or found by bisection.
+        """
+        out: List[AckEvent] = []
+        for part in self.parts:
+            if isinstance(part, AckEvent):
+                out.append(part)
+                continue
+            ks = self._segments(part)
+            if not ks:
+                continue
+            first, last = self._segment_acks(part, (ks[0], ks[-1]))
+            out.append(first)
+            if first.advertised_window_bytes > 0 >= \
+                    last.advertised_window_bytes:
+                lo, hi = 1, len(ks) - 1   # ks[hi] is zero-window, ks[0] not
+                while lo < hi:
+                    mid = (lo + hi) // 2
+                    ack, = self._segment_acks(part, (ks[mid],))
+                    if ack.advertised_window_bytes <= 0:
+                        hi = mid
+                    else:
+                        lo = mid + 1
+                if lo < len(ks) - 1:
+                    out.extend(self._segment_acks(part, (ks[lo],)))
+            if len(ks) > 1:
+                out.append(last)
+        return out
+
+
 @dataclass
 class DeliveryResult:
-    acks: List[AckEvent]
+    """Outcome of one ``StreamingClient.deliver`` call.
+
+    ``acks`` is the exact per-segment ACK stream, one ACK per segment
+    boundary crossed plus the explicit pin and final ACKs; it is a lazy
+    view whose length is counted without expanding it. ``feedback`` is
+    the short breakpoint subset that gives a profiler the same burst
+    observation.
+    """
+
+    acks: SegmentAcks
     delivered_bytes: float
     start_s: float
     end_s: float
@@ -39,6 +169,10 @@ class DeliveryResult:
     first_zwa_time_s: Optional[float] = None
     bytes_at_first_zwa: Optional[float] = None
     aborted: bool = False
+
+    @property
+    def feedback(self) -> List[AckEvent]:
+        return self.acks.feedback()
 
 
 # Stall intervals shorter than this are fluid-boundary artifacts, not stalls.
@@ -158,8 +292,7 @@ class StreamingClient:
     # -- delivery --------------------------------------------------------
 
     def deliver(self, total_bytes: float, at_rate_bps: float, start_s: float,
-                *, abort_on_zwa: bool = False,
-                emit_acks: bool = True) -> DeliveryResult:
+                *, abort_on_zwa: bool = False) -> DeliveryResult:
         """Deliver a burst into the buffer starting at ``start_s``.
 
         Fills at min(at_rate_bps, link rate) while window remains; pins at
@@ -177,7 +310,7 @@ class StreamingClient:
         if rate <= 0 or not math.isfinite(rate):
             raise ValueError("delivery requires a positive finite rate")
 
-        acks: List[AckEvent] = []
+        parts: List[Union[FluidPiece, AckEvent]] = []
         remaining = float(total_bytes)
         delivered = 0.0
         zwa_episodes = 0
@@ -250,9 +383,9 @@ class StreamingClient:
             remaining -= moved
             self.now_s = t0 + dt
 
-            if emit_acks and moved > 0:
-                self._synthesize_acks(acks, t0, cum0, occ0, fill,
-                                      0.0 if pinned else net, moved)
+            if moved > 0:
+                parts.append(FluidPiece(t0, cum0, occ0, fill,
+                                        0.0 if pinned else net, moved))
 
             # breakpoint bookkeeping, in priority order
             if not self.playback_started and \
@@ -272,9 +405,8 @@ class StreamingClient:
                 if first_zwa_t is None:
                     first_zwa_t = self.now_s
                     bytes_at_zwa = delivered
-                if emit_acks:
-                    acks.append(AckEvent(self.now_s,
-                                         self.total_delivered_bytes, 0.0))
+                parts.append(AckEvent(self.now_s, self.total_delivered_bytes,
+                                      0.0))
                 if abort_on_zwa:
                     aborted = True
                     break
@@ -282,26 +414,15 @@ class StreamingClient:
                 raise RuntimeError("fluid delivery made no progress")
 
         # final cumulative ACK so the profiler sees the burst end
-        if emit_acks and delivered > 0:
+        acks = SegmentAcks(parts, self.segment_bytes, self.capacity_bytes)
+        if delivered > 0:
             if not acks or acks[-1].cum_ack_bytes < \
                     self.total_delivered_bytes - 1e-9:
-                acks.append(AckEvent(self.now_s, self.total_delivered_bytes,
-                                     self.advertised_window_bytes))
+                parts.append(AckEvent(self.now_s, self.total_delivered_bytes,
+                                      self.advertised_window_bytes))
         return DeliveryResult(acks, delivered, start_clock, self.now_s,
                               zwa_episodes, first_zwa_t, bytes_at_zwa,
                               aborted)
-
-    def _synthesize_acks(self, acks: List[AckEvent], t0: float, cum0: float,
-                         occ0: float, fill: float, net: float,
-                         moved: float) -> None:
-        seg = self.segment_bytes
-        first = math.floor(cum0 / seg) + 1
-        last = math.floor((cum0 + moved) / seg)
-        for k in range(first, last + 1):
-            dt = (k * seg - cum0) / fill
-            occ = min(max(occ0 + net * dt, 0.0), self.capacity_bytes)
-            acks.append(AckEvent(t0 + dt, float(k * seg),
-                                 max(self.capacity_bytes - occ, 0.0)))
 
     def stall_csv(self) -> str:
         lines = ["start_s,end_s"]

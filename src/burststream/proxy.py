@@ -216,7 +216,10 @@ class ShapingProxy:
         return self._listener.getsockname()[:2]
 
     def serve_forever(self) -> None:
-        self.start()
+        """Serve until closed, starting the listener unless ``start()``
+        already opened it."""
+        if self._listener is None:
+            self.start()
         try:
             while not self._stop.is_set():
                 time.sleep(0.2)

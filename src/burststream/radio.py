@@ -246,10 +246,16 @@ class SignalingCostTable:
 
 @dataclass
 class SignalingLedger:
+    """Transition counts of one state trace, weighted by a cost table.
+
+    ``cost_used`` maps each counted transition to the per-transition
+    message cost it was weighted with; ``to_csv`` reports it.
+    """
+
     transition_counts: Dict[Tuple[RadioState, RadioState], int]
     total_messages: int
     per_minute: float
-    _cost_used: Dict[Tuple[RadioState, RadioState], int] = field(
+    cost_used: Dict[Tuple[RadioState, RadioState], int] = field(
         default_factory=dict)
 
     @property
@@ -261,7 +267,7 @@ class SignalingLedger:
         for (src, dst), n in sorted(self.transition_counts.items(),
                                     key=lambda kv: (kv[0][0].value,
                                                     kv[0][1].value)):
-            cost = self._cost_used.get((src, dst), 0)
+            cost = self.cost_used.get((src, dst), 0)
             lines.append(f"{src.value},{dst.value},{n},{cost},{n * cost}")
         return "\n".join(lines) + "\n"
 
@@ -551,7 +557,5 @@ def signaling_of(state_trace: StateTrace,
             total += c
         prev = cur
     minutes = state_trace.horizon_s / 60.0
-    ledger = SignalingLedger(counts, total,
-                             total / minutes if minutes > 0 else 0.0)
-    ledger._cost_used = cost_used
-    return ledger
+    return SignalingLedger(counts, total,
+                           total / minutes if minutes > 0 else 0.0, cost_used)

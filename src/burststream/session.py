@@ -118,7 +118,7 @@ class SimulatedSession:
                                   send_at)
         res = self.client.deliver(size, self.bandwidth.at(send_at), send_at,
                                   abort_on_zwa=abort_on_zwa)
-        for ack in res.acks:
+        for ack in res.feedback:
             self.profiler.ingest(ack)
         obs = self.profiler.finish_burst()
         delivered = res.delivered_bytes
@@ -227,7 +227,7 @@ def probe_search(capacity_bytes: float, r_s_bps: float, t_max_s: float,
         size = t * r_s_bps / 8.0
         profiler.begin_burst(size, 0.0, 0.0, burst_id=rounds)
         res = client.deliver(size, link_bps, 0.0, abort_on_zwa=True)
-        for ack in res.acks:
+        for ack in res.feedback:
             profiler.ingest(ack)
         obs = profiler.finish_burst()
         rounds += 1
@@ -249,7 +249,7 @@ def linear_sweep_oracle(capacity_bytes: float, r_s_bps: float, t_max_s: float,
     while size <= cap_bytes + 1e-9:
         client = StreamingClient(capacity_bytes, r_s_bps, link_bps)
         res = client.deliver(min(size, cap_bytes), link_bps, 0.0,
-                             abort_on_zwa=True, emit_acks=False)
+                             abort_on_zwa=True)
         if res.zwa_episodes > 0:
             return best if best > 0 else res.bytes_at_first_zwa or 0.0
         best = min(size, cap_bytes)

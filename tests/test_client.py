@@ -115,6 +115,16 @@ class TestAdvanceAndStalls:
         assert c.playback_complete
         assert c.stall_log == []
 
+    @pytest.mark.xfail(raises=RuntimeError, strict=True,
+                       reason="known defect: with a zero startup threshold "
+                       "a stall opens and closes at once on an empty buffer "
+                       "fed below the encoding rate, so delivery makes no "
+                       "progress")
+    def test_under_rate_supply_with_zero_startup_threshold(self):
+        c = make_client(r_s=1e6, startup=0.0)
+        res = c.deliver(1000, 0.5e6, 0.0)
+        assert res.delivered_bytes == pytest.approx(1000)
+
     def test_zero_touch_at_refill_is_not_a_stall(self):
         # buffer drains to exactly zero the instant the next burst starts
         c = make_client(r_s=1e6, startup=0.0)
@@ -135,7 +145,7 @@ class TestConservation:
         c = make_client(capacity=3_000_000, r_s=750e3)
         t = 0.0
         for nbytes, rate, gap in ops:
-            res = c.deliver(nbytes, rate, t, emit_acks=False)
+            res = c.deliver(nbytes, rate, t)
             t = res.end_s + gap
             c.advance(t)
             assert c.total_delivered_bytes == pytest.approx(
@@ -147,7 +157,7 @@ class TestConservation:
     @settings(max_examples=60, deadline=None)
     def test_window_is_capacity_minus_occupancy(self, nbytes, rate):
         c = make_client(capacity=2_000_000, r_s=500e3)
-        res = c.deliver(nbytes, rate, 0.0, emit_acks=False)
+        res = c.deliver(nbytes, rate, 0.0)
         assert c.advertised_window_bytes == pytest.approx(
             c.capacity_bytes - c.occupancy_bytes)
         assert (res.zwa_episodes > 0) == \

@@ -1,9 +1,15 @@
 """Profiler tests: burst timing, ZWA capture, bandwidth estimation."""
 
-import pytest
+import random
 
-from burststream import (AckEvent, FeedError, StreamingClient,
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from burststream import (AckEvent, BandwidthTrace, FeedError, QualityLevel,
+                         SimulatedSession, StreamingClient, StreamSpec,
                          TrafficProfiler, estimate_bandwidth)
+from burststream.client import FluidPiece, SegmentAcks
 
 
 def run_burst(profiler, client, size, rate, start, burst_id=None,
@@ -103,3 +109,160 @@ class TestBandwidthEstimate:
         naive = obs.acked_bytes * 8 / obs.t_bd_s
         assert obs.est_bandwidth_bps == pytest.approx(16e6, rel=0.05)
         assert naive < 0.2 * obs.est_bandwidth_bps
+
+
+# -- breakpoint feedback against the dense per-segment stream ---------------
+
+SEGMENT_SIZES = (536, 1460, 9000)
+
+
+def observe(acks, size, start_byte, send_at):
+    profiler = TrafficProfiler()
+    profiler.begin_burst(size, start_byte, send_at)
+    for ack in acks:
+        profiler.ingest(ack)
+    return profiler.finish_burst()
+
+
+def deliver_both_feeds(client, nbytes, rate, at, abort=False):
+    """Deliver one burst; require the breakpoint feed to be a subsequence
+    of the dense stream and to give the profiler the same observation."""
+    start_byte = client.total_delivered_bytes
+    res = client.deliver(nbytes, rate, at, abort_on_zwa=abort)
+    dense = list(res.acks)
+    assert len(res.acks) == len(dense)
+    rest = iter(dense)
+    assert all(any(ack == d for d in rest) for ack in res.feedback)
+    assert observe(res.feedback, nbytes, start_byte, at) == \
+        observe(dense, nbytes, start_byte, at)
+    return res
+
+
+class TestBreakpointFeedback:
+    @given(capacity=st.floats(2e4, 3e5), r_s=st.floats(1e5, 2e6),
+           startup=st.sampled_from([0.0, 0.5, 2.0]),
+           seg=st.sampled_from(SEGMENT_SIZES),
+           ops=st.lists(st.tuples(
+               # sub-segment deliveries up to a few buffers' worth
+               st.one_of(st.floats(1.0, 1500.0), st.floats(1e3, 8e5)),
+               # offered rate below and above the drain rate
+               st.floats(5e4, 2e7),
+               # a zero gap starts the next burst on a pinned buffer, a
+               # long one drains it into a stall
+               st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
+               st.booleans()), min_size=1, max_size=6))
+    @settings(max_examples=120, deadline=None)
+    def test_random_deliveries(self, capacity, r_s, startup, seg, ops):
+        # a zero startup threshold with supply below the encoding rate is a
+        # known client defect, pinned by test_client's xfail test
+        assume(startup > 0 or all(rate > r_s for _, rate, _, _ in ops))
+        client = StreamingClient(capacity, r_s, startup_threshold_s=startup,
+                                 segment_bytes=seg)
+        t = 0.0
+        for nbytes, rate, gap, abort in ops:
+            res = deliver_both_feeds(client, nbytes, rate, t, abort)
+            t = res.end_s + gap
+
+    def test_zero_window_from_a_middle_segment(self):
+        # occupancy creeps to within rounding of the capacity: the window
+        # reads 0 from a middle segment of the piece on, and the feedback
+        # carries that segment's ACK as the first zero-window one
+        cap, seg = 1e6, 1460
+        acks = SegmentAcks([FluidPiece(0.0, 0.0, cap - 1e-9, float(seg),
+                                       1e-12, 2000.0 * seg)], seg, cap)
+        dense = list(acks)
+        onset = next(i for i, a in enumerate(dense)
+                     if a.advertised_window_bytes <= 0)
+        assert 0 < onset < len(dense) - 1
+        assert dense[onset] in acks.feedback()
+        assert observe(acks.feedback(), 2000.0 * seg, 0.0, 0.0) == \
+            observe(dense, 2000.0 * seg, 0.0, 0.0)
+
+    @pytest.mark.parametrize("seg", SEGMENT_SIZES)
+    def test_pinned_at_start(self, seg):
+        client = StreamingClient(100_000, 1e6, startup_threshold_s=0.0,
+                                 segment_bytes=seg)
+        first = deliver_both_feeds(client, 400_000, 2e7, 0.0, abort=True)
+        res = deliver_both_feeds(client, 50_000, 2e7, first.end_s)
+        assert res.acks and \
+            all(a.advertised_window_bytes == 0.0 for a in res.acks)
+
+    @pytest.mark.parametrize("seg", SEGMENT_SIZES)
+    def test_abort_on_zwa(self, seg):
+        client = StreamingClient(100_000, 1e6, segment_bytes=seg)
+        res = deliver_both_feeds(client, 400_000, 2e7, 0.0, abort=True)
+        assert res.aborted and res.feedback[-1].advertised_window_bytes == 0
+
+    @pytest.mark.parametrize("seg", SEGMENT_SIZES)
+    def test_startup_threshold_crossed(self, seg):
+        client = StreamingClient(1_000_000, 1e6, startup_threshold_s=2.0,
+                                 segment_bytes=seg)
+        deliver_both_feeds(client, 100_000, 2e7, 0.0)
+        assert not client.playback_started
+        deliver_both_feeds(client, 300_000, 2e7, client.now_s)
+        assert client.playback_started
+
+    @pytest.mark.parametrize("seg", SEGMENT_SIZES)
+    def test_stall_closes_mid_burst(self, seg):
+        client = StreamingClient(1_000_000, 1e6, startup_threshold_s=1.0,
+                                 segment_bytes=seg)
+        first = deliver_both_feeds(client, 200_000, 2e7, 0.0)
+        client.advance(first.end_s + 5.0)
+        assert client.stall_log[-1][1] is None
+        res = deliver_both_feeds(client, 400_000, 2e7, client.now_s)
+        assert res.start_s < client.stall_log[-1][1] < res.end_s
+
+    @pytest.mark.parametrize("seg", SEGMENT_SIZES)
+    def test_pieces_shorter_than_a_segment(self, seg):
+        client = StreamingClient(1_000_000, 1e6, startup_threshold_s=1.0,
+                                 segment_bytes=seg)
+        deliver_both_feeds(client, 124_990, 2e7, 0.0)
+        # the startup threshold falls 10 bytes into this delivery
+        res = deliver_both_feeds(client, 3 * seg, 2e7, client.now_s)
+        assert any(isinstance(p, FluidPiece) and p.moved < seg
+                   for p in res.acks.parts)
+
+
+def seeded_session(seed):
+    rng = random.Random(seed)
+    r_s = rng.choice([128e3, 500e3, 2e6])
+    adaptive = rng.random() < 0.3
+    ladder = tuple(QualityLevel(r_s * m)
+                   for m in ((1.0, 1.5, 2.0) if adaptive else (1.0,)))
+    fs = rng.uniform(8.0, 30.0)
+    length = 120.0
+    steps, t = [], 0.0
+    while t < length:
+        low = 0.3 if rng.random() < 0.3 else 1.5   # sub-rate dips
+        steps.append((t, r_s * rng.uniform(low, 8.0)))
+        t += rng.uniform(10.0, 40.0)
+    content = 2 * length if adaptive else length
+    client = StreamingClient(rng.uniform(0.3, 2.5) * fs * r_s / 8, r_s,
+                             segment_bytes=rng.choice(SEGMENT_SIZES),
+                             content_duration_s=content)
+    return SimulatedSession(StreamSpec(ladder, content, fs), client,
+                            BandwidthTrace(tuple(steps)), length,
+                            adaptive=adaptive)
+
+
+def test_seeded_sessions_observe_the_same_bursts_from_both_feeds(
+        monkeypatch):
+    deliver = StreamingClient.deliver
+    mismatches = []
+    bursts = []
+
+    def checked(self, total_bytes, at_rate_bps, start_s, **kw):
+        start_byte = self.total_delivered_bytes
+        res = deliver(self, total_bytes, at_rate_bps, start_s, **kw)
+        dense = observe(res.acks, total_bytes, start_byte, start_s)
+        sparse = observe(res.feedback, total_bytes, start_byte, start_s)
+        bursts.append(dense)
+        if dense != sparse:
+            mismatches.append((dense, sparse))
+        return res
+
+    monkeypatch.setattr(StreamingClient, "deliver", checked)
+    for seed in range(24):
+        seeded_session(seed).run()
+    assert bursts and any(obs.zwa_seen for obs in bursts)
+    assert mismatches == []

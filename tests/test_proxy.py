@@ -199,6 +199,25 @@ class TestProxySmoke:
             proxy.close()
             origin.shutdown()
 
+    def test_serve_forever_after_start_serves_the_started_port(self):
+        proxy = ShapingProxy(SessionConfig(listen=("127.0.0.1", 0)))
+        addr = proxy.start()
+        server = threading.Thread(target=proxy.serve_forever, daemon=True)
+        server.start()
+        # outlast the accept loop's 0.2 s poll, so that a listener rebound
+        # by serve_forever would have dropped the started one by now
+        time.sleep(0.6)
+        try:
+            with socket.create_connection(addr, timeout=5.0) as sock:
+                # an unsupported method: the proxy accepts, rejects the
+                # request without contacting any origin, and hangs up
+                sock.sendall(b"BREW /pot HTTP/1.1\r\n\r\n")
+                assert sock.recv(1024) == b""
+        finally:
+            proxy.close()
+            server.join(timeout=5.0)
+        assert not server.is_alive()
+
     def test_session_log_written(self, tmp_path):
         total = int(2 * 4e6 / 8)
         origin = _Origin(total, 4e6)
