@@ -57,9 +57,9 @@ while time.monotonic() < deadline:
 
 print(f"\nconverged burst size: {bs_opt / 1e6:.2f} MB "
       f"(client buffer 1.50 MB)")
-print("burst log:")
-for row in proxy.sessions[0]["shaper"].burst_log:
-    print("  ", row)
+print("decisions:")
+for line in proxy.sessions[0]["shaper"].decision_log:
+    print("  ", line)
 
 reader.done = True
 sock.close()

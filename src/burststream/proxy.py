@@ -1,13 +1,16 @@
 """Live HTTP forward proxy that delivers the origin stream in shaped bursts.
 
-One thread per client session. The proxy fetches the origin response, relays
-the head, forwards a Fast Start's worth of content unshaped, and thereafter
-writes bursts of the shaper-chosen size at full socket speed. Flow-control
-feedback comes from socket backpressure: sustained blocked writes stand in
-for a zero-window advertisement, and the byte count accepted up to that
-point is the SentBytes estimate of the client's buffer. The shaper and
-profiler driving those decisions are the same state machines the simulation
-uses, so a feedback sequence produces the identical decision trace.
+One thread per client session. The proxy fetches the origin response,
+relays the head, and is the socket transport of the shaping loop: it
+performs each send a ``ShapingController`` asks for (the Fast Start, then
+bursts at full socket speed, or continuous chunks under low bandwidth) and
+reports what happened. Flow-control feedback comes from socket
+backpressure: sustained blocked writes stand in for a zero-window
+advertisement, and the byte count accepted up to that point is the
+SentBytes estimate of the client's buffer. The transport caps bandwidth
+estimates by the origin's fill rate, reports origin starvation and drains
+what is left at the end; every decision is the controller's, as in the
+simulation (``tests/test_proxy.py::TestSharedCore`` replays both).
 
 Raw ACK capture would need privileged packet access; backpressure sensing
 needs none and provides the same two facts (buffer full, bytes accepted).
@@ -16,7 +19,9 @@ needs none and provides the same two facts (buffer full, bytes accepted).
 from __future__ import annotations
 
 import http.client
+import itertools
 import logging
+import math
 import select
 import socket
 import threading
@@ -26,8 +31,9 @@ from pathlib import Path
 from typing import List, Optional, Tuple
 from urllib.parse import urlsplit
 
-from .profiler import BurstObservation, TrafficProfiler
-from .shaper import Phase, Shaper, StreamSpec
+from .mediahttp import StreamInfo
+from .profiler import BurstObservation
+from .shaper import Report, Shaper, ShapingController, StreamSpec
 
 log = logging.getLogger(__name__)
 
@@ -40,9 +46,7 @@ class SessionConfig:
     granularity_s: float = 1.0
     rate_override_bps: Optional[float] = None
     log_path: Optional[str] = None
-    profile_tag: str = ""                 # reporting only
     backpressure_s: float = 0.5
-    chunk_bytes: int = 65536
     sndbuf_bytes: Optional[int] = None    # client-facing send buffer
     low_bw_chunk_s: float = 0.25
 
@@ -61,32 +65,33 @@ class _OriginFeed(threading.Thread):
         self.buf = bytearray()
         self.total_read = 0
         self.done = False
+        self.error: Optional[Exception] = None
         self.cv = threading.Condition()
         self._samples: List[Tuple[float, int]] = [(time.monotonic(), 0)]
 
     def run(self) -> None:
+        error = None
         try:
-            while True:
-                chunk = self.response.read(65536)
+            while chunk := self.response.read(65536):
                 with self.cv:
-                    if chunk:
-                        self.buf.extend(chunk)
-                        self.total_read += len(chunk)
-                        self._samples.append((time.monotonic(),
-                                              self.total_read))
-                        if len(self._samples) > 64:
-                            del self._samples[:32]
-                    else:
-                        self.done = True
+                    self.buf.extend(chunk)
+                    self.total_read += len(chunk)
+                    self._samples.append((time.monotonic(), self.total_read))
+                    if len(self._samples) > 64:
+                        del self._samples[:32]
                     self.cv.notify_all()
-                    if not chunk:
-                        return
-                    while len(self.buf) >= self.limit and not self.done:
+                    while len(self.buf) >= self.limit:
                         self.cv.wait(0.1)
-        except Exception:
-            with self.cv:
-                self.done = True
-                self.cv.notify_all()
+            if self.response.length:
+                # http.client ends a short body quietly; the bytes it still
+                # expected mean the origin cut the stream
+                raise http.client.IncompleteRead(b"", self.response.length)
+        except Exception as exc:   # kept for the session to report
+            error = exc
+        with self.cv:
+            self.error = error
+            self.done = True
+            self.cv.notify_all()
 
     def take(self, nbytes: int, timeout: float) -> bytes:
         """Up to ``nbytes`` from the buffer, waiting for data or stream end."""
@@ -102,10 +107,6 @@ class _OriginFeed(threading.Thread):
             del self.buf[:take]
             self.cv.notify_all()
             return out
-
-    def available(self) -> int:
-        with self.cv:
-            return len(self.buf)
 
     def finished(self) -> bool:
         with self.cv:
@@ -171,8 +172,6 @@ class _BackpressureWriter:
                 n = self.sock.send(view[sent:])
             except (BlockingIOError, InterruptedError):
                 n = 0
-            except OSError:
-                raise
             if n > 0:
                 sent += n
                 blocked = max(0.0, blocked - n * 8.0 / self.credit_bps)
@@ -249,6 +248,7 @@ class ShapingProxy:
             t = threading.Thread(target=self._session_guard,
                                  args=(conn, addr), daemon=True)
             t.start()
+            self._threads = [th for th in self._threads if th.is_alive()]
             self._threads.append(t)
 
     def _session_guard(self, conn: socket.socket, addr) -> None:
@@ -266,15 +266,19 @@ class ShapingProxy:
 
     def _read_request_head(self, conn: socket.socket) -> str:
         conn.settimeout(10.0)
-        data = b""
-        while b"\r\n\r\n" not in data and b"\n\n" not in data:
+        data = bytearray()
+        while True:
             chunk = conn.recv(4096)
             if not chunk:
                 raise ProxyError("client closed before sending a request")
+            # a terminator may straddle the previous chunk's last bytes
+            tail = max(len(data) - 3, 0)
             data += chunk
             if len(data) > 65536:
                 raise ProxyError("request head too large")
-        return data.decode("latin-1")
+            if data.find(b"\r\n\r\n", tail) >= 0 or \
+                    data.find(b"\n\n", tail) >= 0:
+                return data.decode("latin-1")
 
     def _resolve_origin(self, head: str) -> Tuple[str, int, str]:
         request_line = head.split("\r\n", 1)[0].split("\n", 1)[0]
@@ -305,15 +309,14 @@ class ShapingProxy:
     def _discover_rate(self, response) -> float:
         """Encoding rate: X-Stream-Info bitrate, else the override, else
         content length over declared duration."""
-        info = response.getheader("X-Stream-Info")
-        duration = None
-        if info:
-            for item in info.split(";"):
-                item = item.strip()
-                if item.startswith("bitrate="):
-                    return float(item.split("=", 1)[1])
-                if item.startswith("duration="):
-                    duration = float(item.split("=", 1)[1])
+        header = response.getheader("X-Stream-Info") or ""
+        try:
+            info = StreamInfo.parse(header)
+            if info.get("bitrate") is not None:
+                return info.bitrate_bps
+            duration = info.duration_s
+        except ValueError as exc:         # ProtocolError or a bad number
+            raise ProxyError(f"bad X-Stream-Info {header!r}: {exc}") from exc
         if self.config.rate_override_bps:
             return self.config.rate_override_bps
         length = response.getheader("Content-Length")
@@ -357,16 +360,21 @@ class ShapingProxy:
                              if total_length else 1e9),
             fast_start_s=cfg.fast_start_seconds)
         shaper = Shaper(stream, cfg.granularity_s)
-        profiler = TrafficProfiler()
         report = {"addr": addr, "r_s": r_s, "rows": [], "shaper": shaper}
         with self._lock:
             self.sessions.append(report)
 
         try:
-            self._shape_stream(conn, writer, feed, shaper, profiler, r_s)
+            self._shape_stream(writer, feed,
+                               ShapingController(shaper, cfg.low_bw_chunk_s),
+                               r_s)
         except (BrokenPipeError, ConnectionResetError):
             log.info("client %s disconnected", addr)
         finally:
+            report["origin_error"] = feed.error
+            if feed.error is not None:
+                log.warning("origin %s:%s failed mid-body for %s: %r",
+                            host, port, addr, feed.error)
             report["rows"] = list(shaper.burst_log)
             self._flush_log(shaper)
             try:
@@ -374,103 +382,57 @@ class ShapingProxy:
             except OSError:
                 pass
 
-    def _observe(self, profiler: TrafficProfiler, size: int, sent_cum: int,
-                 wr: _WriteResult) -> BurstObservation:
-        obs = profiler.begin_burst(size, sent_cum, wr.start)
-        obs.first_ack_s = wr.start
-        obs.last_ack_s = wr.end
-        obs.acked_bytes = wr.accepted
-        obs.complete = wr.accepted >= size
-        if wr.zwa:
-            obs.zwa_seen = True
-            obs.zwa_time_s = wr.end
-            obs.sent_bytes_at_first_zwa = wr.accepted_at_zwa
-        return profiler.finish_burst()
-
-    def _shape_stream(self, conn, writer, feed, shaper, profiler,
-                      r_s: float) -> None:
-        cfg = self.config
+    def _shape_stream(self, writer: _BackpressureWriter, feed: _OriginFeed,
+                      controller: ShapingController, r_s: float) -> None:
+        """Perform the controller's sends on the client socket, on a clock
+        that starts with the session, until the controller or the origin
+        is done."""
+        t0 = time.monotonic()
+        pending = b""          # taken from the origin, not yet accepted
         sent_cum = 0
-        t_session0 = time.monotonic()
-
-        def runway() -> float:
-            return sent_cum * 8.0 / r_s - (time.monotonic() - t_session0)
-
-        # Fast Start: forward unshaped
-        fs_bytes = int(cfg.fast_start_seconds * r_s / 8)
-        fs_data = feed.take(fs_bytes, timeout=max(fs_bytes * 8 / r_s, 10.0))
-        wr = writer.write_burst(fs_data, abort_on_zwa=True, stop=self._stop)
-        sent_cum += wr.accepted
-        obs = self._observe(profiler, len(fs_data), 0, wr)
-        shaper.record_sent(wr.accepted)
-        if obs.zwa_seen:
-            shaper.fast_start_zwa(obs.sent_bytes_at_first_zwa)
-        elif wr.accepted > 0:
-            shaper.end_fast_start(wr.accepted)
-        else:
-            raise ProxyError("fast start delivered nothing")
-        shaper.log_burst(obs.burst_id, 0.0, wr.accepted, obs.zwa_seen)
-
-        pending = b""
-        last_burst_start = t_session0
-        while not self._stop.is_set():
+        burst_ids = itertools.count()
+        # wait for the origin up to the send's play time, and at least 1 s
+        # (10 s for the Fast Start, which waits for the origin's first bytes)
+        min_wait_s = 10.0
+        send = controller.start()
+        while send is not None and not self._stop.is_set():
             if feed.finished() and not pending:
                 break
-            if shaper.phase is Phase.LOW_BANDWIDTH:
-                chunk_target = int(cfg.low_bw_chunk_s * r_s / 8)
-                data = pending or feed.take(chunk_target, timeout=1.0)
-                pending = b""
-                if not data:
-                    if feed.finished():
-                        break
-                    shaper.on_bandwidth_change(feed.fill_rate_bps() or 0.0,
-                                               runway())
-                    continue
-                wr = writer.write_burst(data, abort_on_zwa=False,
-                                        stop=self._stop)
-                sent_cum += wr.accepted
-                shaper.record_sent(wr.accepted)
-                wall = max(wr.end - wr.start, 1e-6)
-                est = wr.accepted * 8.0 / wall
-                fill = feed.fill_rate_bps()
-                if fill is not None:
-                    est = min(est, fill) if fill > 0 else est
-                shaper.on_bandwidth_change(est, runway())
-                continue
-
-            t = shaper.state.t_s or cfg.granularity_s
-            target = max(int(shaper.next_burst_bytes(len(pending))), 1)
-            # no pipelining: one burst at a time, scheduled T after the last
-            wake = last_burst_start + t
-            delay = wake - time.monotonic()
+            delay = t0 + send.at_s - time.monotonic()
             if delay > 0 and self._stop.wait(timeout=delay):
                 break
-            need = max(target - len(pending), 0)
-            data = pending + feed.take(need, timeout=max(t, 1.0))
-            pending = b""
+            size = max(math.ceil(send.size_bytes), 1)
+            if len(pending) < size:
+                pending += feed.take(size - len(pending),
+                                     timeout=max(size * 8 / r_s, min_wait_s))
+            min_wait_s = 1.0
+            data = pending[:size]
             if not data:
                 if feed.finished():
                     break
-                # origin starving the buffer: continuous-send fallback
-                shaper.on_bandwidth_change((feed.fill_rate_bps() or 0.0),
-                                           runway())
+                # origin starving the proxy: its supply rate is the estimate
+                now = time.monotonic() - t0
+                send = controller.report(
+                    Report(None, 0, now, now, feed.fill_rate_bps() or 0.0,
+                           now))
                 continue
-            last_burst_start = time.monotonic()
-            wr = writer.write_burst(data, abort_on_zwa=True, stop=self._stop)
+            wr = writer.write_burst(data, abort_on_zwa=send.abort_on_zwa,
+                                    stop=self._stop)
+            pending = pending[wr.accepted:]
+            # socket backpressure stands in for the ACK stream
+            obs = BurstObservation(
+                next(burst_ids), len(data), sent_cum, wr.start, wr.start,
+                wr.end, wr.accepted, wr.accepted >= len(data), wr.zwa,
+                wr.end if wr.zwa else None, wr.accepted_at_zwa)
             sent_cum += wr.accepted
-            pending = bytes(data[wr.accepted:])
-            obs = self._observe(profiler, len(data), sent_cum - wr.accepted,
-                                wr)
-            shaper.record_sent(wr.accepted)
-            shaper.log_burst(obs.burst_id, t, wr.accepted, obs.zwa_seen)
-            shaper.on_burst_feedback(obs)
-            wall = max(wr.end - wr.start, 1e-6)
-            est = wr.accepted * 8.0 / wall
+            est = wr.accepted * 8.0 / max(wr.end - wr.start, 1e-6)
             fill = feed.fill_rate_bps()
-            if fill is not None and fill > 0:
+            if fill:
                 # end-to-end bandwidth is capped by the origin supply too
                 est = min(est, fill)
-            shaper.on_bandwidth_change(est, runway())
+            send = controller.report(
+                Report(obs, wr.accepted, wr.start - t0, wr.end - t0, est,
+                       time.monotonic() - t0))
         # final drain so the client sees the whole stream
         if pending and not self._stop.is_set():
             writer.write_burst(pending, abort_on_zwa=False, stop=self._stop)

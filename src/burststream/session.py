@@ -1,10 +1,11 @@
 """Simulated end-to-end streaming sessions.
 
-Wires the simulated client, the ACK profiler, and the shaper on one
-simulated clock: Fast Start, interval search, steady bursting, the
-continuous-send fallback under low bandwidth, and optional quality
-adaptation. Also provides the isolated probe search and the linear-sweep
-oracle used to validate the search against a client of known buffer size.
+``SimulatedSession`` is the simulated transport of the shaping loop: it
+performs each send a ``ShapingController`` asks for against the fluid
+client, feeds the ACKs through the traffic profiler, and reports back, on
+one simulated clock up to the session horizon. Also provides the isolated
+probe search and the linear-sweep oracle used to validate the search
+against a client of known buffer size.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .client import StreamingClient
-from .profiler import BurstObservation, TrafficProfiler
-from .shaper import Phase, Shaper, StreamSpec
+from .profiler import TrafficProfiler
+from .shaper import (Phase, Report, Send, Shaper, ShapingController,
+                     StreamSpec)
 
 
 @dataclass(frozen=True)
@@ -64,7 +66,8 @@ class SessionResult:
 
 
 class SimulatedSession:
-    """One shaped streaming session against the simulated client."""
+    """One shaped streaming session: a ``ShapingController`` driving the
+    simulated client on the simulated clock until the session horizon."""
 
     def __init__(self, stream: StreamSpec, client: StreamingClient,
                  bandwidth: BandwidthTrace,
@@ -78,121 +81,62 @@ class SimulatedSession:
         self.client = client
         self.bandwidth = bandwidth
         self.session_length_s = session_length_s
-        self.loop_content = loop_content
-        self.adaptive = adaptive
-        self.low_bw_chunk_s = low_bw_chunk_s
         self.shaper = Shaper(stream, granularity_s, bandwidth_hint_bps)
+        self.controller = ShapingController(self.shaper, low_bw_chunk_s,
+                                            adaptive, loop_content)
         self.profiler = TrafficProfiler()
-        self.content_sent_s = 0.0
-        self.content_sent_bytes = 0.0
         self.activity_spans: List[Tuple[float, float, float]] = []
         self.trajectory: List[Dict] = []
         self.quality_switches: List[Tuple[float, int]] = []
         self.zwa_bursts = 0
-        self._pending_bytes = 0.0
 
-    # -- bookkeeping -------------------------------------------------------
-
-    def _remaining_bytes(self) -> float:
-        if self.loop_content:
-            return math.inf
-        left_s = self.stream.duration_s - self.content_sent_s
-        return max(left_s, 0.0) * self.shaper.r_s_bps / 8.0
-
-    def _runway_s(self) -> float:
-        return self.content_sent_s - self.client.playback_position_s
-
-    def _snapshot(self, now: float) -> None:
-        st = self.shaper.state
-        self.trajectory.append({
-            "time_s": now, "phase": st.phase.value, "t_s": st.t_s,
-            "t_min_s": st.t_min_s, "t_max_s": st.t_max_s,
-            "t_old_s": st.t_old_s, "bs_opt_bytes": st.bs_opt_bytes,
-            "runway_s": self._runway_s(),
-        })
-
-    def _deliver(self, size: float, send_at: float,
-                 abort_on_zwa: bool) -> Tuple[BurstObservation, float, float]:
-        """Send one registered burst; returns (observation, end, est_bps)."""
+    def _deliver(self, send: Send) -> Report:
+        """Perform one send through the profiler and the fluid client."""
+        size, send_at = send.size_bytes, send.at_s
         self.profiler.begin_burst(size, self.client.total_delivered_bytes,
                                   send_at)
         res = self.client.deliver(size, self.bandwidth.at(send_at), send_at,
-                                  abort_on_zwa=abort_on_zwa)
+                                  abort_on_zwa=send.abort_on_zwa)
         for ack in res.feedback:
             self.profiler.ingest(ack)
         obs = self.profiler.finish_burst()
         delivered = res.delivered_bytes
-        self.content_sent_bytes += delivered
-        self.content_sent_s += delivered * 8.0 / self.shaper.r_s_bps
-        self.shaper.record_sent(delivered)
-        self._pending_bytes = max(size - delivered, 0.0)
         if res.end_s > send_at and delivered > 0:
             self.activity_spans.append((send_at, res.end_s, delivered))
         if obs.zwa_seen:
             self.zwa_bursts += 1
         wall = res.end_s - send_at
         est = delivered * 8.0 / wall if wall > 0 and delivered > 0 else None
-        return obs, res.end_s, est
-
-    # -- main loop -----------------------------------------------------------
+        return Report(obs, delivered, send_at, res.end_s, est,
+                      self.client.playback_position_s)
 
     def run(self) -> SessionResult:
-        shaper, client = self.shaper, self.client
-        horizon = self.session_length_s
-
-        fs_bytes = min(self.stream.fast_start_s * shaper.r_s_bps / 8.0,
-                       self._remaining_bytes())
-        obs, now, est = self._deliver(fs_bytes, 0.0, abort_on_zwa=True)
-        fs_end = now
-        if obs.zwa_seen:
-            shaper.fast_start_zwa(obs.sent_bytes_at_first_zwa)
-        else:
-            shaper.end_fast_start(obs.acked_bytes)
-        shaper.on_bandwidth_change(est, self._runway_s())
-        self._snapshot(now)
-
-        last_burst_start = 0.0
-        while now < horizon - 1e-9:
-            if shaper.phase is Phase.LOW_BANDWIDTH:
-                size = min(self.low_bw_chunk_s * shaper.r_s_bps / 8.0
-                           + self._pending_bytes, self._remaining_bytes())
-                if size <= 0:
-                    break
-                obs, now, est = self._deliver(size, now, abort_on_zwa=False)
-                action = shaper.on_bandwidth_change(est, self._runway_s())
-                self._snapshot(now)
-                if action and action[0] == "restore":
-                    last_burst_start = now
-            else:
-                t = shaper.state.t_s
-                send_at = max(last_burst_start + t, now)
-                if send_at >= horizon - 1e-9:
-                    now = horizon
-                    break
-                size = min(shaper.next_burst_bytes(self._pending_bytes),
-                           self._remaining_bytes())
-                if size <= 1e-9:
-                    break
-                obs, now, est = self._deliver(size, send_at,
-                                              abort_on_zwa=True)
-                shaper.log_burst(obs.burst_id, t, obs.acked_bytes,
-                                 obs.zwa_seen)
-                shaper.on_burst_feedback(obs)
-                if self.adaptive:
-                    new_q = shaper.maybe_switch_quality(est)
-                    if new_q is not None:
-                        self.quality_switches.append((now, new_q))
-                        client.set_drain_rate(shaper.r_s_bps)
-                shaper.on_bandwidth_change(est, self._runway_s())
-                self._snapshot(now)
-                last_burst_start = send_at
-
-        client.finalize(max(now, horizon))
+        ctl, shaper, st = self.controller, self.shaper, self.shaper.state
+        send = ctl.start()
+        while True:       # the Fast Start always goes out
+            report = self._deliver(send)
+            quality = st.current_quality_index
+            send = ctl.report(report)
+            now = report.end_s
+            if st.current_quality_index != quality:
+                self.quality_switches.append((now, st.current_quality_index))
+                self.client.set_drain_rate(shaper.r_s_bps)
+            self.trajectory.append({
+                "time_s": now, "phase": st.phase.value, "t_s": st.t_s,
+                "t_min_s": st.t_min_s, "t_max_s": st.t_max_s,
+                "t_old_s": st.t_old_s, "bs_opt_bytes": st.bs_opt_bytes,
+                "runway_s": (ctl.content_sent_s
+                             - self.client.playback_position_s),
+            })
+            if send is None or send.at_s >= self.session_length_s - 1e-9:
+                break
+        self.client.finalize(max(now, self.session_length_s))
+        fs_end = self.trajectory[0]["time_s"]      # the Fast Start's end
         return SessionResult(
-            self.activity_spans, shaper.burst_log, client.stall_log, fs_end,
-            self.content_sent_bytes, self.content_sent_s, self.trajectory,
-            shaper.decision_log, self.quality_switches, self.zwa_bursts,
-            shaper)
+            self.activity_spans, shaper.burst_log, self.client.stall_log,
+            fs_end, ctl.content_sent_bytes,
+            ctl.content_sent_s, self.trajectory, shaper.decision_log,
+            self.quality_switches, self.zwa_bursts, shaper)
 
 
 # -- search validation utilities ---------------------------------------------

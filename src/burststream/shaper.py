@@ -6,15 +6,18 @@ starvation bound ``t_max = L*8/r_s``; a binary search then probes growing
 intervals from ``t_max/2`` upward. A zero window ends the search at once,
 because the byte count accepted before it *is* the client's buffer size.
 Bandwidth collapses below the encoding rate switch the shaper to continuous
-sending with save/restore of the search state.
+sending with save/restore of the search state. ``ShapingController`` runs
+that loop without I/O, for the simulated session and the live proxy alike.
 """
 
 from __future__ import annotations
 
 import enum
 import logging
+import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, \
+    Tuple
 
 from .profiler import BurstObservation
 
@@ -68,7 +71,6 @@ class ShaperState:
     t_max_s: Optional[float] = None
     t_old_s: Optional[float] = None
     bs_opt_bytes: Optional[float] = None
-    sent_bytes_total: float = 0.0
     current_quality_index: int = 0
     per_quality_bs_opt: Dict[int, float] = field(default_factory=dict)
 
@@ -152,13 +154,6 @@ class Shaper:
     def phase(self) -> Phase:
         return self.state.phase
 
-    @property
-    def current_interval_s(self) -> Optional[float]:
-        return self.state.t_s
-
-    def record_sent(self, nbytes: float) -> None:
-        self.state.sent_bytes_total += nbytes
-
     def next_burst_bytes(self, pending_bytes: float = 0.0) -> float:
         """Size of the next burst: interval worth of content plus any
         remainder re-offered after an aborted burst, capped by BS_OPT."""
@@ -195,15 +190,9 @@ class Shaper:
         """Zero window during Fast Start: the buffer size is already known,
         skip the search entirely."""
         st = self.state
-        st.bs_opt_bytes = sent_bytes_at_zwa
-        st.t_s = sent_bytes_at_zwa * 8.0 / self.r_s_bps
-        if st.t_max_s is None or st.t_s < st.t_max_s:
-            st.t_max_s = max(st.t_max_s or 0.0, st.t_s)
-        st.phase = Phase.STEADY
-        self.propagate_bs_opt(st.current_quality_index, sent_bytes_at_zwa,
-                              zwa_derived=True)
-        self._decide(f"fast_start_zwa bs_opt={sent_bytes_at_zwa:.0f} "
-                     f"t_opt={st.t_s:.3f}")
+        self._settle_at_zwa(sent_bytes_at_zwa, "fast_start_zwa")
+        if st.t_max_s is None:
+            st.t_max_s = st.t_s
         return st.t_s
 
     # -- search -----------------------------------------------------------
@@ -233,14 +222,8 @@ class Shaper:
             return ("send_burst", st.t_s)
 
         if obs.zwa_seen:
-            bs_opt = obs.sent_bytes_at_first_zwa
-            st.bs_opt_bytes = bs_opt
-            st.t_s = bs_opt * 8.0 / self.r_s_bps
-            st.phase = Phase.STEADY
-            self.propagate_bs_opt(st.current_quality_index, bs_opt,
-                                  zwa_derived=True)
-            self._decide(f"search_zwa bs_opt={bs_opt:.0f} t_opt={st.t_s:.3f}")
-            return ("set_bs_opt", bs_opt)
+            self._settle_at_zwa(obs.sent_bytes_at_first_zwa, "search_zwa")
+            return ("set_bs_opt", st.bs_opt_bytes)
 
         st.t_min_s = st.t_s
         if st.t_max_s - st.t_s < self.granularity_s:
@@ -249,6 +232,16 @@ class Shaper:
         st.t_s = (st.t_s + st.t_max_s) / 2.0
         self._decide(f"search_step t={st.t_s:.4f}")
         return ("send_burst", st.t_s)
+
+    def _settle_at_zwa(self, bs_opt: float, event: str) -> None:
+        """A zero window after ``bs_opt`` bytes: that is the buffer size."""
+        st = self.state
+        st.bs_opt_bytes = bs_opt
+        st.t_s = bs_opt * 8.0 / self.r_s_bps
+        st.phase = Phase.STEADY
+        self.propagate_bs_opt(st.current_quality_index, bs_opt,
+                              zwa_derived=True)
+        self._decide(f"{event} bs_opt={bs_opt:.0f} t_opt={st.t_s:.3f}")
 
     def _settle_at_t_max(self) -> None:
         st = self.state
@@ -365,3 +358,102 @@ class Shaper:
 
     def _decide(self, text: str) -> None:
         self.decision_log.append(text)
+
+
+# The shaping loop, free of I/O -------------------------------------------
+
+class Send(NamedTuple):
+    """The next transmission: ``size_bytes`` of content at ``at_s`` on the
+    transport's session clock (at once, if ``at_s`` has passed). A burst
+    stops at the first zero window; a low-bandwidth chunk does not."""
+
+    size_bytes: float
+    at_s: float
+    abort_on_zwa: bool
+
+
+class Report(NamedTuple):
+    """What a transport saw of one ``Send``: ``obs`` is None when it had
+    nothing to send (its content source starved it), ``est_bps`` is None
+    when it has no bandwidth estimate, and ``played_s`` is the client's
+    playback position, from which the controller derives the runway."""
+
+    obs: Optional[BurstObservation]
+    delivered_bytes: float
+    start_s: float
+    end_s: float
+    est_bps: Optional[float]
+    played_s: float
+
+
+class ShapingController:
+    """The shaping loop over one ``Shaper``, without I/O.
+
+    Fast Start, the interval search, steady bursting, quality adaptation
+    and the continuous-send fallback under low bandwidth. A transport asks
+    ``start()`` for the first ``Send``, performs it, and passes what it saw
+    to ``report()``, which returns the next ``Send`` or None once the
+    content is exhausted. Only the controller drives the shaper, so equal
+    report sequences give equal decisions, whatever the transport.
+    """
+
+    def __init__(self, shaper: Shaper, low_bw_chunk_s: float = 1.0,
+                 adaptive: bool = False, loop_content: bool = False):
+        self.shaper = shaper
+        self.low_bw_chunk_s = low_bw_chunk_s
+        self.adaptive = adaptive
+        self.loop_content = loop_content
+        self.content_sent_bytes = 0.0
+        self.content_sent_s = 0.0
+        self.pending_bytes = 0.0     # offered but not accepted: re-offered
+        self._now = 0.0
+        self._last_burst_start = 0.0
+
+    def start(self) -> Send:
+        return self._next()
+
+    def report(self, rep: Report) -> Optional[Send]:
+        sh, obs = self.shaper, rep.obs
+        phase = sh.phase
+        if obs is not None:
+            self.content_sent_bytes += rep.delivered_bytes
+            self.content_sent_s += rep.delivered_bytes * 8.0 / sh.r_s_bps
+            self.pending_bytes = max(obs.size_bytes - rep.delivered_bytes,
+                                     0.0)
+            if phase is Phase.FAST_START:
+                if obs.zwa_seen:
+                    sh.fast_start_zwa(obs.sent_bytes_at_first_zwa)
+                else:
+                    sh.end_fast_start(obs.acked_bytes)
+            elif phase is not Phase.LOW_BANDWIDTH:
+                sh.log_burst(obs.burst_id, sh.state.t_s, obs.acked_bytes,
+                             obs.zwa_seen)
+                sh.on_burst_feedback(obs)
+                if self.adaptive:
+                    sh.maybe_switch_quality(rep.est_bps)
+                self._last_burst_start = rep.start_s
+        action = sh.on_bandwidth_change(rep.est_bps,
+                                        self.content_sent_s - rep.played_s)
+        if action and action[0] == "restore":
+            # the recovered search times its bursts from the chunk's end
+            self._last_burst_start = rep.end_s
+        self._now = rep.end_s
+        return self._next()
+
+    def _next(self) -> Optional[Send]:
+        sh = self.shaper
+        r_s = sh.r_s_bps
+        left = math.inf if self.loop_content else \
+            max(sh.stream.duration_s - self.content_sent_s, 0.0) * r_s / 8.0
+        if sh.phase is Phase.FAST_START:
+            return Send(min(sh.stream.fast_start_s * r_s / 8.0, left),
+                        self._now, True)
+        if sh.phase is Phase.LOW_BANDWIDTH:
+            size = min(self.low_bw_chunk_s * r_s / 8.0 + self.pending_bytes,
+                       left)
+            return Send(size, self._now, False) if size > 0 else None
+        size = min(sh.next_burst_bytes(self.pending_bytes), left)
+        if size <= 1e-9:
+            return None
+        return Send(size, max(self._last_burst_start + sh.state.t_s,
+                              self._now), True)

@@ -5,6 +5,8 @@ throttled-origin tests carry the integration marker (run them with
 ``pytest -m integration``).
 """
 
+import copy
+import http.client
 import http.server
 import socket
 import threading
@@ -12,18 +14,26 @@ import time
 
 import pytest
 
-from burststream import BurstObservation, Phase, Shaper, StreamSpec
-from burststream.proxy import SessionConfig, ShapingProxy
+from burststream import (BandwidthTrace, Phase, QualityLevel, Shaper,
+                         SimulatedSession, StreamingClient, StreamSpec)
+from burststream.proxy import ProxyError, SessionConfig, ShapingProxy
+from burststream.shaper import ShapingController
 
 
 class _Origin(http.server.ThreadingHTTPServer):
     daemon_threads = True
 
-    def __init__(self, content_bytes, bitrate_bps, rate_cap_bps=None):
+    def __init__(self, content_bytes, bitrate_bps, rate_cap_bps=None,
+                 truncate_at=None):
         self.content_bytes = content_bytes
         self.bitrate_bps = bitrate_bps
         self.rate_cap_bps = rate_cap_bps
+        self.truncate_at = truncate_at   # close after this many body bytes
         super().__init__(("127.0.0.1", 0), _OriginHandler)
+
+    def shutdown(self):
+        super().shutdown()
+        self.server_close()
 
 
 class _OriginHandler(http.server.BaseHTTPRequestHandler):
@@ -46,6 +56,10 @@ class _OriginHandler(http.server.BaseHTTPRequestHandler):
         sent = 0
         start = time.monotonic()
         while sent < total:
+            if self.server.truncate_at is not None and \
+                    sent >= self.server.truncate_at:
+                self.close_connection = True
+                return
             n = min(len(chunk), total - sent)
             try:
                 self.wfile.write(chunk[:n])
@@ -123,44 +137,168 @@ def _read_head(sock):
     return head.decode(), rest
 
 
+class _Headers:
+    def __init__(self, **headers):
+        self.headers = {k.replace("_", "-"): v for k, v in headers.items()}
+
+    def getheader(self, name):
+        return self.headers.get(name)
+
+
 class TestRateDiscovery:
-    def test_rate_from_length_over_duration(self):
-        # origin declares duration but no bitrate: 10 MB over 80 s
-        class FakeResponse:
-            def getheader(self, name):
-                return {"X-Stream-Info": "duration=80;seconds=0-",
-                        "Content-Length": "10000000"}.get(name)
-        from burststream.proxy import SessionConfig, ShapingProxy
-        proxy = ShapingProxy(SessionConfig(listen=("127.0.0.1", 0)))
-        assert proxy._discover_rate(FakeResponse()) == pytest.approx(1e6)
+    @pytest.mark.parametrize("info,override,expected", [
+        ("duration=80;bitrate=500000;seconds=0-", 2e6, 5e5),  # bitrate first
+        ("duration=80;seconds=0-", 2e6, 2e6),                  # then override
+        ("duration=80;seconds=0-", None, 1e6),                 # then L/d
+        (None, 3e5, 3e5),
+    ])
+    def test_rules_in_order(self, info, override, expected):
+        # 10 MB over 80 s is 1 Mbit/s
+        response = _Headers(X_Stream_Info=info, Content_Length="10000000")
+        proxy = ShapingProxy(SessionConfig(listen=("127.0.0.1", 0),
+                                           rate_override_bps=override))
+        assert proxy._discover_rate(response) == pytest.approx(expected)
 
     def test_no_rate_information_rejected(self):
-        class Bare:
-            def getheader(self, name):
-                return None
-        from burststream.proxy import (ProxyError, SessionConfig,
-                                       ShapingProxy)
         proxy = ShapingProxy(SessionConfig(listen=("127.0.0.1", 0)))
         with pytest.raises(ProxyError):
-            proxy._discover_rate(Bare())
+            proxy._discover_rate(_Headers())
+
+    @pytest.mark.parametrize("info", ["duration=80;garbage;seconds=0-",
+                                      "duration=eighty",
+                                      "bitrate=fast"])
+    def test_malformed_header_rejected(self, info):
+        response = _Headers(X_Stream_Info=info, Content_Length="10000000")
+        proxy = ShapingProxy(SessionConfig(listen=("127.0.0.1", 0)))
+        with pytest.raises(ProxyError):
+            proxy._discover_rate(response)
+
+
+class TestRequestHead:
+    @staticmethod
+    def _read_head(sent: bytes, pace_s: float = 0.0, step: int = 1 << 20):
+        proxy = ShapingProxy(SessionConfig(listen=("127.0.0.1", 0)))
+        ours, theirs = socket.socketpair()
+
+        def client():
+            try:
+                for i in range(0, len(sent), step):
+                    theirs.sendall(sent[i:i + step])
+                    time.sleep(pace_s)
+            except OSError:
+                pass            # the proxy hung up on an oversized head
+
+        writer = threading.Thread(target=client, daemon=True)
+        writer.start()
+        try:
+            return proxy._read_request_head(ours)
+        finally:
+            ours.close()
+            writer.join(timeout=10.0)
+            theirs.close()
+
+    @pytest.mark.parametrize("head", [
+        b"GET /a HTTP/1.1\r\nHost: origin:81\r\n\r\n",
+        b"GET /a HTTP/1.0\n\n"])
+    def test_head_sent_one_byte_at_a_time(self, head):
+        # every terminator arrives split over several reads
+        assert self._read_head(head, pace_s=0.001, step=1) == \
+            head.decode("latin-1")
+
+    def test_oversized_head_rejected(self):
+        head = b"GET /a HTTP/1.1\r\nX-Pad: " + b"p" * 70000 + b"\r\n\r\n"
+        with pytest.raises(ProxyError, match="too large"):
+            self._read_head(head, step=8192)
+
+
+def _record_controllers(monkeypatch):
+    """Record every ``ShapingController`` call as (controller, report,
+    shaper state on entry, returned send); the report is None for
+    ``start()``."""
+    calls = []
+    start, report = ShapingController.start, ShapingController.report
+
+    def recording_start(self):
+        state = copy.deepcopy(self.shaper.state)
+        calls.append((self, None, state, start(self)))
+        return calls[-1][3]
+
+    def recording_report(self, rep):
+        state = copy.deepcopy(self.shaper.state)
+        calls.append((self, rep, state, report(self, rep)))
+        return calls[-1][3]
+
+    monkeypatch.setattr(ShapingController, "start", recording_start)
+    monkeypatch.setattr(ShapingController, "report", recording_report)
+    return calls
+
+
+def _assert_replays(monkeypatch, calls, shaper, controller_kw):
+    """Feed the recorded reports into a fresh controller over a fresh
+    shaper: the shaper state before each call, the sends and every log
+    must come out equal. A transport that changes the shaper other than
+    through its controller fails here."""
+    monkeypatch.undo()          # replay unrecorded
+    assert all(ctl.shaper is shaper for ctl, _, _, _ in calls)
+    fresh = Shaper(shaper.stream, shaper.granularity_s)
+    controller = ShapingController(fresh, **controller_kw)
+    for step, (_, rep, state, send) in enumerate(calls):
+        assert fresh.state == state, f"shaper changed before call {step}"
+        replayed = controller.start() if rep is None else \
+            controller.report(rep)
+        assert replayed == send, f"call {step}"
+    assert fresh.decision_log == shaper.decision_log
+    assert fresh.burst_log == shaper.burst_log
+    assert fresh.state == shaper.state
 
 
 class TestSharedCore:
-    def test_same_feedback_gives_identical_decision_trace(self):
-        # the proxy drives the very same shaper class the simulation uses;
-        # equal feedback sequences must produce equal decisions
-        def drive():
-            sh = Shaper(StreamSpec.single(1e6, 600.0, 16.0), 1.0)
-            sh.end_fast_start(16 * 1e6 / 8)
-            for k in range(10):
-                obs = BurstObservation(k, 1_000_000, 0.0, 0.0)
-                obs.acked_bytes = 1_000_000
-                obs.complete = True
-                if sh.phase is not Phase.SEARCHING:
-                    break
-                sh.on_burst_feedback(obs)
-            return sh.decision_log
-        assert drive() == drive()
+    """The simulation and the proxy are transports around one
+    ``ShapingController``: their recorded reports replay into a fresh
+    controller with equal sends, decisions and burst rows."""
+
+    def test_simulated_session_replays(self, monkeypatch):
+        calls = _record_controllers(monkeypatch)
+        ladder = tuple(QualityLevel(r * 1000) for r in
+                       (700, 1200, 1500, 2000, 2500, 3000))
+        stream = StreamSpec(ladder, duration_s=600.0, fast_start_s=30.0)
+        client = StreamingClient(12_000_000, 700e3, 16e6,
+                                 content_duration_s=600.0)
+        bw = BandwidthTrace(((0.0, 3.2e6), (150.0, 0.5e6), (250.0, 3.2e6)))
+        res = SimulatedSession(stream, client, bw, session_length_s=500.0,
+                               adaptive=True, low_bw_chunk_s=1.0).run()
+        # the session covers every branch of the loop
+        kinds = {d.split()[0] for d in res.decision_log}
+        assert {"search_step", "search_t_max", "quality_switch",
+                "bandwidth_low", "bandwidth_recovered"} <= kinds
+        _assert_replays(monkeypatch, calls, res.shaper,
+                        dict(low_bw_chunk_s=1.0, adaptive=True))
+
+    def test_proxy_session_replays(self, monkeypatch):
+        calls = _record_controllers(monkeypatch)
+        total = int(2 * 4e6 / 8)
+        origin = _Origin(total, 4e6)
+        threading.Thread(target=origin.serve_forever, daemon=True).start()
+        proxy, addr = _start_proxy(origin, fast_start_seconds=1.0,
+                                   granularity_s=0.5)
+        try:
+            with _connect(addr) as sock:
+                _, first = _read_head(sock)
+                got = len(first)
+                while data := sock.recv(65536):
+                    got += len(data)
+            assert got == total
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline and \
+                    not (proxy.sessions and proxy.sessions[0]["rows"]):
+                time.sleep(0.05)
+            shaper = proxy.sessions[0]["shaper"]
+        finally:
+            proxy.close()
+            origin.shutdown()
+        assert len(calls) > 2 and shaper.burst_log
+        _assert_replays(monkeypatch, calls, shaper,
+                        dict(low_bw_chunk_s=proxy.config.low_bw_chunk_s))
 
 
 class TestProxySmoke:
@@ -217,6 +355,78 @@ class TestProxySmoke:
             proxy.close()
             server.join(timeout=5.0)
         assert not server.is_alive()
+
+    def test_stream_inside_fast_start_ends_with_it(self):
+        # 1000004 bytes at 300 kbit/s: the content left, counted in
+        # seconds of play, comes to 1000003.9999... bytes; the Fast Start
+        # must still carry the last byte instead of leaving it for a
+        # burst half of t_max (13 s) later
+        total = 1_000_004
+        origin = _Origin(total, 300e3)
+        threading.Thread(target=origin.serve_forever, daemon=True).start()
+        proxy, addr = _start_proxy(origin, fast_start_seconds=60.0)
+        try:
+            with _connect(addr) as sock:
+                _, first = _read_head(sock)
+                got = len(first)
+                sock.settimeout(5.0)
+                while data := sock.recv(65536):
+                    got += len(data)
+            assert got == total
+        finally:
+            proxy.close()
+            origin.shutdown()
+
+    def test_truncated_origin_is_reported(self):
+        # the origin declares 400 kB and hangs up after 128 kB: the client
+        # sees the short body end, and the session report keeps the error
+        total = 400_000
+        origin = _Origin(total, 4e6, truncate_at=131072)
+        threading.Thread(target=origin.serve_forever, daemon=True).start()
+        proxy, addr = _start_proxy(origin, fast_start_seconds=1.0)
+        try:
+            with _connect(addr) as sock:
+                _, first = _read_head(sock)
+                got = len(first)
+                while data := sock.recv(65536):
+                    got += len(data)
+            assert got == 131072
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline and \
+                    not (proxy.sessions and
+                         "origin_error" in proxy.sessions[0]):
+                time.sleep(0.05)
+            error = proxy.sessions[0]["origin_error"]
+            assert isinstance(error, http.client.IncompleteRead)
+            assert error.expected == total - 131072
+        finally:
+            proxy.close()
+            origin.shutdown()
+
+    def test_finished_session_threads_are_dropped(self):
+        total = 100_000               # fits in the Fast Start
+        origin = _Origin(total, 4e6)
+        threading.Thread(target=origin.serve_forever, daemon=True).start()
+        proxy, addr = _start_proxy(origin, fast_start_seconds=1.0)
+        try:
+            for _ in range(10):
+                with _connect(addr) as sock:
+                    _, first = _read_head(sock)
+                    got = len(first)
+                    while data := sock.recv(65536):
+                        got += len(data)
+                assert got == total
+                # the session thread ends just after it hangs up
+                deadline = time.monotonic() + 5
+                while time.monotonic() < deadline and \
+                        sum(t.is_alive() for t in proxy._threads) > 1:
+                    time.sleep(0.01)
+            # the accept loop and at most the last session
+            assert len(proxy._threads) <= 2
+            assert len(proxy.sessions) == 10
+        finally:
+            proxy.close()
+            origin.shutdown()
 
     def test_session_log_written(self, tmp_path):
         total = int(2 * 4e6 / 8)
@@ -316,6 +526,32 @@ class TestProxyConvergence:
             assert shaper.state.bs_opt_bytes == pytest.approx(
                 buffer_cap, rel=0.25)
             reader.done = True
+            sock.close()
+        finally:
+            proxy.close()
+            origin.shutdown()
+
+    def test_fast_start_zero_window_keeps_the_whole_stream(self):
+        # a 2 MB stream at 8 Mbit/s fits a 20 s Fast Start, but the client
+        # holds 0.5 MB: the Fast Start stops at the zero window, and the
+        # bytes it did not get still reach the client in later bursts
+        r_s = 8e6
+        total = 2_000_000
+        origin = _Origin(total, r_s)
+        threading.Thread(target=origin.serve_forever, daemon=True).start()
+        proxy, addr = _start_proxy(origin, fast_start_seconds=20.0,
+                                   backpressure_s=0.2, sndbuf_bytes=65536)
+        try:
+            sock = _connect(addr, rcvbuf=65536)
+            _, first = _read_head(sock)
+            reader = _DrainingReader(sock, 500_000, r_s)
+            reader.buffered = reader.total = len(first)
+            reader.start()
+            reader.join(timeout=30)
+            assert not reader.is_alive()
+            shaper = proxy.sessions[0]["shaper"]
+            assert "fast_start_zwa" in shaper.decision_log[0]
+            assert reader.total == total
             sock.close()
         finally:
             proxy.close()
