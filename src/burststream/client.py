@@ -423,9 +423,3 @@ class StreamingClient:
         return DeliveryResult(acks, delivered, start_clock, self.now_s,
                               zwa_episodes, first_zwa_t, bytes_at_zwa,
                               aborted)
-
-    def stall_csv(self) -> str:
-        lines = ["start_s,end_s"]
-        for start, end in self.stall_log:
-            lines.append(f"{start:.6f},{'' if end is None else f'{end:.6f}'}")
-        return "\n".join(lines) + "\n"

@@ -6,6 +6,9 @@ rate. Two regimes are modeled: the burst fits the client buffer (power is
 non-increasing in ``T``) and the burst overflows it so TCP flow control
 drains the excess at the encoding rate (power is non-decreasing in ``T``).
 The minimum sits where the burst size matches the available buffer space.
+One broadcasting kernel states the model; the scalar functions, the
+interval arrays and ``power_surface`` check their own domain and regime
+and evaluate it.
 
 All internal computation uses one canonical unit set: bits, seconds,
 milliwatts, millijoules. Byte-valued inputs are converted at the interface.
@@ -14,6 +17,7 @@ milliwatts, millijoules. Byte-valued inputs are converted at the interface.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
@@ -171,6 +175,51 @@ def idle_time(scenario: BurstScenario) -> float:
     return scenario.interval_t_s * (1.0 - scenario.r_s_bps / scenario.r_btc_bps)
 
 
+def _tail_energy(profile: RadioProfile, t_idle_s):
+    """Tail energy (mJ) over idle gaps of ``t_idle_s`` seconds, elementwise."""
+    return (profile.p1_mw * np.minimum(t_idle_s, profile.t1_s)
+            + profile.p2_mw * np.clip(t_idle_s - profile.t1_s, 0.0,
+                                      profile.t2_s))
+
+
+def _power_branches(profile: RadioProfile, r_s_bps, r_btc_bps: float,
+                    b_bits, t_s):
+    """Average power (mW) of both regimes, ``(fitting, overflow)``, over any
+    mix of scalars and arrays. Each caller picks the regime by its own rule,
+    since at r_s*T = B both formulas apply.
+
+    Fitting: download at the bulk rate for r_s/r_btc of each interval, then
+    the tail over the idle gap T*(1 - r_s/r_btc). Overflow: the part that
+    fits the buffer downloads at the bulk rate, the leftover drains at the
+    encoding rate, and the tail is a fixed constant.
+    The idle gap left once the whole burst has drained is B/r_s - B/r_btc
+    regardless of T. The constant is the tail reachable in that gap,
+    clipped by the gap's worth of average tail power; with one timer and p1
+    equal to the tail power this is exactly the full-timer tail capped at
+    the bound, and it keeps the average power continuous at r_s*T = B.
+    """
+    dp_btc = delta_power_rx(r_btc_bps, profile)
+    dp_rs = np.reshape([delta_power_rx(r, profile)
+                        for r in np.ravel(r_s_bps).tolist()],
+                       np.shape(r_s_bps))
+    t_idle = t_s * (1.0 - r_s_bps / r_btc_bps)
+    fitting = (r_s_bps / r_btc_bps) * dp_btc + \
+        _tail_energy(profile, t_idle) / t_s
+    boundary_idle = b_bits / r_s_bps - b_bits / r_btc_bps
+    e_over = np.minimum(_tail_energy(profile, boundary_idle),
+                        profile.p_tail_mw * boundary_idle)
+    burst_bits = r_s_bps * t_s
+    overflow = (b_bits * dp_btc / (t_s * r_btc_bps)
+                + (burst_bits - b_bits) / burst_bits * dp_rs
+                + e_over / t_s)
+    return fitting, overflow
+
+
+def _scenario_branches(scenario: BurstScenario, profile: RadioProfile):
+    return _power_branches(profile, scenario.r_s_bps, scenario.r_btc_bps,
+                           scenario.buffer_bits, scenario.interval_t_s)
+
+
 def tail_energy_for_idle(profile: RadioProfile, t_idle_s: float) -> float:
     """Tail energy (mJ) spent over an idle gap of ``t_idle_s`` seconds.
 
@@ -180,12 +229,7 @@ def tail_energy_for_idle(profile: RadioProfile, t_idle_s: float) -> float:
     """
     if t_idle_s < 0:
         raise DomainError("idle time must be >= 0")
-    t1, t2 = profile.t1_s, profile.t2_s
-    if t_idle_s < t1:
-        return profile.p1_mw * t_idle_s
-    if t_idle_s < t1 + t2:
-        return profile.p1_mw * t1 + profile.p2_mw * (t_idle_s - t1)
-    return profile.p1_mw * t1 + profile.p2_mw * t2
+    return float(_tail_energy(profile, t_idle_s))
 
 
 def tail_energy(scenario: BurstScenario, profile: RadioProfile) -> float:
@@ -197,29 +241,12 @@ def tail_energy(scenario: BurstScenario, profile: RadioProfile) -> float:
     return tail_energy_for_idle(profile, idle_time(scenario))
 
 
-def overflow_tail_energy(scenario: BurstScenario, profile: RadioProfile) -> float:
-    """Fixed tail-energy constant (mJ) used in the overflow regime.
-
-    The idle gap left once the whole burst has drained is B/r_s - B/r_btc
-    regardless of T. The constant is the tail reachable in that gap, clipped
-    by the gap's worth of average tail power; with one timer and p1 equal to
-    the tail power this is exactly the full-timer tail capped at the bound,
-    and it keeps avg_power continuous at the r_s*T = B boundary.
-    """
-    boundary_idle = (scenario.buffer_bits / scenario.r_s_bps -
-                     scenario.buffer_bits / scenario.r_btc_bps)
-    bound = profile.p_tail_mw * boundary_idle
-    return min(tail_energy_for_idle(profile, boundary_idle), bound)
-
-
 def avg_power_fitting(scenario: BurstScenario, profile: RadioProfile) -> float:
     """Average power (mW) when the burst fits: download term plus tail term."""
     if not scenario.fits_buffer:
         raise BufferExceededError("burst exceeds the client buffer; "
                                   "use avg_power_overflow")
-    download = (scenario.r_s_bps / scenario.r_btc_bps) * \
-        delta_power_rx(scenario.r_btc_bps, profile)
-    return download + tail_energy(scenario, profile) / scenario.interval_t_s
+    return float(_scenario_branches(scenario, profile)[0])
 
 
 def avg_power_overflow(scenario: BurstScenario, profile: RadioProfile) -> float:
@@ -231,14 +258,7 @@ def avg_power_overflow(scenario: BurstScenario, profile: RadioProfile) -> float:
     if scenario.burst_bits < scenario.buffer_bits:
         raise BufferExceededError("burst fits the client buffer; "
                                   "use avg_power_fitting")
-    t = scenario.interval_t_s
-    b_bits = scenario.buffer_bits
-    burst_bits = scenario.burst_bits
-    part_fit = b_bits * delta_power_rx(scenario.r_btc_bps, profile) / \
-        (t * scenario.r_btc_bps)
-    part_drain = ((burst_bits - b_bits) / burst_bits) * \
-        delta_power_rx(scenario.r_s_bps, profile)
-    return part_fit + part_drain + overflow_tail_energy(scenario, profile) / t
+    return float(_scenario_branches(scenario, profile)[1])
 
 
 def avg_power(scenario: BurstScenario, profile: RadioProfile) -> float:
@@ -268,34 +288,21 @@ def avg_power_over_intervals(profile: RadioProfile, r_s_bps: float,
 
     Evaluates both regime branches elementwise and selects by the
     burst-vs-buffer condition; identical to the scalar functions.
+    ``r_s_bps`` and ``buffer_bytes`` may be arrays that broadcast against
+    the intervals, as ``power_surface`` passes them.
     """
     r_btc = r_btc_bps if r_btc_bps is not None else profile.r_btc_bps
     if r_btc is None:
         raise ValueError("no bulk transfer capacity given")
-    if r_s_bps <= 0 or r_s_bps > r_btc or buffer_bytes <= 0:
+    if np.any(r_s_bps <= 0) or np.any(r_s_bps > r_btc) or \
+            np.any(buffer_bytes <= 0):
         raise ValueError("need 0 < r_s <= r_btc and buffer > 0")
     t = np.asarray(t_array, dtype=float)
     if np.any(t <= 0):
         raise ValueError("intervals must be > 0")
     b_bits = buffer_bytes * 8.0
-    dp_btc = delta_power_rx(r_btc, profile)
-    dp_rs = delta_power_rx(r_s_bps, profile)
-
-    t_idle = t * (1.0 - r_s_bps / r_btc)
-    e_tail = (profile.p1_mw * np.minimum(t_idle, profile.t1_s)
-              + profile.p2_mw * np.clip(t_idle - profile.t1_s, 0.0,
-                                        profile.t2_s))
-    fitting = (r_s_bps / r_btc) * dp_btc + e_tail / t
-
-    boundary_idle = b_bits / r_s_bps - b_bits / r_btc
-    e_over = min(tail_energy_for_idle(profile, boundary_idle),
-                 profile.p_tail_mw * boundary_idle)
-    burst_bits = r_s_bps * t
-    with np.errstate(divide="ignore", invalid="ignore"):
-        overflow = (b_bits * dp_btc / (t * r_btc)
-                    + (burst_bits - b_bits) / burst_bits * dp_rs
-                    + e_over / t)
-    return np.where(burst_bits <= b_bits, fitting, overflow)
+    fitting, overflow = _power_branches(profile, r_s_bps, r_btc, b_bits, t)
+    return np.where(r_s_bps * t <= b_bits, fitting, overflow)
 
 
 def power_surface(profile: RadioProfile,
@@ -310,16 +317,12 @@ def power_surface(profile: RadioProfile,
     """
     if not (len(r_s_list) and len(t_list) and len(b_list)):
         raise ValueError("grid axes must be non-empty")
-    if profile.r_btc_bps is None:
-        raise ValueError("profile has no default bulk transfer capacity")
-    t_arr = np.asarray(t_list, dtype=float)
-    rows = []
-    for r_s in r_s_list:
-        for b in b_list:
-            powers = avg_power_over_intervals(profile, r_s, b, t_arr)
-            rows.extend((r_s, b, t, p)
-                        for t, p in zip(t_list, powers.tolist()))
-    return rows
+    p = avg_power_over_intervals(
+        profile, np.asarray(r_s_list, dtype=float)[:, None, None],
+        np.asarray(b_list, dtype=float)[:, None], t_list)
+    return [(r_s, b, t, power) for (r_s, b, t), power in
+            zip(itertools.product(r_s_list, b_list, t_list),
+                p.ravel().tolist())]
 
 
 SURFACE_CSV_HEADER = "technology,r_s_bps,buffer_bytes,interval_s,avg_power_mw"

@@ -22,7 +22,7 @@ from .profiles import ConfigError, get_profile
 from .radio import (ActivityTrace, SignalingCostTable, SignalingLedger,
                     StateTrace, energy_of, signaling_of, simulate)
 from .session import BandwidthTrace, SessionResult, SimulatedSession
-from .shaper import QualityLevel, StreamSpec
+from .shaper import QualityLevel, StreamSpec, initial_quality
 
 
 @dataclass
@@ -142,9 +142,10 @@ class RunResult:
 
 
 def _build_session(scenario: Scenario) -> SimulatedSession:
+    ladder = scenario.stream.qualities
     client = StreamingClient(
         scenario.buffer_bytes,
-        scenario.stream.qualities[0].bitrate_bps,
+        ladder[initial_quality(ladder)].bitrate_bps,  # the shaper's start
         scenario.link_bps if scenario.link_bps else math.inf,
         startup_threshold_s=scenario.startup_s,
         content_duration_s=(None if scenario.loop_content

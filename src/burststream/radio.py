@@ -73,6 +73,23 @@ class ActivityEvent:
     bytes: Optional[int] = None
 
 
+def _merge_spans(spans: Iterable[Tuple[float, float, Optional[int]]],
+                ) -> List[Tuple[float, float, Optional[int]]]:
+    """Sort (start_s, end_s, bytes) spans and join those that overlap or
+    touch (within 1e-12 s); byte counts add up, and one unknown (None)
+    count makes the joined count unknown."""
+    merged: List[Tuple[float, float, Optional[int]]] = []
+    for start, end, nbytes in sorted(spans):
+        if merged and start <= merged[-1][1] + 1e-12:
+            prev_start, prev_end, prev_bytes = merged[-1]
+            total = None if prev_bytes is None or nbytes is None \
+                else prev_bytes + nbytes
+            merged[-1] = (prev_start, max(prev_end, end), total)
+        else:
+            merged.append((start, end, nbytes))
+    return merged
+
+
 @dataclass
 class ActivityTrace:
     """Ordered RX/TX start/end events; START/END pair up per direction."""
@@ -107,20 +124,11 @@ class ActivityTrace:
         """
         start_kind = EventKind.RX_START if kind == "RX" else EventKind.TX_START
         end_kind = EventKind.RX_END if kind == "RX" else EventKind.TX_END
-        merged: List[List] = []
-        for start, end, nbytes in sorted(spans):
-            if end < start:
-                raise TraceError("span end before start")
-            if merged and start <= merged[-1][1] + 1e-12:
-                merged[-1][1] = max(merged[-1][1], end)
-                if merged[-1][2] is not None and nbytes is not None:
-                    merged[-1][2] += nbytes
-                else:
-                    merged[-1][2] = None
-            else:
-                merged.append([start, end, nbytes])
+        spans = list(spans)
+        if any(end < start for start, end, _ in spans):
+            raise TraceError("span end before start")
         events: List[ActivityEvent] = []
-        for start, end, nbytes in merged:
+        for start, end, nbytes in _merge_spans(spans):
             events.append(ActivityEvent(start, start_kind, nbytes))
             events.append(ActivityEvent(end, end_kind))
         return cls(events)
@@ -139,18 +147,7 @@ class ActivityTrace:
             else:
                 raw.append((open_start.pop(direction), ev.time_s,
                             open_bytes.pop(direction)))
-        raw.sort()
-        merged: List[Tuple[float, float, Optional[int]]] = []
-        for start, end, nbytes in raw:
-            if merged and start <= merged[-1][1] + 1e-12:
-                prev = merged[-1]
-                total = None
-                if prev[2] is not None and nbytes is not None:
-                    total = prev[2] + nbytes
-                merged[-1] = (prev[0], max(prev[1], end), total)
-            else:
-                merged.append((start, end, nbytes))
-        return merged
+        return _merge_spans(raw)
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ from typing import Dict, List, Tuple
 
 from .client import StreamingClient
 from .profiler import TrafficProfiler
-from .shaper import (Phase, Report, Send, Shaper, ShapingController,
-                     StreamSpec)
+from .shaper import (TYPICAL_MOBILE_BPS, Phase, Report, Send, Shaper,
+                     ShapingController, StreamSpec)
 
 
 @dataclass(frozen=True)
@@ -76,7 +76,7 @@ class SimulatedSession:
                  loop_content: bool = False,
                  adaptive: bool = False,
                  low_bw_chunk_s: float = 1.0,
-                 bandwidth_hint_bps: float = 2_000_000):
+                 bandwidth_hint_bps: float = TYPICAL_MOBILE_BPS):
         self.stream = stream
         self.client = client
         self.bandwidth = bandwidth

@@ -257,6 +257,56 @@ class TestPowerSurface:
             "technology,r_s_bps,buffer_bytes,interval_s,avg_power_mw"
 
 
+@st.composite
+def hspa_surfaces(draw):
+    """A random two-timer profile (t2 > 0, p2 < p1) and a grid whose
+    intervals straddle the buffer-matched interval B*8/r_s."""
+    p1 = draw(st.floats(50, 3000))
+    profile = RadioProfile(
+        Technology.HSPA,
+        t1_s=draw(st.floats(0.05, 12)), t2_s=draw(st.floats(0.05, 12)),
+        p1_mw=p1, p2_mw=p1 * draw(st.floats(0, 0.99)),
+        p_tail_mw=draw(st.floats(50, 3000)),
+        a_coeff=draw(st.floats(1, 4)), k_coeff=draw(st.floats(0, 1e-7)),
+        r_btc_bps=draw(st.floats(2e6, 50e6)))
+    r_btc = profile.r_btc_bps
+    r_s_list = draw(st.lists(st.floats(r_btc * 1e-3, r_btc), min_size=1,
+                             max_size=3))
+    b_list = draw(st.lists(st.floats(1e3, 1e8), min_size=1, max_size=3))
+    t_star = b_list[0] * 8.0 / r_s_list[0]
+    t_list = [t_star] + [t_star * f for f in draw(st.lists(
+        st.floats(0.01, 100), min_size=1, max_size=6))]
+    return profile, r_s_list, t_list, b_list
+
+
+class TestPowerSurfaceKernel:
+    @given(hspa_surfaces())
+    @settings(max_examples=150)
+    def test_rows_equal_scalar_avg_power_exactly(self, surface):
+        profile, r_s_list, t_list, b_list = surface
+        rows = power_surface(profile, r_s_list, t_list, b_list)
+        assert len(rows) == len(r_s_list) * len(b_list) * len(t_list)
+        for r_s, b, t, p in rows:
+            sc = BurstScenario(r_s, profile.r_btc_bps, b, t)
+            assert p == avg_power(sc, profile)
+
+    @pytest.mark.parametrize("r_s, t, b", [
+        ([5e5, 17e6], [1.0], [1e6]),     # r_s above r_btc
+        ([5e5, 0.0], [1.0], [1e6]),      # r_s not positive
+        ([5e5], [1.0], [1e6, 0.0]),      # B not positive
+        ([5e5], [1.0], [1e6, -5.0]),
+        ([5e5], [1.0, 0.0], [1e6]),      # T not positive
+        ([5e5], [2.0, -1.0], [1e6]),
+    ])
+    def test_rejects_points_outside_the_domain(self, r_s, t, b):
+        with pytest.raises(ValueError):
+            power_surface(LTE, r_s, t, b)
+
+    def test_rejects_empty_axes(self):
+        with pytest.raises(ValueError):
+            power_surface(LTE, [], [1.0], [1e6])
+
+
 class TestProfileInvariants:
     def test_a_coeff_below_one_rejected(self):
         with pytest.raises(ValueError):

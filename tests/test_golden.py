@@ -1,9 +1,11 @@
-"""Golden outputs of the shipped scenarios through ``burststream run``.
+"""Golden outputs of ``burststream run`` and ``burststream sweep``.
 
 Simulations are deterministic, so the CSV files ``run`` writes, the
 shaper's decision log and the session trajectory are fixed behaviour. The
 digests below pin them: any change to the shaping loop that alters a
-single decision, burst, radio segment or stall shows up here.
+single decision, burst, radio segment or stall shows up here. The power
+surfaces ``sweep`` writes for every shipped profile are pinned the same
+way, over a grid that crosses both regimes and every inactivity timer.
 """
 
 import hashlib
@@ -12,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from burststream import cli, harness
+from burststream.profiles import list_profiles
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 CSV_FILES = ("bursts.csv", "radio_states.csv", "signaling.csv", "stalls.csv")
@@ -107,3 +110,40 @@ def run_digests(scenario_path: Path, out_dir: Path, monkeypatch) -> dict:
 def test_shipped_scenario_outputs_unchanged(name, tmp_path, monkeypatch):
     got = run_digests(SCENARIO_DIR / f"{name}.ini", tmp_path, monkeypatch)
     assert got == GOLDEN[name]
+
+
+# r_s * T = B lands exactly on grid points (500 kbit/s x 16 s and
+# 2 Mbit/s x 4 s into 1 MB), and the idle gaps run from below the Wi-Fi
+# PSM timer (0.2 s) past the longest LTE timer (20 s) and HSPA T1 + T2.
+SWEEP_ARGS = ("--rs", "64000,500000,2000000", "--t", "0.125:40:0.125",
+              "--b", "20000,1000000,50000000")
+
+SWEEP_GOLDEN = {
+    "hspa-aggressive":
+        "cafc93a6e01f573f0c9aac975d7496ae5dc573c8e31304bf4d633cb875ad1673",
+    "hspa-default":
+        "3827906fe7c4470443f1c24b3937013a61445507d475a6aca36dd599c31ee044",
+    "hspa-legacy-fd":
+        "3827906fe7c4470443f1c24b3937013a61445507d475a6aca36dd599c31ee044",
+    "hspa-nopch":
+        "2de67c7d0fbdb8acda045dab3fb38148dd0b9c6326fd16a5fb3fec35055102c7",
+    "lte-drx-default":
+        "cfc4cb2f8c3608264e730adb8a18383ccb35b415fd17c6dcb9de3229b3eaecc4",
+    "lte-drx-longidle":
+        "ac62c541ccc99d0de8ba8e6bbe759b5b14cb1bd89494702b5d92e8d9bedef5a2",
+    "lte-nodrx-default":
+        "cfc4cb2f8c3608264e730adb8a18383ccb35b415fd17c6dcb9de3229b3eaecc4",
+    "wifi-ref":
+        "a8f0b9a17a471be2dc7aa5f8267667f146b765eb09c4e8b5f7e6d0b53d800ca9",
+}
+
+
+def test_every_shipped_profile_has_a_sweep_digest():
+    assert sorted(SWEEP_GOLDEN) == list_profiles()
+
+
+@pytest.mark.parametrize("name", sorted(SWEEP_GOLDEN))
+def test_shipped_profile_sweep_unchanged(name, tmp_path):
+    out = tmp_path / f"{name}.csv"
+    assert cli.main(["sweep", name, *SWEEP_ARGS, "--out", str(out)]) == 0
+    assert _sha(out.read_bytes()) == SWEEP_GOLDEN[name]

@@ -5,8 +5,9 @@ from pathlib import Path
 import pytest
 
 from burststream import (BackgroundTraffic, BandwidthTrace, ConfigError,
-                         Scenario, StreamSpec, compare_configs, compare_table,
-                         get_profile, load_scenario, run, sweep_surface)
+                         QualityLevel, Scenario, StreamSpec, compare_configs,
+                         compare_table, get_profile, harness, load_scenario,
+                         run, sweep_surface)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -98,6 +99,20 @@ class TestRun:
                     if s.active and s.rate_bps)
         assert total == pytest.approx(result.session.content_sent_bytes,
                                       rel=1e-6)
+
+
+class TestBuildSession:
+    def test_adaptive_client_drains_at_the_shapers_starting_rate(self):
+        ladder = tuple(QualityLevel(r) for r in (500e3, 800e3, 1.5e6))
+        sc = Scenario(
+            name="adaptive", profile=get_profile("hspa-default"),
+            stream=StreamSpec(ladder, duration_s=600.0, fast_start_s=20.0),
+            buffer_bytes=10_000_000, bandwidth=BandwidthTrace.flat(6e6),
+            session_length_s=300.0, startup_s=2.0, adaptive=True)
+        sim = harness._build_session(sc)
+        assert sim.shaper.r_s_bps == 800e3
+        assert sim.client.drain_rate_bps == sim.shaper.r_s_bps
+        assert sim.client.startup_bytes == 2.0 * 800e3 / 8.0
 
 
 class TestSweep:

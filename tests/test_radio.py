@@ -51,6 +51,19 @@ class TestActivityTrace:
         ])
         assert tr.spans() == [(0.0, 3.0, 1500)]
 
+    def test_from_spans_and_spans_merge_alike(self):
+        # touching within 1e-12 s joins; an unknown byte count stays unknown
+        raw = [(4.0, 5.0, 10), (0.0, 1.0, 100), (1.0 + 5e-13, 2.0, 200),
+               (6.0, 7.0, None), (7.0, 8.0, 30)]
+        tr = ActivityTrace.from_spans(raw)
+        assert tr.spans() == [(0.0, 2.0, 300), (4.0, 5.0, 10),
+                              (6.0, 8.0, None)]
+        assert ActivityTrace.from_spans(tr.spans()).spans() == tr.spans()
+
+    def test_span_end_before_start_rejected(self):
+        with pytest.raises(TraceError):
+            ActivityTrace.from_spans([(0.0, 1.0, 10), (3.0, 2.0, 10)])
+
 
 class TestHspaStateMachine:
     def test_empty_trace_stays_idle(self):
