@@ -11,7 +11,8 @@ from .energy import (BufferExceededError, BurstScenario, DomainError,
                      avg_power, avg_power_fitting, avg_power_overflow,
                      avg_power_over_intervals, delta_power_rx, idle_time,
                      optimal_interval, power_rx, power_surface,
-                     surface_to_csv, tail_energy, tail_energy_for_idle)
+                     Surface, surface_to_csv, tail_energy,
+                     tail_energy_for_idle)
 from .radio import (ActivityEvent, ActivityTrace, EventKind, RadioState,
                     SignalingConfigError, SignalingCostTable,
                     SignalingLedger, StateSegment, StateTrace, TraceError,

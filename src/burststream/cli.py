@@ -4,6 +4,7 @@ comparisons, and the live shaping proxy."""
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 from typing import List
@@ -15,18 +16,31 @@ from .shaper import Shaper
 
 
 def _parse_grid(text: str) -> List[float]:
-    """Grid syntax: comma list '1,2,5' or inclusive range 'start:stop:step'."""
-    if ":" in text:
-        parts = [float(x) for x in text.split(":")]
-        start, stop = parts[0], parts[1]
-        step = parts[2] if len(parts) > 2 else 1.0
-        out = []
-        v = start
-        while v <= stop + 1e-9:
-            out.append(v)
-            v += step
-        return out
-    return [float(x) for x in text.split(",")]
+    """Grid syntax: comma list '1,2,5' or inclusive range 'start:stop:step'
+    with start <= stop and step > 0; every value finite."""
+    sep = ":" if ":" in text else ","
+    try:
+        parts = [float(x) for x in text.split(sep)]
+    except ValueError as exc:
+        raise ConfigError(f"grid {text!r}: {exc}") from None
+    if not all(math.isfinite(x) for x in parts):
+        raise ConfigError(f"grid {text!r}: values must be finite")
+    if sep == ",":
+        return parts
+    if len(parts) > 3:
+        raise ConfigError(f"grid {text!r}: a range is start:stop[:step]")
+    start, stop = parts[0], parts[1]
+    step = parts[2] if len(parts) > 2 else 1.0
+    if step <= 0:
+        raise ConfigError(f"grid {text!r}: range step must be > 0")
+    if start > stop:
+        raise ConfigError(f"grid {text!r}: range start exceeds its stop")
+    out = []
+    v = start
+    while v <= stop + 1e-9:
+        out.append(v)
+        v += step
+    return out
 
 
 def _parse_listen(text: str):
@@ -57,9 +71,11 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     profile = get_profile(args.profile)
-    csv = harness.sweep_surface(profile, _parse_grid(args.rs),
-                                _parse_grid(args.t), _parse_grid(args.b),
-                                out_path=args.out)
+    grid = [_parse_grid(text) for text in (args.rs, args.t, args.b)]
+    try:
+        csv = harness.sweep_surface(profile, *grid, out_path=args.out)
+    except ValueError as exc:  # a grid point outside the model's domain
+        raise ConfigError(f"sweep: {exc}") from None
     if args.out:
         print(f"wrote {args.out}")
     else:

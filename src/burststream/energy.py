@@ -8,7 +8,10 @@ drains the excess at the encoding rate (power is non-decreasing in ``T``).
 The minimum sits where the burst size matches the available buffer space.
 One broadcasting kernel states the model; the scalar functions, the
 interval arrays and ``power_surface`` check their own domain and regime
-and evaluate it.
+and evaluate it. ``power_surface`` returns a ``Surface``: the grid's axes
+and its (r_s, B, T) power array, read as rows only on demand.
+``surface_to_csv`` takes a ``Surface`` and formats it from those arrays,
+one line template per (B, T) cell filled once per encoding rate.
 
 All internal computation uses one canonical unit set: bits, seconds,
 milliwatts, millijoules. Byte-valued inputs are converted at the interface.
@@ -19,8 +22,9 @@ from __future__ import annotations
 import enum
 import itertools
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Tuple
 
 import numpy as np
 
@@ -305,33 +309,70 @@ def avg_power_over_intervals(profile: RadioProfile, r_s_bps: float,
     return np.where(r_s_bps * t <= b_bits, fitting, overflow)
 
 
+class Surface(Sequence):
+    """Average power over an (r_s, B, T) grid, read as rows on demand.
+
+    Holds the caller's three axes and the ``(n_r, n_b, n_t)`` power array.
+    Row ``k`` is ``(r_s_bps, buffer_bytes, interval_s, avg_power_mw)``
+    with the caller's own axis elements and a float power, ordered
+    r_s-major, then B, then T; no row is built until it is read.
+    """
+
+    def __init__(self, r_s: Sequence, b: Sequence, t: Sequence,
+                 power_mw: np.ndarray):
+        self.r_s, self.b, self.t = tuple(r_s), tuple(b), tuple(t)
+        self.power_mw = power_mw
+        self.power_mw.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.power_mw.size
+
+    def __getitem__(self, k):
+        i_r, i_b, i_t = np.unravel_index(range(len(self))[k],
+                                         self.power_mw.shape)
+        return (self.r_s[i_r], self.b[i_b], self.t[i_t],
+                float(self.power_mw[i_r, i_b, i_t]))
+
+    def __iter__(self) -> Iterator[Tuple[float, float, float, float]]:
+        cells = list(itertools.product(self.b, self.t))
+        for r_s, powers in zip(self.r_s, self.power_mw):
+            for (b, t), p in zip(cells, powers.ravel().tolist()):
+                yield r_s, b, t, p
+
+
 def power_surface(profile: RadioProfile,
                   r_s_list: Sequence[float],
                   t_list: Sequence[float],
-                  b_list: Sequence[float],
-                  ) -> List[Tuple[float, float, float, float]]:
-    """Evaluate avg_power over a grid; rows ordered r_s-major, then B, then T.
+                  b_list: Sequence[float]) -> Surface:
+    """Evaluate avg_power over a grid in one broadcast.
 
-    Returns (r_s_bps, buffer_bytes, interval_s, avg_power_mw) tuples. The
-    bulk rate comes from ``profile.r_btc_bps``.
+    The returned ``Surface`` reads as (r_s_bps, buffer_bytes, interval_s,
+    avg_power_mw) rows ordered r_s-major, then B, then T. The bulk rate
+    comes from ``profile.r_btc_bps``.
     """
     if not (len(r_s_list) and len(t_list) and len(b_list)):
         raise ValueError("grid axes must be non-empty")
     p = avg_power_over_intervals(
         profile, np.asarray(r_s_list, dtype=float)[:, None, None],
         np.asarray(b_list, dtype=float)[:, None], t_list)
-    return [(r_s, b, t, power) for (r_s, b, t), power in
-            zip(itertools.product(r_s_list, b_list, t_list),
-                p.ravel().tolist())]
+    return Surface(r_s_list, b_list, t_list, p)
 
 
 SURFACE_CSV_HEADER = "technology,r_s_bps,buffer_bytes,interval_s,avg_power_mw"
 
 
-def surface_to_csv(profile: RadioProfile,
-                   rows: Sequence[Tuple[float, float, float, float]]) -> str:
-    lines = [SURFACE_CSV_HEADER]
-    for r_s, b, t, p in rows:
-        lines.append(f"{profile.technology.value},{r_s:.10g},{b:.10g},"
-                     f"{t:.10g},{p:.9g}")
-    return "\n".join(lines) + "\n"
+def surface_to_csv(profile: RadioProfile, surface: Surface) -> str:
+    """The surface as CSV, one row per grid point in the surface's order.
+
+    Each (B, T) cell is formatted once into a line template; each r_s row
+    is then one ``%`` of that template with the row's powers.
+    """
+    bs = [f"{b:.10g}," for b in surface.b]
+    ts = [f"{t:.10g},%.9g" for t in surface.t]
+    cells = [b + t for b in bs for t in ts]
+    blocks = [SURFACE_CSV_HEADER]
+    for r_s, powers in zip(surface.r_s, surface.power_mw):
+        head = f"{profile.technology.value},{r_s:.10g},"
+        blocks.append(head + ("\n" + head).join(cells)
+                      % tuple(powers.ravel().tolist()))
+    return "\n".join(blocks) + "\n"

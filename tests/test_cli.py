@@ -2,6 +2,9 @@
 
 from pathlib import Path
 
+import pytest
+
+from burststream import ConfigError
 from burststream.cli import main, _parse_grid
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
@@ -16,6 +19,47 @@ class TestGridParsing:
 
     def test_range_default_step(self):
         assert _parse_grid("1:3") == [1.0, 2.0, 3.0]
+
+    def test_single_point_range(self):
+        assert _parse_grid("2:2:1") == [2.0]
+
+    @pytest.mark.parametrize("text", [
+        "1:10:0", "1:10:-1", "10:1:1", "10:1", "1:2:3:4", "1:inf:1",
+        "nan:5", "1:x", "1,,2", "1,nan", "inf"])
+    def test_bad_grid_rejected(self, text):
+        with pytest.raises(ConfigError):
+            _parse_grid(text)
+
+
+GOOD_GRID = {"--rs": "500000", "--t": "1:10:1", "--b": "1000000"}
+
+
+class TestSweepErrors:
+    """A bad grid or a grid point outside the model's domain is one
+    ``error:`` line and exit status 1, never a traceback or a hang."""
+
+    @pytest.mark.parametrize("flag, text", [
+        ("--t", "1:10:0"),          # step 0: a range without end
+        ("--t", "1:10:-0.5"),
+        ("--t", "10:1:1"),          # start above stop
+        ("--b", "1:2:3:4"),         # four parts
+        ("--rs", "1:inf:1"),        # endless range
+        ("--t", "1,nan"),           # would price as nan
+        ("--rs", "25000000"),       # above wifi-ref's 20 Mbit/s bulk rate
+        ("--rs", "0,500000"),       # r_s not positive
+        ("--t", "0,1"),             # T not positive
+        ("--b", "-5,1000000"),      # B not positive
+    ])
+    def test_exits_one_with_error_line(self, capsys, tmp_path, flag, text):
+        grid = dict(GOOD_GRID, **{flag: text})
+        argv = ["sweep", "wifi-ref", "--out", str(tmp_path / "surface.csv")]
+        argv += [f"{name}={value}" for name, value in grid.items()]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert not (tmp_path / "surface.csv").exists()
 
 
 class TestCommands:

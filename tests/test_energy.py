@@ -1,16 +1,21 @@
 """Power-model unit tests: frozen closed-form values plus model properties."""
 
+import itertools
+
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from burststream import (BufferExceededError, BurstScenario, DomainError,
                          RadioProfile, Technology, avg_power,
-                         avg_power_fitting, avg_power_overflow,
-                         delta_power_rx, idle_time, optimal_interval,
-                         power_rx, power_surface, surface_to_csv,
-                         tail_energy, tail_energy_for_idle)
-from burststream.profiles import lte_reference_nodrx, wifi_reference
+                         avg_power_fitting, avg_power_over_intervals,
+                         avg_power_overflow, delta_power_rx, idle_time,
+                         optimal_interval, power_rx, power_surface,
+                         surface_to_csv, tail_energy, tail_energy_for_idle)
+from burststream.energy import SURFACE_CSV_HEADER
+from burststream.profiles import (get_profile, list_profiles,
+                                  lte_reference_nodrx, wifi_reference)
 
 WIFI = wifi_reference()
 LTE = lte_reference_nodrx()
@@ -257,6 +262,78 @@ class TestPowerSurface:
             "technology,r_s_bps,buffer_bytes,interval_s,avg_power_mw"
 
 
+class TestSurface:
+    R_S = [500000, 2e6]
+    B = [1e6, 20000000]
+    T = [1.0, 2, 40.0]
+
+    def product_rows(self):
+        """The reference rows, built eagerly: one tuple per point from
+        itertools.product and zip over the broadcast powers."""
+        p = avg_power_over_intervals(
+            LTE, np.asarray(self.R_S, dtype=float)[:, None, None],
+            np.asarray(self.B, dtype=float)[:, None], self.T)
+        return [(r_s, b, t, power) for (r_s, b, t), power in
+                zip(itertools.product(self.R_S, self.B, self.T),
+                    p.ravel().tolist())]
+
+    def test_rows_equal_the_product_rows(self):
+        surface = power_surface(LTE, self.R_S, self.T, self.B)
+        rows = self.product_rows()
+        assert len(surface) == len(rows) == 12
+        assert list(surface) == rows
+        assert [surface[k] for k in range(12)] == rows
+        assert surface[0] == rows[0]
+        assert surface[11] == surface[-1] == rows[-1]
+        assert surface[-12] == rows[0]
+
+    @pytest.mark.parametrize("k", [12, 13, -13, 10**9])
+    def test_index_past_the_end(self, k):
+        surface = power_surface(LTE, self.R_S, self.T, self.B)
+        with pytest.raises(IndexError):
+            surface[k]
+
+    def test_axis_elements_pass_through(self):
+        surface = power_surface(LTE, self.R_S, self.T, self.B)
+        r_s, b, t, power = surface[0]
+        assert type(r_s) is int and r_s == 500000
+        assert type(b) is float and type(t) is float
+        assert type(power) is float
+        assert [type(surface[k][2]) for k in range(3)] == [float, int, float]
+        assert all(type(row[3]) is float for row in surface)
+
+    def test_powers_are_read_only(self):
+        surface = power_surface(LTE, self.R_S, self.T, self.B)
+        assert surface.power_mw.shape == (2, 2, 3)
+        with pytest.raises(ValueError):
+            surface.power_mw[0, 0, 0] = 0.0
+
+
+# axis values across .10g's fixed and exponent forms (>= 1e10, <= 1e-5),
+# ints among them
+AXIS_VALUES = st.one_of(st.floats(1e-7, 1e-5), st.floats(1e-5, 1e10),
+                        st.floats(1e10, 1e13), st.integers(1, 10**13))
+AXES = st.lists(AXIS_VALUES, min_size=1, max_size=30)
+
+
+class TestSurfaceCsv:
+    @given(tech=st.sampled_from(Technology), r_s=AXES, t=AXES, b=AXES)
+    @example(tech=Technology.LTE, r_s=[5e5], t=[1e-5, 2.5, 1e10],
+             b=[1e6, 12345678901])
+    @example(tech=Technology.HSPA, r_s=[64000, 1e10, 2e12], t=[40.0],
+             b=[1e-6, 20000])
+    @settings(max_examples=80, deadline=None)
+    def test_equals_the_per_row_formatter(self, tech, r_s, t, b):
+        profile = RadioProfile(tech, t1_s=10.0, p1_mw=1000.0,
+                               p_tail_mw=1000.0, a_coeff=1.5,
+                               k_coeff=1e-9, r_btc_bps=1e13)
+        surface = power_surface(profile, r_s, t, b)
+        line = "%s,%.10g,%.10g,%.10g,%.9g\n"
+        reference = SURFACE_CSV_HEADER + "\n" + "".join(
+            line % (tech.value, *row) for row in surface)
+        assert surface_to_csv(profile, surface) == reference
+
+
 @st.composite
 def hspa_surfaces(draw):
     """A random two-timer profile (t2 > 0, p2 < p1) and a grid whose
@@ -328,10 +405,10 @@ class TestProfileInvariants:
 
 
 class TestVectorizedGrid:
-    @pytest.mark.parametrize("profile", [WIFI, LTE], ids=["wifi", "lte"])
+    @pytest.mark.parametrize(
+        "profile", [WIFI, LTE] + [get_profile(n) for n in list_profiles()],
+        ids=["wifi", "lte"] + list_profiles())
     def test_matches_scalar_dispatch_everywhere(self, profile):
-        import numpy as np
-        from burststream import avg_power_over_intervals
         ts = np.arange(1.0, 101.0)
         for r_s in (128e3, 500e3, 3000e3):
             for b in (1e6, 8e6, 30e6):
@@ -339,4 +416,4 @@ class TestVectorizedGrid:
                 scalar = [avg_power(
                     BurstScenario(r_s, profile.r_btc_bps, b, float(t)),
                     profile) for t in ts]
-                assert grid == pytest.approx(scalar, rel=1e-12)
+                assert grid.tolist() == scalar
