@@ -132,6 +132,11 @@ class RadioProfile:
             raise ValueError("DRX is only modeled for LTE profiles")
 
 
+def _finite_positive(x) -> bool:
+    x = np.asarray(x, dtype=float)
+    return bool(np.all(np.isfinite(x) & (x > 0)))  # NaN fails both
+
+
 @dataclass(frozen=True)
 class BurstScenario:
     """One operating point: encoding rate, bulk rate, buffer space, interval."""
@@ -142,8 +147,8 @@ class BurstScenario:
     interval_t_s: float
 
     def __post_init__(self) -> None:
-        if min(self.r_s_bps, self.r_btc_bps, self.buffer_b_bytes,
-               self.interval_t_s) <= 0:
+        if not _finite_positive((self.r_s_bps, self.r_btc_bps,
+                                 self.buffer_b_bytes, self.interval_t_s)):
             raise ValueError("all scenario fields must be > 0")
         if self.r_s_bps > self.r_btc_bps:
             raise ValueError("encoding rate must not exceed the bulk "
@@ -298,11 +303,11 @@ def avg_power_over_intervals(profile: RadioProfile, r_s_bps: float,
     r_btc = r_btc_bps if r_btc_bps is not None else profile.r_btc_bps
     if r_btc is None:
         raise ValueError("no bulk transfer capacity given")
-    if np.any(r_s_bps <= 0) or np.any(r_s_bps > r_btc) or \
-            np.any(buffer_bytes <= 0):
+    if not (_finite_positive(r_s_bps) and np.all(r_s_bps <= r_btc) and
+            _finite_positive(buffer_bytes)):
         raise ValueError("need 0 < r_s <= r_btc and buffer > 0")
     t = np.asarray(t_array, dtype=float)
-    if np.any(t <= 0):
+    if not _finite_positive(t):
         raise ValueError("intervals must be > 0")
     b_bits = buffer_bytes * 8.0
     fitting, overflow = _power_branches(profile, r_s_bps, r_btc, b_bits, t)

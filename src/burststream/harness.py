@@ -6,13 +6,15 @@ the session twice: once shaped through the full feedback loop, once as the
 baseline a non-shaping server would produce (content paced continuously at
 the encoding rate), and reports the radio-energy saving between the two.
 Savings cover the radio component only; both runs move the same content.
+Every replayed span carries its bytes, so each active radio segment is
+priced at its own receive rate.
 """
 
 from __future__ import annotations
 
 import configparser
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
@@ -165,33 +167,29 @@ def run(scenario: Scenario,
     session = sim.run()
 
     horizon = scenario.session_length_s
-    spans = list(session.activity_spans)
-    if scenario.background:
-        spans.extend(scenario.background.spans(horizon, scenario.bandwidth))
-    shaped_trace = simulate(ActivityTrace.from_spans(spans),
-                            scenario.profile, horizon_s=horizon)
-    r_s = scenario.stream.qualities[0].bitrate_bps
-    shaped_energy = energy_of(shaped_trace, scenario.profile,
-                              rx_rate_bps=r_s)
+    background = scenario.background.spans(horizon, scenario.bandwidth) \
+        if scenario.background else []
 
+    def replay(spans):
+        trace = simulate(ActivityTrace.from_spans(spans + background),
+                         scenario.profile, horizon_s=horizon)
+        return (trace, energy_of(trace, scenario.profile),
+                signaling_of(trace, costs))
+
+    shaped_trace, shaped_energy, shaped_ledger = \
+        replay(session.activity_spans)
     # baseline: same content paced continuously at the encoding rate
+    r_s = scenario.stream.qualities[0].bitrate_bps
     base_dur = min(session.content_sent_bytes * 8.0 / r_s, horizon)
-    base_spans = [(0.0, base_dur, session.content_sent_bytes)]
-    if scenario.background:
-        base_spans.extend(scenario.background.spans(horizon,
-                                                    scenario.bandwidth))
-    baseline_trace = simulate(ActivityTrace.from_spans(base_spans),
-                              scenario.profile, horizon_s=horizon)
-    baseline_energy = energy_of(baseline_trace, scenario.profile,
-                                rx_rate_bps=r_s)
+    baseline_trace, baseline_energy, baseline_ledger = \
+        replay([(0.0, base_dur, session.content_sent_bytes)])
 
     savings = (1.0 - shaped_energy / baseline_energy) * 100.0 \
         if baseline_energy > 0 else 0.0
     return RunResult(
         scenario.name, shaped_energy, baseline_energy, savings,
-        session.stall_log, signaling_of(shaped_trace, costs),
-        signaling_of(baseline_trace, costs), session.burst_rows, session,
-        shaped_trace, baseline_trace)
+        session.stall_log, shaped_ledger, baseline_ledger,
+        session.burst_rows, session, shaped_trace, baseline_trace)
 
 
 def sweep_surface(profile: RadioProfile, r_s_list: Sequence[float],
@@ -218,14 +216,9 @@ def compare_configs(scenario: Scenario, profiles: Sequence[RadioProfile],
         raise ConfigError("compare_configs needs at least two profiles")
     rows = []
     for profile in profiles:
-        sc = Scenario(
-            name=f"{scenario.name}/{profile.name or profile.technology.value}",
-            profile=profile, stream=scenario.stream,
-            buffer_bytes=scenario.buffer_bytes, bandwidth=scenario.bandwidth,
-            session_length_s=scenario.session_length_s,
-            granularity_s=scenario.granularity_s, link_bps=scenario.link_bps,
-            startup_s=scenario.startup_s, loop_content=scenario.loop_content,
-            adaptive=scenario.adaptive, background=scenario.background)
+        sc = replace(
+            scenario, profile=profile,
+            name=f"{scenario.name}/{profile.name or profile.technology.value}")
         result = run(sc, costs)
         rows.append({
             "profile": profile.name or profile.technology.value,

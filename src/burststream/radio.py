@@ -1,9 +1,10 @@
 """Event-driven RRC/PSM state machine simulation with signaling accounting.
 
 Replays a packet-activity timeline against the state machine of one access
-technology and produces a contiguous state trace, the energy integral over
-it, and a ledger of state transitions weighted by a configurable signaling
-cost table.
+technology and produces a contiguous state trace in which ``simulate``
+prices each segment once. The energy integral, the tail-state energy and
+the ledger of state transitions (weighted by a configurable signaling cost
+table) are all read off that trace.
 
 State sets per technology:
   HSPA   DCH -> FACH -> PCH -> IDLE, driven by the T1/T2/T3 inactivity
@@ -79,7 +80,10 @@ def _merge_spans(spans: Iterable[Tuple[float, float, Optional[int]]],
     touch (within 1e-12 s); byte counts add up, and one unknown (None)
     count makes the joined count unknown."""
     merged: List[Tuple[float, float, Optional[int]]] = []
-    for start, end, nbytes in sorted(spans):
+    # an unknown count sorts after the known ones of an equal span, as None
+    # and a number do not compare
+    for start, end, nbytes in sorted(
+            spans, key=lambda s: (s[0], s[1], s[2] is None, s[2] or 0)):
         if merged and start <= merged[-1][1] + 1e-12:
             prev_start, prev_end, prev_bytes = merged[-1]
             total = None if prev_bytes is None or nbytes is None \
@@ -92,27 +96,36 @@ def _merge_spans(spans: Iterable[Tuple[float, float, Optional[int]]],
 
 @dataclass
 class ActivityTrace:
-    """Ordered RX/TX start/end events; START/END pair up per direction."""
+    """Ordered RX/TX start/end events; START/END pair up per direction.
+
+    Construction checks the events and pairs them into spans in one pass;
+    ``spans()`` returns those spans.
+    """
 
     events: List[ActivityEvent] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         last_t = -1e30
-        open_dir = {"RX": False, "TX": False}
+        open_at: Dict[str, ActivityEvent] = {}
+        raw: List[Tuple[float, float, Optional[int]]] = []
         for ev in self.events:
             if ev.time_s < last_t - 1e-12:
                 raise TraceError("event times must be non-decreasing")
             last_t = max(last_t, ev.time_s)
-            direction = "RX" if ev.kind in (EventKind.RX_START,
-                                            EventKind.RX_END) else "TX"
-            starting = ev.kind in (EventKind.RX_START, EventKind.TX_START)
-            if starting and open_dir[direction]:
-                raise TraceError(f"nested {direction} span at t={ev.time_s}")
-            if not starting and not open_dir[direction]:
+            direction, _, edge = ev.kind.value.partition("_")
+            if edge == "START":
+                if direction in open_at:
+                    raise TraceError(f"nested {direction} span at "
+                                     f"t={ev.time_s}")
+                open_at[direction] = ev
+            elif direction not in open_at:
                 raise TraceError(f"unmatched {direction} end at t={ev.time_s}")
-            open_dir[direction] = starting
-        if open_dir["RX"] or open_dir["TX"]:
+            else:
+                start = open_at.pop(direction)
+                raw.append((start.time_s, ev.time_s, start.bytes))
+        if open_at:
             raise TraceError("trace ends with an open span")
+        self._spans = _merge_spans(raw)
 
     @classmethod
     def from_spans(cls, spans: Iterable[Tuple[float, float, Optional[int]]],
@@ -135,19 +148,7 @@ class ActivityTrace:
 
     def spans(self) -> List[Tuple[float, float, Optional[int]]]:
         """Merged activity intervals (union of RX and TX), with byte totals."""
-        raw: List[Tuple[float, float, Optional[int]]] = []
-        open_start: Dict[str, float] = {}
-        open_bytes: Dict[str, Optional[int]] = {}
-        for ev in self.events:
-            direction = "RX" if ev.kind in (EventKind.RX_START,
-                                            EventKind.RX_END) else "TX"
-            if ev.kind in (EventKind.RX_START, EventKind.TX_START):
-                open_start[direction] = ev.time_s
-                open_bytes[direction] = ev.bytes
-            else:
-                raw.append((open_start.pop(direction), ev.time_s,
-                            open_bytes.pop(direction)))
-        return _merge_spans(raw)
+        return list(self._spans)
 
 
 @dataclass(frozen=True)
@@ -269,13 +270,6 @@ class SignalingLedger:
         return "\n".join(lines) + "\n"
 
 
-def _collapse(state: RadioState) -> RadioState:
-    # DRX cycling stays inside RRC_CONNECTED; it is not an RRC transition.
-    if state in (RadioState.CONN_DRX_ON, RadioState.CONN_DRX_OFF):
-        return RadioState.CONNECTED
-    return state
-
-
 def _hspa_cascade(t_end: float, profile: RadioProfile,
                   ) -> List[Tuple[float, RadioState]]:
     """Demotion schedule after activity ends at ``t_end`` (absolute times)."""
@@ -389,8 +383,12 @@ def simulate(trace: ActivityTrace, profile: RadioProfile,
     Activity promotes the radio to its active state; inactivity timers
     demote it along the technology's cascade. For LTE with DRX, activity
     arriving during a DRX sleep window is deferred to the next on-duration
-    (never past the RRC inactivity expiry). ``rx_rate_bps`` sets the power
-    of active segments whose trace events carry no byte counts.
+    (never past the RRC inactivity expiry).
+
+    Every segment is priced here, once: an active segment at the receive
+    power of its byte count over its duration (at ``rx_rate_bps`` when its
+    events carry no byte count, at rate 0 without either), a tail segment
+    at its state's configured power.
     """
     spans = trace.spans()
     if horizon_s is None:
@@ -450,30 +448,7 @@ def simulate(trace: ActivityTrace, profile: RadioProfile,
         else:
             emit_gap(t, horizon_s, last_end)
 
-    segments: List[StateSegment] = []
-    for (s, e, state, active, nbytes) in pieces:
-        if e <= s:
-            continue
-        rate = None
-        if active:
-            if nbytes is not None:
-                rate = nbytes * 8.0 / (e - s)
-            elif rx_rate_bps is not None:
-                rate = rx_rate_bps
-        power = _segment_power(state, active, rate, profile)
-        segments.append(StateSegment(s, e, state, power, active, rate))
-    if not segments:
-        segments.append(StateSegment(0.0, horizon_s, RadioState.IDLE,
-                                     profile.p_idle_mw))
-    return StateTrace(segments, horizon_s, profile.technology)
-
-
-def _segment_power(state: RadioState, active: bool, rate_bps: Optional[float],
-                   profile: RadioProfile) -> float:
-    if active:
-        return power_rx(rate_bps, profile) if rate_bps is not None \
-            else power_rx(0.0, profile)
-    return {
+    tail_power = {
         RadioState.DCH: profile.p1_mw,
         RadioState.CONNECTED: profile.p1_mw,
         RadioState.FACH: profile.p2_mw,
@@ -481,43 +456,75 @@ def _segment_power(state: RadioState, active: bool, rate_bps: Optional[float],
         RadioState.CONN_DRX_OFF: profile.p_drx_off_mw,
         RadioState.PCH: profile.p_pch_mw,
         RadioState.IDLE: profile.p_idle_mw,
-    }[state]
+    }
+    segments: List[StateSegment] = []
+    for (s, e, state, active, nbytes) in pieces:
+        if e <= s:
+            continue
+        if not active:
+            segments.append(StateSegment(s, e, state, tail_power[state]))
+            continue
+        rate = nbytes * 8.0 / (e - s) if nbytes is not None else rx_rate_bps
+        segments.append(StateSegment(
+            s, e, state, power_rx(0.0 if rate is None else rate, profile),
+            True, rate))
+    if not segments:
+        segments.append(StateSegment(0.0, horizon_s, RadioState.IDLE,
+                                     tail_power[RadioState.IDLE]))
+    return StateTrace(segments, horizon_s, profile.technology)
+
+
+def _transitions(state_trace: StateTrace,
+                 ) -> Dict[Tuple[RadioState, RadioState], int]:
+    """RRC transition counts along the trace, which starts from IDLE, in
+    order of first occurrence.
+
+    DRX on/off cycling collapses into CONNECTED first, since duty cycling
+    happens inside the connected state and exchanges no RRC signaling.
+    """
+    drx = (RadioState.CONN_DRX_ON, RadioState.CONN_DRX_OFF)
+    counts: Dict[Tuple[RadioState, RadioState], int] = {}
+    prev = RadioState.IDLE
+    for seg in state_trace.segments:
+        cur = RadioState.CONNECTED if seg.state in drx else seg.state
+        if cur is not prev:
+            counts[(prev, cur)] = counts.get((prev, cur), 0) + 1
+        prev = cur
+    return counts
 
 
 def energy_of(state_trace: StateTrace, profile: RadioProfile,
               rx_rate_bps: Optional[float] = None) -> float:
     """Total radio energy over the trace, mJ.
 
-    Active segments integrate the rate-dependent receive power; tail states
-    use their configured powers. Each promotion out of IDLE additionally
-    charges ``reconnect_setup_s`` seconds at p1 for the reconnection
-    signaling exchange.
+    Each segment contributes its duration times the power ``simulate``
+    priced it at. The one exception is an active segment that carried no
+    byte count and got no rate from ``simulate``: it is priced here at
+    ``rx_rate_bps``. Each reconnect (a transition out of IDLE) additionally
+    charges ``reconnect_setup_s`` seconds at p1 for the signaling exchange.
     """
     total = 0.0
-    prev = RadioState.IDLE
-    reconnects = 0
     for seg in state_trace.segments:
-        if seg.active:
-            rate = seg.rate_bps if seg.rate_bps is not None else rx_rate_bps
-            if rate is None:
+        power = seg.power_mw
+        if seg.active and seg.rate_bps is None:
+            if rx_rate_bps is None:
                 raise ValueError("active segment has no rate; pass "
                                  "rx_rate_bps")
-            total += seg.duration_s * power_rx(rate, profile)
-        else:
-            total += seg.duration_s * _segment_power(seg.state, False, None,
-                                                     profile)
-        if prev is RadioState.IDLE and seg.state in (RadioState.DCH,
-                                                     RadioState.CONNECTED):
-            reconnects += 1
-        prev = seg.state
-    total += reconnects * profile.reconnect_setup_s * profile.p1_mw
-    return total
+            power = power_rx(rx_rate_bps, profile)
+        total += seg.duration_s * power
+    reconnects = sum(n for (src, _), n in _transitions(state_trace).items()
+                     if src is RadioState.IDLE)
+    return total + reconnects * profile.reconnect_setup_s * profile.p1_mw
 
 
 def tail_states_energy(state_trace: StateTrace, profile: RadioProfile,
                        window: Optional[Tuple[float, float]] = None) -> float:
     """Energy spent in non-active elevated states (DCH/FACH/CONNECTED tail,
-    DRX cycling), optionally restricted to a time window. mJ."""
+    DRX cycling), optionally restricted to a time window. mJ.
+
+    Reads each segment's power off the trace; ``profile`` names the
+    profile the trace was simulated under.
+    """
     tail = {RadioState.DCH, RadioState.FACH, RadioState.CONNECTED,
             RadioState.CONN_DRX_ON, RadioState.CONN_DRX_OFF}
     total = 0.0
@@ -529,30 +536,17 @@ def tail_states_energy(state_trace: StateTrace, profile: RadioProfile,
             s, e = max(s, window[0]), min(e, window[1])
             if e <= s:
                 continue
-        total += (e - s) * _segment_power(seg.state, False, None, profile)
+        total += (e - s) * seg.power_mw
     return total
 
 
 def signaling_of(state_trace: StateTrace,
                  costs: SignalingCostTable) -> SignalingLedger:
-    """Count state transitions in the trace and weight them by the cost table.
-
-    DRX on/off cycling collapses into CONNECTED first, since duty cycling
-    happens inside the connected state and exchanges no RRC signaling.
-    """
-    counts: Dict[Tuple[RadioState, RadioState], int] = {}
-    cost_used: Dict[Tuple[RadioState, RadioState], int] = {}
-    prev = RadioState.IDLE
-    total = 0
-    for seg in state_trace.segments:
-        cur = _collapse(seg.state)
-        if cur is not prev:
-            key = (prev, cur)
-            counts[key] = counts.get(key, 0) + 1
-            c = costs.cost(prev, cur)
-            cost_used[key] = c
-            total += c
-        prev = cur
+    """Count the trace's RRC transitions (DRX cycling collapsed into
+    CONNECTED) and weight them by the cost table."""
+    counts = _transitions(state_trace)
+    cost_used = {key: costs.cost(*key) for key in counts}
+    total = sum(n * cost_used[key] for key, n in counts.items())
     minutes = state_trace.horizon_s / 60.0
     return SignalingLedger(counts, total,
                            total / minutes if minutes > 0 else 0.0, cost_used)

@@ -16,8 +16,8 @@ from typing import Dict, List, Tuple
 
 from .client import StreamingClient
 from .profiler import TrafficProfiler
-from .shaper import (TYPICAL_MOBILE_BPS, Phase, Report, Send, Shaper,
-                     ShapingController, StreamSpec)
+from .shaper import (Phase, Report, Send, Shaper, ShapingController,
+                     StreamSpec)
 
 
 @dataclass(frozen=True)
@@ -75,13 +75,12 @@ class SimulatedSession:
                  granularity_s: float = 1.0,
                  loop_content: bool = False,
                  adaptive: bool = False,
-                 low_bw_chunk_s: float = 1.0,
-                 bandwidth_hint_bps: float = TYPICAL_MOBILE_BPS):
+                 low_bw_chunk_s: float = 1.0):
         self.stream = stream
         self.client = client
         self.bandwidth = bandwidth
         self.session_length_s = session_length_s
-        self.shaper = Shaper(stream, granularity_s, bandwidth_hint_bps)
+        self.shaper = Shaper(stream, granularity_s)
         self.controller = ShapingController(self.shaper, low_bw_chunk_s,
                                             adaptive, loop_content)
         self.profiler = TrafficProfiler()

@@ -130,7 +130,6 @@ class Shaper:
     """
 
     def __init__(self, stream: StreamSpec, granularity_s: float = 1.0,
-                 bandwidth_hint_bps: float = TYPICAL_MOBILE_BPS,
                  quality_policy: QualityPolicy = select_quality):
         if granularity_s <= 0:
             raise ValueError("granularity must be > 0")
@@ -138,8 +137,7 @@ class Shaper:
         self.granularity_s = granularity_s
         self.quality_policy = quality_policy
         self.state = ShaperState(
-            current_quality_index=initial_quality(stream.qualities,
-                                                  bandwidth_hint_bps))
+            current_quality_index=initial_quality(stream.qualities))
         self.decision_log: List[str] = []
         self.burst_log: List[str] = []
         self._last_feedback_id: Optional[int] = None

@@ -1,6 +1,7 @@
 """Power-model unit tests: frozen closed-form values plus model properties."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -383,6 +384,16 @@ class TestPowerSurfaceKernel:
         with pytest.raises(ValueError):
             power_surface(LTE, [], [1.0], [1e6])
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf],
+                             ids=["nan", "inf"])
+    @pytest.mark.parametrize("axis", ["r_s", "t", "b"])
+    def test_rejects_non_finite_axis_values(self, axis, value):
+        grid = {"r_s": [5e5], "t": [1.0], "b": [1e6]}
+        grid[axis] = grid[axis] + [value]
+        with pytest.raises(ValueError):
+            power_surface(get_profile("wifi-ref"), grid["r_s"], grid["t"],
+                          grid["b"])
+
 
 class TestProfileInvariants:
     def test_a_coeff_below_one_rejected(self):
@@ -402,6 +413,17 @@ class TestProfileInvariants:
     def test_scenario_requires_spare_bandwidth(self):
         with pytest.raises(ValueError):
             BurstScenario(2e6, 1e6, 1e6, 1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf],
+                             ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["r_s_bps", "r_btc_bps",
+                                       "buffer_b_bytes", "interval_t_s"])
+    def test_scenario_rejects_non_finite_fields(self, field, value):
+        fields = dict(r_s_bps=1e6, r_btc_bps=6e7, buffer_b_bytes=1e6,
+                      interval_t_s=1.0)
+        fields[field] = value
+        with pytest.raises(ValueError):
+            BurstScenario(**fields)
 
 
 class TestVectorizedGrid:

@@ -5,7 +5,10 @@ shaper's decision log and the session trajectory are fixed behaviour. The
 digests below pin them: any change to the shaping loop that alters a
 single decision, burst, radio segment or stall shows up here. The power
 surfaces ``sweep`` writes for every shipped profile are pinned the same
-way, over a grid that crosses both regimes and every inactivity timer.
+way, over a grid that crosses both regimes and every inactivity timer,
+and so is the table ``compare`` prints for each shipped scenario under
+every shipped profile: shaped energy, savings over the baseline,
+signaling and the burst interval.
 """
 
 import hashlib
@@ -147,3 +150,27 @@ def test_shipped_profile_sweep_unchanged(name, tmp_path):
     out = tmp_path / f"{name}.csv"
     assert cli.main(["sweep", name, *SWEEP_ARGS, "--out", str(out)]) == 0
     assert _sha(out.read_bytes()) == SWEEP_GOLDEN[name]
+
+
+# ``burststream compare <scenario> <every shipped profile>``, stdout
+COMPARE_GOLDEN = {
+    "hspa-audio-fluctuating":
+        "9b40a1916a4e6a642d75a8f7bad8a03f292d55a6109a4b37ca8da2baab751b02",
+    "hspa-video-39s":
+        "f56ffd3e102f88e180fb55ac0a60538b6cc33c61fd60ca4ae27c065bfea0e200",
+    "lte-audio-18s":
+        "18d688ce75dd6a1038398ece4b9bba03082c02a14be5a59853ade1d9cdeca9b5",
+    "wifi-video-bg":
+        "0f58ec8e57c0bf757dac8574843ab066b8b9946157b470b4fab8142f8e5bca72",
+}
+
+
+def test_every_shipped_scenario_has_a_compare_digest():
+    assert sorted(COMPARE_GOLDEN) == sorted(GOLDEN)
+
+
+@pytest.mark.parametrize("name", sorted(COMPARE_GOLDEN))
+def test_shipped_scenario_compare_unchanged(name, capsys):
+    assert cli.main(["compare", str(SCENARIO_DIR / f"{name}.ini"),
+                     *list_profiles()]) == 0
+    assert _sha(capsys.readouterr().out.encode()) == COMPARE_GOLDEN[name]

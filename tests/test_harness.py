@@ -1,5 +1,6 @@
 """Harness tests: scenario files, paired runs, sweeps, comparisons."""
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -160,6 +161,29 @@ class TestCompare:
         by = {r["profile"]: r for r in rows}
         assert by["hspa-legacy-fd"]["signaling_per_min"] > \
             by["hspa-default"]["signaling_per_min"]
+
+    def test_every_scenario_setting_carries_over(self, monkeypatch):
+        background = BackgroundTraffic(period_s=40, bytes=30_000, phase_s=5)
+        scenario = replace(
+            small_scenario(background=background),
+            stream=StreamSpec((QualityLevel(128e3), QualityLevel(256e3)),
+                              600.0, 18.0),
+            adaptive=True)
+        ran = []
+        real_run = harness.run
+
+        def recording_run(sc, costs=None):
+            ran.append(sc)
+            return real_run(sc, costs)
+
+        monkeypatch.setattr(harness, "run", recording_run)
+        profiles = [get_profile("lte-drx-default"), get_profile("wifi-ref")]
+        compare_configs(scenario, profiles)
+        assert [sc.profile for sc in ran] == profiles
+        for sc in ran:
+            assert sc.adaptive and sc.background is background
+            assert replace(sc, name=scenario.name,
+                           profile=scenario.profile) == scenario
 
     def test_table_rendering(self):
         rows = compare_configs(small_scenario(),

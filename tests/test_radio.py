@@ -1,12 +1,15 @@
 """Radio state-machine tests: cascades, dormancy, DRX, energy, signaling."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from burststream import (ActivityEvent, ActivityTrace, BurstScenario,
                          EventKind, RadioState, SignalingConfigError,
                          SignalingCostTable, Technology, TraceError,
-                         energy_of, get_profile, power_rx, signaling_of,
-                         simulate, tail_energy, tail_states_energy)
+                         energy_of, get_profile, list_profiles, power_rx,
+                         signaling_of, simulate, tail_energy,
+                         tail_states_energy)
 from burststream.energy import FastDormancy, RadioProfile
 
 HSPA = get_profile("hspa-default")
@@ -59,6 +62,11 @@ class TestActivityTrace:
         assert tr.spans() == [(0.0, 2.0, 300), (4.0, 5.0, 10),
                               (6.0, 8.0, None)]
         assert ActivityTrace.from_spans(tr.spans()).spans() == tr.spans()
+
+    def test_equal_spans_with_and_without_bytes_merge(self):
+        tr = ActivityTrace.from_spans([(0.0, 1.0, None), (0.0, 1.0, 5),
+                                       (2.0, 3.0, 7), (2.0, 3.0, 4)])
+        assert tr.spans() == [(0.0, 1.0, None), (2.0, 3.0, 11)]
 
     def test_span_end_before_start_rejected(self):
         with pytest.raises(TraceError):
@@ -289,3 +297,123 @@ class TestSignaling:
         lines = st.to_csv().splitlines()
         assert lines[0] == "start_s,end_s,state,power_mw"
         assert len(lines) == 1 + len(st.segments)
+
+
+# -- differential check against per-segment pricing --------------------------
+#
+# The reference prices every segment from the profile on its own, as the
+# replay did before ``simulate`` stored each segment's power: an active
+# segment at the receive power of its rate, a tail segment from a table of
+# state powers, and a reconnect wherever IDLE is followed by the active
+# state. The library reads those powers off the trace instead.
+
+def reference_tail_power(state, profile):
+    return {
+        RadioState.DCH: profile.p1_mw,
+        RadioState.CONNECTED: profile.p1_mw,
+        RadioState.FACH: profile.p2_mw,
+        RadioState.CONN_DRX_ON: profile.p_tail_mw,
+        RadioState.CONN_DRX_OFF: profile.p_drx_off_mw,
+        RadioState.PCH: profile.p_pch_mw,
+        RadioState.IDLE: profile.p_idle_mw,
+    }[state]
+
+
+def reference_energy(trace, profile, rx_rate_bps):
+    """(energy in mJ, reconnect count); ValueError for an unpriced segment."""
+    total = 0.0
+    prev = RadioState.IDLE
+    reconnects = 0
+    for seg in trace.segments:
+        if seg.active:
+            rate = seg.rate_bps if seg.rate_bps is not None else rx_rate_bps
+            if rate is None:
+                raise ValueError("active segment has no rate")
+            total += seg.duration_s * power_rx(rate, profile)
+        else:
+            total += seg.duration_s * reference_tail_power(seg.state, profile)
+        if prev is RadioState.IDLE and seg.state in (RadioState.DCH,
+                                                     RadioState.CONNECTED):
+            reconnects += 1
+        prev = seg.state
+    return (total + reconnects * profile.reconnect_setup_s * profile.p1_mw,
+            reconnects)
+
+
+def reference_tail_energy(trace, profile, window):
+    tail = {RadioState.DCH, RadioState.FACH, RadioState.CONNECTED,
+            RadioState.CONN_DRX_ON, RadioState.CONN_DRX_OFF}
+    total = 0.0
+    for seg in trace.segments:
+        if seg.active or seg.state not in tail:
+            continue
+        s, e = max(seg.start_s, window[0]), min(seg.end_s, window[1])
+        if e > s:
+            total += (e - s) * reference_tail_power(seg.state, profile)
+    return total
+
+
+def reference_ledger(trace, costs):
+    """(counts, total messages, costs used) of a per-segment walk."""
+    drx = (RadioState.CONN_DRX_ON, RadioState.CONN_DRX_OFF)
+    counts, cost_used, total = {}, {}, 0
+    prev = RadioState.IDLE
+    for seg in trace.segments:
+        cur = RadioState.CONNECTED if seg.state in drx else seg.state
+        if cur is not prev:
+            counts[(prev, cur)] = counts.get((prev, cur), 0) + 1
+            cost_used[(prev, cur)] = costs.cost(prev, cur)
+            total += cost_used[(prev, cur)]
+        prev = cur
+    return counts, total, cost_used
+
+
+SPAN = st.tuples(st.floats(0.0, 300.0), st.floats(0.0, 15.0),
+                 st.one_of(st.none(), st.integers(0, 10_000_000)))
+RATE = st.one_of(st.none(), st.floats(1e3, 5e7))
+
+
+class TestPricingDifferential:
+    @given(name=st.sampled_from(list_profiles()),
+           spans=st.lists(SPAN, max_size=25),
+           horizon=st.one_of(st.none(), st.floats(1.0, 400.0)),
+           sim_rate=RATE, energy_rate=RATE,
+           window=st.tuples(st.floats(0.0, 400.0), st.floats(0.0, 400.0)))
+    @settings(max_examples=300, deadline=None)
+    def test_trace_readers_match_per_segment_pricing(
+            self, name, spans, horizon, sim_rate, energy_rate, window):
+        profile = get_profile(name)
+        trace = simulate(
+            ActivityTrace.from_spans([(t, t + d, b) for t, d, b in spans]),
+            profile, horizon_s=horizon, rx_rate_bps=sim_rate)
+        for seg in trace.segments:
+            rate = seg.rate_bps if seg.active else None
+            assert seg.power_mw == (
+                power_rx(0.0 if rate is None else rate, profile)
+                if seg.active else reference_tail_power(seg.state, profile))
+
+        costs = SignalingCostTable.default()
+        ledger = signaling_of(trace, costs)
+        counts, total, cost_used = reference_ledger(trace, costs)
+        assert ledger.transition_counts == counts
+        assert ledger.total_messages == total
+        assert ledger.cost_used == cost_used
+        minutes = trace.horizon_s / 60.0
+        assert ledger.per_minute == (total / minutes if minutes > 0 else 0.0)
+
+        try:
+            expected, reconnects = reference_energy(trace, profile,
+                                                    energy_rate)
+        except ValueError:
+            with pytest.raises(ValueError):
+                energy_of(trace, profile, energy_rate)
+        else:
+            assert energy_of(trace, profile, energy_rate) == expected
+            assert reconnects == sum(n for (src, _), n in counts.items()
+                                     if src is RadioState.IDLE)
+
+        assert tail_states_energy(trace, profile) == \
+            reference_tail_energy(trace, profile, (0.0, trace.horizon_s))
+        lo, hi = sorted(window)
+        assert tail_states_energy(trace, profile, (lo, hi)) == \
+            reference_tail_energy(trace, profile, (lo, hi))
