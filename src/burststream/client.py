@@ -113,6 +113,17 @@ class SegmentAcks(Sequence):
                 i -= n
         raise IndexError("ack index out of range")
 
+    def last_cum_ack(self) -> Optional[float]:
+        """``self[-1].cum_ack_bytes`` read off the last part that has an
+        ACK, or None when the stream has no ACK."""
+        for part in reversed(self.parts):
+            if isinstance(part, AckEvent):
+                return part.cum_ack_bytes
+            ks = self._segments(part)
+            if ks:
+                return float(ks[-1] * self.segment_bytes)
+        return None
+
     def feedback(self) -> List[AckEvent]:
         """The breakpoint ACKs: the explicit ACKs and, of each piece, the
         first and last segment ACK plus the first zero-window one.
@@ -416,8 +427,8 @@ class StreamingClient:
         # final cumulative ACK so the profiler sees the burst end
         acks = SegmentAcks(parts, self.segment_bytes, self.capacity_bytes)
         if delivered > 0:
-            if not acks or acks[-1].cum_ack_bytes < \
-                    self.total_delivered_bytes - 1e-9:
+            last = acks.last_cum_ack()
+            if last is None or last < self.total_delivered_bytes - 1e-9:
                 parts.append(AckEvent(self.now_s, self.total_delivered_bytes,
                                       self.advertised_window_bytes))
         return DeliveryResult(acks, delivered, start_clock, self.now_s,

@@ -2,9 +2,12 @@
 
 Replays a packet-activity timeline against the state machine of one access
 technology and produces a contiguous state trace in which ``simulate``
-prices each segment once. The energy integral, the tail-state energy and
-the ledger of state transitions (weighted by a configurable signaling cost
-table) are all read off that trace.
+prices each segment once. The trace is stored as columns (start, end,
+state, power, active and rate, one entry per segment); the energy
+integral, the tail-state energy and the ledger of state transitions
+(weighted by a configurable signaling cost table) are reductions over
+those columns. ``StateTrace.segments`` is a read-only view: a tuple of
+``StateSegment`` built from the columns each time it is read.
 
 State sets per technology:
   HSPA   DCH -> FACH -> PCH -> IDLE, driven by the T1/T2/T3 inactivity
@@ -22,12 +25,18 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Tuple
+from itertools import chain
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .energy import FastDormancy, RadioProfile, Technology, power_rx
 
 
 class RadioState(enum.Enum):
+    # members are singletons compared by identity; hash them by identity in
+    # C too, not by Enum's Python-level hash of the name, since the replay
+    # looks states up per segment
+    __hash__ = object.__hash__
+
     DCH = "DCH"
     FACH = "FACH"
     PCH = "PCH"
@@ -99,7 +108,8 @@ class ActivityTrace:
     """Ordered RX/TX start/end events; START/END pair up per direction.
 
     Construction checks the events and pairs them into spans in one pass;
-    ``spans()`` returns those spans.
+    ``spans()`` returns those spans. ``from_spans`` merges its spans once
+    and builds the events from them.
     """
 
     events: List[ActivityEvent] = field(default_factory=list)
@@ -140,11 +150,17 @@ class ActivityTrace:
         spans = list(spans)
         if any(end < start for start, end, _ in spans):
             raise TraceError("span end before start")
+        merged = _merge_spans(spans)
         events: List[ActivityEvent] = []
-        for start, end, nbytes in _merge_spans(spans):
+        for start, end, nbytes in merged:
             events.append(ActivityEvent(start, start_kind, nbytes))
             events.append(ActivityEvent(end, end_kind))
-        return cls(events)
+        # the events of merged spans are ordered and paired by construction:
+        # keep the spans instead of pairing and merging the events again
+        trace = cls.__new__(cls)
+        trace.events = events
+        trace._spans = merged
+        return trace
 
     def spans(self) -> List[Tuple[float, float, Optional[int]]]:
         """Merged activity intervals (union of RX and TX), with byte totals."""
@@ -167,33 +183,59 @@ class StateSegment:
 
 @dataclass
 class StateTrace:
-    segments: List[StateSegment]
+    """A contiguous state trace from 0 to ``horizon_s``, one column entry
+    per segment: ``start_s[i]``, ``end_s[i]``, ``state[i]``,
+    ``power_mw[i]``, ``active[i]`` and ``rate_bps[i]`` are the fields of
+    ``segments[i]``.
+    """
+
+    start_s: List[float]
+    end_s: List[float]
+    state: List[RadioState]
+    power_mw: List[float]
+    active: List[bool]
+    rate_bps: List[Optional[float]]
     horizon_s: float
     technology: Technology
 
     def __post_init__(self) -> None:
+        n = len(self.start_s)
+        if any(len(col) != n for col in (self.end_s, self.state,
+                                         self.power_mw, self.active,
+                                         self.rate_bps)):
+            raise ValueError("state trace columns differ in length")
+        allowed = _ALLOWED_STATES[self.technology]
         t = 0.0
-        for seg in self.segments:
-            if abs(seg.start_s - t) > 1e-9:
+        for start, end, state in zip(self.start_s, self.end_s, self.state):
+            if abs(start - t) > 1e-9:
                 raise ValueError("state trace must be contiguous from 0")
-            if seg.end_s < seg.start_s:
+            if end < start:
                 raise ValueError("segment ends before it starts")
-            if seg.state not in _ALLOWED_STATES[self.technology]:
-                raise ValueError(f"state {seg.state} invalid for "
+            if state not in allowed:
+                raise ValueError(f"state {state} invalid for "
                                  f"{self.technology}")
-            t = seg.end_s
+            t = end
         if abs(t - self.horizon_s) > 1e-9:
             raise ValueError("state trace must cover the horizon")
 
+    @property
+    def segments(self) -> Tuple[StateSegment, ...]:
+        """The segments, built from the columns each time this is read."""
+        return tuple(map(StateSegment, self.start_s, self.end_s, self.state,
+                         self.power_mw, self.active, self.rate_bps))
+
     def to_csv(self) -> str:
-        lines = ["start_s,end_s,state,power_mw"]
-        for seg in self.segments:
-            lines.append(f"{seg.start_s:.6f},{seg.end_s:.6f},"
-                         f"{seg.state.value},{seg.power_mw:.6f}")
-        return "\n".join(lines) + "\n"
+        """One ``start_s,end_s,state,power_mw`` row per segment: the row
+        template is repeated once per segment and filled with one ``%``."""
+        rows = "%.6f,%.6f,%s,%.6f\n" * len(self.start_s)
+        return "start_s,end_s,state,power_mw\n" + rows % tuple(
+            chain.from_iterable(zip(self.start_s, self.end_s,
+                                    [s.value for s in self.state],
+                                    self.power_mw)))
 
     def time_in(self, state: RadioState) -> float:
-        return sum(s.duration_s for s in self.segments if s.state is state)
+        return sum(end - start for start, end, s in
+                   zip(self.start_s, self.end_s, self.state) if s is state)
 
 
 @dataclass
@@ -324,9 +366,13 @@ def _next_drx_on(dt: float, profile: RadioProfile) -> float:
     return candidate
 
 
-def _emit_lte_gap(out: List[Tuple[float, float, RadioState]], g0: float,
-                  g1: float, t_end: float, profile: RadioProfile) -> None:
-    """Append tail segments for the gap [g0, g1) after activity at t_end."""
+# receives one tail segment: (start_s, end_s, state)
+_TailSink = Callable[[float, float, RadioState], None]
+
+
+def _emit_lte_gap(out: _TailSink, g0: float, g1: float, t_end: float,
+                  profile: RadioProfile) -> None:
+    """Emit tail segments for the gap [g0, g1) after activity at t_end."""
     eps = 1e-12
     rrc_abs = t_end + profile.t1_s
     drx = profile.drx
@@ -334,21 +380,22 @@ def _emit_lte_gap(out: List[Tuple[float, float, RadioState]], g0: float,
     drx_start = t_end + drx.idle_s if drx is not None else rrc_abs
     head = min(drx_start, rrc_abs, g1)
     if t < head - eps:
-        out.append((t, head, RadioState.CONNECTED))
+        out(t, head, RadioState.CONNECTED)
         t = head
     if drx is not None:
+        cycle, on = drx.cycle_s, drx.on_s
         limit = min(g1, rrc_abs)
-        k = max(int((t - drx_start) / drx.cycle_s), 0)
+        k = max(int((t - drx_start) / cycle), 0)
         while t < limit - eps:
-            cycle_start = drx_start + k * drx.cycle_s
-            on_end = cycle_start + drx.on_s
-            cycle_end = cycle_start + drx.cycle_s
+            cycle_start = drx_start + k * cycle
+            on_end = cycle_start + on
+            cycle_end = cycle_start + cycle
             if t < on_end - eps:
                 nxt = min(on_end, limit)
-                out.append((t, nxt, RadioState.CONN_DRX_ON))
+                out(t, nxt, RadioState.CONN_DRX_ON)
             elif t < cycle_end - eps:
                 nxt = min(cycle_end, limit)
-                out.append((t, nxt, RadioState.CONN_DRX_OFF))
+                out(t, nxt, RadioState.CONN_DRX_OFF)
             else:
                 k += 1
                 continue
@@ -356,23 +403,23 @@ def _emit_lte_gap(out: List[Tuple[float, float, RadioState]], g0: float,
             if t >= cycle_end - eps:
                 k += 1
     if g1 > rrc_abs + eps and t < g1 - eps:
-        out.append((max(t, rrc_abs), g1, RadioState.IDLE))
+        out(max(t, rrc_abs), g1, RadioState.IDLE)
         t = g1
 
 
-def _emit_hspa_gap(out: List[Tuple[float, float, RadioState]], g0: float,
-                   g1: float, t_end: float, profile: RadioProfile) -> None:
+def _emit_hspa_gap(out: _TailSink, g0: float, g1: float, t_end: float,
+                   profile: RadioProfile) -> None:
     state = RadioState.DCH
     t = g0
     for step_t, step_state in _hspa_cascade(t_end, profile):
         if step_t >= g1:
             break
         if step_t > t:
-            out.append((t, step_t, state))
+            out(t, step_t, state)
             t = step_t
         state = step_state
     if t < g1:
-        out.append((t, g1, state))
+        out(t, g1, state)
 
 
 def simulate(trace: ActivityTrace, profile: RadioProfile,
@@ -398,16 +445,40 @@ def simulate(trace: ActivityTrace, profile: RadioProfile,
 
     is_hspa = profile.technology is Technology.HSPA
     active_state = _ACTIVE_STATE[profile.technology]
-    # (start, end, state, active, bytes)
-    pieces: List[Tuple[float, float, RadioState, bool, Optional[int]]] = []
+    tail_power = {
+        RadioState.DCH: profile.p1_mw,
+        RadioState.CONNECTED: profile.p1_mw,
+        RadioState.FACH: profile.p2_mw,
+        RadioState.CONN_DRX_ON: profile.p_tail_mw,
+        RadioState.CONN_DRX_OFF: profile.p_drx_off_mw,
+        RadioState.PCH: profile.p_pch_mw,
+        RadioState.IDLE: profile.p_idle_mw,
+    }
+    starts: List[float] = []
+    ends: List[float] = []
+    states: List[RadioState] = []
+    powers: List[float] = []
+    actives: List[bool] = []
+    rates: List[Optional[float]] = []
+
+    def push(s: float, e: float, state: RadioState,
+             power: Optional[float] = None, active: bool = False,
+             rate: Optional[float] = None) -> None:
+        """Append the segment [s, e) unless it is empty; without a power
+        it is a tail segment at its state's power."""
+        if e > s:
+            starts.append(s)
+            ends.append(e)
+            states.append(state)
+            powers.append(tail_power[state] if power is None else power)
+            actives.append(active)
+            rates.append(rate)
 
     def emit_gap(g0: float, g1: float, t_end: float) -> None:
-        tail: List[Tuple[float, float, RadioState]] = []
         if is_hspa:
-            _emit_hspa_gap(tail, g0, g1, t_end, profile)
+            _emit_hspa_gap(push, g0, g1, t_end, profile)
         else:
-            _emit_lte_gap(tail, g0, g1, t_end, profile)
-        pieces.extend((s, e, st, False, None) for (s, e, st) in tail)
+            _emit_lte_gap(push, g0, g1, t_end, profile)
 
     t = 0.0
     last_end: Optional[float] = None
@@ -417,8 +488,7 @@ def simulate(trace: ActivityTrace, profile: RadioProfile,
         i += 1
         eff_start = start
         if last_end is None:
-            if start > t:
-                pieces.append((t, start, RadioState.IDLE, False, None))
+            push(t, start, RadioState.IDLE)
         else:
             if not is_hspa and profile.drx is not None:
                 dt = start - last_end
@@ -439,39 +509,23 @@ def simulate(trace: ActivityTrace, profile: RadioProfile,
             nbytes = nbytes + nb if (nbytes is not None and
                                      nb is not None) else None
         if eff_end > eff_start:
-            pieces.append((eff_start, eff_end, active_state, True, nbytes))
+            rate = nbytes * 8.0 / (eff_end - eff_start) \
+                if nbytes is not None else rx_rate_bps
+            push(eff_start, eff_end, active_state,
+                 power_rx(0.0 if rate is None else rate, profile), True, rate)
         t = eff_end
         last_end = eff_end
     if t < horizon_s:
         if last_end is None:
-            pieces.append((t, horizon_s, RadioState.IDLE, False, None))
+            push(t, horizon_s, RadioState.IDLE)
         else:
             emit_gap(t, horizon_s, last_end)
-
-    tail_power = {
-        RadioState.DCH: profile.p1_mw,
-        RadioState.CONNECTED: profile.p1_mw,
-        RadioState.FACH: profile.p2_mw,
-        RadioState.CONN_DRX_ON: profile.p_tail_mw,
-        RadioState.CONN_DRX_OFF: profile.p_drx_off_mw,
-        RadioState.PCH: profile.p_pch_mw,
-        RadioState.IDLE: profile.p_idle_mw,
-    }
-    segments: List[StateSegment] = []
-    for (s, e, state, active, nbytes) in pieces:
-        if e <= s:
-            continue
-        if not active:
-            segments.append(StateSegment(s, e, state, tail_power[state]))
-            continue
-        rate = nbytes * 8.0 / (e - s) if nbytes is not None else rx_rate_bps
-        segments.append(StateSegment(
-            s, e, state, power_rx(0.0 if rate is None else rate, profile),
-            True, rate))
-    if not segments:
-        segments.append(StateSegment(0.0, horizon_s, RadioState.IDLE,
-                                     tail_power[RadioState.IDLE]))
-    return StateTrace(segments, horizon_s, profile.technology)
+    if not starts:
+        return StateTrace([0.0], [horizon_s], [RadioState.IDLE],
+                          [profile.p_idle_mw], [False], [None], horizon_s,
+                          profile.technology)
+    return StateTrace(starts, ends, states, powers, actives, rates,
+                      horizon_s, profile.technology)
 
 
 def _transitions(state_trace: StateTrace,
@@ -485,8 +539,8 @@ def _transitions(state_trace: StateTrace,
     drx = (RadioState.CONN_DRX_ON, RadioState.CONN_DRX_OFF)
     counts: Dict[Tuple[RadioState, RadioState], int] = {}
     prev = RadioState.IDLE
-    for seg in state_trace.segments:
-        cur = RadioState.CONNECTED if seg.state in drx else seg.state
+    for state in state_trace.state:
+        cur = RadioState.CONNECTED if state in drx else state
         if cur is not prev:
             counts[(prev, cur)] = counts.get((prev, cur), 0) + 1
         prev = cur
@@ -503,15 +557,16 @@ def energy_of(state_trace: StateTrace, profile: RadioProfile,
     ``rx_rate_bps``. Each reconnect (a transition out of IDLE) additionally
     charges ``reconnect_setup_s`` seconds at p1 for the signaling exchange.
     """
+    tr = state_trace
     total = 0.0
-    for seg in state_trace.segments:
-        power = seg.power_mw
-        if seg.active and seg.rate_bps is None:
+    for start, end, power, active, rate in zip(
+            tr.start_s, tr.end_s, tr.power_mw, tr.active, tr.rate_bps):
+        if active and rate is None:
             if rx_rate_bps is None:
                 raise ValueError("active segment has no rate; pass "
                                  "rx_rate_bps")
             power = power_rx(rx_rate_bps, profile)
-        total += seg.duration_s * power
+        total += (end - start) * power
     reconnects = sum(n for (src, _), n in _transitions(state_trace).items()
                      if src is RadioState.IDLE)
     return total + reconnects * profile.reconnect_setup_s * profile.p1_mw
@@ -527,16 +582,17 @@ def tail_states_energy(state_trace: StateTrace, profile: RadioProfile,
     """
     tail = {RadioState.DCH, RadioState.FACH, RadioState.CONNECTED,
             RadioState.CONN_DRX_ON, RadioState.CONN_DRX_OFF}
+    tr = state_trace
     total = 0.0
-    for seg in state_trace.segments:
-        if seg.active or seg.state not in tail:
+    for s, e, state, power, active in zip(tr.start_s, tr.end_s, tr.state,
+                                          tr.power_mw, tr.active):
+        if active or state not in tail:
             continue
-        s, e = seg.start_s, seg.end_s
         if window is not None:
             s, e = max(s, window[0]), min(e, window[1])
             if e <= s:
                 continue
-        total += (e - s) * seg.power_mw
+        total += (e - s) * power
     return total
 
 

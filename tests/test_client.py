@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from burststream import DeliveryOrderError, StreamingClient
+from burststream.client import SegmentAcks
 
 
 def make_client(capacity=4_000_000, r_s=500e3, link=16e6, startup=2.0,
@@ -174,3 +175,26 @@ class TestPostZwaRate:
         span = res.end_s - res.first_zwa_time_s
         avg_rate = overflow_bytes * 8 / span
         assert avg_rate == pytest.approx(500e3, rel=0.01)
+
+
+class TestLastCumAck:
+    @given(st.lists(st.tuples(st.floats(0.0, 2e6), st.floats(1e6, 5e7),
+                              st.floats(0.0, 30.0)), min_size=1, max_size=8),
+           st.integers(100, 3000))
+    @settings(max_examples=100, deadline=None)
+    def test_reads_the_last_ack_of_every_prefix(self, ops, segment_bytes):
+        # every prefix of a delivery's parts, the empty one and those
+        # ending in a piece that crosses no segment boundary included
+        c = make_client(capacity=3_000_000, r_s=750e3,
+                        segment_bytes=segment_bytes)
+        t = 0.0
+        for nbytes, rate, gap in ops:
+            res = c.deliver(nbytes, rate, t)
+            parts = res.acks.parts
+            for k in range(len(parts) + 1):
+                acks = SegmentAcks(parts[:k], segment_bytes, c.capacity_bytes)
+                last = acks.last_cum_ack()
+                assert (last is None) == (len(acks) == 0)
+                if last is not None:
+                    assert last == acks[-1].cum_ack_bytes
+            t = res.end_s + gap

@@ -8,7 +8,7 @@ import pytest
 from burststream import (BackgroundTraffic, BandwidthTrace, ConfigError,
                          QualityLevel, Scenario, StreamSpec, compare_configs,
                          compare_table, get_profile, harness, load_scenario,
-                         run, sweep_surface)
+                         radio, run, sweep_surface)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -92,6 +92,19 @@ class TestRun:
         assert a.state_trace.to_csv() == b.state_trace.to_csv()
         assert a.signaling.to_csv() == b.signaling.to_csv()
         assert a.burst_log == b.burst_log
+
+    def test_run_builds_no_state_segment(self, monkeypatch):
+        # the replay reads the trace's columns; segments are built only
+        # when a caller reads ``StateTrace.segments``
+        def refuse(*args):
+            raise AssertionError("StateSegment built")
+        monkeypatch.setattr(radio, "StateSegment", refuse)
+        result = run(small_scenario(
+            background=BackgroundTraffic(period_s=60, bytes=50_000,
+                                         phase_s=30)))
+        assert result.energy_mj > 0
+        with pytest.raises(AssertionError, match="StateSegment built"):
+            result.state_trace.segments[0]
 
     def test_baseline_moves_same_content(self):
         result = run(small_scenario())

@@ -6,10 +6,10 @@ from hypothesis import strategies as st
 
 from burststream import (ActivityEvent, ActivityTrace, BurstScenario,
                          EventKind, RadioState, SignalingConfigError,
-                         SignalingCostTable, Technology, TraceError,
-                         energy_of, get_profile, list_profiles, power_rx,
-                         signaling_of, simulate, tail_energy,
-                         tail_states_energy)
+                         SignalingCostTable, StateSegment, StateTrace,
+                         Technology, TraceError, energy_of, get_profile,
+                         list_profiles, power_rx, signaling_of, simulate,
+                         tail_energy, tail_states_energy)
 from burststream.energy import FastDormancy, RadioProfile
 
 HSPA = get_profile("hspa-default")
@@ -417,3 +417,83 @@ class TestPricingDifferential:
         lo, hi = sorted(window)
         assert tail_states_energy(trace, profile, (lo, hi)) == \
             reference_tail_energy(trace, profile, (lo, hi))
+
+
+def trace_of(*segments, horizon_s, technology=Technology.HSPA):
+    """A StateTrace from (start_s, end_s, state) tail segments."""
+    n = len(segments)
+    return StateTrace([s for s, _, _ in segments], [e for _, e, _ in segments],
+                      [state for _, _, state in segments], [0.0] * n,
+                      [False] * n, [None] * n, horizon_s, technology)
+
+
+class TestStateTraceChecks:
+    def test_contiguous_trace_accepted(self):
+        tr = trace_of((0.0, 1.0, RadioState.DCH), (1.0, 2.0, RadioState.IDLE),
+                      horizon_s=2.0)
+        assert tr.time_in(RadioState.IDLE) == 1.0
+
+    def test_gap_rejected(self):
+        with pytest.raises(ValueError, match="contiguous"):
+            trace_of((0.0, 1.0, RadioState.DCH),
+                     (1.5, 2.0, RadioState.IDLE), horizon_s=2.0)
+
+    def test_segment_ending_before_it_starts_rejected(self):
+        with pytest.raises(ValueError, match="ends before it starts"):
+            trace_of((0.0, 1.0, RadioState.DCH), (1.0, 0.5, RadioState.FACH),
+                     (0.5, 2.0, RadioState.IDLE), horizon_s=2.0)
+
+    def test_state_of_another_technology_rejected(self):
+        with pytest.raises(ValueError, match="invalid for"):
+            trace_of((0.0, 2.0, RadioState.CONNECTED), horizon_s=2.0)
+        with pytest.raises(ValueError, match="invalid for"):
+            trace_of((0.0, 2.0, RadioState.PCH), horizon_s=2.0,
+                     technology=Technology.LTE)
+
+    def test_trace_short_of_horizon_rejected(self):
+        with pytest.raises(ValueError, match="cover the horizon"):
+            trace_of((0.0, 1.0, RadioState.DCH), horizon_s=2.0)
+
+    def test_columns_of_unequal_length_rejected(self):
+        with pytest.raises(ValueError, match="differ in length"):
+            StateTrace([0.0], [1.0], [RadioState.IDLE], [0.0], [False], [],
+                       1.0, Technology.HSPA)
+
+
+# -- the columns against per-segment loops -----------------------------------
+
+class TestColumnDifferential:
+    @given(spans=st.lists(SPAN, max_size=25),
+           kind=st.sampled_from(["RX", "TX"]))
+    @settings(max_examples=200, deadline=None)
+    def test_from_spans_keeps_what_its_events_pair_into(self, spans, kind):
+        tr = ActivityTrace.from_spans([(t, t + d, b) for t, d, b in spans],
+                                      kind)
+        assert tr.spans() == ActivityTrace(tr.events).spans()
+
+    @given(name=st.sampled_from(list_profiles()),
+           spans=st.lists(SPAN, max_size=25),
+           horizon=st.one_of(st.none(), st.floats(0.0, 400.0)),
+           rate=RATE)
+    @settings(max_examples=200, deadline=None)
+    def test_segments_time_in_and_csv_match_per_segment_loops(
+            self, name, spans, horizon, rate):
+        trace = simulate(
+            ActivityTrace.from_spans([(t, t + d, b) for t, d, b in spans]),
+            get_profile(name), horizon_s=horizon, rx_rate_bps=rate)
+        segments = []
+        for i in range(len(trace.start_s)):
+            segments.append(StateSegment(
+                trace.start_s[i], trace.end_s[i], trace.state[i],
+                trace.power_mw[i], trace.active[i], trace.rate_bps[i]))
+        assert trace.segments == tuple(segments)
+
+        for state in RadioState:
+            assert trace.time_in(state) == sum(
+                seg.duration_s for seg in segments if seg.state is state)
+
+        lines = ["start_s,end_s,state,power_mw"]
+        for seg in segments:
+            lines.append(f"{seg.start_s:.6f},{seg.end_s:.6f},"
+                         f"{seg.state.value},{seg.power_mw:.6f}")
+        assert trace.to_csv() == "\n".join(lines) + "\n"
