@@ -106,13 +106,8 @@ def cmd_proxy(args) -> int:
     )
     proxy = ShapingProxy(config)
     host, port = proxy.start()
-    print(f"shaping proxy listening on {host}:{port}")
-    try:
-        proxy.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        proxy.close()
+    print(f"shaping proxy listening on {host}:{port}", flush=True)
+    proxy.serve_forever()
     return 0
 
 

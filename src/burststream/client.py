@@ -20,8 +20,7 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Tuple, \
-    Union
+from typing import Iterable, Iterator, List, NamedTuple, Optional, Union
 
 
 class DeliveryOrderError(ValueError):
@@ -247,11 +246,11 @@ class StreamingClient:
 
     # -- clock ----------------------------------------------------------
 
-    def advance(self, to_s: float) -> List[Tuple[str, float]]:
-        """Advance the clock, draining the buffer; returns emitted events."""
+    def advance(self, to_s: float) -> None:
+        """Advance the clock, draining the buffer and opening a stall
+        when it runs dry."""
         if to_s < self.now_s - 1e-12:
             raise DeliveryOrderError("cannot advance backwards")
-        events: List[Tuple[str, float]] = []
         while to_s > self.now_s + 1e-15:
             if not self._draining():
                 self.now_s = to_s
@@ -262,13 +261,11 @@ class StreamingClient:
             step = min(dt, dt_empty, dt_done)
             self._drain(step)
             self.now_s += step
-            if self.playback_complete:
-                events.append(("playback_complete", self.now_s))
-            elif self.occupancy_bytes <= self._eps and step >= dt_empty - 1e-15:
+            if not self.playback_complete and \
+                    self.occupancy_bytes <= self._eps and \
+                    step >= dt_empty - 1e-15:
                 self.occupancy_bytes = 0.0
                 self._open_stall(self.now_s)
-                events.append(("stall_start", self.now_s))
-        return events
 
     def _drain(self, dt: float) -> None:
         taken = dt * self.drain_bytes_per_s

@@ -168,10 +168,12 @@ class BurstScenario:
 
 
 def power_rx(rate_bps: float, profile: RadioProfile) -> float:
-    """Receive power in mW at ``rate_bps``: (a + k*r) * p_tail."""
+    """Receive power in mW at ``rate_bps``: (a + k*r) * p_tail. With k = 0
+    the power does not depend on the rate, an infinite one included."""
     if rate_bps < 0:
         raise DomainError("receive rate must be >= 0")
-    return (profile.a_coeff + profile.k_coeff * rate_bps) * profile.p_tail_mw
+    slope = profile.k_coeff * rate_bps if profile.k_coeff else 0.0
+    return (profile.a_coeff + slope) * profile.p_tail_mw
 
 
 def delta_power_rx(rate_bps: float, profile: RadioProfile) -> float:

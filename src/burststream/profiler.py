@@ -8,7 +8,7 @@ pipelined, so attribution is unambiguous), then feeds ACKs in time order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional
 
 from .client import AckEvent
 
@@ -58,7 +58,6 @@ class TrafficProfiler:
 
     def __init__(self):
         self.current: Optional[BurstObservation] = None
-        self.history: List[BurstObservation] = []
         self._last_cum_ack = -1.0
         self._next_id = 0
 
@@ -115,6 +114,5 @@ class TrafficProfiler:
         elif obs.t_bd_s > 0:
             obs.est_bandwidth_bps = estimate_bandwidth(obs.acked_bytes,
                                                        obs.t_bd_s)
-        self.history.append(obs)
         self.current = None
         return obs

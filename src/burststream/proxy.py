@@ -7,10 +7,13 @@ bursts at full socket speed, or continuous chunks under low bandwidth) and
 reports what happened. Flow-control feedback comes from socket
 backpressure: sustained blocked writes stand in for a zero-window
 advertisement, and the byte count accepted up to that point is the
-SentBytes estimate of the client's buffer. The transport caps bandwidth
-estimates by the origin's fill rate, reports origin starvation and drains
-what is left at the end; every decision is the controller's, as in the
-simulation (``tests/test_proxy.py::TestSharedCore`` replays both).
+SentBytes estimate of the client's buffer. The session thread reads each
+send's bytes from the origin itself, just before the send, so the origin
+is flow-controlled by the same backpressure and no copy of the body is
+kept beyond the send in hand. A read that does not end the body also
+measures the origin's fill rate, which caps the bandwidth estimate; what
+is left at the end is drained. Every decision is the controller's, as in
+the simulation (``tests/test_proxy.py::TestSharedCore`` replays both).
 
 Raw ACK capture would need privileged packet access; backpressure sensing
 needs none and provides the same two facts (buffer full, bytes accepted).
@@ -55,78 +58,29 @@ class SessionConfig:
             raise ValueError("fast_start_seconds must be > 0")
 
 
-class _OriginFeed(threading.Thread):
-    """Pulls the origin body into a bounded buffer on its own thread."""
-
-    def __init__(self, response, limit_bytes=32 * 1024 * 1024):
-        super().__init__(daemon=True)
-        self.response = response
-        self.limit = limit_bytes
-        self.buf = bytearray()
-        self.total_read = 0
-        self.done = False
-        self.error: Optional[Exception] = None
-        self.cv = threading.Condition()
-        self._samples: List[Tuple[float, int]] = [(time.monotonic(), 0)]
-
-    def run(self) -> None:
-        error = None
-        try:
-            while chunk := self.response.read(65536):
-                with self.cv:
-                    self.buf.extend(chunk)
-                    self.total_read += len(chunk)
-                    self._samples.append((time.monotonic(), self.total_read))
-                    if len(self._samples) > 64:
-                        del self._samples[:32]
-                    self.cv.notify_all()
-                    while len(self.buf) >= self.limit:
-                        self.cv.wait(0.1)
-            if self.response.length:
-                # http.client ends a short body quietly; the bytes it still
-                # expected mean the origin cut the stream
-                raise http.client.IncompleteRead(b"", self.response.length)
-        except Exception as exc:   # kept for the session to report
-            error = exc
-        with self.cv:
-            self.error = error
-            self.done = True
-            self.cv.notify_all()
-
-    def take(self, nbytes: int, timeout: float) -> bytes:
-        """Up to ``nbytes`` from the buffer, waiting for data or stream end."""
-        deadline = time.monotonic() + timeout
-        with self.cv:
-            while len(self.buf) < nbytes and not self.done:
-                left = deadline - time.monotonic()
-                if left <= 0:
-                    break
-                self.cv.wait(min(left, 0.1))
-            take = min(nbytes, len(self.buf))
-            out = bytes(self.buf[:take])
-            del self.buf[:take]
-            self.cv.notify_all()
-            return out
-
-    def finished(self) -> bool:
-        with self.cv:
-            return self.done and not self.buf
-
-    def fill_rate_bps(self, window_s: float = 2.0) -> Optional[float]:
-        """Recent origin supply rate; None once the origin is fully read
-        (it is no longer the bottleneck then)."""
-        with self.cv:
-            if self.done:
-                return None
-            now = time.monotonic()
-            past = [(t, n) for (t, n) in self._samples
-                    if now - t >= window_s * 0.5]
-            if not past:
-                return None
-            t0, n0 = past[-1]
-            if now - t0 <= 0:
-                return None
-            return (self.total_read - n0) * 8.0 / (now - t0)
+def _read_body(response: http.client.HTTPResponse,
+               nbytes: int) -> Tuple[bytes, Optional[Exception]]:
+    """Up to ``nbytes`` of the origin body, and the error that ended the
+    body, if one did. Fewer bytes than asked mean the body has ended; once
+    it has, every later call returns nothing. Reads take at most 64 KiB
+    each, so an error mid-body loses no byte read before it."""
+    chunks: List[bytes] = []
+    got = 0
+    try:
+        while got < nbytes and not response.isclosed():
+            chunk = response.read(min(nbytes - got, 65536))
+            if not chunk:
+                if response.length:
+                    # http.client ends a short body quietly; the bytes it
+                    # still expected mean the origin cut the stream
+                    raise http.client.IncompleteRead(b"", response.length)
+                break
+            chunks.append(chunk)
+            got += len(chunk)
+    except (OSError, http.client.HTTPException) as exc:
+        response.close()
+        return b"".join(chunks), exc
+    return b"".join(chunks), None
 
 
 @dataclass
@@ -220,8 +174,7 @@ class ShapingProxy:
         if self._listener is None:
             self.start()
         try:
-            while not self._stop.is_set():
-                time.sleep(0.2)
+            self._stop.wait()
         except KeyboardInterrupt:
             pass
         finally:
@@ -351,8 +304,6 @@ class ShapingProxy:
         conn.sendall(("\r\n".join(head_lines) + "\r\n\r\n").encode("latin-1"))
 
         total_length = response.getheader("Content-Length")
-        feed = _OriginFeed(response)
-        feed.start()
         writer = _BackpressureWriter(conn, cfg.backpressure_s,
                                      credit_bps=4.0 * r_s)
         stream = StreamSpec.single(
@@ -364,58 +315,65 @@ class ShapingProxy:
         with self._lock:
             self.sessions.append(report)
 
+        origin_errors: List[Exception] = []
         try:
-            self._shape_stream(writer, feed,
-                               ShapingController(shaper, cfg.low_bw_chunk_s),
-                               r_s)
+            self._shape_stream(writer, response, origin_errors,
+                               ShapingController(shaper, cfg.low_bw_chunk_s))
         except (BrokenPipeError, ConnectionResetError):
             log.info("client %s disconnected", addr)
         finally:
-            report["origin_error"] = feed.error
-            if feed.error is not None:
+            error = origin_errors[0] if origin_errors else None
+            report["origin_error"] = error
+            if error is not None:
                 log.warning("origin %s:%s failed mid-body for %s: %r",
-                            host, port, addr, feed.error)
+                            host, port, addr, error)
             report["rows"] = list(shaper.burst_log)
             self._flush_log(shaper)
             try:
+                response.close()
                 origin.close()
             except OSError:
                 pass
 
-    def _shape_stream(self, writer: _BackpressureWriter, feed: _OriginFeed,
-                      controller: ShapingController, r_s: float) -> None:
+    def _shape_stream(self, writer: _BackpressureWriter,
+                      response: http.client.HTTPResponse,
+                      origin_errors: List[Exception],
+                      controller: ShapingController) -> None:
         """Perform the controller's sends on the client socket, on a clock
         that starts with the session, until the controller or the origin
-        is done."""
+        is done; the error that ended the origin body goes to
+        ``origin_errors``.
+
+        Each send's bytes are read from the origin right after the previous
+        write, before the wait for the send's time, so the origin is paced
+        by the client's backpressure and a fast origin's bursts leave on
+        time.
+        """
         t0 = time.monotonic()
-        pending = b""          # taken from the origin, not yet accepted
+        pending = b""          # read from the origin, not yet accepted
         sent_cum = 0
         burst_ids = itertools.count()
-        # wait for the origin up to the send's play time, and at least 1 s
-        # (10 s for the Fast Start, which waits for the origin's first bytes)
-        min_wait_s = 10.0
         send = controller.start()
         while send is not None and not self._stop.is_set():
-            if feed.finished() and not pending:
-                break
+            size = max(math.ceil(send.size_bytes), 1)
+            fill_bps = None
+            if len(pending) < size:
+                pull_start = time.monotonic()
+                data, error = _read_body(response, size - len(pending))
+                if error is not None:
+                    origin_errors.append(error)
+                elif not response.isclosed():
+                    # the body goes on, so the origin may be the bottleneck:
+                    # its fill rate caps the end-to-end estimate
+                    fill_bps = len(data) * 8.0 / max(
+                        time.monotonic() - pull_start, 1e-6)
+                pending += data
+            if not pending:
+                break                    # the origin is done
             delay = t0 + send.at_s - time.monotonic()
             if delay > 0 and self._stop.wait(timeout=delay):
                 break
-            size = max(math.ceil(send.size_bytes), 1)
-            if len(pending) < size:
-                pending += feed.take(size - len(pending),
-                                     timeout=max(size * 8 / r_s, min_wait_s))
-            min_wait_s = 1.0
             data = pending[:size]
-            if not data:
-                if feed.finished():
-                    break
-                # origin starving the proxy: its supply rate is the estimate
-                now = time.monotonic() - t0
-                send = controller.report(
-                    Report(None, 0, now, now, feed.fill_rate_bps() or 0.0,
-                           now))
-                continue
             wr = writer.write_burst(data, abort_on_zwa=send.abort_on_zwa,
                                     stop=self._stop)
             pending = pending[wr.accepted:]
@@ -426,10 +384,8 @@ class ShapingProxy:
                 wr.end if wr.zwa else None, wr.accepted_at_zwa)
             sent_cum += wr.accepted
             est = wr.accepted * 8.0 / max(wr.end - wr.start, 1e-6)
-            fill = feed.fill_rate_bps()
-            if fill:
-                # end-to-end bandwidth is capped by the origin supply too
-                est = min(est, fill)
+            if fill_bps is not None:
+                est = min(est, fill_bps)
             send = controller.report(
                 Report(obs, wr.accepted, wr.start - t0, wr.end - t0, est,
                        time.monotonic() - t0))

@@ -186,7 +186,10 @@ class StateTrace:
     """A contiguous state trace from 0 to ``horizon_s``, one column entry
     per segment: ``start_s[i]``, ``end_s[i]``, ``state[i]``,
     ``power_mw[i]``, ``active[i]`` and ``rate_bps[i]`` are the fields of
-    ``segments[i]``.
+    ``segments[i]``. ``transitions`` counts the RRC transitions along the
+    trace, which starts from IDLE, in order of first occurrence; DRX on/off
+    cycling collapses into CONNECTED first, since duty cycling happens
+    inside the connected state and exchanges no RRC signaling.
     """
 
     start_s: List[float]
@@ -197,6 +200,8 @@ class StateTrace:
     rate_bps: List[Optional[float]]
     horizon_s: float
     technology: Technology
+    transitions: Dict[Tuple[RadioState, RadioState], int] = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n = len(self.start_s)
@@ -205,6 +210,9 @@ class StateTrace:
                                          self.rate_bps)):
             raise ValueError("state trace columns differ in length")
         allowed = _ALLOWED_STATES[self.technology]
+        drx = (RadioState.CONN_DRX_ON, RadioState.CONN_DRX_OFF)
+        counts: Dict[Tuple[RadioState, RadioState], int] = {}
+        prev = RadioState.IDLE
         t = 0.0
         for start, end, state in zip(self.start_s, self.end_s, self.state):
             if abs(start - t) > 1e-9:
@@ -215,8 +223,13 @@ class StateTrace:
                 raise ValueError(f"state {state} invalid for "
                                  f"{self.technology}")
             t = end
+            cur = RadioState.CONNECTED if state in drx else state
+            if cur is not prev:
+                counts[(prev, cur)] = counts.get((prev, cur), 0) + 1
+            prev = cur
         if abs(t - self.horizon_s) > 1e-9:
             raise ValueError("state trace must cover the horizon")
+        self.transitions = counts
 
     @property
     def segments(self) -> Tuple[StateSegment, ...]:
@@ -528,25 +541,6 @@ def simulate(trace: ActivityTrace, profile: RadioProfile,
                       horizon_s, profile.technology)
 
 
-def _transitions(state_trace: StateTrace,
-                 ) -> Dict[Tuple[RadioState, RadioState], int]:
-    """RRC transition counts along the trace, which starts from IDLE, in
-    order of first occurrence.
-
-    DRX on/off cycling collapses into CONNECTED first, since duty cycling
-    happens inside the connected state and exchanges no RRC signaling.
-    """
-    drx = (RadioState.CONN_DRX_ON, RadioState.CONN_DRX_OFF)
-    counts: Dict[Tuple[RadioState, RadioState], int] = {}
-    prev = RadioState.IDLE
-    for state in state_trace.state:
-        cur = RadioState.CONNECTED if state in drx else state
-        if cur is not prev:
-            counts[(prev, cur)] = counts.get((prev, cur), 0) + 1
-        prev = cur
-    return counts
-
-
 def energy_of(state_trace: StateTrace, profile: RadioProfile,
               rx_rate_bps: Optional[float] = None) -> float:
     """Total radio energy over the trace, mJ.
@@ -567,7 +561,7 @@ def energy_of(state_trace: StateTrace, profile: RadioProfile,
                                  "rx_rate_bps")
             power = power_rx(rx_rate_bps, profile)
         total += (end - start) * power
-    reconnects = sum(n for (src, _), n in _transitions(state_trace).items()
+    reconnects = sum(n for (src, _), n in tr.transitions.items()
                      if src is RadioState.IDLE)
     return total + reconnects * profile.reconnect_setup_s * profile.p1_mw
 
@@ -600,7 +594,7 @@ def signaling_of(state_trace: StateTrace,
                  costs: SignalingCostTable) -> SignalingLedger:
     """Count the trace's RRC transitions (DRX cycling collapsed into
     CONNECTED) and weight them by the cost table."""
-    counts = _transitions(state_trace)
+    counts = dict(state_trace.transitions)
     cost_used = {key: costs.cost(*key) for key in counts}
     total = sum(n * cost_used[key] for key, n in counts.items())
     minutes = state_trace.horizon_s / 60.0

@@ -16,8 +16,7 @@ import enum
 import logging
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, \
-    Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .profiler import BurstObservation
 
@@ -116,26 +115,15 @@ def select_quality(est_bps: float, ladder: Sequence[QualityLevel],
     return 0, True
 
 
-QualityPolicy = Callable[[float, Sequence[QualityLevel], int],
-                         Tuple[int, bool]]
-
-
 class Shaper:
-    """Per-session traffic shaper state machine.
+    """Per-session traffic shaper state machine; quality switches follow
+    ``select_quality``."""
 
-    ``quality_policy`` decides switches from (estimate, ladder, current
-    index); the default is the double-the-rate upgrade rule with downgrade
-    to the highest sustainable quality, and other policies can be plugged
-    in without touching the shaping machinery.
-    """
-
-    def __init__(self, stream: StreamSpec, granularity_s: float = 1.0,
-                 quality_policy: QualityPolicy = select_quality):
+    def __init__(self, stream: StreamSpec, granularity_s: float = 1.0):
         if granularity_s <= 0:
             raise ValueError("granularity must be > 0")
         self.stream = stream
         self.granularity_s = granularity_s
-        self.quality_policy = quality_policy
         self.state = ShaperState(
             current_quality_index=initial_quality(stream.qualities))
         self.decision_log: List[str] = []
@@ -166,13 +154,11 @@ class Shaper:
 
     # -- fast start -------------------------------------------------------
 
-    def end_fast_start(self, sent_bytes: float,
-                       r_s_bps: Optional[float] = None) -> float:
+    def end_fast_start(self, sent_bytes: float) -> float:
         """Close Fast Start; returns t_max and arms the search at t_max/2."""
         if sent_bytes <= 0:
             raise ValueError("fast start must deliver some bytes")
-        r_s = r_s_bps if r_s_bps is not None else self.r_s_bps
-        t_max = sent_bytes * 8.0 / r_s
+        t_max = sent_bytes * 8.0 / self.r_s_bps
         st = self.state
         st.t_max_s = t_max
         st.t_min_s = 0.0
@@ -297,8 +283,8 @@ class Shaper:
         if est_bps is None:
             return None
         st = self.state
-        new_q, risk = self.quality_policy(est_bps, self.stream.qualities,
-                                          st.current_quality_index)
+        new_q, risk = select_quality(est_bps, self.stream.qualities,
+                                     st.current_quality_index)
         if risk:
             self._decide(f"quality_floor est={est_bps:.0f}: stall risk")
         if new_q == st.current_quality_index:
@@ -371,12 +357,13 @@ class Send(NamedTuple):
 
 
 class Report(NamedTuple):
-    """What a transport saw of one ``Send``: ``obs`` is None when it had
-    nothing to send (its content source starved it), ``est_bps`` is None
-    when it has no bandwidth estimate, and ``played_s`` is the client's
-    playback position, from which the controller derives the runway."""
+    """What a transport saw of one ``Send``: ``obs`` is its burst feedback,
+    ``est_bps`` is None when it has no bandwidth estimate, and
+    ``played_s`` is the client's playback position, from which the
+    controller derives the runway. A transport with nothing left to send
+    reports nothing: the stream has ended."""
 
-    obs: Optional[BurstObservation]
+    obs: BurstObservation
     delivered_bytes: float
     start_s: float
     end_s: float
@@ -413,23 +400,21 @@ class ShapingController:
     def report(self, rep: Report) -> Optional[Send]:
         sh, obs = self.shaper, rep.obs
         phase = sh.phase
-        if obs is not None:
-            self.content_sent_bytes += rep.delivered_bytes
-            self.content_sent_s += rep.delivered_bytes * 8.0 / sh.r_s_bps
-            self.pending_bytes = max(obs.size_bytes - rep.delivered_bytes,
-                                     0.0)
-            if phase is Phase.FAST_START:
-                if obs.zwa_seen:
-                    sh.fast_start_zwa(obs.sent_bytes_at_first_zwa)
-                else:
-                    sh.end_fast_start(obs.acked_bytes)
-            elif phase is not Phase.LOW_BANDWIDTH:
-                sh.log_burst(obs.burst_id, sh.state.t_s, obs.acked_bytes,
-                             obs.zwa_seen)
-                sh.on_burst_feedback(obs)
-                if self.adaptive:
-                    sh.maybe_switch_quality(rep.est_bps)
-                self._last_burst_start = rep.start_s
+        self.content_sent_bytes += rep.delivered_bytes
+        self.content_sent_s += rep.delivered_bytes * 8.0 / sh.r_s_bps
+        self.pending_bytes = max(obs.size_bytes - rep.delivered_bytes, 0.0)
+        if phase is Phase.FAST_START:
+            if obs.zwa_seen:
+                sh.fast_start_zwa(obs.sent_bytes_at_first_zwa)
+            else:
+                sh.end_fast_start(obs.acked_bytes)
+        elif phase is not Phase.LOW_BANDWIDTH:
+            sh.log_burst(obs.burst_id, sh.state.t_s, obs.acked_bytes,
+                         obs.zwa_seen)
+            sh.on_burst_feedback(obs)
+            if self.adaptive:
+                sh.maybe_switch_quality(rep.est_bps)
+            self._last_burst_start = rep.start_s
         action = sh.on_bandwidth_change(rep.est_bps,
                                         self.content_sent_s - rep.played_s)
         if action and action[0] == "restore":

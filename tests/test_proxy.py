@@ -9,6 +9,7 @@ import copy
 import http.client
 import http.server
 import socket
+import struct
 import threading
 import time
 
@@ -24,11 +25,13 @@ class _Origin(http.server.ThreadingHTTPServer):
     daemon_threads = True
 
     def __init__(self, content_bytes, bitrate_bps, rate_cap_bps=None,
-                 truncate_at=None):
+                 truncate_at=None, reset_at=None):
         self.content_bytes = content_bytes
         self.bitrate_bps = bitrate_bps
         self.rate_cap_bps = rate_cap_bps
         self.truncate_at = truncate_at   # close after this many body bytes
+        self.reset_at = reset_at         # the same, by a reset, only once
+        self.handler_threads = set()
         super().__init__(("127.0.0.1", 0), _OriginHandler)
 
     def shutdown(self):
@@ -43,6 +46,7 @@ class _OriginHandler(http.server.BaseHTTPRequestHandler):
         pass
 
     def do_GET(self):
+        self.server.handler_threads.add(threading.current_thread())
         total = self.server.content_bytes
         self.send_response(200)
         self.send_header("Content-Type", "video/mp4")
@@ -60,6 +64,10 @@ class _OriginHandler(http.server.BaseHTTPRequestHandler):
                     sent >= self.server.truncate_at:
                 self.close_connection = True
                 return
+            if self.server.reset_at is not None and \
+                    sent >= self.server.reset_at:
+                self._reset()
+                return
             n = min(len(chunk), total - sent)
             try:
                 self.wfile.write(chunk[:n])
@@ -71,6 +79,17 @@ class _OriginHandler(http.server.BaseHTTPRequestHandler):
                 sleep = should_take - (time.monotonic() - start)
                 if sleep > 0:
                     time.sleep(sleep)
+
+    def _reset(self):
+        """Abort the connection with a reset once the proxy has read what
+        was sent; later requests are served whole."""
+        self.server.reset_at = None
+        self.close_connection = True
+        time.sleep(0.3)
+        self.connection.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                   struct.pack("ii", 1, 0))
+        self.rfile.close()        # the socket closes with its last file
+        self.connection.close()
 
 
 class _DrainingReader(threading.Thread):
@@ -455,6 +474,85 @@ class TestProxySmoke:
             assert lines[0] == \
                 "burst_id,quality_bps,T_s,bytes,zwa,bs_opt_bytes,phase"
             assert len(lines) >= 2
+        finally:
+            proxy.close()
+            origin.shutdown()
+
+
+def _serve(origin):
+    threading.Thread(target=origin.serve_forever, daemon=True).start()
+    return origin
+
+
+def _first_body_bytes(sock, first):
+    """The body bytes that came with the head, else the next read's."""
+    return first or sock.recv(65536)
+
+
+class TestOriginPull:
+    """The session thread reads the origin body itself, one send at a
+    time: no thread of its own and no byte limit."""
+
+    def test_origin_reset_mid_body(self):
+        # the origin declares 400 kB and resets after 128 kB: the client
+        # gets those bytes, the report keeps the reset, and the next
+        # session is served whole
+        total = 400_000
+        origin = _serve(_Origin(total, 4e6, reset_at=131072))
+        proxy, addr = _start_proxy(origin, fast_start_seconds=1.0)
+        try:
+            for expected in (131072, total):
+                with _connect(addr) as sock:
+                    _, first = _read_head(sock)
+                    got = len(first)
+                    while data := sock.recv(65536):
+                        got += len(data)
+                assert got == expected
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline and not (
+                    len(proxy.sessions) == 2 and
+                    all("origin_error" in s for s in proxy.sessions)):
+                time.sleep(0.05)
+            assert isinstance(proxy.sessions[0]["origin_error"],
+                              ConnectionResetError)
+            assert proxy.sessions[1]["origin_error"] is None
+        finally:
+            proxy.close()
+            origin.shutdown()
+
+    def test_session_adds_one_thread(self):
+        # an origin paced at 2 Mbit/s takes 4 s over a 1 MB body, so the
+        # session is still reading it when its first bytes arrive
+        origin = _serve(_Origin(1_000_000, 1e6, rate_cap_bps=2e6))
+        proxy, addr = _start_proxy(origin, fast_start_seconds=1.0)
+        before = set(threading.enumerate())
+        try:
+            with _connect(addr) as sock:
+                _, first = _read_head(sock)
+                assert _first_body_bytes(sock, first)
+                added = set(threading.enumerate()) - before - \
+                    origin.handler_threads
+                assert len(added) == 1, added
+        finally:
+            proxy.close()
+            origin.shutdown()
+
+    @pytest.mark.integration
+    def test_fast_start_above_32_mib_starts_at_once(self):
+        # 36 MB at 8 Mbit/s all fits in a 60 s Fast Start, which is more
+        # than 32 MiB: its first byte still goes out within seconds
+        total = 36_000_000
+        origin = _serve(_Origin(total, 8e6))
+        proxy, addr = _start_proxy(origin, fast_start_seconds=60.0)
+        try:
+            t0 = time.monotonic()
+            with _connect(addr) as sock:
+                _, first = _read_head(sock)
+                got = len(_first_body_bytes(sock, first))
+                assert got and time.monotonic() - t0 < 5.0
+                while data := sock.recv(1 << 20):
+                    got += len(data)
+            assert got == total
         finally:
             proxy.close()
             origin.shutdown()

@@ -1,5 +1,7 @@
 """Radio state-machine tests: cascades, dormancy, DRX, energy, signaling."""
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -213,6 +215,14 @@ class TestEnergy:
         st = simulate(tr, HSPA, horizon_s=10.0)
         with pytest.raises(ValueError):
             energy_of(st, HSPA)
+
+    def test_rate_free_profile_prices_an_instant_span(self):
+        # one byte over a subnormal span has an infinite rate; a profile
+        # whose receive power ignores the rate (k = 0) still prices it
+        tr = ActivityTrace.from_spans([(0.0, 2.225073858507203e-309, 1)])
+        st = simulate(tr, LTE_DRX)
+        assert LTE_DRX.k_coeff == 0 and st.rate_bps[0] == math.inf
+        assert math.isfinite(energy_of(st, LTE_DRX))
 
     def test_determinism(self):
         tr = periodic(14, 0.5, 10)

@@ -221,21 +221,6 @@ class TestPropagation:
         assert sh.state.bs_opt_bytes == 5_000_000
 
 
-class TestPluggablePolicy:
-    def test_custom_policy_drives_switches(self):
-        # a sticky policy that never upgrades: estimates are ignored
-        def sticky(est, ladder, current):
-            return current, False
-        sh = Shaper(SPEC, quality_policy=sticky)
-        sh.end_fast_start(40 * 700e3 / 8)
-        assert sh.maybe_switch_quality(16e6) is None
-        assert sh.state.current_quality_index == 0
-
-    def test_default_policy_is_the_doubling_rule(self):
-        sh = Shaper(SPEC)
-        assert sh.quality_policy is select_quality
-
-
 class TestBurstLog:
     def test_row_format(self):
         sh = make_shaper(r_s=700e3)
