@@ -9,10 +9,12 @@ import sys
 from pathlib import Path
 from typing import List
 
-from . import harness
-from .profiles import ConfigError, get_profile, list_profiles
+from .errors import ConfigError
 from .proxy import SessionConfig, ShapingProxy
 from .shaper import Shaper
+
+# the simulation commands import harness and profiles, and with them numpy,
+# when they run, so that the proxy command loads neither
 
 
 def _parse_grid(text: str) -> List[float]:
@@ -49,6 +51,7 @@ def _parse_listen(text: str):
 
 
 def cmd_run(args) -> int:
+    from . import harness
     scenario = harness.load_scenario(args.scenario)
     result = harness.run(scenario)
     print(result.summary())
@@ -70,6 +73,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from . import harness
+    from .profiles import get_profile
     profile = get_profile(args.profile)
     grid = [_parse_grid(text) for text in (args.rs, args.t, args.b)]
     try:
@@ -84,6 +89,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    from . import harness
+    from .profiles import get_profile
     scenario = harness.load_scenario(args.scenario)
     profiles = [get_profile(p) for p in args.profiles]
     expect = args.expect_energy_order.split(",") \
@@ -112,6 +119,7 @@ def cmd_proxy(args) -> int:
 
 
 def cmd_profiles(_args) -> int:
+    from .profiles import list_profiles
     for name in list_profiles():
         print(name)
     return 0

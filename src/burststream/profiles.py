@@ -16,10 +16,7 @@ from pathlib import Path
 from typing import List, Union
 
 from .energy import DrxConfig, FastDormancy, RadioProfile, Technology
-
-
-class ConfigError(ValueError):
-    """Bad profile or scenario configuration."""
+from .errors import ConfigError
 
 
 def _data_dir():

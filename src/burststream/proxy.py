@@ -10,10 +10,13 @@ advertisement, and the byte count accepted up to that point is the
 SentBytes estimate of the client's buffer. The session thread reads each
 send's bytes from the origin itself, just before the send, so the origin
 is flow-controlled by the same backpressure and no copy of the body is
-kept beyond the send in hand. A read that does not end the body also
-measures the origin's fill rate, which caps the bandwidth estimate; what
-is left at the end is drained. Every decision is the controller's, as in
-the simulation (``tests/test_proxy.py::TestSharedCore`` replays both).
+kept beyond the send in hand. That send is one buffer: the origin is read
+straight into it, after the bytes the previous send left unaccepted, and
+the writes take views of it, so each byte is held once and only unaccepted
+leftovers are copied. A read that does not end the body also measures
+the origin's fill rate, which caps the bandwidth estimate; what is left at
+the end is drained. Every decision is the controller's, as in the
+simulation (``tests/test_proxy.py::TestSharedCore`` replays both).
 
 Raw ACK capture would need privileged packet access; backpressure sensing
 needs none and provides the same two facts (buffer full, bytes accepted).
@@ -29,6 +32,7 @@ import select
 import socket
 import threading
 import time
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 from typing import List, Optional, Tuple
@@ -58,29 +62,32 @@ class SessionConfig:
             raise ValueError("fast_start_seconds must be > 0")
 
 
-def _read_body(response: http.client.HTTPResponse,
-               nbytes: int) -> Tuple[bytes, Optional[Exception]]:
-    """Up to ``nbytes`` of the origin body, and the error that ended the
-    body, if one did. Fewer bytes than asked mean the body has ended; once
-    it has, every later call returns nothing. Reads take at most 64 KiB
-    each, so an error mid-body loses no byte read before it."""
-    chunks: List[bytes] = []
-    got = 0
+def _read_body(response: http.client.HTTPResponse, buf: bytearray,
+               got: int) -> Tuple[int, Optional[Exception]]:
+    """Fill ``buf`` with the origin body past its first ``got`` bytes, the
+    bytes already in hand; return the count in hand after, and the error
+    that ended the body, if one did. A count short of ``len(buf)`` means
+    the body has ended; once it has, every later call adds nothing. Reads
+    take at most 64 KiB each, so an error mid-body loses no byte read
+    before it."""
+    view = memoryview(buf)
     try:
-        while got < nbytes and not response.isclosed():
-            chunk = response.read(min(nbytes - got, 65536))
-            if not chunk:
+        while got < len(buf) and not response.isclosed():
+            n = response.readinto(view[got:got + 65536])
+            if not n:
                 if response.length:
                     # http.client ends a short body quietly; the bytes it
                     # still expected mean the origin cut the stream
                     raise http.client.IncompleteRead(b"", response.length)
                 break
-            chunks.append(chunk)
-            got += len(chunk)
+            got += n
     except (OSError, http.client.HTTPException) as exc:
         response.close()
-        return b"".join(chunks), exc
-    return b"".join(chunks), None
+        # the session report keeps the error: without its frames, which
+        # hold the whole send buffer
+        exc.__traceback__ = exc.__context__ = None
+        return got, exc
+    return got, None
 
 
 @dataclass
@@ -111,9 +118,8 @@ class _BackpressureWriter:
         self.credit_bps = credit_bps
         sock.setblocking(False)
 
-    def write_burst(self, data: bytes, abort_on_zwa: bool = True,
+    def write_burst(self, view: memoryview, abort_on_zwa: bool = True,
                     stop: Optional[threading.Event] = None) -> _WriteResult:
-        view = memoryview(data)
         sent = 0
         blocked = 0.0
         zwa = False
@@ -287,14 +293,26 @@ class ShapingProxy:
         head = self._read_request_head(conn)
         host, port, path = self._resolve_origin(head)
 
-        origin = http.client.HTTPConnection(host, port, timeout=30)
-        origin.request("GET", path)
-        response = origin.getresponse()
+        with closing(http.client.HTTPConnection(host, port,
+                                                timeout=30)) as origin:
+            origin.request("GET", path)
+            with origin.getresponse() as response:
+                self._relay(conn, addr, response, f"{host}:{port}")
+
+    def _relay(self, conn: socket.socket, addr,
+               response: http.client.HTTPResponse, origin_name: str) -> None:
+        """Relay the origin's head, then its body in shaped sends."""
+        cfg = self.config
         if response.status != 200:
             conn.sendall(f"HTTP/1.1 {response.status} "
                          f"{response.reason}\r\n\r\n".encode())
             return
-        r_s = self._discover_rate(response)
+        try:
+            r_s = self._discover_rate(response)
+        except ProxyError:
+            conn.sendall(b"HTTP/1.1 502 Bad Gateway\r\nContent-Length: 0"
+                         b"\r\nConnection: close\r\n\r\n")
+            raise
 
         head_lines = [f"HTTP/1.1 {response.status} {response.reason}"]
         for name, value in response.getheaders():
@@ -325,15 +343,10 @@ class ShapingProxy:
             error = origin_errors[0] if origin_errors else None
             report["origin_error"] = error
             if error is not None:
-                log.warning("origin %s:%s failed mid-body for %s: %r",
-                            host, port, addr, error)
+                log.warning("origin %s failed mid-body for %s: %r",
+                            origin_name, addr, error)
             report["rows"] = list(shaper.burst_log)
             self._flush_log(shaper)
-            try:
-                response.close()
-                origin.close()
-            except OSError:
-                pass
 
     def _shape_stream(self, writer: _BackpressureWriter,
                       response: http.client.HTTPResponse,
@@ -347,10 +360,11 @@ class ShapingProxy:
         Each send's bytes are read from the origin right after the previous
         write, before the wait for the send's time, so the origin is paced
         by the client's backpressure and a fast origin's bursts leave on
-        time.
+        time. They are read into one buffer per send, after the bytes the
+        previous send left unaccepted, and written from views of it.
         """
         t0 = time.monotonic()
-        pending = b""          # read from the origin, not yet accepted
+        pending = memoryview(b"")   # read from the origin, not yet accepted
         sent_cum = 0
         burst_ids = itertools.count()
         send = controller.start()
@@ -358,29 +372,44 @@ class ShapingProxy:
             size = max(math.ceil(send.size_bytes), 1)
             fill_bps = None
             if len(pending) < size:
+                held = len(pending)
+                if response.length is None:
+                    # a body of unknown length may end far short of the
+                    # send: its buffer starts at 1 MiB and doubles as it fills
+                    want = size
+                    buf = bytearray(min(size, held + (1 << 20)))
+                else:
+                    want = min(size, held + response.length)
+                    buf = bytearray(want)
+                buf[:held] = pending
+                pending = memoryview(buf)   # frees the last send's buffer
                 pull_start = time.monotonic()
-                data, error = _read_body(response, size - len(pending))
+                got, error = _read_body(response, buf, held)
+                while got == len(buf) < want and not response.isclosed():
+                    buf = buf + bytes(min(len(buf), want - len(buf)))
+                    got, error = _read_body(response, buf, got)
                 if error is not None:
                     origin_errors.append(error)
                 elif not response.isclosed():
                     # the body goes on, so the origin may be the bottleneck:
                     # its fill rate caps the end-to-end estimate
-                    fill_bps = len(data) * 8.0 / max(
+                    fill_bps = (got - held) * 8.0 / max(
                         time.monotonic() - pull_start, 1e-6)
-                pending += data
+                pending = memoryview(buf)[:got]
             if not pending:
                 break                    # the origin is done
             delay = t0 + send.at_s - time.monotonic()
             if delay > 0 and self._stop.wait(timeout=delay):
                 break
-            data = pending[:size]
-            wr = writer.write_burst(data, abort_on_zwa=send.abort_on_zwa,
+            burst = min(size, len(pending))
+            wr = writer.write_burst(pending[:burst],
+                                    abort_on_zwa=send.abort_on_zwa,
                                     stop=self._stop)
             pending = pending[wr.accepted:]
             # socket backpressure stands in for the ACK stream
             obs = BurstObservation(
-                next(burst_ids), len(data), sent_cum, wr.start, wr.start,
-                wr.end, wr.accepted, wr.accepted >= len(data), wr.zwa,
+                next(burst_ids), burst, sent_cum, wr.start, wr.start,
+                wr.end, wr.accepted, wr.accepted >= burst, wr.zwa,
                 wr.end if wr.zwa else None, wr.accepted_at_zwa)
             sent_cum += wr.accepted
             est = wr.accepted * 8.0 / max(wr.end - wr.start, 1e-6)

@@ -8,16 +8,19 @@ throttled-origin tests carry the integration marker (run them with
 import copy
 import http.client
 import http.server
+import random
 import socket
 import struct
 import threading
 import time
+import tracemalloc
 
 import pytest
 
 from burststream import (BandwidthTrace, Phase, QualityLevel, Shaper,
                          SimulatedSession, StreamingClient, StreamSpec)
-from burststream.proxy import ProxyError, SessionConfig, ShapingProxy
+from burststream.proxy import (ProxyError, SessionConfig, ShapingProxy,
+                               _read_body)
 from burststream.shaper import ShapingController
 
 
@@ -25,13 +28,18 @@ class _Origin(http.server.ThreadingHTTPServer):
     daemon_threads = True
 
     def __init__(self, content_bytes, bitrate_bps, rate_cap_bps=None,
-                 truncate_at=None, reset_at=None):
+                 truncate_at=None, reset_at=None, stream_info=None,
+                 distinct=False, chunked=False):
         self.content_bytes = content_bytes
         self.bitrate_bps = bitrate_bps
         self.rate_cap_bps = rate_cap_bps
         self.truncate_at = truncate_at   # close after this many body bytes
         self.reset_at = reset_at         # the same, by a reset, only once
+        self.stream_info = stream_info   # X-Stream-Info, if not the default
+        self.distinct = distinct         # a body of distinct bytes
+        self.chunked = chunked           # the same, chunked, no length
         self.handler_threads = set()
+        self.peer_closed = threading.Event()   # a body write failed
         super().__init__(("127.0.0.1", 0), _OriginHandler)
 
     def shutdown(self):
@@ -50,12 +58,19 @@ class _OriginHandler(http.server.BaseHTTPRequestHandler):
         total = self.server.content_bytes
         self.send_response(200)
         self.send_header("Content-Type", "video/mp4")
-        self.send_header("Content-Length", str(total))
         duration = total * 8 / self.server.bitrate_bps
-        self.send_header("X-Stream-Info",
-                         f"duration={duration:g};"
-                         f"bitrate={self.server.bitrate_bps:g};seconds=0-")
+        info = self.server.stream_info or (
+            f"duration={duration:g};"
+            f"bitrate={self.server.bitrate_bps:g};seconds=0-")
+        self.send_header("X-Stream-Info", info)
+        if self.server.chunked:
+            self._send_chunked(_distinct_bytes(total))
+            return
+        self.send_header("Content-Length", str(total))
         self.end_headers()
+        if self.server.distinct:
+            self.wfile.write(_distinct_bytes(total))
+            return
         chunk = b"x" * 65536
         sent = 0
         start = time.monotonic()
@@ -72,6 +87,7 @@ class _OriginHandler(http.server.BaseHTTPRequestHandler):
             try:
                 self.wfile.write(chunk[:n])
             except (BrokenPipeError, ConnectionResetError):
+                self.server.peer_closed.set()
                 return
             sent += n
             if self.server.rate_cap_bps:
@@ -79,6 +95,15 @@ class _OriginHandler(http.server.BaseHTTPRequestHandler):
                 sleep = should_take - (time.monotonic() - start)
                 if sleep > 0:
                     time.sleep(sleep)
+
+    def _send_chunked(self, body, chunk_bytes=10007):
+        """``body`` in chunks whose edges fall inside the proxy's reads."""
+        self.send_header("Transfer-Encoding", "chunked")
+        self.end_headers()
+        for i in range(0, len(body), chunk_bytes):
+            piece = body[i:i + chunk_bytes]
+            self.wfile.write(b"%x\r\n%s\r\n" % (len(piece), piece))
+        self.wfile.write(b"0\r\n\r\n")
 
     def _reset(self):
         """Abort the connection with a reset once the proxy has read what
@@ -90,6 +115,12 @@ class _OriginHandler(http.server.BaseHTTPRequestHandler):
                                    struct.pack("ii", 1, 0))
         self.rfile.close()        # the socket closes with its last file
         self.connection.close()
+
+
+def _distinct_bytes(n):
+    """``n`` seeded random bytes: a byte moved, lost or zeroed changes
+    them."""
+    return random.Random(n).randbytes(n)
 
 
 class _DrainingReader(threading.Thread):
@@ -683,6 +714,165 @@ class TestProxyConvergence:
                         break
             assert saw_low_bw, "origin starvation never engaged fallback"
             sock.close()
+        finally:
+            proxy.close()
+            origin.shutdown()
+
+
+class _CountingResponse:
+    """The part of ``http.client.HTTPResponse`` that ``_read_body`` uses,
+    over ``body`` declared ``declared`` bytes long; it records the size of
+    each ``readinto`` and, like http.client, closes at the declared end or
+    at an early end of the stream."""
+
+    def __init__(self, body, declared=None):
+        self.body = body
+        self.pos = 0
+        self.length = len(body) if declared is None else declared
+        self.reads = []
+        self.closed = False
+
+    def isclosed(self):
+        return self.closed
+
+    def close(self):
+        self.closed = True
+
+    def readinto(self, b):
+        self.reads.append(len(b))
+        n = min(len(b), self.length, len(self.body) - self.pos)
+        b[:n] = self.body[self.pos:self.pos + n]
+        self.pos += n
+        self.length -= n
+        if (not n and len(b)) or not self.length:
+            self.closed = True
+        return n
+
+
+class TestReadBody:
+    """``_read_body`` fills the send's buffer in place, in reads of at
+    most 64 KiB."""
+
+    def test_fills_after_the_bytes_in_hand(self):
+        body = _distinct_bytes(300_000)
+        response = _CountingResponse(body + b"more")
+        buf = bytearray(b"held") + bytearray(len(body))
+        got, error = _read_body(response, buf, 4)
+        assert (got, error) == (len(buf), None)
+        assert buf == b"held" + body
+        assert response.reads and max(response.reads) <= 65536
+        assert len(response.reads) == -(-len(body) // 65536)
+        assert not response.isclosed()         # the body goes on
+
+    def test_short_body_keeps_its_bytes(self):
+        body = _distinct_bytes(100_000)
+        response = _CountingResponse(body, declared=300_000)
+        buf = bytearray(300_000)
+        got, error = _read_body(response, buf, 0)
+        assert got == len(body) and buf[:got] == body
+        assert isinstance(error, http.client.IncompleteRead)
+        assert error.expected == 200_000
+        # the error outlives the session in its report, so it must not
+        # pin the send buffer through the frames of its traceback
+        assert error.__traceback__ is None and error.__context__ is None
+        assert response.isclosed()
+        assert max(response.reads) <= 65536
+        # the body has ended: a later call adds nothing
+        assert _read_body(response, bytearray(10), 0) == (0, None)
+
+
+class TestOriginHeads:
+    def test_chunked_body_arrives_whole(self):
+        # no Content-Length: the proxy reads the chunked body through
+        # http.client into its send buffers, across more than one send
+        total = 1_500_000
+        origin = _serve(_Origin(total, 8e6, chunked=True))
+        proxy, addr = _start_proxy(origin, fast_start_seconds=1.0,
+                                   granularity_s=0.5)
+        try:
+            with _connect(addr) as sock:
+                head, first = _read_head(sock)
+                body = bytearray(first)
+                sock.settimeout(15.0)
+                while data := sock.recv(65536):
+                    body += data
+            assert "transfer-encoding" not in head.lower()
+            assert body == _distinct_bytes(total)
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline and \
+                    not (proxy.sessions and
+                         "origin_error" in proxy.sessions[0]):
+                time.sleep(0.05)
+            assert proxy.sessions[0]["origin_error"] is None
+            # a burst row: the body went out in a send after the Fast Start
+            assert proxy.sessions[0]["rows"]
+        finally:
+            proxy.close()
+            origin.shutdown()
+
+    def test_short_body_of_unknown_length_costs_no_whole_send(self):
+        # a 60 s Fast Start at 8 Mbit/s asks for 60 MB, but the chunked
+        # body ends at 3 MB: its buffer grows with the body instead
+        total = 3_000_000
+        origin = _serve(_Origin(total, 8e6, chunked=True))
+        proxy, addr = _start_proxy(origin, fast_start_seconds=60.0)
+        tracemalloc.start()
+        try:
+            with _connect(addr) as sock:
+                _, first = _read_head(sock)
+                body = bytearray(first)
+                sock.settimeout(15.0)
+                while data := sock.recv(1 << 20):
+                    body += data
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            proxy.close()
+            origin.shutdown()
+        assert body == _distinct_bytes(total)
+        assert peak < 30_000_000
+
+    def test_bytes_left_at_a_zero_window_arrive_intact(self):
+        # the client reads nothing for a second, so the Fast Start stops at
+        # a zero window; what it left is copied into later sends' buffers
+        # and must reach the client unchanged and in order
+        total = 2_000_000
+        origin = _serve(_Origin(total, 8e6, distinct=True))
+        proxy, addr = _start_proxy(origin, fast_start_seconds=20.0,
+                                   backpressure_s=0.2, sndbuf_bytes=65536)
+        try:
+            with _connect(addr, rcvbuf=65536) as sock:
+                _, first = _read_head(sock)
+                time.sleep(1.0)
+                body = bytearray(first)
+                sock.settimeout(15.0)
+                while data := sock.recv(65536):
+                    body += data
+            assert "fast_start_zwa" in \
+                proxy.sessions[0]["shaper"].decision_log[0]
+            assert body == _distinct_bytes(total)
+        finally:
+            proxy.close()
+            origin.shutdown()
+
+    @pytest.mark.parametrize("info", ["duration=eighty;seconds=0-",
+                                      "seconds=0-"])
+    def test_unusable_head_is_a_bad_gateway(self, info):
+        # a malformed X-Stream-Info, or one without any rate: the client
+        # gets a 502 and the proxy hangs up on the origin, whose body
+        # (far more than the socket buffers hold) then fails to send
+        origin = _serve(_Origin(64_000_000, 4e6, stream_info=info))
+        proxy, addr = _start_proxy(origin)
+        try:
+            with _connect(addr) as sock:
+                sock.settimeout(10.0)
+                reply = b""
+                while data := sock.recv(65536):
+                    reply += data
+            assert reply == (b"HTTP/1.1 502 Bad Gateway\r\n"
+                             b"Content-Length: 0\r\nConnection: close\r\n\r\n")
+            assert origin.peer_closed.wait(5.0)
+            assert not proxy.sessions
         finally:
             proxy.close()
             origin.shutdown()
