@@ -46,8 +46,17 @@ def _parse_grid(text: str) -> List[float]:
 
 
 def _parse_listen(text: str):
+    """``host:port`` (host defaults to 127.0.0.1); the port is an integer
+    in 0-65535, 0 picking a free one."""
     host, _, port = text.rpartition(":")
-    return (host or "127.0.0.1", int(port))
+    try:
+        number = int(port)
+    except ValueError:
+        raise ConfigError(f"--listen {text!r}: port must be an integer") \
+            from None
+    if not 0 <= number <= 65535:
+        raise ConfigError(f"--listen {text!r}: port must be in 0-65535")
+    return (host or "127.0.0.1", number)
 
 
 def cmd_run(args) -> int:

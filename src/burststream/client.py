@@ -12,7 +12,10 @@ records its fluid pieces and its explicit ACKs (each zero-window pin and the
 final cumulative ACK). From these it offers two views of the ACK stream:
 ``DeliveryResult.feedback``, the breakpoint ACKs the profiler needs, and
 ``DeliveryResult.acks``, the exact per-segment stream, expanded only when
-read. Both views come from one segment-ACK formula.
+read. Both views come from one segment-ACK formula: ``feedback`` evaluates
+it inline for each piece's first and last segment (and bisects for a
+zero-window onset inside a piece), so a delivery's breakpoint ACKs cost a
+few tuples, not one object per segment. An ``AckEvent`` is a named tuple.
 """
 
 from __future__ import annotations
@@ -27,8 +30,23 @@ class DeliveryOrderError(ValueError):
     """A delivery was scheduled before the client's current clock."""
 
 
-@dataclass(frozen=True)
-class AckEvent:
+def _clamp(x: float, hi: float) -> float:
+    """``min(max(x, 0.0), hi)``, NaN and -0.0 included; the builtins cost
+    more than the comparisons on this path."""
+    if 0.0 > x:
+        x = 0.0
+    return hi if hi < x else x
+
+
+def _nonneg(x: float) -> float:
+    """``max(x, 0.0)``, NaN and -0.0 included."""
+    return 0.0 if 0.0 > x else x
+
+
+class AckEvent(NamedTuple):
+    """One ACK: its arrival time, the cumulative bytes it acknowledges and
+    the window it advertises."""
+
     time_s: float
     cum_ack_bytes: float
     advertised_window_bytes: float
@@ -79,8 +97,8 @@ class SegmentAcks(Sequence):
         out = []
         for k in ks:
             dt = (k * seg - cum0) / fill
-            occ = min(max(occ0 + net * dt, 0.0), cap)
-            out.append(AckEvent(t0 + dt, float(k * seg), max(cap - occ, 0.0)))
+            occ = _clamp(occ0 + net * dt, cap)
+            out.append(AckEvent(t0 + dt, float(k * seg), _nonneg(cap - occ)))
         return out
 
     def _part_len(self, part: Union[FluidPiece, AckEvent]) -> int:
@@ -131,32 +149,44 @@ class SegmentAcks(Sequence):
         byte, they yield the same observation as the whole stream: it keeps
         the first and the last ACK, the highest cumulative ACK, and the
         first zero-window ACK. Within a piece the window is monotone, so
-        that ACK is the piece's first one or found by bisection.
+        that ACK is the piece's first one or found by bisection. The first
+        and last ACK of a piece are computed here with the formula of
+        ``_segment_acks``.
         """
+        seg, cap = self.segment_bytes, self.capacity_bytes
+        floor = math.floor
         out: List[AckEvent] = []
         for part in self.parts:
             if isinstance(part, AckEvent):
                 out.append(part)
                 continue
-            ks = self._segments(part)
-            if not ks:
+            t0, cum0, occ0, fill, net, moved = part
+            k0 = floor(cum0 / seg) + 1
+            k1 = floor((cum0 + moved) / seg)
+            if k1 < k0:
                 continue
-            first, last = self._segment_acks(part, (ks[0], ks[-1]))
+            dt = (k0 * seg - cum0) / fill
+            occ = _clamp(occ0 + net * dt, cap)
+            first = AckEvent(t0 + dt, float(k0 * seg), _nonneg(cap - occ))
             out.append(first)
+            if k1 == k0:
+                continue
+            dt = (k1 * seg - cum0) / fill
+            occ = _clamp(occ0 + net * dt, cap)
+            last = AckEvent(t0 + dt, float(k1 * seg), _nonneg(cap - occ))
             if first.advertised_window_bytes > 0 >= \
                     last.advertised_window_bytes:
-                lo, hi = 1, len(ks) - 1   # ks[hi] is zero-window, ks[0] not
+                lo, hi = k0 + 1, k1   # segment hi is zero-window, k0 not
                 while lo < hi:
                     mid = (lo + hi) // 2
-                    ack, = self._segment_acks(part, (ks[mid],))
+                    ack, = self._segment_acks(part, (mid,))
                     if ack.advertised_window_bytes <= 0:
                         hi = mid
                     else:
                         lo = mid + 1
-                if lo < len(ks) - 1:
-                    out.extend(self._segment_acks(part, (ks[lo],)))
-            if len(ks) > 1:
-                out.append(last)
+                if lo < k1:
+                    out.extend(self._segment_acks(part, (lo,)))
+            out.append(last)
         return out
 
 
@@ -240,10 +270,6 @@ class StreamingClient:
     def playback_complete(self) -> bool:
         return self.playback_position_s >= self.content_duration_s - 1e-12
 
-    def _draining(self) -> bool:
-        return (self.playback_started and not self._stalled
-                and not self.playback_complete and self.occupancy_bytes > 0)
-
     # -- clock ----------------------------------------------------------
 
     def advance(self, to_s: float) -> None:
@@ -251,17 +277,26 @@ class StreamingClient:
         when it runs dry."""
         if to_s < self.now_s - 1e-12:
             raise DeliveryOrderError("cannot advance backwards")
+        drain = self.drain_rate_bps / 8.0
+        complete_at = self.content_duration_s - 1e-12
         while to_s > self.now_s + 1e-15:
-            if not self._draining():
+            occ = self.occupancy_bytes
+            # drains only while playing, not stalled or complete, non-empty
+            if not self.playback_started or self._stalled or \
+                    self.playback_position_s >= complete_at or not occ > 0:
                 self.now_s = to_s
                 break
             dt = to_s - self.now_s
-            dt_empty = self.occupancy_bytes / self.drain_bytes_per_s
+            dt_empty = occ / drain
             dt_done = self.content_duration_s - self.playback_position_s
-            step = min(dt, dt_empty, dt_done)
+            step = dt    # min(dt, dt_empty, dt_done)
+            if dt_empty < step:
+                step = dt_empty
+            if dt_done < step:
+                step = dt_done
             self._drain(step)
             self.now_s += step
-            if not self.playback_complete and \
+            if not self.playback_position_s >= complete_at and \
                     self.occupancy_bytes <= self._eps and \
                     step >= dt_empty - 1e-15:
                 self.occupancy_bytes = 0.0
@@ -269,7 +304,7 @@ class StreamingClient:
 
     def _drain(self, dt: float) -> None:
         taken = dt * self.drain_bytes_per_s
-        self.occupancy_bytes = max(self.occupancy_bytes - taken, 0.0)
+        self.occupancy_bytes = _nonneg(self.occupancy_bytes - taken)
         self.total_drained_bytes += taken
         self.playback_position_s += dt
 
@@ -325,109 +360,124 @@ class StreamingClient:
         first_zwa_t: Optional[float] = None
         bytes_at_zwa: Optional[float] = None
         aborted = False
-        start_clock = self.now_s
         eps = self._eps
+        capacity = self.capacity_bytes
+        drain = self.drain_rate_bps / 8.0
+        startup = self.startup_bytes
+        resume_at = min(self.resume_bytes, capacity) - eps
+        content_s = self.content_duration_s
+        complete_at = content_s - 1e-12
+        # the clock, occupancy, cumulative bytes, playback position and
+        # startup flag live in locals during the loop and are written back
+        # however it ends; the stall flag stays on self
+        start_clock = now = self.now_s
+        occ = self.occupancy_bytes
+        cum = self.total_delivered_bytes
+        pos = self.playback_position_s
+        started = self.playback_started
+        try:
+            while remaining > eps:
+                # normalize threshold flags so no breakpoint sits at dt == 0
+                if not started and occ >= startup - eps:
+                    started = True
+                if self._stalled and occ >= resume_at:
+                    self._close_stall(now)
 
-        while remaining > eps:
-            # normalize threshold flags so no breakpoint sits at dt == 0
-            if not self.playback_started and \
-                    self.occupancy_bytes >= self.startup_bytes - eps:
-                self.playback_started = True
-            if self._stalled and self.occupancy_bytes >= \
-                    min(self.resume_bytes, self.capacity_bytes) - eps:
-                self._close_stall(self.now_s)
+                pinned = occ >= capacity - eps
+                can_play = started and not pos >= complete_at
+                if pinned:
+                    if not can_play:
+                        raise RuntimeError("delivery cannot progress: buffer "
+                                           "full and playback finished")
+                    occ = capacity
+                    piece_drains = True
+                    fill = drain  # enters as playback frees space
+                    net = 0.0
+                else:
+                    # supply below the encoding rate on an empty buffer: the
+                    # player cannot keep running, a stall opens immediately
+                    if can_play and not self._stalled and occ <= eps and \
+                            rate < drain:
+                        occ = max(occ, 0.0)
+                        self._open_stall(now)
+                    piece_drains = can_play and not self._stalled
+                    fill = rate
+                    net = fill - (drain if piece_drains else 0.0)
 
-            pinned = self.occupancy_bytes >= self.capacity_bytes - eps
-            can_play = self.playback_started and not self.playback_complete
-            if pinned:
-                if not can_play:
-                    raise RuntimeError("delivery cannot progress: buffer "
-                                       "full and playback finished")
-                self.occupancy_bytes = self.capacity_bytes
-                piece_drains = True
-                fill = self.drain_bytes_per_s  # enters as playback frees space
-                net = 0.0
-            else:
-                # supply below the encoding rate on an empty buffer: the
-                # player cannot keep running, a stall opens immediately
-                if can_play and not self._stalled and \
-                        self.occupancy_bytes <= eps and \
-                        rate < self.drain_bytes_per_s:
-                    self.occupancy_bytes = max(self.occupancy_bytes, 0.0)
-                    self._open_stall(self.now_s)
-                piece_drains = can_play and not self._stalled
-                fill = rate
-                net = fill - (self.drain_bytes_per_s if piece_drains else 0.0)
+                # closed-form time to the next breakpoint: the running
+                # minimum of the candidate steps, then at least 0.0, as
+                # max(0.0, min(steps)) gives it
+                dt = remaining / fill
+                if not pinned and net > 1e-15:
+                    step = (capacity - occ) / net
+                    if step < dt:
+                        dt = step
+                if not started:
+                    step = (startup - occ) / fill
+                    if step < dt:
+                        dt = step
+                if self._stalled:
+                    step = (self.resume_bytes - occ) / fill
+                    if step < dt:
+                        dt = step
+                if piece_drains:
+                    step = content_s - pos
+                    if step < dt:
+                        dt = step
+                    if net < -1e-15:
+                        step = occ / -net
+                        if step < dt:
+                            dt = step
+                if not dt > 0.0:
+                    dt = 0.0
 
-            # closed-form time to the next breakpoint
-            steps = [remaining / fill]
-            if not pinned and net > 1e-15:
-                steps.append((self.capacity_bytes - self.occupancy_bytes)
-                             / net)
-            if not self.playback_started:
-                steps.append((self.startup_bytes - self.occupancy_bytes)
-                             / fill)
-            if self._stalled:
-                steps.append((self.resume_bytes - self.occupancy_bytes)
-                             / fill)
-            if piece_drains:
-                steps.append(self.content_duration_s -
-                             self.playback_position_s)
-                if net < -1e-15:
-                    steps.append(self.occupancy_bytes / -net)
-            dt = max(0.0, min(steps))
+                t0, cum0, occ0 = now, cum, occ
+                moved = fill * dt
+                if piece_drains:    # _drain(dt); occupancy is set below
+                    self.total_drained_bytes += dt * drain
+                    pos += dt
+                occ = capacity if pinned else _clamp(occ0 + net * dt, capacity)
+                cum += moved
+                delivered += moved
+                remaining -= moved
+                now = t0 + dt
 
-            t0 = self.now_s
-            cum0 = self.total_delivered_bytes
-            occ0 = self.occupancy_bytes
-            moved = fill * dt
-            if piece_drains:
-                self._drain(dt)
-            self.occupancy_bytes = (self.capacity_bytes if pinned
-                                    else min(max(occ0 + net * dt, 0.0),
-                                             self.capacity_bytes))
-            self.total_delivered_bytes += moved
-            delivered += moved
-            remaining -= moved
-            self.now_s = t0 + dt
+                if moved > 0:
+                    parts.append(FluidPiece(t0, cum0, occ0, fill,
+                                            0.0 if pinned else net, moved))
 
-            if moved > 0:
-                parts.append(FluidPiece(t0, cum0, occ0, fill,
-                                        0.0 if pinned else net, moved))
-
-            # breakpoint bookkeeping, in priority order
-            if not self.playback_started and \
-                    self.occupancy_bytes >= self.startup_bytes - eps:
-                self.playback_started = True
-            if self._stalled and self.occupancy_bytes >= \
-                    min(self.resume_bytes, self.capacity_bytes) - eps:
-                self._close_stall(self.now_s)
-            if piece_drains and not pinned and net < -1e-15 \
-                    and self.occupancy_bytes <= eps:
-                self.occupancy_bytes = 0.0
-                self._open_stall(self.now_s)
-            if not pinned and \
-                    self.occupancy_bytes >= self.capacity_bytes - eps:
-                self.occupancy_bytes = self.capacity_bytes
-                zwa_episodes += 1
-                if first_zwa_t is None:
-                    first_zwa_t = self.now_s
-                    bytes_at_zwa = delivered
-                parts.append(AckEvent(self.now_s, self.total_delivered_bytes,
-                                      0.0))
-                if abort_on_zwa:
-                    aborted = True
-                    break
-            if dt <= 0 and moved <= 0:
-                raise RuntimeError("fluid delivery made no progress")
+                # breakpoint bookkeeping, in priority order
+                if not started and occ >= startup - eps:
+                    started = True
+                if self._stalled and occ >= resume_at:
+                    self._close_stall(now)
+                if piece_drains and not pinned and net < -1e-15 \
+                        and occ <= eps:
+                    occ = 0.0
+                    self._open_stall(now)
+                if not pinned and occ >= capacity - eps:
+                    occ = capacity
+                    zwa_episodes += 1
+                    if first_zwa_t is None:
+                        first_zwa_t = now
+                        bytes_at_zwa = delivered
+                    parts.append(AckEvent(now, cum, 0.0))
+                    if abort_on_zwa:
+                        aborted = True
+                        break
+                if dt <= 0 and moved <= 0:
+                    raise RuntimeError("fluid delivery made no progress")
+        finally:
+            self.now_s, self.occupancy_bytes = now, occ
+            self.total_delivered_bytes, self.playback_position_s = cum, pos
+            self.playback_started = started
 
         # final cumulative ACK so the profiler sees the burst end
-        acks = SegmentAcks(parts, self.segment_bytes, self.capacity_bytes)
+        acks = SegmentAcks(parts, self.segment_bytes, capacity)
         if delivered > 0:
             last = acks.last_cum_ack()
-            if last is None or last < self.total_delivered_bytes - 1e-9:
-                parts.append(AckEvent(self.now_s, self.total_delivered_bytes,
-                                      self.advertised_window_bytes))
-        return DeliveryResult(acks, delivered, start_clock, self.now_s,
+            if last is None or last < cum - 1e-9:
+                parts.append(AckEvent(now, cum, capacity - occ))
+        return DeliveryResult(acks, delivered, start_clock, now,
                               zwa_episodes, first_zwa_t, bytes_at_zwa,
                               aborted)

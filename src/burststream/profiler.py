@@ -76,21 +76,25 @@ class TrafficProfiler:
 
     def ingest(self, ack: AckEvent) -> Optional[BurstObservation]:
         """Feed one ACK; returns the observation once the burst completes."""
-        if ack.cum_ack_bytes < self._last_cum_ack - 1e-9:
+        time_s, cum, window = ack
+        if cum < self._last_cum_ack - 1e-9:
             raise FeedError("cumulative ack regressed")
-        self._last_cum_ack = max(self._last_cum_ack, ack.cum_ack_bytes)
+        if cum > self._last_cum_ack:      # max(last, cum)
+            self._last_cum_ack = cum
         obs = self.current
-        if obs is None or ack.cum_ack_bytes < obs.start_byte - 1e-9:
+        if obs is None or cum < obs.start_byte - 1e-9:
             return None  # predates the current burst
+        start = obs.start_byte
+        end = start + obs.size_bytes      # obs.end_byte
         if obs.first_ack_s is None:
-            obs.first_ack_s = ack.time_s
-        obs.last_ack_s = ack.time_s
-        obs.acked_bytes = min(ack.cum_ack_bytes, obs.end_byte) - obs.start_byte
-        if ack.advertised_window_bytes <= 0 and not obs.zwa_seen:
+            obs.first_ack_s = time_s
+        obs.last_ack_s = time_s
+        obs.acked_bytes = (end if end < cum else cum) - start  # min(cum, end)
+        if window <= 0 and not obs.zwa_seen:
             obs.zwa_seen = True
-            obs.zwa_time_s = ack.time_s
-            obs.sent_bytes_at_first_zwa = ack.cum_ack_bytes - obs.start_byte
-        if not obs.complete and ack.cum_ack_bytes >= obs.end_byte - 1e-9:
+            obs.zwa_time_s = time_s
+            obs.sent_bytes_at_first_zwa = cum - start
+        if not obs.complete and cum >= end - 1e-9:
             obs.complete = True
             return obs
         return None

@@ -9,6 +9,12 @@ integral, the tail-state energy and the ledger of state transitions
 those columns. ``StateTrace.segments`` is a read-only view: a tuple of
 ``StateSegment`` built from the columns each time it is read.
 
+Inside an LTE gap, the DRX cycles that end before the gap does (or before
+the RRC timer expires) are appended to the columns as one run, from list
+comprehensions over the cycle starts; a per-cycle loop emits only the
+partial cycles at the gap's two ends. Both compute each boundary from the
+cycle start the same way, so the run holds the same floats the loop would.
+
 State sets per technology:
   HSPA   DCH -> FACH -> PCH -> IDLE, driven by the T1/T2/T3 inactivity
          timers; fast dormancy short-circuits the cascade.
@@ -381,11 +387,19 @@ def _next_drx_on(dt: float, profile: RadioProfile) -> float:
 
 # receives one tail segment: (start_s, end_s, state)
 _TailSink = Callable[[float, float, RadioState], None]
+# receives a run of whole DRX cycles: (start_s, edges), where ``edges`` holds
+# each cycle's ON end and then its OFF end, and the first ON starts at start_s
+_CycleSink = Callable[[float, List[float]], None]
 
 
-def _emit_lte_gap(out: _TailSink, g0: float, g1: float, t_end: float,
-                  profile: RadioProfile) -> None:
-    """Emit tail segments for the gap [g0, g1) after activity at t_end."""
+def _emit_lte_gap(out: _TailSink, out_cycles: _CycleSink, g0: float,
+                  g1: float, t_end: float, profile: RadioProfile) -> None:
+    """Emit tail segments for the gap [g0, g1) after activity at t_end.
+
+    The per-cycle loop emits the partial DRX cycles at the gap's two ends;
+    each run of whole cycles between them goes to ``out_cycles`` at once,
+    with every boundary computed as the loop computes it.
+    """
     eps = 1e-12
     rrc_abs = t_end + profile.t1_s
     drx = profile.drx
@@ -398,11 +412,35 @@ def _emit_lte_gap(out: _TailSink, g0: float, g1: float, t_end: float,
     if drx is not None:
         cycle, on = drx.cycle_s, drx.on_s
         limit = min(g1, rrc_abs)
+        stop = limit - eps
+        # cycles 0..whole-1 end before the stop. They go out in one run only
+        # where rounding cannot empty a segment or reorder its boundaries:
+        # each ON and OFF window is wider than eps plus a bound on the
+        # rounding of the times involved.
+        whole = 0
+        if min(on, cycle - on) > \
+                eps + 1e-14 * (abs(drx_start) + abs(limit) + cycle):
+            whole = max(int((stop - drx_start) / cycle), 0)
+            while whole > 0 and \
+                    drx_start + (whole - 1) * cycle + cycle >= stop:
+                whole -= 1
+            while drx_start + whole * cycle + cycle < stop:
+                whole += 1
         k = max(int((t - drx_start) / cycle), 0)
-        while t < limit - eps:
+        while t < stop:
             cycle_start = drx_start + k * cycle
             on_end = cycle_start + on
             cycle_end = cycle_start + cycle
+            if t < on_end - eps and k < whole:
+                # the loop would emit each of cycles k..whole-1 as one ON
+                # and one OFF segment, computed as below
+                starts = [drx_start + j * cycle for j in range(k, whole)]
+                edges = [0.0] * (2 * len(starts))
+                edges[0::2] = [cs + on for cs in starts]
+                edges[1::2] = [cs + cycle for cs in starts]
+                out_cycles(t, edges)
+                t, k = edges[-1], whole
+                continue
             if t < on_end - eps:
                 nxt = min(on_end, limit)
                 out(t, nxt, RadioState.CONN_DRX_ON)
@@ -473,25 +511,41 @@ def simulate(trace: ActivityTrace, profile: RadioProfile,
     powers: List[float] = []
     actives: List[bool] = []
     rates: List[Optional[float]] = []
+    add_start, add_end, add_state = starts.append, ends.append, states.append
+    add_power, add_active, add_rate = (powers.append, actives.append,
+                                       rates.append)
 
-    def push(s: float, e: float, state: RadioState,
-             power: Optional[float] = None, active: bool = False,
-             rate: Optional[float] = None) -> None:
-        """Append the segment [s, e) unless it is empty; without a power
-        it is a tail segment at its state's power."""
+    def tail(s: float, e: float, state: RadioState) -> None:
+        """Append the tail segment [s, e) at its state's power, unless it
+        is empty."""
         if e > s:
-            starts.append(s)
-            ends.append(e)
-            states.append(state)
-            powers.append(tail_power[state] if power is None else power)
-            actives.append(active)
-            rates.append(rate)
+            add_start(s)
+            add_end(e)
+            add_state(state)
+            add_power(tail_power[state])
+            add_active(False)
+            add_rate(None)
+
+    drx_states = [RadioState.CONN_DRX_ON, RadioState.CONN_DRX_OFF]
+    drx_powers = [tail_power[state] for state in drx_states]
+
+    def drx_cycles(s: float, edges: List[float]) -> None:
+        """Append a run of whole DRX cycles: ON then OFF for each cycle,
+        each segment starting where the one before it ends."""
+        add_start(s)
+        starts.extend(edges[:-1])
+        ends.extend(edges)
+        cycles = len(edges) // 2
+        states.extend(drx_states * cycles)
+        powers.extend(drx_powers * cycles)
+        actives.extend([False] * len(edges))
+        rates.extend([None] * len(edges))
 
     def emit_gap(g0: float, g1: float, t_end: float) -> None:
         if is_hspa:
-            _emit_hspa_gap(push, g0, g1, t_end, profile)
+            _emit_hspa_gap(tail, g0, g1, t_end, profile)
         else:
-            _emit_lte_gap(push, g0, g1, t_end, profile)
+            _emit_lte_gap(tail, drx_cycles, g0, g1, t_end, profile)
 
     t = 0.0
     last_end: Optional[float] = None
@@ -501,7 +555,7 @@ def simulate(trace: ActivityTrace, profile: RadioProfile,
         i += 1
         eff_start = start
         if last_end is None:
-            push(t, start, RadioState.IDLE)
+            tail(t, start, RadioState.IDLE)
         else:
             if not is_hspa and profile.drx is not None:
                 dt = start - last_end
@@ -524,13 +578,17 @@ def simulate(trace: ActivityTrace, profile: RadioProfile,
         if eff_end > eff_start:
             rate = nbytes * 8.0 / (eff_end - eff_start) \
                 if nbytes is not None else rx_rate_bps
-            push(eff_start, eff_end, active_state,
-                 power_rx(0.0 if rate is None else rate, profile), True, rate)
+            add_start(eff_start)
+            add_end(eff_end)
+            add_state(active_state)
+            add_power(power_rx(0.0 if rate is None else rate, profile))
+            add_active(True)
+            add_rate(rate)
         t = eff_end
         last_end = eff_end
     if t < horizon_s:
         if last_end is None:
-            push(t, horizon_s, RadioState.IDLE)
+            tail(t, horizon_s, RadioState.IDLE)
         else:
             emit_gap(t, horizon_s, last_end)
     if not starts:

@@ -11,6 +11,7 @@ against a client of known buffer size.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
@@ -28,19 +29,17 @@ class BandwidthTrace:
 
     def __post_init__(self) -> None:
         times = [t for t, _ in self.steps]
-        if times != sorted(times):
+        if times != sorted(times) or any(math.isnan(t) for t in times):
             raise ValueError("bandwidth trace times must be increasing")
         if any(bps <= 0 for _, bps in self.steps):
             raise ValueError("bandwidth must be > 0")
+        object.__setattr__(self, "_times", times)
 
     def at(self, t: float) -> float:
-        current = self.steps[0][1]
-        for st, bps in self.steps:
-            if st <= t + 1e-12:
-                current = bps
-            else:
-                break
-        return current
+        """The rate of the last step at or before ``t`` (within 1e-12 s);
+        before the first step, the first step's rate."""
+        i = bisect_right(self._times, t + 1e-12)
+        return self.steps[i - 1 if i else 0][1]
 
     @classmethod
     def flat(cls, bps: float) -> "BandwidthTrace":
@@ -96,8 +95,9 @@ class SimulatedSession:
                                   send_at)
         res = self.client.deliver(size, self.bandwidth.at(send_at), send_at,
                                   abort_on_zwa=send.abort_on_zwa)
+        ingest = self.profiler.ingest
         for ack in res.feedback:
-            self.profiler.ingest(ack)
+            ingest(ack)
         obs = self.profiler.finish_burst()
         delivered = res.delivered_bytes
         if res.end_s > send_at and delivered > 0:
@@ -120,8 +120,9 @@ class SimulatedSession:
             if st.current_quality_index != quality:
                 self.quality_switches.append((now, st.current_quality_index))
                 self.client.set_drain_rate(shaper.r_s_bps)
+            # ``_value_`` is the member's value, read without the property
             self.trajectory.append({
-                "time_s": now, "phase": st.phase.value, "t_s": st.t_s,
+                "time_s": now, "phase": st.phase._value_, "t_s": st.t_s,
                 "t_min_s": st.t_min_s, "t_max_s": st.t_max_s,
                 "t_old_s": st.t_old_s, "bs_opt_bytes": st.bs_opt_bytes,
                 "runway_s": (ctl.content_sent_s

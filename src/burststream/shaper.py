@@ -333,8 +333,9 @@ class Shaper:
                   zwa: bool) -> str:
         st = self.state
         bs_opt = "" if st.bs_opt_bytes is None else f"{st.bs_opt_bytes:.0f}"
+        # ``_value_`` is the member's value, read without the property
         row = (f"{burst_id},{self.r_s_bps:.0f},{t_s:.3f},{nbytes:.0f},"
-               f"{int(zwa)},{bs_opt},{st.phase.value}")
+               f"{int(zwa)},{bs_opt},{st.phase._value_}")
         self.burst_log.append(row)
         return row
 

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from burststream import ConfigError
-from burststream.cli import main, _parse_grid
+from burststream.cli import main, _parse_grid, _parse_listen
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -29,6 +29,30 @@ class TestGridParsing:
     def test_bad_grid_rejected(self, text):
         with pytest.raises(ConfigError):
             _parse_grid(text)
+
+
+class TestListenParsing:
+    def test_host_and_port(self):
+        assert _parse_listen("0.0.0.0:8800") == ("0.0.0.0", 8800)
+        assert _parse_listen(":0") == ("127.0.0.1", 0)
+        assert _parse_listen("::1:65535") == ("::1", 65535)
+
+    @pytest.mark.parametrize("text", [
+        "127.0.0.1:http", "127.0.0.1:", "127.0.0.1", "127.0.0.1:8.5",
+        "127.0.0.1:65536", "127.0.0.1:-1"])
+    def test_bad_port_rejected(self, text):
+        with pytest.raises(ConfigError):
+            _parse_listen(text)
+
+    @pytest.mark.parametrize("text", ["127.0.0.1:http", "127.0.0.1:70000"])
+    def test_proxy_exits_nonzero_with_error_line(self, capsys, text):
+        # fails before any socket is opened
+        assert main(["proxy", "--listen", text]) != 0
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "port" in lines[0]
 
 
 GOOD_GRID = {"--rs": "500000", "--t": "1:10:1", "--b": "1000000"}

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burststream import DeliveryOrderError, StreamingClient
+from burststream import AckEvent, DeliveryOrderError, StreamingClient
 from burststream.client import SegmentAcks
 
 
@@ -12,6 +12,19 @@ def make_client(capacity=4_000_000, r_s=500e3, link=16e6, startup=2.0,
                 **kw):
     return StreamingClient(capacity, r_s, link, startup_threshold_s=startup,
                            **kw)
+
+
+class TestAckEvent:
+    def test_fields_in_order_immutable_and_hashable(self):
+        ack = AckEvent(1.5, 2920.0, 0.0)
+        assert AckEvent._fields == ("time_s", "cum_ack_bytes",
+                                    "advertised_window_bytes")
+        assert (ack.time_s, ack.cum_ack_bytes,
+                ack.advertised_window_bytes) == (1.5, 2920.0, 0.0)
+        with pytest.raises(AttributeError):
+            ack.time_s = 2.0
+        assert ack == AckEvent(1.5, 2920.0, 0.0)
+        assert len({ack, AckEvent(1.5, 2920.0, 0.0)}) == 1
 
 
 class TestDeliver:

@@ -232,3 +232,42 @@ class TestShippedProfiles:
         assert (p.t1_s, p.p_tail_mw) == (0.2, 435.0)
         from burststream import delta_power_rx
         assert delta_power_rx(20e6, p) == pytest.approx(760.0, rel=1e-9)
+
+
+def dip_scenario(dip):
+    """500 kbit/s over a 4 Mbit/s link, with or without a 250 kbit/s dip
+    from 60 to 130 s."""
+    steps = ((0.0, 4e6), (60.0, 250e3), (130.0, 4e6)) if dip \
+        else ((0.0, 4e6),)
+    return Scenario(
+        name="dip", profile=get_profile("hspa-default"),
+        stream=StreamSpec.single(500e3, duration_s=300.0, fast_start_s=30.0),
+        buffer_bytes=10_000_000, bandwidth=BandwidthTrace(steps),
+        session_length_s=300.0)
+
+
+class TestRecoveryAfterADip:
+    def test_without_the_dip_the_search_settles_at_t_max(self):
+        res = run(dip_scenario(False))
+        assert res.session.shaper.state.t_s == pytest.approx(30.0)
+        assert len(res.session.trajectory) == 11
+
+    @pytest.mark.xfail(raises=AssertionError, strict=True,
+                       reason="known defect: on recovery from a "
+                       "low-bandwidth episode on_bandwidth_change restores "
+                       "t_old with t_max set to the drained runway, and the "
+                       "search settles at that runway (2.2 s here) for the "
+                       "rest of the session")
+    def test_recovery_resumes_the_saved_search(self):
+        s = run(dip_scenario(True)).session
+        rows = s.trajectory
+        restored = next(cur for prev, cur in zip(rows, rows[1:])
+                        if prev["phase"] == "LOW_BANDWIDTH"
+                        and cur["phase"] == "SEARCHING")
+        saved = next(row["t_old_s"] for row in rows
+                     if row["phase"] == "LOW_BANDWIDTH")
+        assert restored["t_s"] == saved
+        # the restored interval lies within the search's bound, and the
+        # search ends no lower than where the dip interrupted it
+        assert restored["t_max_s"] >= restored["t_s"]
+        assert s.shaper.state.t_s >= saved

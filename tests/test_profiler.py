@@ -124,13 +124,37 @@ def observe(acks, size, start_byte, send_at):
     return profiler.finish_burst()
 
 
+def picked_from_dense(acks):
+    """The breakpoint ACKs picked out of each part's expanded ACKs: an
+    explicit ACK, and of a piece its first ACK, its first zero-window ACK
+    when that lies strictly inside, and its last ACK."""
+    out = []
+    for part in acks.parts:
+        if isinstance(part, AckEvent):
+            out.append(part)
+            continue
+        dense = acks._segment_acks(part, acks._segments(part))
+        if not dense:
+            continue
+        out.append(dense[0])
+        onset = next((i for i, a in enumerate(dense)
+                      if a.advertised_window_bytes <= 0), None)
+        if onset is not None and 0 < onset < len(dense) - 1:
+            out.append(dense[onset])
+        if len(dense) > 1:
+            out.append(dense[-1])
+    return out
+
+
 def deliver_both_feeds(client, nbytes, rate, at, abort=False):
-    """Deliver one burst; require the breakpoint feed to be a subsequence
-    of the dense stream and to give the profiler the same observation."""
+    """Deliver one burst; require the breakpoint feed to be the ACKs picked
+    from the dense stream, a subsequence of it, and to give the profiler
+    the same observation."""
     start_byte = client.total_delivered_bytes
     res = client.deliver(nbytes, rate, at, abort_on_zwa=abort)
     dense = list(res.acks)
     assert len(res.acks) == len(dense)
+    assert res.feedback == picked_from_dense(res.acks)
     rest = iter(dense)
     assert all(any(ack == d for d in rest) for ack in res.feedback)
     assert observe(res.feedback, nbytes, start_byte, at) == \
@@ -163,20 +187,38 @@ class TestBreakpointFeedback:
             res = deliver_both_feeds(client, nbytes, rate, t, abort)
             t = res.end_s + gap
 
-    def test_zero_window_from_a_middle_segment(self):
+    @pytest.mark.parametrize("net, place", [(5e-10, "second"),
+                                            (1e-12, "middle"),
+                                            (1e-12, "last but one")])
+    def test_zero_window_from_a_middle_segment(self, net, place):
         # occupancy creeps to within rounding of the capacity: the window
         # reads 0 from a middle segment of the piece on, and the feedback
         # carries that segment's ACK as the first zero-window one
         cap, seg = 1e6, 1460
-        acks = SegmentAcks([FluidPiece(0.0, 0.0, cap - 1e-9, float(seg),
-                                       1e-12, 2000.0 * seg)], seg, cap)
+
+        def piece(segments):
+            return SegmentAcks([FluidPiece(0.0, 0.0, cap - 1e-9, float(seg),
+                                           net, segments * float(seg))],
+                               seg, cap)
+
+        def onset_of(acks):
+            return next(i for i, a in enumerate(acks)
+                        if a.advertised_window_bytes <= 0)
+
+        segments = 2000
+        if place == "last but one":
+            segments = onset_of(piece(segments)) + 2
+        acks = piece(segments)
         dense = list(acks)
-        onset = next(i for i, a in enumerate(dense)
-                     if a.advertised_window_bytes <= 0)
+        onset = onset_of(dense)
+        assert onset == {"second": 1, "last but one": len(dense) - 2}.get(
+            place, onset)
         assert 0 < onset < len(dense) - 1
         assert dense[onset] in acks.feedback()
-        assert observe(acks.feedback(), 2000.0 * seg, 0.0, 0.0) == \
-            observe(dense, 2000.0 * seg, 0.0, 0.0)
+        assert acks.feedback() == picked_from_dense(acks)
+        size = segments * float(seg)
+        assert observe(acks.feedback(), size, 0.0, 0.0) == \
+            observe(dense, size, 0.0, 0.0)
 
     @pytest.mark.parametrize("seg", SEGMENT_SIZES)
     def test_pinned_at_start(self, seg):
@@ -257,7 +299,7 @@ def test_seeded_sessions_observe_the_same_bursts_from_both_feeds(
         dense = observe(res.acks, total_bytes, start_byte, start_s)
         sparse = observe(res.feedback, total_bytes, start_byte, start_s)
         bursts.append(dense)
-        if dense != sparse:
+        if dense != sparse or res.feedback != picked_from_dense(res.acks):
             mismatches.append((dense, sparse))
         return res
 

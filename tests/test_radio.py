@@ -1,6 +1,8 @@
 """Radio state-machine tests: cascades, dormancy, DRX, energy, signaling."""
 
+import dataclasses
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,8 @@ from burststream import (ActivityEvent, ActivityTrace, BurstScenario,
                          Technology, TraceError, energy_of, get_profile,
                          list_profiles, power_rx, signaling_of, simulate,
                          tail_energy, tail_states_energy)
-from burststream.energy import FastDormancy, RadioProfile
+from burststream import radio
+from burststream.energy import DrxConfig, FastDormancy, RadioProfile
 
 HSPA = get_profile("hspa-default")
 HSPA_FD = get_profile("hspa-legacy-fd")
@@ -507,3 +510,124 @@ class TestColumnDifferential:
             lines.append(f"{seg.start_s:.6f},{seg.end_s:.6f},"
                          f"{seg.state.value},{seg.power_mw:.6f}")
         assert trace.to_csv() == "\n".join(lines) + "\n"
+
+
+# -- whole DRX cycles in runs against the per-cycle loop ---------------------
+#
+# ``simulate`` appends the whole DRX cycles of a gap as one run. The
+# reference emitter below is the loop that emitted every cycle on its own,
+# one ON and one OFF segment at a time; ``simulate`` with it swapped in must
+# give the same columns, float for float.
+
+def per_cycle_lte_gap(out, out_cycles, g0, g1, t_end, profile):
+    """The LTE tail of the gap [g0, g1), one DRX cycle at a time."""
+    eps = 1e-12
+    rrc_abs = t_end + profile.t1_s
+    drx = profile.drx
+    t = g0
+    drx_start = t_end + drx.idle_s if drx is not None else rrc_abs
+    head = min(drx_start, rrc_abs, g1)
+    if t < head - eps:
+        out(t, head, RadioState.CONNECTED)
+        t = head
+    if drx is not None:
+        cycle, on = drx.cycle_s, drx.on_s
+        limit = min(g1, rrc_abs)
+        k = max(int((t - drx_start) / cycle), 0)
+        while t < limit - eps:
+            cycle_start = drx_start + k * cycle
+            on_end = cycle_start + on
+            cycle_end = cycle_start + cycle
+            if t < on_end - eps:
+                nxt = min(on_end, limit)
+                out(t, nxt, RadioState.CONN_DRX_ON)
+            elif t < cycle_end - eps:
+                nxt = min(cycle_end, limit)
+                out(t, nxt, RadioState.CONN_DRX_OFF)
+            else:
+                k += 1
+                continue
+            t = nxt
+            if t >= cycle_end - eps:
+                k += 1
+    if g1 > rrc_abs + eps and t < g1 - eps:
+        out(max(t, rrc_abs), g1, RadioState.IDLE)
+
+
+def columns(trace):
+    return (trace.start_s, trace.end_s, trace.state, trace.power_mw,
+            trace.active, trace.rate_bps, trace.horizon_s)
+
+
+# a time after the end of the previous activity: in the CONNECTED lead-in,
+# or k DRX cycles after the lead-in, at a cycle start, at an on-window end
+# or anywhere in the cycle, each nudged by -1e-13, 0 or +1e-13
+DRX_POINT = st.tuples(
+    st.one_of(st.just(-1), st.integers(0, 40)),
+    st.sampled_from(["cycle_start", "on_end", "inside"]),
+    st.floats(0.0, 1.0),
+    st.sampled_from([-1e-13, 0.0, 1e-13]))
+
+# (idle_ms, cycle_ms, on_ms) beside the shipped ones: an on-window as long
+# as the cycle, and windows too narrow for a run
+DRX_EDGES = st.sampled_from([None, (750.0, 640.0, 640.0),
+                             (750.0, 640.0, 1e-9), (0.0, 40.0, 40.0 - 1e-9),
+                             (100.0, 40.0, 20.0)])
+
+
+def drx_time(last_end, profile, point):
+    k, where, u, nudge = point
+    drx = profile.drx
+    if k < 0:
+        return last_end + u * drx.idle_s + nudge
+    start = last_end + drx.idle_s + k * drx.cycle_s
+    offset = {"cycle_start": 0.0, "on_end": drx.on_s,
+              "inside": u * drx.cycle_s}[where]
+    return start + offset + nudge
+
+
+class TestDrxRunsDifferential:
+    @given(name=st.sampled_from(["lte-drx-default", "lte-drx-longidle"]),
+           edges=DRX_EDGES, first=st.floats(0.0, 5.0),
+           bursts=st.lists(st.tuples(st.floats(0.0, 2.0), DRX_POINT),
+                           max_size=6),
+           horizon=st.one_of(st.none(), DRX_POINT))
+    @settings(max_examples=300, deadline=None)
+    def test_runs_match_the_per_cycle_loop(self, name, edges, first, bursts,
+                                           horizon):
+        profile = get_profile(name)
+        if edges is not None:
+            profile = dataclasses.replace(profile, drx=DrxConfig(*edges))
+        spans, end = [], first
+        for duration, point in bursts:
+            start = max(drx_time(end, profile, point), end)
+            spans.append((start, start + duration, 100_000))
+            end = start + duration
+        # a horizon past the last activity may cut a cycle anywhere
+        horizon_s = None if horizon is None else \
+            max(drx_time(end, profile, horizon), 1e-3)
+        trace = ActivityTrace.from_spans(spans)
+        fast = simulate(trace, profile, horizon_s=horizon_s)
+        with mock.patch.object(radio, "_emit_lte_gap", per_cycle_lte_gap):
+            slow = simulate(trace, profile, horizon_s=horizon_s)
+        assert columns(fast) == columns(slow)
+        assert fast.transitions == slow.transitions
+
+    def test_whole_cycles_go_out_as_runs(self):
+        # one burst, then a 9.25 s DRX tail of 640 ms cycles before the 10 s
+        # RRC timer: 14 whole cycles and a partial one
+        runs = []
+        emit = radio._emit_lte_gap
+
+        def spy(out, out_cycles, *args):
+            def counted(start_s, edges):
+                runs.append(len(edges) // 2)
+                out_cycles(start_s, edges)
+            emit(out, counted, *args)
+
+        with mock.patch.object(radio, "_emit_lte_gap", spy):
+            fast = simulate(periodic(30, 1.0, 1), LTE_DRX, horizon_s=30.0)
+        assert runs == [14]
+        with mock.patch.object(radio, "_emit_lte_gap", per_cycle_lte_gap):
+            slow = simulate(periodic(30, 1.0, 1), LTE_DRX, horizon_s=30.0)
+        assert columns(fast) == columns(slow)

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from burststream import (BandwidthTrace, Phase, QualityLevel, SimulatedSession,
                          StreamingClient, StreamSpec, linear_sweep_oracle,
@@ -29,6 +31,39 @@ class TestBandwidthTrace:
     def test_unordered_rejected(self):
         with pytest.raises(ValueError):
             BandwidthTrace(((5.0, 1e6), (0.0, 2e6)))
+
+    def test_nan_step_time_rejected(self):
+        with pytest.raises(ValueError):
+            BandwidthTrace(((0.0, 1e6), (math.nan, 2e6), (5.0, 3e6)))
+
+    @given(times=st.lists(st.floats(-100.0, 1e3), min_size=1, max_size=8),
+           rates=st.lists(st.floats(1e3, 1e8), min_size=8, max_size=8),
+           pick=st.integers(0, 7),
+           where=st.sampled_from(["step", "before_first", "between"]),
+           nudge=st.sampled_from([-1e-12, -5e-13, 0.0, 5e-13, 1e-12]),
+           u=st.floats(0.0, 1.0))
+    def test_lookup_matches_a_linear_scan(self, times, rates, pick, where,
+                                          nudge, u):
+        times.sort()
+        if pick % 3 == 0 and len(times) > 1:     # repeated step times
+            times[1] = times[0]
+        tr = BandwidthTrace(tuple(zip(times, rates)))
+        step_t = times[pick % len(times)]
+        t = {"step": step_t, "before_first": times[0] - 1.0 - u * 50,
+             "between": times[0] + u * (times[-1] - times[0] + 10.0)}[where]
+        for query in (t, t + nudge):
+            assert tr.at(query) == linear_scan(tr.steps, query)
+
+
+def linear_scan(steps, t):
+    """The rate of the last step at or before t + 1e-12, or of the first."""
+    current = steps[0][1]
+    for st_, bps in steps:
+        if st_ <= t + 1e-12:
+            current = bps
+        else:
+            break
+    return current
 
 
 class TestStarOutcome:
