@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import os
 import sys
 from pathlib import Path
 from typing import List
@@ -82,18 +83,28 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    from . import harness
+    from .energy import power_surface, write_surface_csv
     from .profiles import get_profile
     profile = get_profile(args.profile)
     grid = [_parse_grid(text) for text in (args.rs, args.t, args.b)]
     try:
-        csv = harness.sweep_surface(profile, *grid, out_path=args.out)
+        surface = power_surface(profile, *grid)
     except ValueError as exc:  # a grid point outside the model's domain
         raise ConfigError(f"sweep: {exc}") from None
     if args.out:
+        with open(args.out, "w") as fp:
+            write_surface_csv(fp, profile, surface)
         print(f"wrote {args.out}")
-    else:
-        sys.stdout.write(csv)
+        return 0
+    try:
+        write_surface_csv(sys.stdout, profile, surface)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader has gone (``| head``): what is left of the CSV, and
+        # what stdout still buffers when the interpreter exits, goes nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return 0
 
 
@@ -183,7 +194,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, AssertionError, FileNotFoundError) as exc:
+    # OSError: an output path that cannot be written, or a missing input
+    except (ConfigError, AssertionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,8 @@ interval arrays and ``power_surface`` check their own domain and regime
 and evaluate it. ``power_surface`` returns a ``Surface``: the grid's axes
 and its (r_s, B, T) power array, read as rows only on demand.
 ``surface_to_csv`` takes a ``Surface`` and formats it from those arrays,
-one line template per (B, T) cell filled once per encoding rate.
+one line template per (B, T) cell filled once per encoding rate;
+``write_surface_csv`` writes the same text one encoding rate at a time.
 
 All internal computation uses one canonical unit set: bits, seconds,
 milliwatts, millijoules. Byte-valued inputs are converted at the interface.
@@ -24,7 +25,7 @@ import itertools
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional, TextIO, Tuple
 
 import numpy as np
 
@@ -368,18 +369,32 @@ def power_surface(profile: RadioProfile,
 SURFACE_CSV_HEADER = "technology,r_s_bps,buffer_bytes,interval_s,avg_power_mw"
 
 
-def surface_to_csv(profile: RadioProfile, surface: Surface) -> str:
-    """The surface as CSV, one row per grid point in the surface's order.
+def _surface_csv_blocks(profile: RadioProfile,
+                        surface: Surface) -> Iterator[str]:
+    """The surface's CSV in blocks: the header line, then one block of
+    lines per r_s row; every block ends in a newline.
 
     Each (B, T) cell is formatted once into a line template; each r_s row
     is then one ``%`` of that template with the row's powers.
     """
     bs = [f"{b:.10g}," for b in surface.b]
-    ts = [f"{t:.10g},%.9g" for t in surface.t]
+    ts = [f"{t:.10g},%.9g\n" for t in surface.t]
     cells = [b + t for b in bs for t in ts]
-    blocks = [SURFACE_CSV_HEADER]
+    yield SURFACE_CSV_HEADER + "\n"
     for r_s, powers in zip(surface.r_s, surface.power_mw):
         head = f"{profile.technology.value},{r_s:.10g},"
-        blocks.append(head + ("\n" + head).join(cells)
-                      % tuple(powers.ravel().tolist()))
-    return "\n".join(blocks) + "\n"
+        yield head + head.join(cells) % tuple(powers.ravel().tolist())
+
+
+def surface_to_csv(profile: RadioProfile, surface: Surface) -> str:
+    """The surface as CSV, one row per grid point in the surface's order."""
+    return "".join(_surface_csv_blocks(profile, surface))
+
+
+def write_surface_csv(fp: TextIO, profile: RadioProfile,
+                      surface: Surface) -> None:
+    """Write the surface's CSV to the text stream ``fp``, each r_s block as
+    soon as it is formatted: the same text as ``surface_to_csv``, with one
+    block in memory at a time."""
+    for block in _surface_csv_blocks(profile, surface):
+        fp.write(block)

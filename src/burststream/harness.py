@@ -195,6 +195,10 @@ def run(scenario: Scenario,
 def sweep_surface(profile: RadioProfile, r_s_list: Sequence[float],
                   t_list: Sequence[float], b_list: Sequence[float],
                   out_path: Optional[Union[str, Path]] = None) -> str:
+    """The power surface over the grid as one CSV string, also written to
+    ``out_path`` when given. To write a large surface without holding its
+    CSV, pass ``power_surface``'s result to ``energy.write_surface_csv``,
+    as ``burststream sweep`` does."""
     rows = power_surface(profile, r_s_list, t_list, b_list)
     csv = surface_to_csv(profile, rows)
     if out_path is not None:

@@ -109,22 +109,21 @@ def _merge_spans(spans: Iterable[Tuple[float, float, Optional[int]]],
     return merged
 
 
-@dataclass
 class ActivityTrace:
     """Ordered RX/TX start/end events; START/END pair up per direction.
 
     Construction checks the events and pairs them into spans in one pass;
     ``spans()`` returns those spans. ``from_spans`` merges its spans once
-    and builds the events from them.
+    and keeps them; its ``events`` are built from the spans when first
+    read, since the replay reads only the spans.
     """
 
-    events: List[ActivityEvent] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
+    def __init__(self, events: Iterable[ActivityEvent] = ()) -> None:
+        self._events: Optional[List[ActivityEvent]] = list(events)
         last_t = -1e30
         open_at: Dict[str, ActivityEvent] = {}
         raw: List[Tuple[float, float, Optional[int]]] = []
-        for ev in self.events:
+        for ev in self._events:
             if ev.time_s < last_t - 1e-12:
                 raise TraceError("event times must be non-decreasing")
             last_t = max(last_t, ev.time_s)
@@ -151,22 +150,29 @@ class ActivityTrace:
         Overlapping or touching spans merge into one activity interval with
         their byte counts summed.
         """
-        start_kind = EventKind.RX_START if kind == "RX" else EventKind.TX_START
-        end_kind = EventKind.RX_END if kind == "RX" else EventKind.TX_END
         spans = list(spans)
         if any(end < start for start, end, _ in spans):
             raise TraceError("span end before start")
-        merged = _merge_spans(spans)
-        events: List[ActivityEvent] = []
-        for start, end, nbytes in merged:
-            events.append(ActivityEvent(start, start_kind, nbytes))
-            events.append(ActivityEvent(end, end_kind))
         # the events of merged spans are ordered and paired by construction:
         # keep the spans instead of pairing and merging the events again
         trace = cls.__new__(cls)
-        trace.events = events
-        trace._spans = merged
+        trace._events = None
+        trace._kind = kind
+        trace._spans = _merge_spans(spans)
         return trace
+
+    @property
+    def events(self) -> List[ActivityEvent]:
+        """The START/END events, in time order."""
+        if self._events is None:
+            rx = self._kind == "RX"
+            start_kind = EventKind.RX_START if rx else EventKind.TX_START
+            end_kind = EventKind.RX_END if rx else EventKind.TX_END
+            self._events = []
+            for start, end, nbytes in self._spans:
+                self._events.append(ActivityEvent(start, start_kind, nbytes))
+                self._events.append(ActivityEvent(end, end_kind))
+        return self._events
 
     def spans(self) -> List[Tuple[float, float, Optional[int]]]:
         """Merged activity intervals (union of RX and TX), with byte totals."""

@@ -1,5 +1,7 @@
 """CLI surface tests."""
 
+import os
+import sys
 from pathlib import Path
 
 import pytest
@@ -84,6 +86,78 @@ class TestSweepErrors:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert not (tmp_path / "surface.csv").exists()
+
+
+def one_error_line(capsys) -> str:
+    """What went to stdout, once stderr is checked to be one ``error:``
+    line."""
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return captured.out
+
+
+SWEEP_ARGV = ["sweep", "hspa-default", "--rs", "200000,1000000",
+              "--t", "0.5:60:0.5", "--b", "100000:5000000:100000"]
+
+
+class TestSweepOutput:
+    def test_stdout_equals_the_out_file(self, capsys, tmp_path):
+        assert main(SWEEP_ARGV) == 0
+        streamed = capsys.readouterr().out
+        out = tmp_path / "surface.csv"
+        assert main(SWEEP_ARGV + ["--out", str(out)]) == 0
+        assert capsys.readouterr().out == f"wrote {out}\n"
+        assert out.read_text() == streamed
+        assert len(streamed.splitlines()) == 1 + 2 * 120 * 50
+
+    def test_closed_stdout_pipe_ends_quietly(self, capsys, monkeypatch):
+        # a pipe whose reader has gone: the first write that reaches it
+        # raises BrokenPipeError
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(SWEEP_ARGV) == 0
+            assert capsys.readouterr().err == ""
+            # stdout now points at the null device: what it still buffers
+            # flushes without error
+            assert os.fstat(write_end).st_rdev == \
+                os.stat(os.devnull).st_rdev
+            stdout.write("x" * 100_000)
+            stdout.flush()
+
+    @pytest.mark.parametrize("where", ["directory", "below_a_file"])
+    def test_unusable_out_path_is_one_error_line(self, capsys, tmp_path,
+                                                 where):
+        (tmp_path / "file").write_text("")
+        out = {"directory": tmp_path,
+               "below_a_file": tmp_path / "file" / "surface.csv"}[where]
+        assert main(SWEEP_ARGV + ["--out", str(out)]) == 1
+        assert one_error_line(capsys) == ""
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs a device that refuses writes")
+    def test_unwritable_out_path_is_one_error_line(self, capsys):
+        assert main(SWEEP_ARGV + ["--out", "/dev/full"]) == 1
+        assert one_error_line(capsys) == ""
+
+
+class TestRunOutput:
+    SCENARIO = str(SCENARIO_DIR / "lte-audio-18s.ini")
+
+    def test_out_path_that_is_a_file_is_one_error_line(self, capsys,
+                                                        tmp_path):
+        out = tmp_path / "file"
+        out.write_text("")
+        assert main(["run", self.SCENARIO, "--out", str(out)]) == 1
+        assert "savings=" in one_error_line(capsys)
+
+    def test_unwritable_output_file_is_one_error_line(self, capsys,
+                                                      tmp_path):
+        (tmp_path / "radio_states.csv").mkdir()
+        assert main(["run", self.SCENARIO, "--out", str(tmp_path)]) == 1
+        assert "savings=" in one_error_line(capsys)
 
 
 class TestCommands:

@@ -1,7 +1,10 @@
 """Power-model unit tests: frozen closed-form values plus model properties."""
 
+import io
 import itertools
 import math
+import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +17,7 @@ from burststream import (BufferExceededError, BurstScenario, DomainError,
                          avg_power_overflow, delta_power_rx, idle_time,
                          optimal_interval, power_rx, power_surface,
                          surface_to_csv, tail_energy, tail_energy_for_idle)
-from burststream.energy import SURFACE_CSV_HEADER
+from burststream.energy import SURFACE_CSV_HEADER, write_surface_csv
 from burststream.profiles import (get_profile, list_profiles,
                                   lte_reference_nodrx, wifi_reference)
 
@@ -333,6 +336,70 @@ class TestSurfaceCsv:
         reference = SURFACE_CSV_HEADER + "\n" + "".join(
             line % (tech.value, *row) for row in surface)
         assert surface_to_csv(profile, surface) == reference
+
+    @given(tech=st.sampled_from(Technology), r_s=AXES, t=AXES, b=AXES)
+    @settings(max_examples=40, deadline=None)
+    def test_written_equals_joined_and_per_row(self, tech, r_s, t, b):
+        profile = RadioProfile(tech, t1_s=10.0, p1_mw=1000.0,
+                               p_tail_mw=1000.0, a_coeff=1.5,
+                               k_coeff=1e-9, r_btc_bps=1e13)
+        surface = power_surface(profile, r_s, t, b)
+        line = "%s,%.10g,%.10g,%.10g,%.9g\n"
+        reference = SURFACE_CSV_HEADER + "\n" + "".join(
+            line % (tech.value, *row) for row in surface)
+        sink = io.StringIO()
+        write_surface_csv(sink, profile, surface)
+        assert sink.getvalue() == surface_to_csv(profile, surface) \
+            == reference
+
+    def test_writes_the_header_then_one_block_per_encoding_rate(self):
+        surface = power_surface(WIFI, [5e5, 1e6, 2e6], [1.0, 2.0],
+                                [1e6, 2e6, 3e6])
+        writes = []
+        write_surface_csv(SimpleNamespace(write=writes.append), WIFI,
+                          surface)
+        assert writes[0] == SURFACE_CSV_HEADER + "\n"
+        assert len(writes) == 1 + 3
+        for r_s, block in zip(["500000", "1000000", "2000000"], writes[1:]):
+            lines = block.split("\n")
+            assert lines.pop() == ""
+            assert len(lines) == 6
+            assert all(ln.startswith(f"WIFI,{r_s},") for ln in lines)
+
+
+class TestSurfaceCsvMemory:
+    """Traced allocation peaks of the CSV writers on a fixed grid of 10^5
+    points, against the CSV's length (ASCII, one byte per character): the
+    joined string holds the blocks once more while it is built, the
+    streamed writer one block at a time."""
+
+    R_S = [5e5 * k for k in range(1, 11)]
+    T = [0.5 * k for k in range(1, 101)]
+    B = [1e5 * k for k in range(1, 101)]
+
+    @staticmethod
+    def traced_peak(fn):
+        tracemalloc.start()
+        try:
+            result = fn()
+            return result, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    def test_joined_csv_peaks_below_two_and_a_half_times_its_length(self):
+        surface = power_surface(WIFI, self.R_S, self.T, self.B)
+        csv, peak = self.traced_peak(lambda: surface_to_csv(WIFI, surface))
+        assert len(csv) > 3_000_000
+        assert peak < 2.5 * len(csv)
+
+    def test_streamed_csv_peaks_below_its_length(self):
+        surface = power_surface(WIFI, self.R_S, self.T, self.B)
+        sizes = []
+        sink = SimpleNamespace(write=lambda text: sizes.append(len(text)))
+        _, peak = self.traced_peak(
+            lambda: write_surface_csv(sink, WIFI, surface))
+        assert sum(sizes) > 3_000_000
+        assert peak < sum(sizes)
 
 
 @st.composite

@@ -68,6 +68,19 @@ class TestActivityTrace:
                               (6.0, 8.0, None)]
         assert ActivityTrace.from_spans(tr.spans()).spans() == tr.spans()
 
+    @pytest.mark.parametrize("kind", ["RX", "TX"])
+    def test_from_spans_events_are_the_merged_spans_edges(self, kind):
+        tr = ActivityTrace.from_spans(
+            [(3.0, 4.0, None), (0.0, 1.0, 10), (0.5, 2.0, 5)], kind)
+        start, end = EventKind[f"{kind}_START"], EventKind[f"{kind}_END"]
+        assert tr.events == [ActivityEvent(0.0, start, 15),
+                             ActivityEvent(2.0, end),
+                             ActivityEvent(3.0, start, None),
+                             ActivityEvent(4.0, end)]
+        assert tr.events is tr.events
+        assert ActivityTrace().events == ActivityTrace.from_spans([]).events \
+            == []
+
     def test_equal_spans_with_and_without_bytes_merge(self):
         tr = ActivityTrace.from_spans([(0.0, 1.0, None), (0.0, 1.0, 5),
                                        (2.0, 3.0, 7), (2.0, 3.0, 4)])
