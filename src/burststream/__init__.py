@@ -7,7 +7,9 @@ scenario harness, and a live shaping proxy.
 
 Every public name is exported here, but each loads with its submodule on
 first access (PEP 562), so a process that uses one part loads only what
-that part imports: the live proxy runs without numpy or the simulation.
+that part imports: the live proxy runs without numpy or the simulation,
+and the simulation without numpy or the proxy. numpy loads with the first
+vectorised model call, such as ``power_surface``.
 """
 
 import importlib

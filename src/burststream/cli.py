@@ -11,11 +11,10 @@ from pathlib import Path
 from typing import List
 
 from .errors import ConfigError
-from .proxy import SessionConfig, ShapingProxy
-from .shaper import Shaper
 
-# the simulation commands import harness and profiles, and with them numpy,
-# when they run, so that the proxy command loads neither
+# each command imports what it runs when it runs: ``proxy`` loads the proxy
+# and no simulation; ``run``, ``compare`` and ``profiles`` load the
+# simulation and neither numpy nor the proxy; ``sweep`` loads numpy
 
 
 def _parse_grid(text: str) -> List[float]:
@@ -62,6 +61,7 @@ def _parse_listen(text: str):
 
 def cmd_run(args) -> int:
     from . import harness
+    from .shaper import Shaper
     scenario = harness.load_scenario(args.scenario)
     result = harness.run(scenario)
     print(result.summary())
@@ -122,6 +122,7 @@ def cmd_compare(args) -> int:
 
 
 def cmd_proxy(args) -> int:
+    from .proxy import SessionConfig, ShapingProxy
     config = SessionConfig(
         listen=_parse_listen(args.listen),
         origin=args.origin,

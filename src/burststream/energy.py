@@ -14,6 +14,11 @@ and its (r_s, B, T) power array, read as rows only on demand.
 one line template per (B, T) cell filled once per encoding rate;
 ``write_surface_csv`` writes the same text one encoding rate at a time.
 
+numpy loads with the first call that evaluates the kernel: each such
+function imports it when called. ``RadioProfile``, ``DrxConfig``,
+``power_rx`` and ``delta_power_rx`` are pure Python, and they are all that
+the simulation uses, so a scenario run loads no numpy.
+
 All internal computation uses one canonical unit set: bits, seconds,
 milliwatts, millijoules. Byte-valued inputs are converted at the interface.
 """
@@ -26,8 +31,6 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterator, Optional, TextIO, Tuple
-
-import numpy as np
 
 
 class Technology(enum.Enum):
@@ -134,6 +137,7 @@ class RadioProfile:
 
 
 def _finite_positive(x) -> bool:
+    import numpy as np
     x = np.asarray(x, dtype=float)
     return bool(np.all(np.isfinite(x) & (x > 0)))  # NaN fails both
 
@@ -189,6 +193,7 @@ def idle_time(scenario: BurstScenario) -> float:
 
 def _tail_energy(profile: RadioProfile, t_idle_s):
     """Tail energy (mJ) over idle gaps of ``t_idle_s`` seconds, elementwise."""
+    import numpy as np
     return (profile.p1_mw * np.minimum(t_idle_s, profile.t1_s)
             + profile.p2_mw * np.clip(t_idle_s - profile.t1_s, 0.0,
                                       profile.t2_s))
@@ -210,6 +215,7 @@ def _power_branches(profile: RadioProfile, r_s_bps, r_btc_bps: float,
     equal to the tail power this is exactly the full-timer tail capped at
     the bound, and it keeps the average power continuous at r_s*T = B.
     """
+    import numpy as np
     dp_btc = delta_power_rx(r_btc_bps, profile)
     dp_rs = np.reshape([delta_power_rx(r, profile)
                         for r in np.ravel(r_s_bps).tolist()],
@@ -303,6 +309,7 @@ def avg_power_over_intervals(profile: RadioProfile, r_s_bps: float,
     ``r_s_bps`` and ``buffer_bytes`` may be arrays that broadcast against
     the intervals, as ``power_surface`` passes them.
     """
+    import numpy as np
     r_btc = r_btc_bps if r_btc_bps is not None else profile.r_btc_bps
     if r_btc is None:
         raise ValueError("no bulk transfer capacity given")
@@ -336,6 +343,7 @@ class Surface(Sequence):
         return self.power_mw.size
 
     def __getitem__(self, k):
+        import numpy as np
         i_r, i_b, i_t = np.unravel_index(range(len(self))[k],
                                          self.power_mw.shape)
         return (self.r_s[i_r], self.b[i_b], self.t[i_t],
@@ -358,6 +366,7 @@ def power_surface(profile: RadioProfile,
     avg_power_mw) rows ordered r_s-major, then B, then T. The bulk rate
     comes from ``profile.r_btc_bps``.
     """
+    import numpy as np
     if not (len(r_s_list) and len(t_list) and len(b_list)):
         raise ValueError("grid axes must be non-empty")
     p = avg_power_over_intervals(

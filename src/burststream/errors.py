@@ -1,5 +1,6 @@
 """Errors that the CLI reports without loading the modules that raise them,
-so that ``burststream proxy`` loads no numpy."""
+so that each command loads only what it runs: ``burststream proxy`` loads
+no simulation, and no command but ``sweep`` loads numpy."""
 
 
 class ConfigError(ValueError):

@@ -90,6 +90,27 @@ def _read_body(response: http.client.HTTPResponse, buf: bytearray,
     return got, None
 
 
+def _header(head: str, name: str) -> Optional[str]:
+    """The value of header ``name`` in the request ``head``, if it has
+    one."""
+    prefix = name.lower() + ":"
+    for line in head.split("\n")[1:]:
+        if line.lower().startswith(prefix):
+            return line.split(":", 1)[1].strip()
+    return None
+
+
+def _client_head(response: http.client.HTTPResponse) -> bytes:
+    """The origin's response head as the client gets it: without the
+    origin's framing and connection headers, and closing the connection
+    after the body."""
+    lines = [f"HTTP/1.1 {response.status} {response.reason}"]
+    lines += [f"{name}: {value}" for name, value in response.getheaders()
+              if name.lower() not in ("transfer-encoding", "connection")]
+    lines.append("Connection: close")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+
+
 @dataclass
 class _WriteResult:
     accepted: int
@@ -254,14 +275,13 @@ class ShapingProxy:
             split = urlsplit(target)
             return split.hostname, split.port or 80, split.path or "/"
         # relative target: use the Host header
-        for line in head.split("\n"):
-            if line.lower().startswith("host:"):
-                host = line.split(":", 1)[1].strip()
-                port = 80
-                if ":" in host:
-                    host, port_s = host.rsplit(":", 1)
-                    port = int(port_s)
-                return host, port, target
+        host = _header(head, "Host")
+        if host is not None:
+            port = 80
+            if ":" in host:
+                host, port_s = host.rsplit(":", 1)
+                port = int(port_s)
+            return host, port, target
         raise ProxyError("cannot resolve origin (no override, absolute "
                          "URI, or Host header)")
 
@@ -293,17 +313,27 @@ class ShapingProxy:
         head = self._read_request_head(conn)
         host, port, path = self._resolve_origin(head)
 
+        # the client's Range (the protocol's ``seconds=N-``) goes on to the
+        # origin, whose 206 or 204 answers it
+        wanted = _header(head, "Range")
         with closing(http.client.HTTPConnection(host, port,
                                                 timeout=30)) as origin:
-            origin.request("GET", path)
+            origin.request("GET", path,
+                           headers={"Range": wanted} if wanted else {})
             with origin.getresponse() as response:
                 self._relay(conn, addr, response, f"{host}:{port}")
 
     def _relay(self, conn: socket.socket, addr,
                response: http.client.HTTPResponse, origin_name: str) -> None:
-        """Relay the origin's head, then its body in shaped sends."""
+        """Relay the origin's head, then its body in shaped sends. A 206
+        (a stream continued from a later second) is shaped as a 200 is; a
+        204 (a range correction) is a head alone; any other status goes
+        back as a bare status line."""
         cfg = self.config
-        if response.status != 200:
+        if response.status == 204:
+            conn.sendall(_client_head(response))
+            return
+        if response.status not in (200, 206):
             conn.sendall(f"HTTP/1.1 {response.status} "
                          f"{response.reason}\r\n\r\n".encode())
             return
@@ -313,13 +343,7 @@ class ShapingProxy:
             conn.sendall(b"HTTP/1.1 502 Bad Gateway\r\nContent-Length: 0"
                          b"\r\nConnection: close\r\n\r\n")
             raise
-
-        head_lines = [f"HTTP/1.1 {response.status} {response.reason}"]
-        for name, value in response.getheaders():
-            if name.lower() not in ("transfer-encoding", "connection"):
-                head_lines.append(f"{name}: {value}")
-        head_lines.append("Connection: close")
-        conn.sendall(("\r\n".join(head_lines) + "\r\n\r\n").encode("latin-1"))
+        conn.sendall(_client_head(response))
 
         total_length = response.getheader("Content-Length")
         writer = _BackpressureWriter(conn, cfg.backpressure_s,

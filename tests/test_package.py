@@ -86,8 +86,16 @@ class TestNamespace:
         assert not hasattr(burststream, "no_such_name")
 
 
+def _fresh_interpreter(script):
+    """The words a fresh interpreter prints after running ``script``: this
+    one has loaded everything already."""
+    out = subprocess.run([sys.executable, "-c", script], cwd=SRC,
+                         capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    return out.stdout.split()
+
+
 def test_proxy_loads_no_simulation():
-    # a fresh interpreter: this one has loaded everything already
     script = (
         "import sys\n"
         "import burststream.proxy\n"
@@ -97,7 +105,54 @@ def test_proxy_loads_no_simulation():
         " 'burststream.radio', 'burststream.harness',"
         " 'burststream.session', 'burststream.profiles')"
         " if m in sys.modules))\n")
-    out = subprocess.run([sys.executable, "-c", script], cwd=SRC,
-                         capture_output=True, text=True, timeout=60)
-    assert out.returncode == 0, out.stderr
-    assert out.stdout.split() == []
+    assert _fresh_interpreter(script) == []
+
+
+# the modules a simulation command must not load: numpy, and the proxy with
+# the HTTP client it brings
+HEAVY = ("numpy", "burststream.proxy", "http.client")
+SCENARIOS = SRC.parent / "scenarios"
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", str(SCENARIOS / "hspa-video-39s.ini"), "--out", "{tmp}"],
+    ["compare", str(SCENARIOS / "lte-audio-18s.ini"), "lte-drx-default",
+     "lte-drx-longidle"],
+    ["profiles"],
+], ids=lambda argv: argv[0])
+def test_simulation_command_loads_neither_numpy_nor_proxy(argv, tmp_path):
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    # a blocked numpy fails any import of it
+    script = (
+        "import contextlib, io, sys\n"
+        "sys.modules['numpy'] = None\n"
+        "from burststream import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        f"print(code, *(m for m in {HEAVY!r}"
+        " if sys.modules.get(m) is not None))\n")
+    assert _fresh_interpreter(script) == ["0"]
+
+
+def test_simulation_modules_load_neither_numpy_nor_proxy():
+    script = (
+        "import sys\n"
+        "import burststream.harness, burststream.profiles\n"
+        "import burststream.radio, burststream.session\n"
+        "import burststream.client, burststream.profiler\n"
+        "import burststream.shaper\n"
+        f"print(*(m for m in {HEAVY!r} if m in sys.modules))\n")
+    assert _fresh_interpreter(script) == []
+
+
+def test_sweep_loads_numpy_and_no_proxy(tmp_path):
+    argv = ["sweep", "wifi-ref", "--rs", "500000", "--t", "1:10:1",
+            "--b", "1000000", "--out", str(tmp_path / "surface.csv")]
+    script = (
+        "import contextlib, io, sys\n"
+        "from burststream import cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        f"    code = cli.main({argv!r})\n"
+        f"print(code, *(m for m in {HEAVY!r} if m in sys.modules))\n")
+    assert _fresh_interpreter(script) == ["0", "numpy"]
+    assert (tmp_path / "surface.csv").read_text().count("\n") == 11

@@ -876,3 +876,106 @@ class TestOriginHeads:
         finally:
             proxy.close()
             origin.shutdown()
+
+
+class _CannedOrigin(http.server.ThreadingHTTPServer):
+    """An origin that gives every request one canned answer and keeps the
+    Range header of each request (None where there was none)."""
+
+    daemon_threads = True
+
+    def __init__(self, status, headers, body=b""):
+        self.answer = (status, headers, body)
+        self.ranges = []
+        super().__init__(("127.0.0.1", 0), _CannedHandler)
+
+    def shutdown(self):
+        super().shutdown()
+        self.server_close()
+
+
+class _CannedHandler(http.server.BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+
+    def log_message(self, *args):
+        pass
+
+    def do_GET(self):
+        self.server.ranges.append(self.headers.get("Range"))
+        status, headers, body = self.server.answer
+        self.send_response(status)
+        for name, value in headers:
+            self.send_header(name, value)
+        if status != 204:
+            self.send_header("Content-Length", str(len(body)))
+        self.end_headers()
+        self.wfile.write(body)
+
+
+def _exchange(addr, request_headers):
+    """The head and body a client gets for ``GET /stream`` with
+    ``request_headers``, read until the proxy closes."""
+    with socket.create_connection(addr) as sock:
+        sock.sendall(b"GET /stream HTTP/1.1\r\nHost: x\r\n" +
+                     b"".join(b"%s\r\n" % h for h in request_headers) +
+                     b"\r\n")
+        head, first = _read_head(sock)
+        body = bytearray(first)
+        sock.settimeout(15.0)
+        while data := sock.recv(65536):
+            body += data
+    return head.split("\r\n"), bytes(body)
+
+
+class TestSecondsRange:
+    """The paper's seconds-range flows pass through the proxy: the
+    client's Range reaches the origin, a 206 continuation is shaped as a
+    200 is, and a 204 correction keeps its head."""
+
+    INFO = "duration=60;bitrate=400000;seconds=5-6"
+
+    @pytest.mark.parametrize("request_range,status", [
+        (b"seconds=5-", 206), (None, 200)])
+    def test_continuation_arrives_whole(self, request_range, status):
+        # 100 kB is 2 s at 400 kbit/s: past a 1 s Fast Start, the rest
+        # goes out in a shaped burst
+        body = _distinct_bytes(100_000)
+        origin = _serve(_CannedOrigin(
+            status, [("X-Stream-Info", self.INFO),
+                     ("Content-Range", "seconds 5-6/2")], body))
+        proxy, addr = _start_proxy(origin, fast_start_seconds=1.0,
+                                   granularity_s=0.5)
+        try:
+            head, got = _exchange(
+                addr, [b"Range: " + request_range] if request_range else [])
+            assert head[0].startswith(f"HTTP/1.1 {status} ")
+            assert f"X-Stream-Info: {self.INFO}" in head
+            assert "Content-Range: seconds 5-6/2" in head
+            assert got == body
+            assert origin.ranges == \
+                [request_range.decode() if request_range else None]
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline and \
+                    not (proxy.sessions and "rows" in proxy.sessions[0]
+                         and proxy.sessions[0]["rows"]):
+                time.sleep(0.05)
+            assert proxy.sessions[0]["r_s"] == 400_000
+            assert proxy.sessions[0]["rows"]
+        finally:
+            proxy.close()
+            origin.shutdown()
+
+    def test_correction_keeps_its_head(self):
+        info = "duration=60;bitrate=400000;seconds=5-9"
+        origin = _serve(_CannedOrigin(204, [("X-Stream-Info", info)]))
+        proxy, addr = _start_proxy(origin)
+        try:
+            head, got = _exchange(addr, [b"Range: seconds=10-"])
+            assert head[0] == "HTTP/1.1 204 No Content"
+            assert f"X-Stream-Info: {info}" in head
+            assert got == b""
+            assert origin.ranges == ["seconds=10-"]
+            assert not proxy.sessions
+        finally:
+            proxy.close()
+            origin.shutdown()
