@@ -190,7 +190,7 @@ class SegmentAcks(Sequence):
         return out
 
 
-@dataclass
+@dataclass(slots=True)
 class DeliveryResult:
     """Outcome of one ``StreamingClient.deliver`` call.
 

@@ -121,6 +121,10 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
 
 @dataclass
 class RunResult:
+    """A scenario's shaped and baseline runs. ``burst_log`` is rendered
+    from the shaper's burst records when read, as a fresh list on each
+    read."""
+
     scenario_name: str
     energy_mj: float
     energy_baseline_mj: float
@@ -128,10 +132,14 @@ class RunResult:
     stall_log: List[List[float]]
     signaling: SignalingLedger
     signaling_baseline: SignalingLedger
-    burst_log: List[str]
     session: SessionResult
     state_trace: StateTrace
     baseline_trace: StateTrace
+
+    @property
+    def burst_log(self) -> List[str]:
+        """The shaped run's burst log, one CSV row per burst."""
+        return self.session.burst_rows
 
     def summary(self) -> str:
         t_opt = self.session.shaper.state.t_s
@@ -188,8 +196,8 @@ def run(scenario: Scenario,
         if baseline_energy > 0 else 0.0
     return RunResult(
         scenario.name, shaped_energy, baseline_energy, savings,
-        session.stall_log, shaped_ledger, baseline_ledger,
-        session.burst_rows, session, shaped_trace, baseline_trace)
+        session.stall_log, shaped_ledger, baseline_ledger, session,
+        shaped_trace, baseline_trace)
 
 
 def sweep_surface(profile: RadioProfile, r_s_list: Sequence[float],

@@ -24,7 +24,7 @@ def estimate_bandwidth(burst_bytes: float, t_bd_s: float) -> float:
     return burst_bytes * 8.0 / t_bd_s
 
 
-@dataclass
+@dataclass(slots=True)
 class BurstObservation:
     """What the profiler learned about one burst."""
 

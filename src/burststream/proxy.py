@@ -20,6 +20,11 @@ simulation (``tests/test_proxy.py::TestSharedCore`` replays both).
 
 Raw ACK capture would need privileged packet access; backpressure sensing
 needs none and provides the same two facts (buffer full, bytes accepted).
+
+A request the proxy cannot serve is answered before any response head has
+gone out: 400 for a head it cannot parse or resolve to an origin, 501 for
+a method other than GET, 502 when the origin connection or request fails
+or the origin's head gives no usable rate.
 """
 
 from __future__ import annotations
@@ -32,8 +37,9 @@ import select
 import socket
 import threading
 import time
-from contextlib import closing
+from contextlib import closing, suppress
 from dataclasses import dataclass
+from http import HTTPStatus
 from pathlib import Path
 from typing import List, Optional, Tuple
 from urllib.parse import urlsplit
@@ -98,6 +104,12 @@ def _header(head: str, name: str) -> Optional[str]:
         if line.lower().startswith(prefix):
             return line.split(":", 1)[1].strip()
     return None
+
+
+def _status_head(status: int) -> bytes:
+    """A bodyless response head that closes the connection."""
+    return (f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
+            f"Content-Length: 0\r\nConnection: close\r\n\r\n").encode()
 
 
 def _client_head(response: http.client.HTTPResponse) -> bytes:
@@ -171,7 +183,13 @@ class _BackpressureWriter:
 
 
 class ProxyError(RuntimeError):
-    pass
+    """A session the proxy cannot serve. ``status`` is the HTTP status the
+    client is answered with; it is set only where no response head has
+    gone out yet and the client is still there to read one."""
+
+    def __init__(self, message: str, status: Optional[int] = None):
+        super().__init__(message)
+        self.status = status
 
 
 class ShapingProxy:
@@ -236,6 +254,9 @@ class ShapingProxy:
             self._run_session(conn, addr)
         except Exception as exc:              # session isolation
             log.warning("session %s failed: %s", addr, exc)
+            if isinstance(exc, ProxyError) and exc.status is not None:
+                with suppress(OSError):
+                    conn.sendall(_status_head(exc.status))
         finally:
             try:
                 conn.close()
@@ -255,7 +276,7 @@ class ShapingProxy:
             tail = max(len(data) - 3, 0)
             data += chunk
             if len(data) > 65536:
-                raise ProxyError("request head too large")
+                raise ProxyError("request head too large", 400)
             if data.find(b"\r\n\r\n", tail) >= 0 or \
                     data.find(b"\n\n", tail) >= 0:
                 return data.decode("latin-1")
@@ -263,8 +284,10 @@ class ShapingProxy:
     def _resolve_origin(self, head: str) -> Tuple[str, int, str]:
         request_line = head.split("\r\n", 1)[0].split("\n", 1)[0]
         parts = request_line.split(" ")
-        if len(parts) < 3 or parts[0] != "GET":
-            raise ProxyError(f"unsupported request: {request_line!r}")
+        if len(parts) < 3:
+            raise ProxyError(f"malformed request line: {request_line!r}", 400)
+        if parts[0] != "GET":
+            raise ProxyError(f"unsupported method: {request_line!r}", 501)
         target = parts[1]
         if self.config.origin:
             base = urlsplit(self.config.origin)
@@ -273,17 +296,21 @@ class ShapingProxy:
             return base.hostname, base.port or 80, path
         if target.startswith("http://"):
             split = urlsplit(target)
-            return split.hostname, split.port or 80, split.path or "/"
-        # relative target: use the Host header
-        host = _header(head, "Host")
-        if host is not None:
-            port = 80
-            if ":" in host:
-                host, port_s = host.rsplit(":", 1)
-                port = int(port_s)
-            return host, port, target
-        raise ProxyError("cannot resolve origin (no override, absolute "
-                         "URI, or Host header)")
+            netloc, path = split.netloc, split.path or "/"
+        else:
+            # relative target: use the Host header
+            netloc, path = _header(head, "Host"), target
+            if netloc is None:
+                raise ProxyError("cannot resolve origin (no override, "
+                                 "absolute URI, or Host header)", 400)
+        try:
+            address = urlsplit("//" + netloc)
+            port = address.port     # a port that is no number or too big
+        except ValueError as exc:
+            raise ProxyError(f"bad origin {netloc!r}: {exc}", 400) from exc
+        if not address.hostname or port == 0:
+            raise ProxyError(f"bad origin {netloc!r}", 400)
+        return address.hostname, port or 80, path
 
     def _discover_rate(self, response) -> float:
         """Encoding rate: X-Stream-Info bitrate, else the override, else
@@ -295,14 +322,15 @@ class ShapingProxy:
                 return info.bitrate_bps
             duration = info.duration_s
         except ValueError as exc:         # ProtocolError or a bad number
-            raise ProxyError(f"bad X-Stream-Info {header!r}: {exc}") from exc
+            raise ProxyError(f"bad X-Stream-Info {header!r}: {exc}",
+                             502) from exc
         if self.config.rate_override_bps:
             return self.config.rate_override_bps
         length = response.getheader("Content-Length")
         if duration and length and duration > 0:
             return float(length) * 8.0 / duration
         raise ProxyError("origin does not declare a bitrate and no "
-                         "--rate-override-bps given")
+                         "--rate-override-bps given", 502)
 
     def _run_session(self, conn: socket.socket, addr) -> None:
         cfg = self.config
@@ -318,9 +346,18 @@ class ShapingProxy:
         wanted = _header(head, "Range")
         with closing(http.client.HTTPConnection(host, port,
                                                 timeout=30)) as origin:
-            origin.request("GET", path,
-                           headers={"Range": wanted} if wanted else {})
-            with origin.getresponse() as response:
+            try:
+                origin.request("GET", path,
+                               headers={"Range": wanted} if wanted else {})
+                response = origin.getresponse()
+            except (http.client.InvalidURL, ValueError) as exc:
+                # a target or host that cannot go into a request line
+                raise ProxyError(f"cannot request {path!r} from "
+                                 f"{host}:{port}: {exc}", 400) from exc
+            except (OSError, http.client.HTTPException) as exc:
+                raise ProxyError(f"origin {host}:{port} failed: {exc!r}",
+                                 502) from exc
+            with response:
                 self._relay(conn, addr, response, f"{host}:{port}")
 
     def _relay(self, conn: socket.socket, addr,
@@ -337,12 +374,7 @@ class ShapingProxy:
             conn.sendall(f"HTTP/1.1 {response.status} "
                          f"{response.reason}\r\n\r\n".encode())
             return
-        try:
-            r_s = self._discover_rate(response)
-        except ProxyError:
-            conn.sendall(b"HTTP/1.1 502 Bad Gateway\r\nContent-Length: 0"
-                         b"\r\nConnection: close\r\n\r\n")
-            raise
+        r_s = self._discover_rate(response)
         conn.sendall(_client_head(response))
 
         total_length = response.getheader("Content-Length")
@@ -369,8 +401,9 @@ class ShapingProxy:
             if error is not None:
                 log.warning("origin %s failed mid-body for %s: %r",
                             origin_name, addr, error)
-            report["rows"] = list(shaper.burst_log)
-            self._flush_log(shaper)
+            rows = shaper.burst_log        # rendered once per session
+            report["rows"] = rows
+            self._flush_log(rows)
 
     def _shape_stream(self, writer: _BackpressureWriter,
                       response: http.client.HTTPResponse,
@@ -446,7 +479,7 @@ class ShapingProxy:
         if pending and not self._stop.is_set():
             writer.write_burst(pending, abort_on_zwa=False, stop=self._stop)
 
-    def _flush_log(self, shaper: Shaper) -> None:
+    def _flush_log(self, rows: List[str]) -> None:
         if not self.config.log_path:
             return
         path = Path(self.config.log_path)
@@ -455,5 +488,5 @@ class ShapingProxy:
             with path.open("a") as fh:
                 if new_file:
                     fh.write(Shaper.BURST_LOG_HEADER + "\n")
-                for row in shaper.burst_log:
+                for row in rows:
                     fh.write(row + "\n")

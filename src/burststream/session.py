@@ -46,19 +46,43 @@ class BandwidthTrace:
         return cls(((0.0, bps),))
 
 
+# the keys of a trajectory point, in the order of its value tuple
+TRAJECTORY_KEYS = ("time_s", "phase", "t_s", "t_min_s", "t_max_s", "t_old_s",
+                   "bs_opt_bytes", "runway_s")
+
+
 @dataclass
 class SessionResult:
+    """One simulated session's outcome.
+
+    The run records values only: one tuple per report in
+    ``trajectory_points`` (``TRAJECTORY_KEYS`` order, the phase as its
+    string value) and one ``BurstRecord`` per burst in the shaper.
+    ``trajectory`` and ``burst_rows`` render them when read, as a fresh
+    list of dicts or of CSV rows on each read.
+    """
+
     activity_spans: List[Tuple[float, float, float]]
-    burst_rows: List[str]
     stall_log: List[List[float]]
     fs_end_s: float
     content_sent_bytes: float
     content_sent_s: float
-    trajectory: List[Dict]
+    trajectory_points: List[Tuple]
     decision_log: List[str]
     quality_switches: List[Tuple[float, int]]
     zwa_bursts: int
     shaper: Shaper
+
+    @property
+    def burst_rows(self) -> List[str]:
+        """The shaper's burst log, one CSV row per burst."""
+        return self.shaper.burst_log
+
+    @property
+    def trajectory(self) -> List[Dict]:
+        """The shaper's state after each report, one dict per report."""
+        return [dict(zip(TRAJECTORY_KEYS, point))
+                for point in self.trajectory_points]
 
     def stalls_after_fast_start(self) -> List[List[float]]:
         return [s for s in self.stall_log if s[0] > self.fs_end_s + 1e-9]
@@ -84,7 +108,7 @@ class SimulatedSession:
                                             adaptive, loop_content)
         self.profiler = TrafficProfiler()
         self.activity_spans: List[Tuple[float, float, float]] = []
-        self.trajectory: List[Dict] = []
+        self.trajectory_points: List[Tuple] = []
         self.quality_switches: List[Tuple[float, int]] = []
         self.zwa_bursts = 0
 
@@ -96,7 +120,7 @@ class SimulatedSession:
         res = self.client.deliver(size, self.bandwidth.at(send_at), send_at,
                                   abort_on_zwa=send.abort_on_zwa)
         ingest = self.profiler.ingest
-        for ack in res.feedback:
+        for ack in res.acks.feedback():
             ingest(ack)
         obs = self.profiler.finish_burst()
         delivered = res.delivered_bytes
@@ -111,6 +135,7 @@ class SimulatedSession:
 
     def run(self) -> SessionResult:
         ctl, shaper, st = self.controller, self.shaper, self.shaper.state
+        points = self.trajectory_points
         send = ctl.start()
         while True:       # the Fast Start always goes out
             report = self._deliver(send)
@@ -120,23 +145,21 @@ class SimulatedSession:
             if st.current_quality_index != quality:
                 self.quality_switches.append((now, st.current_quality_index))
                 self.client.set_drain_rate(shaper.r_s_bps)
-            # ``_value_`` is the member's value, read without the property
-            self.trajectory.append({
-                "time_s": now, "phase": st.phase._value_, "t_s": st.t_s,
-                "t_min_s": st.t_min_s, "t_max_s": st.t_max_s,
-                "t_old_s": st.t_old_s, "bs_opt_bytes": st.bs_opt_bytes,
-                "runway_s": (ctl.content_sent_s
-                             - self.client.playback_position_s),
-            })
+            # in TRAJECTORY_KEYS order; ``_value_`` is the member's value,
+            # read without the property
+            points.append((now, st.phase._value_, st.t_s, st.t_min_s,
+                           st.t_max_s, st.t_old_s, st.bs_opt_bytes,
+                           ctl.content_sent_s
+                           - self.client.playback_position_s))
             if send is None or send.at_s >= self.session_length_s - 1e-9:
                 break
         self.client.finalize(max(now, self.session_length_s))
-        fs_end = self.trajectory[0]["time_s"]      # the Fast Start's end
+        fs_end = points[0][0]      # the Fast Start's end
         return SessionResult(
-            self.activity_spans, shaper.burst_log, self.client.stall_log,
-            fs_end, ctl.content_sent_bytes,
-            ctl.content_sent_s, self.trajectory, shaper.decision_log,
-            self.quality_switches, self.zwa_bursts, shaper)
+            self.activity_spans, self.client.stall_log, fs_end,
+            ctl.content_sent_bytes, ctl.content_sent_s, points,
+            shaper.decision_log, self.quality_switches, self.zwa_bursts,
+            shaper)
 
 
 # -- search validation utilities ---------------------------------------------

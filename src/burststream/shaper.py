@@ -8,6 +8,10 @@ because the byte count accepted before it *is* the client's buffer size.
 Bandwidth collapses below the encoding rate switch the shaper to continuous
 sending with save/restore of the search state. ``ShapingController`` runs
 that loop without I/O, for the simulated session and the live proxy alike.
+
+Each burst is recorded as one tuple of values, a ``BurstRecord``; the CSV
+rows of ``Shaper.burst_log`` are rendered from those records, by
+``render_burst_row`` alone, only when they are read.
 """
 
 from __future__ import annotations
@@ -74,6 +78,21 @@ class ShaperState:
     per_quality_bs_opt: Dict[int, float] = field(default_factory=dict)
 
 
+# The burst log -------------------------------------------------------------
+
+# (burst_id, r_s_bps, t_s, nbytes, zwa, bs_opt_bytes or None, phase value):
+# the values one burst-log row shows, as they stood when the burst was sent
+BurstRecord = Tuple[int, float, float, float, bool, Optional[float], str]
+
+
+def render_burst_row(record: BurstRecord) -> str:
+    """One burst-log CSV row, in ``Shaper.BURST_LOG_HEADER``'s columns."""
+    burst_id, r_s_bps, t_s, nbytes, zwa, bs_opt_bytes, phase = record
+    bs_opt = "" if bs_opt_bytes is None else f"{bs_opt_bytes:.0f}"
+    return (f"{burst_id},{r_s_bps:.0f},{t_s:.3f},{nbytes:.0f},"
+            f"{int(zwa)},{bs_opt},{phase}")
+
+
 # Quality selection ---------------------------------------------------------
 
 TYPICAL_MOBILE_BPS = 2_000_000  # planning figure for the very first pick
@@ -117,7 +136,12 @@ def select_quality(est_bps: float, ladder: Sequence[QualityLevel],
 
 class Shaper:
     """Per-session traffic shaper state machine; quality switches follow
-    ``select_quality``."""
+    ``select_quality``.
+
+    ``decision_log`` holds one string per decision. ``burst_records``
+    holds one ``BurstRecord`` per burst; ``burst_log`` renders them when
+    read, as a fresh list of strings on each read.
+    """
 
     def __init__(self, stream: StreamSpec, granularity_s: float = 1.0):
         if granularity_s <= 0:
@@ -127,7 +151,7 @@ class Shaper:
         self.state = ShaperState(
             current_quality_index=initial_quality(stream.qualities))
         self.decision_log: List[str] = []
-        self.burst_log: List[str] = []
+        self.burst_records: List[BurstRecord] = []
         self._last_feedback_id: Optional[int] = None
 
     # -- convenience -----------------------------------------------------
@@ -143,13 +167,14 @@ class Shaper:
     def next_burst_bytes(self, pending_bytes: float = 0.0) -> float:
         """Size of the next burst: interval worth of content plus any
         remainder re-offered after an aborted burst, capped by BS_OPT."""
-        if self.state.t_s is None:
+        st, r_s = self.state, self.r_s_bps
+        if st.t_s is None:
             raise RuntimeError("no interval chosen yet")
-        size = self.state.t_s * self.r_s_bps / 8.0 + pending_bytes
-        if self.state.bs_opt_bytes is not None:
-            size = min(size, self.state.bs_opt_bytes)
-        elif self.state.t_max_s is not None:
-            size = min(size, self.state.t_max_s * self.r_s_bps / 8.0)
+        size = st.t_s * r_s / 8.0 + pending_bytes
+        if st.bs_opt_bytes is not None:
+            size = min(size, st.bs_opt_bytes)
+        elif st.t_max_s is not None:
+            size = min(size, st.t_max_s * r_s / 8.0)
         return size
 
     # -- fast start -------------------------------------------------------
@@ -329,15 +354,21 @@ class Shaper:
 
     # -- logging ------------------------------------------------------------
 
+    @property
+    def burst_log(self) -> List[str]:
+        """The burst log's CSV rows, rendered from ``burst_records``."""
+        return [render_burst_row(record) for record in self.burst_records]
+
     def log_burst(self, burst_id: int, t_s: float, nbytes: float,
                   zwa: bool) -> str:
+        """Record a burst at the current quality, BS_OPT and phase, and
+        return its rendered row."""
         st = self.state
-        bs_opt = "" if st.bs_opt_bytes is None else f"{st.bs_opt_bytes:.0f}"
         # ``_value_`` is the member's value, read without the property
-        row = (f"{burst_id},{self.r_s_bps:.0f},{t_s:.3f},{nbytes:.0f},"
-               f"{int(zwa)},{bs_opt},{st.phase._value_}")
-        self.burst_log.append(row)
-        return row
+        record = (burst_id, self.r_s_bps, t_s, nbytes, zwa, st.bs_opt_bytes,
+                  st.phase._value_)
+        self.burst_records.append(record)
+        return render_burst_row(record)
 
     BURST_LOG_HEADER = "burst_id,quality_bps,T_s,bytes,zwa,bs_opt_bytes,phase"
 
@@ -400,9 +431,10 @@ class ShapingController:
 
     def report(self, rep: Report) -> Optional[Send]:
         sh, obs = self.shaper, rep.obs
-        phase = sh.phase
+        st = sh.state
+        phase, r_s = st.phase, sh.r_s_bps
         self.content_sent_bytes += rep.delivered_bytes
-        self.content_sent_s += rep.delivered_bytes * 8.0 / sh.r_s_bps
+        self.content_sent_s += rep.delivered_bytes * 8.0 / r_s
         self.pending_bytes = max(obs.size_bytes - rep.delivered_bytes, 0.0)
         if phase is Phase.FAST_START:
             if obs.zwa_seen:
@@ -410,8 +442,10 @@ class ShapingController:
             else:
                 sh.end_fast_start(obs.acked_bytes)
         elif phase is not Phase.LOW_BANDWIDTH:
-            sh.log_burst(obs.burst_id, sh.state.t_s, obs.acked_bytes,
-                         obs.zwa_seen)
+            # the record ``Shaper.log_burst`` keeps, left unrendered
+            sh.burst_records.append((obs.burst_id, r_s, st.t_s,
+                                     obs.acked_bytes, obs.zwa_seen,
+                                     st.bs_opt_bytes, phase._value_))
             sh.on_burst_feedback(obs)
             if self.adaptive:
                 sh.maybe_switch_quality(rep.est_bps)
@@ -426,13 +460,13 @@ class ShapingController:
 
     def _next(self) -> Optional[Send]:
         sh = self.shaper
-        r_s = sh.r_s_bps
+        phase, r_s = sh.state.phase, sh.r_s_bps
         left = math.inf if self.loop_content else \
             max(sh.stream.duration_s - self.content_sent_s, 0.0) * r_s / 8.0
-        if sh.phase is Phase.FAST_START:
+        if phase is Phase.FAST_START:
             return Send(min(sh.stream.fast_start_s * r_s / 8.0, left),
                         self._now, True)
-        if sh.phase is Phase.LOW_BANDWIDTH:
+        if phase is Phase.LOW_BANDWIDTH:
             size = min(self.low_bw_chunk_s * r_s / 8.0 + self.pending_bytes,
                        left)
             return Send(size, self._now, False) if size > 0 else None

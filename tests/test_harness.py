@@ -8,7 +8,7 @@ import pytest
 from burststream import (BackgroundTraffic, BandwidthTrace, ConfigError,
                          QualityLevel, Scenario, StreamSpec, compare_configs,
                          compare_table, get_profile, harness, load_scenario,
-                         radio, run, sweep_surface)
+                         radio, run, shaper, sweep_surface)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -127,6 +127,31 @@ class TestBuildSession:
         assert sim.shaper.r_s_bps == 800e3
         assert sim.client.drain_rate_bps == sim.shaper.r_s_bps
         assert sim.client.startup_bytes == 2.0 * 800e3 / 8.0
+
+
+class TestRenderOnRead:
+    @pytest.mark.parametrize("name", sorted(
+        p.name for p in SCENARIO_DIR.glob("*.ini")))
+    def test_burst_rows_render_only_when_read(self, monkeypatch, name):
+        # the session records values; a row is rendered when the log is
+        # read, once per read
+        rendered = []
+        render = shaper.render_burst_row
+
+        def counting_render(record):
+            rendered.append(record)
+            return render(record)
+
+        monkeypatch.setattr(shaper, "render_burst_row", counting_render)
+        result = run(load_scenario(SCENARIO_DIR / name))
+        assert rendered == []
+        records = result.session.shaper.burst_records
+        assert records
+        rows = result.burst_log
+        assert rendered == records
+        assert rows == [render(record) for record in records]
+        assert result.session.burst_rows == rows
+        assert len(rendered) == 2 * len(records)
 
 
 class TestSweep:

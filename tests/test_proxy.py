@@ -261,6 +261,21 @@ class TestRequestHead:
             self._read_head(head, step=8192)
 
 
+class TestResolveOrigin:
+    @pytest.mark.parametrize("head,origin", [
+        ("GET /a HTTP/1.1\r\nHost: origin:81\r\n\r\n", ("origin", 81, "/a")),
+        ("GET /a HTTP/1.1\r\nHost: origin\r\n\r\n", ("origin", 80, "/a")),
+        ("GET /a HTTP/1.1\r\nHost: [::1]\r\n\r\n", ("::1", 80, "/a")),
+        ("GET /a HTTP/1.1\r\nHost: [::1]:81\r\n\r\n", ("::1", 81, "/a")),
+        ("GET http://origin:81/a HTTP/1.1\r\n\r\n", ("origin", 81, "/a")),
+        ("GET http://[::1]/a HTTP/1.1\r\nHost: x:1\r\n\r\n",
+         ("::1", 80, "/a")),
+    ])
+    def test_from_absolute_target_else_host_header(self, head, origin):
+        proxy = ShapingProxy(SessionConfig(listen=("127.0.0.1", 0)))
+        assert proxy._resolve_origin(head) == origin
+
+
 def _record_controllers(monkeypatch):
     """Record every ``ShapingController`` call as (controller, report,
     shaper state on entry, returned send); the report is None for
@@ -400,7 +415,13 @@ class TestProxySmoke:
                 # an unsupported method: the proxy accepts, rejects the
                 # request without contacting any origin, and hangs up
                 sock.sendall(b"BREW /pot HTTP/1.1\r\n\r\n")
-                assert sock.recv(1024) == b""
+                sock.settimeout(5.0)
+                reply = b""
+                while data := sock.recv(1024):
+                    reply += data
+                assert reply == (b"HTTP/1.1 501 Not Implemented\r\n"
+                                 b"Content-Length: 0\r\n"
+                                 b"Connection: close\r\n\r\n")
         finally:
             proxy.close()
             server.join(timeout=5.0)
@@ -979,3 +1000,75 @@ class TestSecondsRange:
         finally:
             proxy.close()
             origin.shutdown()
+
+
+def _bare_status(status):
+    return (b"HTTP/1.1 %s\r\nContent-Length: 0\r\nConnection: close\r\n\r\n"
+            % status)
+
+
+def _answer(request, origin=None):
+    """Everything a client reads for ``request`` from a proxy whose origin
+    override is ``origin``, until the proxy closes."""
+    proxy = ShapingProxy(SessionConfig(listen=("127.0.0.1", 0),
+                                       origin=origin))
+    addr = proxy.start()
+    try:
+        with socket.create_connection(addr, timeout=10.0) as sock:
+            sock.sendall(request)
+            reply = b""
+            while data := sock.recv(4096):
+                reply += data
+    finally:
+        proxy.close()
+    return reply
+
+
+class TestUnservableRequests:
+    """A request the proxy cannot serve is answered with a status before
+    the proxy hangs up: 400 for a head it cannot parse or resolve, 501 for
+    a method other than GET, 502 when the origin fails."""
+
+    @pytest.mark.parametrize("request_head", [
+        b"GET /a HTTP/1.1\r\nHost: a:b\r\n\r\n",       # no port number
+        b"GET /a HTTP/1.1\r\nHost: a:70000\r\n\r\n",   # no port
+        b"GET /a HTTP/1.1\r\n\r\n",                    # no origin at all
+        b"GET http://a:b/ HTTP/1.1\r\n\r\n",
+        b"GET http://a:0/ HTTP/1.1\r\n\r\n",
+        b"GET /a\r\n\r\n",                             # no version
+        # targets that cannot go into the origin's request line
+        b"GET /a\x01b HTTP/1.1\r\nHost: 127.0.0.1:9\r\n\r\n",
+        b"GET /caf\xe9 HTTP/1.1\r\nHost: 127.0.0.1:9\r\n\r\n",
+    ], ids=["host-port-text", "host-port-range", "no-host", "absolute-port",
+            "absolute-port-zero", "short-request-line", "control-character",
+            "non-ascii"])
+    def test_unresolvable_head_is_a_bad_request(self, request_head):
+        assert _answer(request_head) == _bare_status(b"400 Bad Request")
+
+    @pytest.mark.parametrize("method", [b"POST", b"HEAD", b"BREW"])
+    def test_method_other_than_get_is_not_implemented(self, method):
+        assert _answer(method + b" /a HTTP/1.1\r\nHost: 127.0.0.1:9\r\n\r\n") \
+            == _bare_status(b"501 Not Implemented")
+
+    def test_refused_origin_is_a_bad_gateway(self):
+        with socket.socket() as unused:      # a loopback port with no
+            unused.bind(("127.0.0.1", 0))    # listener
+            port = unused.getsockname()[1]
+            reply = _answer(b"GET /a HTTP/1.1\r\nHost: x\r\n\r\n",
+                            origin=f"http://127.0.0.1:{port}")
+        assert reply == _bare_status(b"502 Bad Gateway")
+
+    def test_origin_closing_without_an_answer_is_a_bad_gateway(self):
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            def hang_up():
+                conn, _ = listener.accept()
+                conn.close()
+
+            origin = threading.Thread(target=hang_up, daemon=True)
+            origin.start()
+            port = listener.getsockname()[1]
+            reply = _answer(b"GET /a HTTP/1.1\r\nHost: x\r\n\r\n",
+                            origin=f"http://127.0.0.1:{port}")
+            origin.join(timeout=5.0)
+        assert not origin.is_alive()
+        assert reply == _bare_status(b"502 Bad Gateway")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from burststream import (BandwidthTrace, Phase, QualityLevel, SimulatedSession,
                          StreamingClient, StreamSpec, linear_sweep_oracle,
                          probe_search)
+from burststream.shaper import ShapingController
 
 
 def cbr_session(r_s=128e3, fs=14.0, buffer_bytes=5_000_000, bw=None,
@@ -216,3 +217,44 @@ class TestAdaptiveSession:
         assert st.bs_opt_bytes is not None
         last_rows = res.burst_rows[-3:]
         assert all(r.split(",")[1] == "3000000" for r in last_rows)
+
+
+class TestTrajectoryView:
+    def test_points_render_as_the_dicts_built_at_report_time(
+            self, monkeypatch):
+        # an adaptive session through Fast Start, the search, a quality
+        # switch, a low-bandwidth episode and its recovery: beside the
+        # run, each report's point is built as a dict literal, as the run
+        # built it before it recorded value tuples
+        ladder = tuple(QualityLevel(r * 1000) for r in
+                       (700, 1200, 1500, 2000, 2500, 3000))
+        stream = StreamSpec(ladder, duration_s=600.0, fast_start_s=30.0)
+        client = StreamingClient(12_000_000, 700e3, 16e6,
+                                 content_duration_s=600.0)
+        bw = BandwidthTrace(((0.0, 3.2e6), (150.0, 0.5e6), (250.0, 3.2e6)))
+        sim = SimulatedSession(stream, client, bw, session_length_s=500.0,
+                               adaptive=True)
+        built = []
+        report = ShapingController.report
+
+        def building_report(ctl, rep):
+            send = report(ctl, rep)
+            st = ctl.shaper.state
+            built.append({
+                "time_s": rep.end_s, "phase": st.phase.value, "t_s": st.t_s,
+                "t_min_s": st.t_min_s, "t_max_s": st.t_max_s,
+                "t_old_s": st.t_old_s, "bs_opt_bytes": st.bs_opt_bytes,
+                "runway_s": (ctl.content_sent_s
+                             - client.playback_position_s),
+            })
+            return send
+
+        monkeypatch.setattr(ShapingController, "report", building_report)
+        res = sim.run()
+        # a point follows its report, so none is in Fast Start
+        assert {p["phase"] for p in built} == {
+            "SEARCHING", "STEADY", "LOW_BANDWIDTH"}
+        assert repr(res.trajectory) == repr(built)
+        assert res.fs_end_s == built[0]["time_s"]
+        # each read builds a fresh list
+        assert res.trajectory is not res.trajectory

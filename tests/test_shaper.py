@@ -3,9 +3,12 @@
 import math
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from burststream import (BurstObservation, Phase, QualityLevel, Shaper,
                          StreamSpec, initial_quality, select_quality)
+from burststream.shaper import render_burst_row
 
 LADDER = tuple(QualityLevel(r * 1000) for r in
                (700, 1200, 1500, 2000, 2500, 3000))
@@ -233,3 +236,42 @@ class TestBurstLog:
         assert fields[4] == "0"
         assert fields[6] == "SEARCHING"
         assert Shaper.BURST_LOG_HEADER.count(",") == row.count(",")
+
+
+def formatted_burst_row(burst_id, r_s_bps, t_s, nbytes, zwa, bs_opt_bytes,
+                        phase):
+    """The burst-log row as ``Shaper.log_burst`` formatted it when it
+    formatted each row at burst time, kept here as the reference."""
+    bs_opt = "" if bs_opt_bytes is None else f"{bs_opt_bytes:.0f}"
+    return (f"{burst_id},{r_s_bps:.0f},{t_s:.3f},{nbytes:.0f},"
+            f"{int(zwa)},{bs_opt},{phase._value_}")
+
+
+class TestBurstRecords:
+    """The burst log is rendered from value records; the rows are the
+    ones that formatting at burst time gave."""
+
+    finite = st.floats(0.0, 1e12, allow_nan=False, allow_infinity=False)
+
+    @given(burst_id=st.integers(0, 10**9),
+           r_s_bps=st.floats(1.0, 1e9), t_s=finite, nbytes=finite,
+           zwa=st.booleans(), bs_opt_bytes=st.none() | finite,
+           phase=st.sampled_from(Phase))
+    def test_renderer_matches_the_burst_time_format(
+            self, burst_id, r_s_bps, t_s, nbytes, zwa, bs_opt_bytes, phase):
+        record = (burst_id, r_s_bps, t_s, nbytes, zwa, bs_opt_bytes,
+                  phase.value)
+        assert render_burst_row(record) == formatted_burst_row(
+            burst_id, r_s_bps, t_s, nbytes, zwa, bs_opt_bytes, phase)
+
+    def test_log_burst_records_values_and_returns_the_row(self):
+        sh = make_shaper(r_s=700e3)
+        sh.end_fast_start(2_000_000)
+        row = sh.log_burst(3, 11.4, 997_500.4, zwa=True)
+        assert sh.burst_records == [
+            (3, 700e3, 11.4, 997_500.4, True, None, "SEARCHING")]
+        assert row == formatted_burst_row(3, 700e3, 11.4, 997_500.4, True,
+                                          None, Phase.SEARCHING)
+        # each read renders a fresh list
+        assert sh.burst_log == [row]
+        assert sh.burst_log is not sh.burst_log
