@@ -61,16 +61,15 @@ def _parse_listen(text: str):
 
 def cmd_run(args) -> int:
     from . import harness
-    from .shaper import Shaper
+    from .shaper import write_burst_log
     scenario = harness.load_scenario(args.scenario)
     result = harness.run(scenario)
     print(result.summary())
     out = Path(args.out) if args.out else None
     if out:
         out.mkdir(parents=True, exist_ok=True)
-        (out / "bursts.csv").write_text(
-            Shaper.BURST_LOG_HEADER + "\n" + "\n".join(result.burst_log)
-            + "\n")
+        with open(out / "bursts.csv", "w") as fp:
+            write_burst_log(fp, result.burst_log)
         (out / "radio_states.csv").write_text(result.state_trace.to_csv())
         (out / "signaling.csv").write_text(result.signaling.to_csv())
         stalls = ["start_s,end_s"] + [

@@ -20,7 +20,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .client import StreamingClient
 from .energy import RadioProfile, power_surface, surface_to_csv
-from .profiles import ConfigError, get_profile
+from .profiles import (ConfigError, config_value, get_profile,
+                       rejected_as_config)
 from .radio import (ActivityTrace, SignalingCostTable, SignalingLedger,
                     StateTrace, energy_of, signaling_of, simulate)
 from .session import BandwidthTrace, SessionResult, SimulatedSession
@@ -68,53 +69,68 @@ class Scenario:
 
 
 def load_scenario(path: Union[str, Path]) -> Scenario:
+    """The scenario a file describes; any fault in the file is a
+    ConfigError that names the file and the key."""
     cp = configparser.ConfigParser()
     if not cp.read(str(path)):
         raise ConfigError(f"scenario file not found: {path}")
+    try:
+        return _scenario_from_parser(cp, Path(path).stem)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
+def _scenario_from_parser(cp: configparser.ConfigParser,
+                          default_name: str) -> Scenario:
     try:
         sc = cp["scenario"]
         stream_sec = cp["stream"]
         client_sec = cp["client"]
     except KeyError as missing:
         raise ConfigError(f"scenario file lacks section {missing}")
-    profile = get_profile(sc.get("profile"))
+    profile = get_profile(config_value(sc, "profile", convert=str))
 
     if stream_sec.get("qualities_bps"):
-        ladder = tuple(QualityLevel(float(v)) for v in
-                       stream_sec.get("qualities_bps").split(","))
+        with rejected_as_config("[stream] qualities_bps"):
+            ladder = tuple(QualityLevel(float(v)) for v in
+                           stream_sec.get("qualities_bps").split(","))
     else:
-        ladder = (QualityLevel(stream_sec.getfloat("bitrate_bps")),)
-    stream = StreamSpec(ladder, stream_sec.getfloat("duration_s"),
-                        sc.getfloat("fast_start_s", 20.0))
+        ladder = (QualityLevel(config_value(stream_sec, "bitrate_bps")),)
+    with rejected_as_config("[stream]"):
+        stream = StreamSpec(ladder, config_value(stream_sec, "duration_s"),
+                            config_value(sc, "fast_start_s", 20.0))
 
     steps: List[Tuple[float, float]] = []
-    if cp.has_section("bandwidth") and cp["bandwidth"].get("trace"):
-        for item in cp["bandwidth"].get("trace").split(","):
-            t, bps = item.strip().split(":")
-            steps.append((float(t), float(bps)))
-    if not steps:
-        default = profile.r_btc_bps or math.inf
-        steps = [(0.0, default)]
-    bandwidth = BandwidthTrace(tuple(steps))
+    with rejected_as_config("[bandwidth] trace"):
+        if cp.has_section("bandwidth") and cp["bandwidth"].get("trace"):
+            for item in cp["bandwidth"].get("trace").split(","):
+                t, colon, bps = item.partition(":")
+                if not colon:
+                    raise ValueError(f"{item.strip()!r} is not time_s:bps")
+                steps.append((float(t), float(bps)))
+        if not steps:
+            default = profile.r_btc_bps or math.inf
+            steps = [(0.0, default)]
+        bandwidth = BandwidthTrace(tuple(steps))
 
     background = None
     if cp.has_section("background"):
         bg = cp["background"]
-        background = BackgroundTraffic(bg.getfloat("period_s"),
-                                       bg.getfloat("bytes"),
-                                       bg.getfloat("phase_s", 0.0))
+        background = BackgroundTraffic(config_value(bg, "period_s"),
+                                       config_value(bg, "bytes"),
+                                       config_value(bg, "phase_s", 0.0))
     return Scenario(
-        name=sc.get("name", Path(path).stem),
+        name=sc.get("name", default_name),
         profile=profile,
         stream=stream,
-        buffer_bytes=client_sec.getfloat("buffer_bytes"),
+        buffer_bytes=config_value(client_sec, "buffer_bytes"),
         bandwidth=bandwidth,
-        session_length_s=sc.getfloat("session_s"),
-        granularity_s=sc.getfloat("granularity_s", 1.0),
-        link_bps=client_sec.getfloat("link_bps", fallback=None),
-        startup_s=client_sec.getfloat("startup_s", 2.0),
-        loop_content=sc.getboolean("loop_content", False),
-        adaptive=sc.getboolean("adaptive", False),
+        session_length_s=config_value(sc, "session_s"),
+        granularity_s=config_value(sc, "granularity_s", 1.0),
+        link_bps=config_value(client_sec, "link_bps", None),
+        startup_s=config_value(client_sec, "startup_s", 2.0),
+        loop_content=config_value(sc, "loop_content", False, bool),
+        adaptive=config_value(sc, "adaptive", False, bool),
         background=background,
     )
 
@@ -152,19 +168,20 @@ class RunResult:
 
 
 def _build_session(scenario: Scenario) -> SimulatedSession:
-    ladder = scenario.stream.qualities
+    # looped content is a stream without end
+    stream = replace(scenario.stream, duration_s=math.inf) \
+        if scenario.loop_content else scenario.stream
+    ladder = stream.qualities
     client = StreamingClient(
         scenario.buffer_bytes,
         ladder[initial_quality(ladder)].bitrate_bps,  # the shaper's start
         scenario.link_bps if scenario.link_bps else math.inf,
         startup_threshold_s=scenario.startup_s,
-        content_duration_s=(None if scenario.loop_content
-                            else scenario.stream.duration_s))
+        content_duration_s=stream.duration_s)
     return SimulatedSession(
-        scenario.stream, client, scenario.bandwidth,
+        stream, client, scenario.bandwidth,
         session_length_s=scenario.session_length_s,
         granularity_s=scenario.granularity_s,
-        loop_content=scenario.loop_content,
         adaptive=scenario.adaptive)
 
 

@@ -11,9 +11,11 @@ comparisons against them assert orderings and counts, never absolute watts.
 from __future__ import annotations
 
 import configparser
+from contextlib import contextmanager
+from dataclasses import MISSING, fields
 from importlib import resources
 from pathlib import Path
-from typing import List, Union
+from typing import Callable, Dict, Iterator, List, Union
 
 from .energy import DrxConfig, FastDormancy, RadioProfile, Technology
 from .errors import ConfigError
@@ -23,45 +25,75 @@ def _data_dir():
     return resources.files("burststream") / "profiles_data"
 
 
+_REQUIRED = object()   # the fallback of a key a file must set
+
+
+def _technology(text: str) -> Technology:
+    try:
+        return Technology[text.upper()]
+    except KeyError:
+        raise ValueError("not one of " + ", ".join(Technology.__members__)) \
+            from None
+
+
+def config_value(section: configparser.SectionProxy, key: str,
+                 fallback=_REQUIRED, convert: Callable = float):
+    """``convert`` of the text under ``key`` in an INI ``section``, or
+    ``fallback`` where the key is absent; ``bool`` reads the words
+    ``getboolean`` reads. A key absent without a fallback and a text that
+    ``convert`` rejects are each a ConfigError naming the key."""
+    text = section.get(key)
+    if text is None:
+        if fallback is _REQUIRED:
+            raise ConfigError(f"[{section.name}] lacks required key {key}")
+        return fallback
+    try:
+        return section.getboolean(key) if convert is bool else convert(text)
+    except ValueError as exc:
+        raise ConfigError(f"[{section.name}] {key} = {text!r}: {exc}") \
+            from None
+
+
+@contextmanager
+def rejected_as_config(where: str) -> Iterator[None]:
+    """A model's ValueError over values read from ``where`` (a section, a
+    key) is a ConfigError there."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from None
+
+
+# how a [profile] key's text becomes a RadioProfile field; numbers by default
+_PROFILE_CONVERT: Dict[str, Callable] = {
+    "technology": _technology,
+    "fast_dormancy": lambda text: FastDormancy(text.lower()),
+    "pch_enabled": bool,
+    "name": str,
+}
+
+
 def _profile_from_parser(cp: configparser.ConfigParser) -> RadioProfile:
+    """The profile a parsed file describes. Only the keys the file sets
+    are passed on, so a key it leaves out takes ``RadioProfile``'s
+    default."""
     if not cp.has_section("profile"):
         raise ConfigError("profile file needs a [profile] section")
     p = cp["profile"]
-    try:
-        technology = Technology[p.get("technology", "").upper()]
-    except KeyError:
-        raise ConfigError(f"unknown technology {p.get('technology')!r}")
-    drx = None
+    settings = {}
+    for f in fields(RadioProfile):
+        if f.name != "drx" and (f.name in p or f.default is MISSING):
+            settings[f.name] = config_value(
+                p, f.name, convert=_PROFILE_CONVERT.get(f.name, float))
     if cp.has_section("drx"):
         d = cp["drx"]
-        drx = DrxConfig(d.getfloat("idle_ms"), d.getfloat("cycle_ms"),
-                        d.getfloat("on_ms"))
-    try:
-        fd = FastDormancy(p.get("fast_dormancy", "none").lower())
-    except ValueError:
-        raise ConfigError(f"unknown fast_dormancy {p.get('fast_dormancy')!r}")
-    r_btc = p.getfloat("r_btc_bps", fallback=None)
-    return RadioProfile(
-        technology=technology,
-        t1_s=p.getfloat("t1_s"),
-        t2_s=p.getfloat("t2_s", 0.0),
-        t3_s=p.getfloat("t3_s", 0.0),
-        p1_mw=p.getfloat("p1_mw", 0.0),
-        p2_mw=p.getfloat("p2_mw", 0.0),
-        p_tail_mw=p.getfloat("p_tail_mw", 0.0),
-        a_coeff=p.getfloat("a_coeff", 1.0),
-        k_coeff=p.getfloat("k_coeff", 0.0),
-        drx=drx,
-        pch_enabled=p.getboolean("pch_enabled", True),
-        fast_dormancy=fd,
-        legacy_fd_timeout_s=p.getfloat("legacy_fd_timeout_s", 0.0),
-        r_btc_bps=r_btc,
-        p_idle_mw=p.getfloat("p_idle_mw", 0.0),
-        p_pch_mw=p.getfloat("p_pch_mw", 0.0),
-        p_drx_off_mw=p.getfloat("p_drx_off_mw", 0.0),
-        reconnect_setup_s=p.getfloat("reconnect_setup_s", 0.0),
-        name=p.get("name", ""),
-    )
+        with rejected_as_config("[drx]"):
+            settings["drx"] = DrxConfig(*(config_value(d, key) for key in
+                                          ("idle_ms", "cycle_ms", "on_ms")))
+    with rejected_as_config("[profile]"):
+        return RadioProfile(**settings)
 
 
 def load_profile_file(path: Union[str, Path]) -> RadioProfile:
@@ -69,7 +101,10 @@ def load_profile_file(path: Union[str, Path]) -> RadioProfile:
     read = cp.read(str(path))
     if not read:
         raise ConfigError(f"profile file not found: {path}")
-    return _profile_from_parser(cp)
+    try:
+        return _profile_from_parser(cp)
+    except ConfigError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def list_profiles() -> List[str]:
@@ -96,23 +131,16 @@ def get_profile(name_or_path: Union[str, Path]) -> RadioProfile:
                       f"(shipped: {', '.join(list_profiles())})")
 
 
-# Programmatic builders for the reference parameter sets; the shipped INI
-# files mirror these values.
+# The reference parameter sets, as the shipped files hold them.
 
 def wifi_reference() -> RadioProfile:
     """Wi-Fi PSM: 0.2 s idle timer, 435 mW tail, 760 mW receive increase at
     20 Mbit/s with the increase interpolating linearly down to the tail
-    power at rate zero."""
-    return RadioProfile(
-        technology=Technology.WIFI, t1_s=0.2, p1_mw=435.0, p_tail_mw=435.0,
-        a_coeff=2.0, k_coeff=(760.0 - 435.0) / (435.0 * 20e6),
-        r_btc_bps=20e6, name="wifi-ref")
+    power at rate zero (``wifi-ref.ini``)."""
+    return get_profile("wifi-ref")
 
 
 def lte_reference_nodrx() -> RadioProfile:
     """LTE without DRX: 10 s inactivity timer, 1216 mW tail, rate-independent
-    1520 mW receive increase at up to 16 Mbit/s."""
-    return RadioProfile(
-        technology=Technology.LTE, t1_s=10.0, p1_mw=1216.0,
-        p_tail_mw=1216.0, a_coeff=2.25, k_coeff=0.0, r_btc_bps=16e6,
-        reconnect_setup_s=0.5, name="lte-nodrx-default")
+    1520 mW receive increase at up to 16 Mbit/s (``lte-nodrx-default.ini``)."""
+    return get_profile("lte-nodrx-default")

@@ -7,16 +7,20 @@ bursts at full socket speed, or continuous chunks under low bandwidth) and
 reports what happened. Flow-control feedback comes from socket
 backpressure: sustained blocked writes stand in for a zero-window
 advertisement, and the byte count accepted up to that point is the
-SentBytes estimate of the client's buffer. The session thread reads each
-send's bytes from the origin itself, just before the send, so the origin
-is flow-controlled by the same backpressure and no copy of the body is
-kept beyond the send in hand. That send is one buffer: the origin is read
-straight into it, after the bytes the previous send left unaccepted, and
-the writes take views of it, so each byte is held once and only unaccepted
-leftovers are copied. A read that does not end the body also measures
-the origin's fill rate, which caps the bandwidth estimate; what is left at
-the end is drained. Every decision is the controller's, as in the
-simulation (``tests/test_proxy.py::TestSharedCore`` replays both).
+SentBytes estimate of the client's buffer; each write returns the
+``BurstObservation`` the controller reads. A body of unknown length is a
+stream of infinite duration, as in the simulation. The session thread
+reads each send's bytes from the origin itself, just before the send, so
+the origin is flow-controlled by the same backpressure and no copy of the
+body is kept beyond the send in hand. That send is one buffer: the origin
+is read straight into it, after the bytes the previous send left
+unaccepted, and the writes take views of it, so each byte is held once and
+only unaccepted leftovers are copied. A read that does not end the body
+also measures the origin's fill rate, which caps the bandwidth estimate;
+what is left at the end is drained. Every decision is the controller's, as
+in the simulation (``tests/test_proxy.py::TestSharedCore`` replays both),
+and ``--log`` gets each session's burst rows through ``write_burst_log``,
+as ``burststream run --out`` does.
 
 Raw ACK capture would need privileged packet access; backpressure sensing
 needs none and provides the same two facts (buffer full, bytes accepted).
@@ -24,7 +28,9 @@ needs none and provides the same two facts (buffer full, bytes accepted).
 A request the proxy cannot serve is answered before any response head has
 gone out: 400 for a head it cannot parse or resolve to an origin, 501 for
 a method other than GET, 502 when the origin connection or request fails
-or the origin's head gives no usable rate.
+or the origin's head gives no usable rate. The proxy then ends its side
+and drops what the client still sends, briefly, before it closes, so that
+an unread request body cannot reset the connection under the answer.
 """
 
 from __future__ import annotations
@@ -42,11 +48,12 @@ from dataclasses import dataclass
 from http import HTTPStatus
 from pathlib import Path
 from typing import List, Optional, Tuple
-from urllib.parse import urlsplit
+from urllib.parse import SplitResult, urlsplit
 
 from .mediahttp import StreamInfo
 from .profiler import BurstObservation
-from .shaper import Report, Shaper, ShapingController, StreamSpec
+from .shaper import (Report, Shaper, ShapingController, StreamSpec,
+                     write_burst_log)
 
 log = logging.getLogger(__name__)
 
@@ -106,10 +113,34 @@ def _header(head: str, name: str) -> Optional[str]:
     return None
 
 
+def _path_and_query(split: SplitResult) -> str:
+    """The origin-form target (path and query) of a split absolute URI."""
+    path = split.path or "/"
+    return f"{path}?{split.query}" if split.query else path
+
+
 def _status_head(status: int) -> bytes:
     """A bodyless response head that closes the connection."""
     return (f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
             f"Content-Length: 0\r\nConnection: close\r\n\r\n").encode()
+
+
+def _discard_input(conn: socket.socket) -> None:
+    """Read and drop what the client sends until it closes, for at most
+    1 s and 1 MiB, so that one client cannot hold the thread. Closing a
+    socket with input unread resets the connection, and a reset can
+    destroy an answer the client has not read yet."""
+    deadline = time.monotonic() + 1.0
+    left = 1 << 20
+    while left > 0:
+        wait = deadline - time.monotonic()
+        if wait <= 0:
+            return
+        conn.settimeout(wait)
+        data = conn.recv(min(left, 65536))
+        if not data:
+            return
+        left -= len(data)
 
 
 def _client_head(response: http.client.HTTPResponse) -> bytes:
@@ -121,15 +152,6 @@ def _client_head(response: http.client.HTTPResponse) -> bytes:
               if name.lower() not in ("transfer-encoding", "connection")]
     lines.append("Connection: close")
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
-
-
-@dataclass
-class _WriteResult:
-    accepted: int
-    zwa: bool
-    accepted_at_zwa: Optional[int]
-    start: float
-    end: float
 
 
 class _BackpressureWriter:
@@ -151,8 +173,12 @@ class _BackpressureWriter:
         self.credit_bps = credit_bps
         sock.setblocking(False)
 
-    def write_burst(self, view: memoryview, abort_on_zwa: bool = True,
-                    stop: Optional[threading.Event] = None) -> _WriteResult:
+    def write_burst(self, view: memoryview, burst_id: int, start_byte: int,
+                    abort_on_zwa: bool = True,
+                    stop: Optional[threading.Event] = None
+                    ) -> BurstObservation:
+        """Write burst ``burst_id``, the stream's bytes from ``start_byte``
+        on; socket backpressure stands in for its ACKs."""
         sent = 0
         blocked = 0.0
         zwa = False
@@ -179,7 +205,10 @@ class _BackpressureWriter:
                 if abort_on_zwa:
                     break
                 blocked = 0.0
-        return _WriteResult(sent, zwa, zwa_at, start, time.monotonic())
+        end = time.monotonic()
+        return BurstObservation(
+            burst_id, len(view), start_byte, start, start, end, sent,
+            sent >= len(view), zwa, end if zwa else None, zwa_at)
 
 
 class ProxyError(RuntimeError):
@@ -257,6 +286,8 @@ class ShapingProxy:
             if isinstance(exc, ProxyError) and exc.status is not None:
                 with suppress(OSError):
                     conn.sendall(_status_head(exc.status))
+                    conn.shutdown(socket.SHUT_WR)
+                    _discard_input(conn)
         finally:
             try:
                 conn.close()
@@ -292,11 +323,11 @@ class ShapingProxy:
         if self.config.origin:
             base = urlsplit(self.config.origin)
             path = target if target.startswith("/") else \
-                (urlsplit(target).path or "/")
+                _path_and_query(urlsplit(target))
             return base.hostname, base.port or 80, path
         if target.startswith("http://"):
             split = urlsplit(target)
-            netloc, path = split.netloc, split.path or "/"
+            netloc, path = split.netloc, _path_and_query(split)
         else:
             # relative target: use the Host header
             netloc, path = _header(head, "Host"), target
@@ -382,7 +413,7 @@ class ShapingProxy:
                                      credit_bps=4.0 * r_s)
         stream = StreamSpec.single(
             r_s, duration_s=(float(total_length) * 8 / r_s
-                             if total_length else 1e9),
+                             if total_length else math.inf),
             fast_start_s=cfg.fast_start_seconds)
         shaper = Shaper(stream, cfg.granularity_s)
         report = {"addr": addr, "r_s": r_s, "rows": [], "shaper": shaper}
@@ -459,25 +490,20 @@ class ShapingProxy:
             if delay > 0 and self._stop.wait(timeout=delay):
                 break
             burst = min(size, len(pending))
-            wr = writer.write_burst(pending[:burst],
-                                    abort_on_zwa=send.abort_on_zwa,
-                                    stop=self._stop)
-            pending = pending[wr.accepted:]
-            # socket backpressure stands in for the ACK stream
-            obs = BurstObservation(
-                next(burst_ids), burst, sent_cum, wr.start, wr.start,
-                wr.end, wr.accepted, wr.accepted >= burst, wr.zwa,
-                wr.end if wr.zwa else None, wr.accepted_at_zwa)
-            sent_cum += wr.accepted
-            est = wr.accepted * 8.0 / max(wr.end - wr.start, 1e-6)
+            obs = writer.write_burst(pending[:burst], next(burst_ids),
+                                     sent_cum, send.abort_on_zwa, self._stop)
+            pending = pending[obs.acked_bytes:]
+            sent_cum += obs.acked_bytes
+            est = obs.acked_bytes * 8.0 / max(obs.t_bd_s, 1e-6)
             if fill_bps is not None:
                 est = min(est, fill_bps)
             send = controller.report(
-                Report(obs, wr.accepted, wr.start - t0, wr.end - t0, est,
-                       time.monotonic() - t0))
+                Report(obs, obs.acked_bytes, obs.send_time_s - t0,
+                       obs.last_ack_s - t0, est, time.monotonic() - t0))
         # final drain so the client sees the whole stream
         if pending and not self._stop.is_set():
-            writer.write_burst(pending, abort_on_zwa=False, stop=self._stop)
+            writer.write_burst(pending, next(burst_ids), sent_cum,
+                               abort_on_zwa=False, stop=self._stop)
 
     def _flush_log(self, rows: List[str]) -> None:
         if not self.config.log_path:
@@ -486,7 +512,4 @@ class ShapingProxy:
         with self._lock:
             new_file = not path.exists() or path.stat().st_size == 0
             with path.open("a") as fh:
-                if new_file:
-                    fh.write(Shaper.BURST_LOG_HEADER + "\n")
-                for row in rows:
-                    fh.write(row + "\n")
+                write_burst_log(fh, rows, header=new_file)

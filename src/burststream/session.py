@@ -96,7 +96,6 @@ class SimulatedSession:
                  bandwidth: BandwidthTrace,
                  session_length_s: float,
                  granularity_s: float = 1.0,
-                 loop_content: bool = False,
                  adaptive: bool = False,
                  low_bw_chunk_s: float = 1.0):
         self.stream = stream
@@ -105,7 +104,7 @@ class SimulatedSession:
         self.session_length_s = session_length_s
         self.shaper = Shaper(stream, granularity_s)
         self.controller = ShapingController(self.shaper, low_bw_chunk_s,
-                                            adaptive, loop_content)
+                                            adaptive)
         self.profiler = TrafficProfiler()
         self.activity_spans: List[Tuple[float, float, float]] = []
         self.trajectory_points: List[Tuple] = []

@@ -7,20 +7,22 @@ intervals from ``t_max/2`` upward. A zero window ends the search at once,
 because the byte count accepted before it *is* the client's buffer size.
 Bandwidth collapses below the encoding rate switch the shaper to continuous
 sending with save/restore of the search state. ``ShapingController`` runs
-that loop without I/O, for the simulated session and the live proxy alike.
+that loop without I/O, for the simulated session and the live proxy alike;
+the ``Shaper`` methods it calls change the shaper's state and return
+nothing else. An endless stream is a ``StreamSpec`` of infinite duration.
 
-Each burst is recorded as one tuple of values, a ``BurstRecord``; the CSV
-rows of ``Shaper.burst_log`` are rendered from those records, by
-``render_burst_row`` alone, only when they are read.
+Each burst is recorded once, by ``Shaper.log_burst``, as one tuple of
+values, a ``BurstRecord``; the CSV rows of ``Shaper.burst_log`` are
+rendered from those records, by ``render_burst_row`` alone, only when they
+are read, and ``write_burst_log`` writes them to a burst-log file.
 """
 
 from __future__ import annotations
 
 import enum
 import logging
-import math
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import IO, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .profiler import BurstObservation
 
@@ -44,7 +46,8 @@ class QualityLevel:
 
 @dataclass(frozen=True)
 class StreamSpec:
-    """Content description: quality ladder, duration, fast-start length."""
+    """Content description: quality ladder, duration, fast-start length.
+    An endless stream has ``duration_s = math.inf``."""
 
     qualities: Tuple[QualityLevel, ...]
     duration_s: float
@@ -58,7 +61,7 @@ class StreamSpec:
             raise ValueError("qualities must be strictly increasing in "
                              "bitrate")
         if self.duration_s <= 0 or self.fast_start_s <= 0:
-            raise ValueError("duration and fast_start must be > 0")
+            raise ValueError("duration_s and fast_start_s must be > 0")
 
     @classmethod
     def single(cls, bitrate_bps: float, duration_s: float,
@@ -91,6 +94,16 @@ def render_burst_row(record: BurstRecord) -> str:
     bs_opt = "" if bs_opt_bytes is None else f"{bs_opt_bytes:.0f}"
     return (f"{burst_id},{r_s_bps:.0f},{t_s:.3f},{nbytes:.0f},"
             f"{int(zwa)},{bs_opt},{phase}")
+
+
+def write_burst_log(fp: IO[str], rows: Sequence[str],
+                    header: bool = True) -> None:
+    """Write burst-log ``rows`` to ``fp``, a line each, after the header
+    line unless ``header`` is false (a file that already has it)."""
+    if header:
+        fp.write(Shaper.BURST_LOG_HEADER + "\n")
+    for row in rows:
+        fp.write(row + "\n")
 
 
 # Quality selection ---------------------------------------------------------
@@ -206,17 +219,15 @@ class Shaper:
 
     # -- search -----------------------------------------------------------
 
-    def on_burst_feedback(self, obs: BurstObservation) -> Tuple:
-        """Advance the interval search with one burst's feedback.
-
-        Returns ('set_bs_opt', bytes) when the search concludes, else
-        ('send_burst', next_interval).
-        """
+    def on_burst_feedback(self, obs: BurstObservation) -> None:
+        """Advance the interval search with one burst's feedback: the next
+        interval, or BS_OPT and the STEADY phase once the search
+        concludes. A zero window in STEADY lowers BS_OPT."""
         st = self.state
         if self._last_feedback_id is not None and \
                 obs.burst_id <= self._last_feedback_id:
             log.warning("stale burst feedback id=%s ignored", obs.burst_id)
-            return ("send_burst", st.t_s)
+            return
         self._last_feedback_id = obs.burst_id
 
         if st.phase is not Phase.SEARCHING:
@@ -227,20 +238,18 @@ class Shaper:
                 st.t_s = min(st.t_s or 0.0,
                              st.bs_opt_bytes * 8.0 / self.r_s_bps)
                 self._decide(f"steady_zwa bs_opt={st.bs_opt_bytes:.0f}")
-                return ("set_bs_opt", st.bs_opt_bytes)
-            return ("send_burst", st.t_s)
+            return
 
         if obs.zwa_seen:
             self._settle_at_zwa(obs.sent_bytes_at_first_zwa, "search_zwa")
-            return ("set_bs_opt", st.bs_opt_bytes)
+            return
 
         st.t_min_s = st.t_s
         if st.t_max_s - st.t_s < self.granularity_s:
             self._settle_at_t_max()
-            return ("set_bs_opt", st.bs_opt_bytes)
+            return
         st.t_s = (st.t_s + st.t_max_s) / 2.0
         self._decide(f"search_step t={st.t_s:.4f}")
-        return ("send_burst", st.t_s)
 
     def _settle_at_zwa(self, bs_opt: float, event: str) -> None:
         """A zero window after ``bs_opt`` bytes: that is the buffer size."""
@@ -265,17 +274,18 @@ class Shaper:
     # -- bandwidth fluctuation ---------------------------------------------
 
     def on_bandwidth_change(self, est_bps: Optional[float],
-                            runway_s: Optional[float] = None) -> Optional[Tuple]:
+                            runway_s: Optional[float] = None) -> None:
         """React to a new bandwidth estimate.
 
         Below the encoding rate: save the current state (t_old) and fall
-        back to continuous sending, tracking t_max as the content runway
-        already shipped to the client. At recovery (estimate at least twice
-        the encoding rate) restore t = t_old and search again.
+        back to continuous sending (phase LOW_BANDWIDTH), tracking t_max as
+        the content runway already shipped to the client. At recovery
+        (estimate at least twice the encoding rate) restore t = t_old and
+        search again (phase SEARCHING).
         """
         st = self.state
         if est_bps is None:
-            return None
+            return
         if st.phase is Phase.LOW_BANDWIDTH:
             if runway_s is not None:
                 st.t_max_s = max(runway_s, 0.0)
@@ -287,16 +297,12 @@ class Shaper:
                 st.phase = Phase.SEARCHING
                 self._decide(f"bandwidth_recovered t={st.t_s:.3f} "
                              f"t_max={st.t_max_s:.3f}")
-                return ("restore", st.t_s)
-            return ("continuous_send",)
-        if est_bps < self.r_s_bps and st.phase in (Phase.SEARCHING,
-                                                   Phase.STEADY):
+        elif est_bps < self.r_s_bps and st.phase in (Phase.SEARCHING,
+                                                     Phase.STEADY):
             st.t_old_s = st.t_s
             st.phase = Phase.LOW_BANDWIDTH
             self._decide(f"bandwidth_low t_old={st.t_old_s:.3f} "
                          f"est={est_bps:.0f}")
-            return ("continuous_send",)
-        return None
 
     # -- rate adaptation ----------------------------------------------------
 
@@ -333,8 +339,9 @@ class Shaper:
         return new_q
 
     def propagate_bs_opt(self, found_at_quality: int, bs_opt_bytes: float,
-                         zwa_derived: bool) -> Dict[int, float]:
-        """Spread a discovered optimum across the ladder.
+                         zwa_derived: bool) -> None:
+        """Spread a discovered optimum across the ladder, into
+        ``state.per_quality_bs_opt``.
 
         A zero-window optimum is a byte limit of the client's buffer and
         applies to every quality. A t_max-limited optimum is an interval
@@ -350,7 +357,6 @@ class Shaper:
             t_opt = bs_opt_bytes * 8.0 / ladder[found_at_quality].bitrate_bps
             for i in range(found_at_quality + 1):
                 st.per_quality_bs_opt[i] = t_opt * ladder[i].bitrate_bps / 8.0
-        return dict(st.per_quality_bs_opt)
 
     # -- logging ------------------------------------------------------------
 
@@ -360,15 +366,12 @@ class Shaper:
         return [render_burst_row(record) for record in self.burst_records]
 
     def log_burst(self, burst_id: int, t_s: float, nbytes: float,
-                  zwa: bool) -> str:
-        """Record a burst at the current quality, BS_OPT and phase, and
-        return its rendered row."""
+                  zwa: bool) -> None:
+        """Record a burst at the current quality, BS_OPT and phase."""
         st = self.state
         # ``_value_`` is the member's value, read without the property
-        record = (burst_id, self.r_s_bps, t_s, nbytes, zwa, st.bs_opt_bytes,
-                  st.phase._value_)
-        self.burst_records.append(record)
-        return render_burst_row(record)
+        self.burst_records.append((burst_id, self.r_s_bps, t_s, nbytes, zwa,
+                                   st.bs_opt_bytes, st.phase._value_))
 
     BURST_LOG_HEADER = "burst_id,quality_bps,T_s,bytes,zwa,bs_opt_bytes,phase"
 
@@ -415,11 +418,10 @@ class ShapingController:
     """
 
     def __init__(self, shaper: Shaper, low_bw_chunk_s: float = 1.0,
-                 adaptive: bool = False, loop_content: bool = False):
+                 adaptive: bool = False):
         self.shaper = shaper
         self.low_bw_chunk_s = low_bw_chunk_s
         self.adaptive = adaptive
-        self.loop_content = loop_content
         self.content_sent_bytes = 0.0
         self.content_sent_s = 0.0
         self.pending_bytes = 0.0     # offered but not accepted: re-offered
@@ -442,17 +444,14 @@ class ShapingController:
             else:
                 sh.end_fast_start(obs.acked_bytes)
         elif phase is not Phase.LOW_BANDWIDTH:
-            # the record ``Shaper.log_burst`` keeps, left unrendered
-            sh.burst_records.append((obs.burst_id, r_s, st.t_s,
-                                     obs.acked_bytes, obs.zwa_seen,
-                                     st.bs_opt_bytes, phase._value_))
+            sh.log_burst(obs.burst_id, st.t_s, obs.acked_bytes, obs.zwa_seen)
             sh.on_burst_feedback(obs)
             if self.adaptive:
                 sh.maybe_switch_quality(rep.est_bps)
             self._last_burst_start = rep.start_s
-        action = sh.on_bandwidth_change(rep.est_bps,
-                                        self.content_sent_s - rep.played_s)
-        if action and action[0] == "restore":
+        sh.on_bandwidth_change(rep.est_bps,
+                               self.content_sent_s - rep.played_s)
+        if phase is Phase.LOW_BANDWIDTH and st.phase is Phase.SEARCHING:
             # the recovered search times its bursts from the chunk's end
             self._last_burst_start = rep.end_s
         self._now = rep.end_s
@@ -461,8 +460,7 @@ class ShapingController:
     def _next(self) -> Optional[Send]:
         sh = self.shaper
         phase, r_s = sh.state.phase, sh.r_s_bps
-        left = math.inf if self.loop_content else \
-            max(sh.stream.duration_s - self.content_sent_s, 0.0) * r_s / 8.0
+        left = max(sh.stream.duration_s - self.content_sent_s, 0.0) * r_s / 8.0
         if phase is Phase.FAST_START:
             return Send(min(sh.stream.fast_start_s * r_s / 8.0, left),
                         self._now, True)

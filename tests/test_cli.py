@@ -173,6 +173,16 @@ class TestCommands:
         assert (tmp_path / "signaling.csv").exists()
         assert (tmp_path / "stalls.csv").exists()
 
+    def test_run_without_bursts_writes_the_header_alone(self, tmp_path):
+        # 10 s of content all go out in the 18 s Fast Start
+        scenario = tmp_path / "short.ini"
+        scenario.write_text(ini_text(with_key(
+            with_key(SCENARIO, "stream", "duration_s", "10"),
+            "scenario", "session_s", "10")))
+        assert main(["run", str(scenario), "--out", str(tmp_path)]) == 0
+        assert (tmp_path / "bursts.csv").read_text() == \
+            "burst_id,quality_bps,T_s,bytes,zwa,bs_opt_bytes,phase\n"
+
     def test_sweep_writes_csv(self, tmp_path):
         out = tmp_path / "surface.csv"
         rc = main(["sweep", "wifi-ref", "--rs", "500000",
@@ -209,3 +219,77 @@ class TestCommands:
         assert rc == 0
         out = capsys.readouterr().out
         assert "hspa-default" in out and "wifi-ref" in out
+
+
+PROFILE = {"technology": "LTE", "t1_s": "10", "p1_mw": "1216",
+           "p_tail_mw": "1216", "a_coeff": "2.25", "r_btc_bps": "16000000"}
+SCENARIO = {
+    "scenario": {"profile": "lte-drx-default", "session_s": "60",
+                 "fast_start_s": "18"},
+    "stream": {"bitrate_bps": "128000", "duration_s": "60"},
+    "client": {"buffer_bytes": "10000000"},
+}
+
+
+def ini_text(sections):
+    return "".join(f"[{name}]\n" + "".join(f"{k} = {v}\n"
+                                            for k, v in keys.items())
+                   for name, keys in sections.items())
+
+
+def with_key(sections, section, key, value):
+    """``sections`` with ``key`` set to ``value``, or dropped if None."""
+    out = {name: dict(keys) for name, keys in sections.items()}
+    out.setdefault(section, {})[key] = value
+    if value is None:
+        del out[section][key]
+    return out
+
+
+def error_line(capsys) -> str:
+    """The one ``error:`` line on stderr, once stdout is checked empty."""
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == ""
+    assert len(lines) == 1 and lines[0].startswith("error: ")
+    return lines[0]
+
+
+class TestMalformedFiles:
+    """A profile or scenario file with a missing required key, a value that
+    is no number, or a value the model rejects is one ``error:`` line
+    naming the key, and exit status 1."""
+
+    def test_well_formed_files_run(self, capsys, tmp_path):
+        profile = tmp_path / "good-profile.ini"
+        profile.write_text(ini_text({"profile": PROFILE}))
+        scenario = tmp_path / "good.ini"
+        scenario.write_text(ini_text(with_key(SCENARIO, "scenario",
+                                              "profile", str(profile))))
+        assert main(["run", str(scenario)]) == 0
+        assert main(["sweep", str(profile), "--rs", "500000", "--t", "1",
+                     "--b", "1000000"]) == 0
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("key, value", [
+        ("t1_s", None), ("t1_s", "abc"), ("t1_s", "-1"), ("a_coeff", "0.5"),
+        ("pch_enabled", "maybe")])
+    def test_profile(self, capsys, tmp_path, key, value):
+        path = tmp_path / "bad.ini"
+        path.write_text(ini_text(with_key({"profile": PROFILE}, "profile",
+                                          key, value)))
+        assert main(["sweep", str(path), "--rs", "500000", "--t", "1",
+                     "--b", "1000000"]) == 1
+        assert key in error_line(capsys)
+
+    @pytest.mark.parametrize("section, key, value", [
+        ("stream", "duration_s", "abc"), ("stream", "duration_s", "-5"),
+        ("client", "buffer_bytes", None), ("scenario", "profile", None),
+        ("scenario", "session_s", None), ("stream", "bitrate_bps", "fast"),
+        ("bandwidth", "trace", "0:abc"), ("bandwidth", "trace", "0:-1"),
+        ("scenario", "loop_content", "maybe")])
+    def test_scenario(self, capsys, tmp_path, section, key, value):
+        path = tmp_path / "bad.ini"
+        path.write_text(ini_text(with_key(SCENARIO, section, key, value)))
+        assert main(["run", str(path)]) == 1
+        assert key in error_line(capsys)

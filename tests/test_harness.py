@@ -6,9 +6,10 @@ from pathlib import Path
 import pytest
 
 from burststream import (BackgroundTraffic, BandwidthTrace, ConfigError,
-                         QualityLevel, Scenario, StreamSpec, compare_configs,
-                         compare_table, get_profile, harness, load_scenario,
-                         radio, run, shaper, sweep_surface)
+                         QualityLevel, RadioProfile, Scenario, StreamSpec,
+                         Technology, compare_configs, compare_table,
+                         get_profile, harness, load_profile_file,
+                         load_scenario, radio, run, shaper, sweep_surface)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -127,6 +128,34 @@ class TestBuildSession:
         assert sim.shaper.r_s_bps == 800e3
         assert sim.client.drain_rate_bps == sim.shaper.r_s_bps
         assert sim.client.startup_bytes == 2.0 * 800e3 / 8.0
+
+
+class TestLoopedContent:
+    """A ``loop_content`` scenario streams its content over and over: the
+    session runs past the content's end as an endless stream would."""
+
+    @staticmethod
+    def scenario(duration_s, loop_content):
+        return Scenario(
+            name="looped", profile=get_profile("lte-drx-default"),
+            stream=StreamSpec.single(128e3, duration_s=duration_s,
+                                     fast_start_s=18.0),
+            buffer_bytes=10_000_000, bandwidth=BandwidthTrace.flat(16e6),
+            session_length_s=120.0, loop_content=loop_content)
+
+    def test_looped_scenario_streams_past_the_content(self):
+        res = run(self.scenario(30.0, loop_content=True))
+        s = res.session
+        assert s.content_sent_s > 30.0
+        assert s.trajectory[-1]["time_s"] > 30.0
+        assert not s.stalls_after_fast_start()
+        assert res.state_trace.segments[-1].end_s == pytest.approx(120.0)
+        # 30 s of looped content ships as a stream that outlasts the
+        # session does
+        endless = run(self.scenario(1e6, loop_content=False))
+        assert res.burst_log == endless.burst_log
+        assert s.decision_log == endless.session.decision_log
+        assert res.energy_mj == endless.energy_mj
 
 
 class TestRenderOnRead:
@@ -251,6 +280,11 @@ class TestShippedProfiles:
         for name in ("lte-drx-default", "lte-drx-longidle"):
             drx = get_profile(name).drx
             assert (drx.idle_ms, drx.cycle_ms, drx.on_ms) == (750, 640, 20)
+
+    def test_a_profile_file_sets_only_its_keys(self, tmp_path):
+        path = tmp_path / "bare.ini"
+        path.write_text("[profile]\ntechnology = wifi\nt1_s = 0.2\n")
+        assert load_profile_file(path) == RadioProfile(Technology.WIFI, 0.2)
 
     def test_wifi_reference_timer_and_powers(self):
         p = get_profile("wifi-ref")

@@ -275,6 +275,52 @@ class TestResolveOrigin:
         proxy = ShapingProxy(SessionConfig(listen=("127.0.0.1", 0)))
         assert proxy._resolve_origin(head) == origin
 
+    @pytest.mark.parametrize("override", [None, "http://o.example:81"])
+    @pytest.mark.parametrize("target", ["http://h.example:8080/v?q=1",
+                                        "/v?q=1"])
+    def test_query_string_kept(self, override, target):
+        proxy = ShapingProxy(SessionConfig(listen=("127.0.0.1", 0),
+                                           origin=override))
+        head = f"GET {target} HTTP/1.1\r\nHost: h.example:8080\r\n\r\n"
+        host, port, path = proxy._resolve_origin(head)
+        assert path == "/v?q=1"
+        assert (host, port) == (("o.example", 81) if override
+                                else ("h.example", 8080))
+
+    def test_origin_sees_the_query_string(self):
+        origin = _serve(_Origin(10_000, 4e6))
+        paths = []
+
+        class Recording(_OriginHandler):
+            def do_GET(self):
+                paths.append(self.path)
+                super().do_GET()
+
+        origin.RequestHandlerClass = Recording
+        origin_addr = f"127.0.0.1:{origin.server_address[1]}"
+        proxy, addr = _start_proxy(origin, fast_start_seconds=1.0)
+        direct = ShapingProxy(SessionConfig(listen=("127.0.0.1", 0)))
+        direct_addr = direct.start()
+        try:
+            for through, target in (
+                    (addr, "/v?q=1"),                           # --origin
+                    (addr, f"http://{origin_addr}/v?q=1"),      # --origin
+                    (direct_addr, f"http://{origin_addr}/v?q=1")):
+                with socket.create_connection(through, timeout=10.0) as sock:
+                    sock.sendall(f"GET {target} HTTP/1.1\r\n"
+                                 f"Host: {origin_addr}\r\n\r\n".encode())
+                    head, first = _read_head(sock)
+                    got = len(first)
+                    while data := sock.recv(65536):
+                        got += len(data)
+                assert "200" in head.splitlines()[0]
+                assert got == 10_000
+        finally:
+            proxy.close()
+            direct.close()
+            origin.shutdown()
+        assert paths == ["/v?q=1"] * 3
+
 
 def _record_controllers(monkeypatch):
     """Record every ``ShapingController`` call as (controller, report,
@@ -1049,6 +1095,15 @@ class TestUnservableRequests:
     def test_method_other_than_get_is_not_implemented(self, method):
         assert _answer(method + b" /a HTTP/1.1\r\nHost: 127.0.0.1:9\r\n\r\n") \
             == _bare_status(b"501 Not Implemented")
+
+    @pytest.mark.parametrize("body_bytes", [10, 100_000])
+    def test_answer_survives_an_unread_request_body(self, body_bytes):
+        # the body is never read as a request; the client still reads the
+        # whole answer and then a clean end of stream, not a reset
+        request = (b"POST /a HTTP/1.1\r\nHost: 127.0.0.1:9\r\n"
+                   b"Content-Length: %d\r\n\r\n" % body_bytes
+                   + b"b" * body_bytes)
+        assert _answer(request) == _bare_status(b"501 Not Implemented")
 
     def test_refused_origin_is_a_bad_gateway(self):
         with socket.socket() as unused:      # a loopback port with no

@@ -57,14 +57,15 @@ class TestBinarySearch:
         probes = [sh.state.t_s]
         k = 0
         while sh.phase is Phase.SEARCHING:
-            action = sh.on_burst_feedback(feedback(k))
+            sh.on_burst_feedback(feedback(k))
             k += 1
             if sh.phase is Phase.SEARCHING:
                 probes.append(sh.state.t_s)
         assert probes == [20.0, 30.0, 35.0, 37.5, 38.75, 39.375]
         assert sh.state.t_s == 40.0
+        # the last feedback set BS_OPT and ended the search
+        assert sh.phase is Phase.STEADY
         assert sh.state.bs_opt_bytes == pytest.approx(40 * 500e3 / 8)
-        assert action == ("set_bs_opt", sh.state.bs_opt_bytes)
         assert k <= math.ceil(math.log2(40.0))
 
     def test_probes_strictly_increase(self):
@@ -83,9 +84,8 @@ class TestBinarySearch:
         sh = make_shaper(r_s=2e6)
         sh.end_fast_start(60 * 2e6 / 8)  # t_max = 60
         assert sh.state.t_s == 30.0
-        action = sh.on_burst_feedback(
-            feedback(0, zwa=True, sent_at_zwa=10_000_000))
-        assert action == ("set_bs_opt", 10_000_000)
+        sh.on_burst_feedback(feedback(0, zwa=True, sent_at_zwa=10_000_000))
+        assert sh.state.bs_opt_bytes == 10_000_000
         assert sh.phase is Phase.STEADY
         assert sh.state.t_s == pytest.approx(10_000_000 * 8 / 2e6)  # 40 s
 
@@ -116,21 +116,18 @@ class TestLowBandwidth:
             k += 1
         assert sh.state.t_s == pytest.approx(14.0)
 
-        action = sh.on_bandwidth_change(100e3, runway_s=13.0)
-        assert action == ("continuous_send",)
+        sh.on_bandwidth_change(100e3, runway_s=13.0)
         assert sh.phase is Phase.LOW_BANDWIDTH
         assert sh.state.t_old_s == pytest.approx(14.0)
 
         # bandwidth between r_s and 2 r_s keeps the fallback going while
         # the shipped-content runway grows
         for runway in (20.0, 31.0, 43.0):
-            action = sh.on_bandwidth_change(200e3, runway_s=runway)
-            assert action == ("continuous_send",)
+            sh.on_bandwidth_change(200e3, runway_s=runway)
+            assert sh.phase is Phase.LOW_BANDWIDTH
             assert sh.state.t_max_s == pytest.approx(runway)
-        assert sh.phase is Phase.LOW_BANDWIDTH
 
-        action = sh.on_bandwidth_change(300e3, runway_s=43.0)
-        assert action == ("restore", pytest.approx(14.0))
+        sh.on_bandwidth_change(300e3, runway_s=43.0)
         assert sh.phase is Phase.SEARCHING
         assert sh.state.t_s == pytest.approx(14.0)
         assert sh.state.t_max_s == pytest.approx(43.0)
@@ -184,7 +181,8 @@ class TestQualitySelection:
 class TestPropagation:
     def test_zwa_limit_applies_to_all_qualities(self):
         sh = Shaper(SPEC)
-        per = sh.propagate_bs_opt(5, 17_000_000, zwa_derived=True)
+        sh.propagate_bs_opt(5, 17_000_000, zwa_derived=True)
+        per = sh.state.per_quality_bs_opt
         assert set(per) == set(range(len(LADDER)))
         assert all(v == 17_000_000 for v in per.values())
 
@@ -192,7 +190,8 @@ class TestPropagation:
         sh = Shaper(SPEC)
         # quality index 2 (1500 kbit/s) settled at t_max with 39 s worth
         bs = 39 * 1500e3 / 8
-        per = sh.propagate_bs_opt(2, bs, zwa_derived=False)
+        sh.propagate_bs_opt(2, bs, zwa_derived=False)
+        per = sh.state.per_quality_bs_opt
         assert set(per) == {0, 1, 2}
         assert per[0] == pytest.approx(39 * 700e3 / 8)
         assert per[2] == pytest.approx(bs)
@@ -228,7 +227,8 @@ class TestBurstLog:
     def test_row_format(self):
         sh = make_shaper(r_s=700e3)
         sh.end_fast_start(2_000_000)
-        row = sh.log_burst(3, 11.4, 997_500, zwa=False)
+        sh.log_burst(3, 11.4, 997_500, zwa=False)
+        row = sh.burst_log[-1]
         fields = row.split(",")
         assert len(fields) == 7
         assert fields[0] == "3"
@@ -264,12 +264,13 @@ class TestBurstRecords:
         assert render_burst_row(record) == formatted_burst_row(
             burst_id, r_s_bps, t_s, nbytes, zwa, bs_opt_bytes, phase)
 
-    def test_log_burst_records_values_and_returns_the_row(self):
+    def test_log_burst_records_values_that_render_as_the_row(self):
         sh = make_shaper(r_s=700e3)
         sh.end_fast_start(2_000_000)
-        row = sh.log_burst(3, 11.4, 997_500.4, zwa=True)
+        sh.log_burst(3, 11.4, 997_500.4, zwa=True)
         assert sh.burst_records == [
             (3, 700e3, 11.4, 997_500.4, True, None, "SEARCHING")]
+        row = sh.burst_log[-1]
         assert row == formatted_burst_row(3, 700e3, 11.4, 997_500.4, True,
                                           None, Phase.SEARCHING)
         # each read renders a fresh list
