@@ -34,6 +34,15 @@ class BackgroundTraffic:
     bytes: float
     phase_s: float = 0.0
 
+    def __post_init__(self) -> None:
+        # a period of 0 would never end ``spans``
+        if not 0 < self.period_s < math.inf:
+            raise ValueError("period_s must be > 0 and finite")
+        if not 0 <= self.bytes < math.inf:
+            raise ValueError("bytes must be >= 0 and finite")
+        if not self.phase_s >= 0:
+            raise ValueError("phase_s must be >= 0")
+
     def spans(self, horizon_s: float,
               bandwidth: BandwidthTrace) -> List[Tuple[float, float, float]]:
         out = []
@@ -116,9 +125,10 @@ def _scenario_from_parser(cp: configparser.ConfigParser,
     background = None
     if cp.has_section("background"):
         bg = cp["background"]
-        background = BackgroundTraffic(config_value(bg, "period_s"),
-                                       config_value(bg, "bytes"),
-                                       config_value(bg, "phase_s", 0.0))
+        with rejected_as_config("[background]"):
+            background = BackgroundTraffic(config_value(bg, "period_s"),
+                                           config_value(bg, "bytes"),
+                                           config_value(bg, "phase_s", 0.0))
     return Scenario(
         name=sc.get("name", default_name),
         profile=profile,

@@ -7,20 +7,25 @@ bursts at full socket speed, or continuous chunks under low bandwidth) and
 reports what happened. Flow-control feedback comes from socket
 backpressure: sustained blocked writes stand in for a zero-window
 advertisement, and the byte count accepted up to that point is the
-SentBytes estimate of the client's buffer; each write returns the
+SentBytes estimate of the client's buffer; each send returns the
 ``BurstObservation`` the controller reads. A body of unknown length is a
-stream of infinite duration, as in the simulation. The session thread
-reads each send's bytes from the origin itself, just before the send, so
-the origin is flow-controlled by the same backpressure and no copy of the
-body is kept beyond the send in hand. That send is one buffer: the origin
-is read straight into it, after the bytes the previous send left
-unaccepted, and the writes take views of it, so each byte is held once and
-only unaccepted leftovers are copied. A read that does not end the body
-also measures the origin's fill rate, which caps the bandwidth estimate;
-what is left at the end is drained. Every decision is the controller's, as
-in the simulation (``tests/test_proxy.py::TestSharedCore`` replays both),
-and ``--log`` gets each session's burst rows through ``write_burst_log``,
-as ``burststream run --out`` does.
+stream of infinite duration, as in the simulation.
+
+The session thread reads each send's bytes from the origin itself, so the
+origin is flow-controlled by the same backpressure and no copy of the body
+is kept beyond the send in hand. A send first writes the bytes it holds,
+then reads the rest from the origin one slab (``SLAB_BYTES``) at a time
+and writes each slice as soon as it is read; the next slice is read only
+once the client has accepted the last. A send whose time is still ahead
+collects its bytes during the wait instead, so a paced origin's burst
+still leaves at full speed. Bytes a zero window leaves unaccepted are
+offered first by the next send; bytes not yet read stay in the origin
+socket. The origin reads of a send that does not end the body also
+measure the origin's fill rate, which caps the bandwidth estimate; what is
+left at the end is drained. Every decision is the controller's, as in the
+simulation (``tests/test_proxy.py::TestSharedCore`` replays both), and
+``--log`` gets each session's burst rows through ``write_burst_log``, as
+``burststream run --out`` does.
 
 Raw ACK capture would need privileged packet access; backpressure sensing
 needs none and provides the same two facts (buffer full, bytes accepted).
@@ -47,7 +52,7 @@ from contextlib import closing, suppress
 from dataclasses import dataclass
 from http import HTTPStatus
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import Iterable, Iterator, List, Optional, Tuple, Union
 from urllib.parse import SplitResult, urlsplit
 
 from .mediahttp import StreamInfo
@@ -75,7 +80,11 @@ class SessionConfig:
             raise ValueError("fast_start_seconds must be > 0")
 
 
-def _read_body(response: http.client.HTTPResponse, buf: bytearray,
+SLAB_BYTES = 1 << 18     # origin bytes a send reads, and writes, at a time
+
+
+def _read_body(response: http.client.HTTPResponse,
+               buf: Union[bytearray, memoryview],
                got: int) -> Tuple[int, Optional[Exception]]:
     """Fill ``buf`` with the origin body past its first ``got`` bytes, the
     bytes already in hand; return the count in hand after, and the error
@@ -97,7 +106,7 @@ def _read_body(response: http.client.HTTPResponse, buf: bytearray,
     except (OSError, http.client.HTTPException) as exc:
         response.close()
         # the session report keeps the error: without its frames, which
-        # hold the whole send buffer
+        # hold the buffer
         exc.__traceback__ = exc.__context__ = None
         return got, exc
     return got, None
@@ -173,42 +182,110 @@ class _BackpressureWriter:
         self.credit_bps = credit_bps
         sock.setblocking(False)
 
-    def write_burst(self, view: memoryview, burst_id: int, start_byte: int,
+    def write_burst(self, slices: Iterable[memoryview], size_bytes: float,
+                    burst_id: int, start_byte: int,
                     abort_on_zwa: bool = True,
                     stop: Optional[threading.Event] = None
-                    ) -> BurstObservation:
-        """Write burst ``burst_id``, the stream's bytes from ``start_byte``
-        on; socket backpressure stands in for its ACKs."""
+                    ) -> Tuple[BurstObservation, memoryview]:
+        """Write burst ``burst_id``, ``size_bytes`` of the stream from
+        ``start_byte`` on, taken from ``slices`` one at a time: the next
+        slice is taken only once the socket has accepted the last. Socket
+        backpressure over the whole burst, in one account, stands in for
+        its ACKs; slices that run out early offered only what they gave.
+        Returns the observation and the unaccepted rest of the slice in
+        hand, which is empty unless the burst stopped early."""
         sent = 0
         blocked = 0.0
         zwa = False
         zwa_at: Optional[int] = None
+        rest = memoryview(b"")
         start = time.monotonic()
-        while sent < len(view):
-            if stop is not None and stop.is_set():
-                break
-            try:
-                n = self.sock.send(view[sent:])
-            except (BlockingIOError, InterruptedError):
-                n = 0
-            if n > 0:
-                sent += n
-                blocked = max(0.0, blocked - n * 8.0 / self.credit_bps)
-                continue
-            t0 = time.monotonic()
-            select.select([], [self.sock], [], 0.05)
-            blocked += time.monotonic() - t0
-            if blocked >= self.threshold_s:
-                if not zwa:
-                    zwa = True
-                    zwa_at = sent
-                if abort_on_zwa:
+        for view in slices:
+            done = 0
+            while done < len(view):
+                if stop is not None and stop.is_set():
                     break
-                blocked = 0.0
+                try:
+                    n = self.sock.send(view[done:])
+                except (BlockingIOError, InterruptedError):
+                    n = 0
+                if n > 0:
+                    done += n
+                    blocked = max(0.0, blocked - n * 8.0 / self.credit_bps)
+                    continue
+                t0 = time.monotonic()
+                select.select([], [self.sock], [], 0.05)
+                blocked += time.monotonic() - t0
+                if blocked >= self.threshold_s:
+                    if not zwa:
+                        zwa = True
+                        zwa_at = sent + done
+                    if abort_on_zwa:
+                        break
+                    blocked = 0.0
+            sent += done
+            if done < len(view):
+                rest = view[done:]
+                break
+        else:
+            size_bytes = sent          # the slices ran out
         end = time.monotonic()
         return BurstObservation(
-            burst_id, len(view), start_byte, start, start, end, sent,
-            sent >= len(view), zwa, end if zwa else None, zwa_at)
+            burst_id, size_bytes, start_byte, start, start, end, sent,
+            sent >= size_bytes, zwa, end if zwa else None, zwa_at), rest
+
+
+class _OriginReader:
+    """One send's reads of the origin body, a slab at a time; their bytes
+    and seconds give the origin's fill rate."""
+
+    def __init__(self, response: http.client.HTTPResponse,
+                 errors: List[Exception]):
+        self.response = response
+        self.errors = errors            # gets the error that ends the body
+        self.read_bytes = 0
+        self.read_s = 0.0
+
+    def left(self) -> float:
+        """Body bytes not yet read: unbounded for a body of unknown length
+        that has not ended."""
+        if self.response.isclosed():
+            return 0
+        length = self.response.length
+        return math.inf if length is None else length
+
+    def slices(self, want: float) -> Iterator[memoryview]:
+        """The next ``want`` body bytes, or what is left if fewer, one
+        slab at a time; a slice is overwritten when the next is taken."""
+        slab = memoryview(bytearray(min(SLAB_BYTES, want, self.left())))
+        while want > 0 and not self.response.isclosed():
+            t = time.monotonic()
+            got, error = _read_body(self.response,
+                                    slab[:min(want, len(slab))], 0)
+            self.read_s += time.monotonic() - t
+            self.read_bytes += got
+            if error is not None:
+                self.errors.append(error)
+            if not got:
+                return
+            want -= got
+            yield slab[:got]
+
+    def read_ahead(self, held: memoryview, size: int) -> memoryview:
+        """``held``, then the body bytes after it up to ``size`` in all, in
+        one buffer."""
+        buf = bytearray(held)
+        for piece in self.slices(size - len(held)):
+            buf += piece
+        return memoryview(buf)
+
+    def fill_bps(self) -> Optional[float]:
+        """The rate of these reads, if they read a byte and the body goes
+        on; a read that ends the body says nothing of the origin's
+        rate."""
+        if not self.read_bytes or self.response.isclosed():
+            return None
+        return self.read_bytes * 8.0 / max(self.read_s, 1e-6)
 
 
 class ProxyError(RuntimeError):
@@ -261,7 +338,9 @@ class ShapingProxy:
                 self._listener.close()
             except OSError:
                 pass
-        for t in self._threads:
+        with self._lock:
+            threads = list(self._threads)
+        for t in threads:
             t.join(timeout=2.0)
 
     def _accept_loop(self) -> None:
@@ -274,9 +353,9 @@ class ShapingProxy:
                 return
             t = threading.Thread(target=self._session_guard,
                                  args=(conn, addr), daemon=True)
+            with self._lock:
+                self._threads.append(t)
             t.start()
-            self._threads = [th for th in self._threads if th.is_alive()]
-            self._threads.append(t)
 
     def _session_guard(self, conn: socket.socket, addr) -> None:
         try:
@@ -293,6 +372,10 @@ class ShapingProxy:
                 conn.close()
             except OSError:
                 pass
+            # a finished session leaves the list itself, so the list holds
+            # the live threads whenever connections stop arriving
+            with self._lock:
+                self._threads.remove(threading.current_thread())
 
     # -- per-session machinery ---------------------------------------------
 
@@ -445,11 +528,11 @@ class ShapingProxy:
         is done; the error that ended the origin body goes to
         ``origin_errors``.
 
-        Each send's bytes are read from the origin right after the previous
-        write, before the wait for the send's time, so the origin is paced
-        by the client's backpressure and a fast origin's bursts leave on
-        time. They are read into one buffer per send, after the bytes the
-        previous send left unaccepted, and written from views of it.
+        A send writes the bytes the previous one left unaccepted, then
+        reads the rest from the origin a slab at a time, each slice written
+        before the next is read, so the origin is paced by the client's
+        backpressure. A send whose time is still ahead reads its bytes
+        during the wait instead, so a slow origin's burst leaves on time.
         """
         t0 = time.monotonic()
         pending = memoryview(b"")   # read from the origin, not yet accepted
@@ -458,51 +541,39 @@ class ShapingProxy:
         send = controller.start()
         while send is not None and not self._stop.is_set():
             size = max(math.ceil(send.size_bytes), 1)
-            fill_bps = None
-            if len(pending) < size:
-                held = len(pending)
-                if response.length is None:
-                    # a body of unknown length may end far short of the
-                    # send: its buffer starts at 1 MiB and doubles as it fills
-                    want = size
-                    buf = bytearray(min(size, held + (1 << 20)))
-                else:
-                    want = min(size, held + response.length)
-                    buf = bytearray(want)
-                buf[:held] = pending
-                pending = memoryview(buf)   # frees the last send's buffer
-                pull_start = time.monotonic()
-                got, error = _read_body(response, buf, held)
-                while got == len(buf) < want and not response.isclosed():
-                    buf = buf + bytes(min(len(buf), want - len(buf)))
-                    got, error = _read_body(response, buf, got)
-                if error is not None:
-                    origin_errors.append(error)
-                elif not response.isclosed():
-                    # the body goes on, so the origin may be the bottleneck:
-                    # its fill rate caps the end-to-end estimate
-                    fill_bps = (got - held) * 8.0 / max(
-                        time.monotonic() - pull_start, 1e-6)
-                pending = memoryview(buf)[:got]
-            if not pending:
+            origin = _OriginReader(response, origin_errors)
+            if len(pending) < size and t0 + send.at_s > time.monotonic():
+                pending = origin.read_ahead(pending, size)
+            if not pending and response.isclosed():
                 break                    # the origin is done
             delay = t0 + send.at_s - time.monotonic()
             if delay > 0 and self._stop.wait(timeout=delay):
                 break
-            burst = min(size, len(pending))
-            obs = writer.write_burst(pending[:burst], next(burst_ids),
-                                     sent_cum, send.abort_on_zwa, self._stop)
-            pending = pending[obs.acked_bytes:]
+            held = pending[:size]
+            obs, rest = writer.write_burst(
+                itertools.chain((held,), origin.slices(size - len(held))),
+                min(size, len(held) + origin.left()), next(burst_ids),
+                sent_cum, send.abort_on_zwa, self._stop)
+            if not obs.size_bytes:
+                break                    # the origin ended with nothing
+            # the unaccepted bytes are those held past the accepted ones,
+            # or else the rest of the slab in hand
+            pending = pending[obs.acked_bytes:] \
+                if obs.acked_bytes < len(pending) else rest
             sent_cum += obs.acked_bytes
             est = obs.acked_bytes * 8.0 / max(obs.t_bd_s, 1e-6)
+            fill_bps = origin.fill_bps()
             if fill_bps is not None:
+                # the body goes on, so the origin may be the bottleneck
                 est = min(est, fill_bps)
             send = controller.report(
                 Report(obs, obs.acked_bytes, obs.send_time_s - t0,
                        obs.last_ack_s - t0, est, time.monotonic() - t0))
         # final drain so the client sees the whole stream
-        if pending and not self._stop.is_set():
-            writer.write_burst(pending, next(burst_ids), sent_cum,
+        if not self._stop.is_set():
+            unread = _OriginReader(response, origin_errors).slices(math.inf)
+            writer.write_burst(itertools.chain((pending,), unread), math.inf,
+                               next(burst_ids), sent_cum,
                                abort_on_zwa=False, stop=self._stop)
 
     def _flush_log(self, rows: List[str]) -> None:

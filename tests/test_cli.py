@@ -293,3 +293,16 @@ class TestMalformedFiles:
         path.write_text(ini_text(with_key(SCENARIO, section, key, value)))
         assert main(["run", str(path)]) == 1
         assert key in error_line(capsys)
+
+    @pytest.mark.parametrize("key, value", [
+        ("period_s", "0"), ("period_s", "inf"), ("bytes", "-1"),
+        ("phase_s", "-1")])
+    def test_background(self, capsys, tmp_path, key, value):
+        # ``period_s = 0`` made ``run`` hang
+        sections = dict(SCENARIO, background={"period_s": "30",
+                                              "bytes": "1000"})
+        path = tmp_path / "bad.ini"
+        path.write_text(ini_text(with_key(sections, "background", key,
+                                          value)))
+        assert main(["run", str(path)]) == 1
+        assert f"[background]: {key}" in error_line(capsys)

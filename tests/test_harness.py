@@ -48,6 +48,18 @@ class TestScenarioFiles:
         assert sc.background is not None
         assert sc.background.period_s == 60.0
 
+    @pytest.mark.parametrize("period_s, nbytes, phase_s, key", [
+        (0.0, 1000.0, 0.0, "period_s"), (-5.0, 1000.0, 0.0, "period_s"),
+        (float("inf"), 1000.0, 0.0, "period_s"),
+        (float("nan"), 1000.0, 0.0, "period_s"),
+        (60.0, -1.0, 0.0, "bytes"), (60.0, float("inf"), 0.0, "bytes"),
+        (60.0, float("nan"), 0.0, "bytes"), (60.0, 1000.0, -1.0, "phase_s")])
+    def test_background_rejects_what_never_ends(self, period_s, nbytes,
+                                                phase_s, key):
+        # a period of 0 made ``spans`` loop until memory ran out
+        with pytest.raises(ValueError, match=key):
+            BackgroundTraffic(period_s, nbytes, phase_s)
+
     def test_missing_profile_rejected(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[scenario]\nname=x\nprofile=no-such\nsession_s=10\n"

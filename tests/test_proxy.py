@@ -6,21 +6,25 @@ throttled-origin tests carry the integration marker (run them with
 """
 
 import copy
+import hashlib
 import http.client
 import http.server
 import random
 import socket
 import struct
+import sys
 import threading
 import time
 import tracemalloc
+from types import SimpleNamespace
 
 import pytest
 
 from burststream import (BandwidthTrace, Phase, QualityLevel, Shaper,
                          SimulatedSession, StreamingClient, StreamSpec)
+from burststream import proxy as proxy_module
 from burststream.proxy import (ProxyError, SessionConfig, ShapingProxy,
-                               _read_body)
+                               _BackpressureWriter, _read_body)
 from burststream.shaper import ShapingController
 
 
@@ -545,6 +549,33 @@ class TestProxySmoke:
             proxy.close()
             origin.shutdown()
 
+    def test_concurrent_sessions_leave_only_the_accept_thread(self):
+        # 8 clients at once, 4 times over, on a short switch interval: each
+        # session thread takes itself off the list, so none is lost or left
+        total = 100_000               # fits in the Fast Start
+        origin = _serve(_Origin(total, 4e6))
+        proxy, addr = _start_proxy(origin, fast_start_seconds=1.0)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for _ in range(4):
+                socks = [_connect(addr) for _ in range(8)]
+                for sock in socks:
+                    with sock:
+                        _, first = _read_head(sock)
+                        got = len(first)
+                        while data := sock.recv(65536):
+                            got += len(data)
+                    assert got == total
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline and len(proxy._threads) > 1:
+                time.sleep(0.01)
+            assert len(proxy._threads) == 1 and len(proxy.sessions) == 32
+        finally:
+            sys.setswitchinterval(interval)
+            proxy.close()
+            origin.shutdown()
+
     def test_session_log_written(self, tmp_path):
         total = int(2 * 4e6 / 8)
         origin = _Origin(total, 4e6)
@@ -846,6 +877,153 @@ class TestReadBody:
         assert max(response.reads) <= 65536
         # the body has ended: a later call adds nothing
         assert _read_body(response, bytearray(10), 0) == (0, None)
+
+
+class _Slices:
+    """``body`` as slices of ``size`` bytes, counting the slices taken."""
+
+    def __init__(self, body, size):
+        self.body = memoryview(body)
+        self.size = size
+        self.taken = 0
+
+    def __iter__(self):
+        for i in range(0, len(self.body), self.size):
+            self.taken += 1
+            yield self.body[i:i + self.size]
+
+
+def _received(peer):
+    """All the bytes waiting on socket ``peer``."""
+    peer.setblocking(False)
+    got = bytearray()
+    while True:
+        try:
+            data = peer.recv(1 << 20)
+        except BlockingIOError:
+            return got
+        if not data:
+            return got
+        got += data
+
+
+class _WaitClock:
+    """A clock for ``_BackpressureWriter`` that moves only while the writer
+    waits for the socket: each wait lasts its whole timeout, and after
+    every ``every_s`` of waiting the peer reads ``nbytes``, at most
+    ``reads`` times."""
+
+    def __init__(self, peer, nbytes, every_s, reads):
+        self.peer = peer
+        self.nbytes = nbytes
+        self.every_s = every_s
+        self.reads_left = reads
+        self.now = 0.0
+        self.waited = 0.0
+        self.read = bytearray()
+
+    def monotonic(self):
+        return self.now
+
+    def select(self, readers, writers, errors, timeout):
+        self.now += timeout
+        self.waited += timeout
+        if self.waited >= self.every_s - 1e-9 and self.reads_left:
+            self.waited = 0.0
+            self.reads_left -= 1
+            want = len(self.read) + self.nbytes
+            while len(self.read) < want:
+                self.read += self.peer.recv(want - len(self.read))
+        return [], [], []
+
+
+class TestSlabRelay:
+    """A send is written a slice at a time, over one blocked-time account,
+    and only one slab of it is held at once."""
+
+    def test_zero_window_across_slices_keeps_the_tail(self):
+        # the peer reads nothing: the socket takes what it holds over
+        # several slices, and then one zero window ends the burst there
+        body = _distinct_bytes(2_000_000)
+        slices = _Slices(body, 16384)
+        writer_sock, peer = socket.socketpair()
+        with writer_sock, peer:
+            writer_sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF,
+                                   65536)
+            writer = _BackpressureWriter(writer_sock, threshold_s=0.2,
+                                         credit_bps=1e12)
+            obs, rest = writer.write_burst(slices, len(body), 7, 1000)
+            got = _received(peer)
+        assert slices.taken > 1
+        assert obs.zwa_seen and not obs.complete
+        assert obs.sent_bytes_at_first_zwa == obs.acked_bytes == len(got)
+        assert got == body[:len(got)]
+        # the rest of the slice in hand comes back, and no later slice
+        # was taken
+        assert len(got) + len(rest) == slices.taken * 16384
+        assert rest == body[len(got):len(got) + len(rest)]
+        assert (obs.burst_id, obs.size_bytes, obs.start_byte) == \
+            (7, len(body), 1000)
+        assert obs.t_bd_s >= 0.2
+
+    def test_blocked_time_carries_across_slices(self, monkeypatch):
+        # the peer reads 32 KiB after every 0.2 s of waiting, so each wait
+        # ends inside the 0.5 s threshold, but the waits add up to it
+        # across the 8 KiB slices: the zero window comes at the third
+        # wait. An account reset at each slice would see it only once the
+        # peer stopped reading, after its 20 reads.
+        body = _distinct_bytes(2_000_000)
+        writer_sock, peer = socket.socketpair()
+        with writer_sock, peer:
+            writer_sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF,
+                                   65536)
+            clock = _WaitClock(peer, 32768, every_s=0.2, reads=20)
+            monkeypatch.setattr(proxy_module, "time",
+                                SimpleNamespace(monotonic=clock.monotonic))
+            monkeypatch.setattr(proxy_module, "select",
+                                SimpleNamespace(select=clock.select))
+            writer = _BackpressureWriter(writer_sock, threshold_s=0.5,
+                                         credit_bps=1e12)
+            obs, rest = writer.write_burst(_Slices(body, 8192), len(body),
+                                           0, 0)
+            got = clock.read + _received(peer)
+        assert obs.zwa_seen and clock.reads_left == 18
+        assert obs.sent_bytes_at_first_zwa == obs.acked_bytes == len(got)
+        assert got == body[:len(got)]
+        assert rest == body[len(got):len(got) + len(rest)]
+
+    def test_fast_start_holds_one_slab(self):
+        # 32 MiB inside one 60 s Fast Start: the proxy reads and writes it
+        # a slab at a time, and the client hashes it as it reads, so the
+        # traced peak stays far below the send (holding the send whole
+        # took more than 32 MiB)
+        total = 32 << 20
+        origin = _serve(_Origin(total, 8e6))
+        proxy, addr = _start_proxy(origin, fast_start_seconds=60.0)
+        digest = hashlib.sha256()
+        buf = bytearray(65536)
+        got = 0
+        tracemalloc.start()
+        try:
+            with _connect(addr) as sock:
+                _, first = _read_head(sock)
+                digest.update(first)
+                got = len(first)
+                sock.settimeout(15.0)
+                while n := sock.recv_into(buf):
+                    digest.update(memoryview(buf)[:n])
+                    got += n
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            proxy.close()
+            origin.shutdown()
+        want = hashlib.sha256()
+        chunk = b"x" * 65536
+        for _ in range(total // len(chunk)):
+            want.update(chunk)
+        assert got == total and digest.digest() == want.digest()
+        assert peak < 4_000_000
 
 
 class TestOriginHeads:
