@@ -27,7 +27,7 @@ for d in res.decision_log:
     print("  ", d)
 
 print("\nburst log tail:")
-for row in res.burst_rows[-5:]:
+for row in res.shaper.burst_log[-5:]:
     print("  ", row)
 
 st = res.shaper.state

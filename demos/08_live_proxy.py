@@ -19,8 +19,18 @@ from test_proxy import _DrainingReader, _Origin, _connect, _read_head  # noqa: E
 
 from burststream.proxy import SessionConfig, ShapingProxy  # noqa: E402
 
+
+class DemoOrigin(_Origin):
+    def handle_error(self, request, client_address):
+        # the proxy drops its origin connection mid-body when the demo
+        # closes it: that reset ends the session; any other error is
+        # reported as socketserver reports it
+        if not isinstance(sys.exc_info()[1], ConnectionResetError):
+            super().handle_error(request, client_address)
+
+
 r_s = 2e6
-origin = _Origin(content_bytes=8_000_000, bitrate_bps=r_s)
+origin = DemoOrigin(content_bytes=8_000_000, bitrate_bps=r_s)
 threading.Thread(target=origin.serve_forever, daemon=True).start()
 
 config = SessionConfig(

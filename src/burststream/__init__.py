@@ -25,10 +25,10 @@ _EXPORTS = {
                "delta_power_rx", "idle_time", "optimal_interval",
                "power_rx", "power_surface", "surface_to_csv", "tail_energy",
                "tail_energy_for_idle"),
-    "radio": ("ActivityEvent", "ActivityTrace", "EventKind", "RadioState",
-              "SignalingConfigError", "SignalingCostTable",
-              "SignalingLedger", "StateSegment", "StateTrace", "TraceError",
-              "energy_of", "signaling_of", "simulate", "tail_states_energy"),
+    "radio": ("ActivityTrace", "RadioState", "SignalingConfigError",
+              "SignalingCostTable", "SignalingLedger", "StateSegment",
+              "StateTrace", "TraceError", "energy_of", "signaling_of",
+              "simulate", "tail_states_energy"),
     "client": ("AckEvent", "DeliveryOrderError", "DeliveryResult",
                "StreamingClient"),
     "profiler": ("BurstObservation", "FeedError", "TrafficProfiler",

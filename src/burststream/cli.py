@@ -122,15 +122,19 @@ def cmd_compare(args) -> int:
 
 def cmd_proxy(args) -> int:
     from .proxy import SessionConfig, ShapingProxy
-    config = SessionConfig(
-        listen=_parse_listen(args.listen),
-        origin=args.origin,
-        fast_start_seconds=args.fast_start_seconds,
-        granularity_s=args.granularity_s,
-        rate_override_bps=args.rate_override_bps,
-        log_path=args.log,
-        backpressure_s=args.backpressure_s,
-    )
+    listen = _parse_listen(args.listen)
+    try:
+        config = SessionConfig(
+            listen=listen,
+            origin=args.origin,
+            fast_start_seconds=args.fast_start_seconds,
+            granularity_s=args.granularity_s,
+            rate_override_bps=args.rate_override_bps,
+            log_path=args.log,
+            backpressure_s=args.backpressure_s,
+        )
+    except ValueError as exc:  # a value out of its field's range
+        raise ConfigError(f"proxy: {exc}") from None
     proxy = ShapingProxy(config)
     host, port = proxy.start()
     print(f"shaping proxy listening on {host}:{port}", flush=True)

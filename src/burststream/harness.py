@@ -55,6 +55,14 @@ class BackgroundTraffic:
         return out
 
 
+class _FieldError(ValueError):
+    """A value outside its field's range; ``field`` names the field."""
+
+    def __init__(self, field: str, rule: str):
+        super().__init__(f"{field} must be {rule}")
+        self.field = field
+
+
 @dataclass
 class Scenario:
     name: str
@@ -71,6 +79,20 @@ class Scenario:
     background: Optional[BackgroundTraffic] = None
 
     def __post_init__(self) -> None:
+        # an endless session never ends ``run`` and a NaN one prices as
+        # NaN; an endless buffer fails in Fast Start
+        for name, ok, rule in (
+                ("session_length_s", 0 < self.session_length_s < math.inf,
+                 "> 0 and finite"),
+                ("buffer_bytes", 0 < self.buffer_bytes < math.inf,
+                 "> 0 and finite"),
+                ("startup_s", self.startup_s >= 0, ">= 0"),
+                ("granularity_s", 0 < self.granularity_s < math.inf,
+                 "> 0 and finite"),
+                ("link_bps", self.link_bps is None or self.link_bps > 0,
+                 "> 0")):
+            if not ok:
+                raise _FieldError(name, rule)
         if not self.loop_content and \
                 self.session_length_s > self.stream.duration_s + 1e-9:
             raise ConfigError("session length exceeds stream duration "
@@ -87,6 +109,14 @@ def load_scenario(path: Union[str, Path]) -> Scenario:
         return _scenario_from_parser(cp, Path(path).stem)
     except ConfigError as exc:
         raise ConfigError(f"{path}: {exc}") from None
+
+
+# the INI key each checked Scenario field is read from
+_SCENARIO_KEYS = {"session_length_s": "[scenario] session_s",
+                  "granularity_s": "[scenario] granularity_s",
+                  "buffer_bytes": "[client] buffer_bytes",
+                  "startup_s": "[client] startup_s",
+                  "link_bps": "[client] link_bps"}
 
 
 def _scenario_from_parser(cp: configparser.ConfigParser,
@@ -129,27 +159,29 @@ def _scenario_from_parser(cp: configparser.ConfigParser,
             background = BackgroundTraffic(config_value(bg, "period_s"),
                                            config_value(bg, "bytes"),
                                            config_value(bg, "phase_s", 0.0))
-    return Scenario(
-        name=sc.get("name", default_name),
-        profile=profile,
-        stream=stream,
-        buffer_bytes=config_value(client_sec, "buffer_bytes"),
-        bandwidth=bandwidth,
-        session_length_s=config_value(sc, "session_s"),
-        granularity_s=config_value(sc, "granularity_s", 1.0),
-        link_bps=config_value(client_sec, "link_bps", None),
-        startup_s=config_value(client_sec, "startup_s", 2.0),
-        loop_content=config_value(sc, "loop_content", False, bool),
-        adaptive=config_value(sc, "adaptive", False, bool),
-        background=background,
-    )
+    try:
+        return Scenario(
+            name=sc.get("name", default_name),
+            profile=profile,
+            stream=stream,
+            buffer_bytes=config_value(client_sec, "buffer_bytes"),
+            bandwidth=bandwidth,
+            session_length_s=config_value(sc, "session_s"),
+            granularity_s=config_value(sc, "granularity_s", 1.0),
+            link_bps=config_value(client_sec, "link_bps", None),
+            startup_s=config_value(client_sec, "startup_s", 2.0),
+            loop_content=config_value(sc, "loop_content", False, bool),
+            adaptive=config_value(sc, "adaptive", False, bool),
+            background=background,
+        )
+    except _FieldError as exc:
+        raise ConfigError(f"{_SCENARIO_KEYS[exc.field]}: {exc}") from None
 
 
 @dataclass
 class RunResult:
-    """A scenario's shaped and baseline runs. ``burst_log`` is rendered
-    from the shaper's burst records when read, as a fresh list on each
-    read."""
+    """A scenario's shaped and baseline runs. ``burst_log`` is the shaped
+    session's ``shaper.burst_log``."""
 
     scenario_name: str
     energy_mj: float
@@ -165,7 +197,7 @@ class RunResult:
     @property
     def burst_log(self) -> List[str]:
         """The shaped run's burst log, one CSV row per burst."""
-        return self.session.burst_rows
+        return self.session.shaper.burst_log
 
     def summary(self) -> str:
         t_opt = self.session.shaper.state.t_s

@@ -76,8 +76,19 @@ class SessionConfig:
     low_bw_chunk_s: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.fast_start_seconds <= 0:
-            raise ValueError("fast_start_seconds must be > 0")
+        for name, ok, rule in (
+                ("fast_start_seconds",
+                 0 < self.fast_start_seconds < math.inf, "> 0 and finite"),
+                ("granularity_s", 0 < self.granularity_s < math.inf,
+                 "> 0 and finite"),
+                ("backpressure_s", self.backpressure_s > 0, "> 0"),
+                ("low_bw_chunk_s", self.low_bw_chunk_s > 0, "> 0"),
+                ("rate_override_bps", self.rate_override_bps is None
+                 or self.rate_override_bps > 0, "> 0"),
+                ("sndbuf_bytes", self.sndbuf_bytes is None
+                 or self.sndbuf_bytes > 0, "> 0")):
+            if not ok:
+                raise ValueError(f"{name} must be {rule}")
 
 
 SLAB_BYTES = 1 << 18     # origin bytes a send reads, and writes, at a time
@@ -85,14 +96,14 @@ SLAB_BYTES = 1 << 18     # origin bytes a send reads, and writes, at a time
 
 def _read_body(response: http.client.HTTPResponse,
                buf: Union[bytearray, memoryview],
-               got: int) -> Tuple[int, Optional[Exception]]:
-    """Fill ``buf`` with the origin body past its first ``got`` bytes, the
-    bytes already in hand; return the count in hand after, and the error
-    that ended the body, if one did. A count short of ``len(buf)`` means
-    the body has ended; once it has, every later call adds nothing. Reads
-    take at most 64 KiB each, so an error mid-body loses no byte read
-    before it."""
+               ) -> Tuple[int, Optional[Exception]]:
+    """Fill ``buf`` with the next origin body bytes, from its first byte;
+    return the count read, and the error that ended the body, if one did.
+    A count short of ``len(buf)`` means the body has ended; once it has,
+    every later call reads nothing. Reads take at most 64 KiB each, so an
+    error mid-body loses no byte read before it."""
     view = memoryview(buf)
+    got = 0
     try:
         while got < len(buf) and not response.isclosed():
             n = response.readinto(view[got:got + 65536])
@@ -261,7 +272,7 @@ class _OriginReader:
         while want > 0 and not self.response.isclosed():
             t = time.monotonic()
             got, error = _read_body(self.response,
-                                    slab[:min(want, len(slab))], 0)
+                                    slab[:min(want, len(slab))])
             self.read_s += time.monotonic() - t
             self.read_bytes += got
             if error is not None:

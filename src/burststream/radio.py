@@ -1,13 +1,14 @@
-"""Event-driven RRC/PSM state machine simulation with signaling accounting.
+"""RRC/PSM state machine simulation with signaling accounting.
 
-Replays a packet-activity timeline against the state machine of one access
-technology and produces a contiguous state trace in which ``simulate``
-prices each segment once. The trace is stored as columns (start, end,
-state, power, active and rate, one entry per segment); the energy
-integral, the tail-state energy and the ledger of state transitions
-(weighted by a configurable signaling cost table) are reductions over
-those columns. ``StateTrace.segments`` is a read-only view: a tuple of
-``StateSegment`` built from the columns each time it is read.
+Replays the activity spans of a session, each ``(start_s, end_s, bytes)``,
+against the state machine of one access technology and produces a
+contiguous state trace in which ``simulate`` prices each segment once. The
+trace is stored as columns (start, end, state, power, active and rate, one
+entry per segment); the energy integral, the tail-state energy and the
+ledger of state transitions (weighted by a configurable signaling cost
+table) are reductions over those columns. ``StateTrace.segments`` is a
+read-only view: a tuple of ``StateSegment`` built from the columns each
+time it is read.
 
 Inside an LTE gap, the DRX cycles that end before the gap does (or before
 the RRC timer expires) are appended to the columns as one run, from list
@@ -67,115 +68,49 @@ _ALLOWED_STATES = {
 }
 
 
-class EventKind(enum.Enum):
-    RX_START = "RX_START"
-    RX_END = "RX_END"
-    TX_START = "TX_START"
-    TX_END = "TX_END"
-
-
 class TraceError(ValueError):
-    """Malformed activity trace (ordering or pairing violation)."""
+    """Malformed activity trace: a span that ends before it starts."""
 
 
 class SignalingConfigError(KeyError):
     """A transition occurred that the cost table does not price."""
 
 
-@dataclass(frozen=True)
-class ActivityEvent:
-    time_s: float
-    kind: EventKind
-    bytes: Optional[int] = None
-
-
-def _merge_spans(spans: Iterable[Tuple[float, float, Optional[int]]],
-                ) -> List[Tuple[float, float, Optional[int]]]:
-    """Sort (start_s, end_s, bytes) spans and join those that overlap or
-    touch (within 1e-12 s); byte counts add up, and one unknown (None)
-    count makes the joined count unknown."""
-    merged: List[Tuple[float, float, Optional[int]]] = []
-    # an unknown count sorts after the known ones of an equal span, as None
-    # and a number do not compare
-    for start, end, nbytes in sorted(
-            spans, key=lambda s: (s[0], s[1], s[2] is None, s[2] or 0)):
-        if merged and start <= merged[-1][1] + 1e-12:
-            prev_start, prev_end, prev_bytes = merged[-1]
-            total = None if prev_bytes is None or nbytes is None \
-                else prev_bytes + nbytes
-            merged[-1] = (prev_start, max(prev_end, end), total)
-        else:
-            merged.append((start, end, nbytes))
-    return merged
-
-
 class ActivityTrace:
-    """Ordered RX/TX start/end events; START/END pair up per direction.
-
-    Construction checks the events and pairs them into spans in one pass;
-    ``spans()`` returns those spans. ``from_spans`` merges its spans once
-    and keeps them; its ``events`` are built from the spans when first
-    read, since the replay reads only the spans.
-    """
-
-    def __init__(self, events: Iterable[ActivityEvent] = ()) -> None:
-        self._events: Optional[List[ActivityEvent]] = list(events)
-        last_t = -1e30
-        open_at: Dict[str, ActivityEvent] = {}
-        raw: List[Tuple[float, float, Optional[int]]] = []
-        for ev in self._events:
-            if ev.time_s < last_t - 1e-12:
-                raise TraceError("event times must be non-decreasing")
-            last_t = max(last_t, ev.time_s)
-            direction, _, edge = ev.kind.value.partition("_")
-            if edge == "START":
-                if direction in open_at:
-                    raise TraceError(f"nested {direction} span at "
-                                     f"t={ev.time_s}")
-                open_at[direction] = ev
-            elif direction not in open_at:
-                raise TraceError(f"unmatched {direction} end at t={ev.time_s}")
-            else:
-                start = open_at.pop(direction)
-                raw.append((start.time_s, ev.time_s, start.bytes))
-        if open_at:
-            raise TraceError("trace ends with an open span")
-        self._spans = _merge_spans(raw)
+    """The merged activity intervals of a session (RX and TX alike), each
+    ``(start_s, end_s, bytes)``. ``from_spans`` is the one way to build
+    one."""
 
     @classmethod
     def from_spans(cls, spans: Iterable[Tuple[float, float, Optional[int]]],
-                   kind: str = "RX") -> "ActivityTrace":
+                   ) -> "ActivityTrace":
         """Build a trace from (start_s, end_s, bytes) activity spans.
 
-        Overlapping or touching spans merge into one activity interval with
-        their byte counts summed.
+        The spans are sorted, and those that overlap or touch (within
+        1e-12 s) merge into one activity interval; byte counts add up, and
+        one unknown (None) count makes the merged count unknown.
         """
         spans = list(spans)
         if any(end < start for start, end, _ in spans):
             raise TraceError("span end before start")
-        # the events of merged spans are ordered and paired by construction:
-        # keep the spans instead of pairing and merging the events again
+        merged: List[Tuple[float, float, Optional[int]]] = []
+        # an unknown count sorts after the known ones of an equal span, as
+        # None and a number do not compare
+        for start, end, nbytes in sorted(
+                spans, key=lambda s: (s[0], s[1], s[2] is None, s[2] or 0)):
+            if merged and start <= merged[-1][1] + 1e-12:
+                prev_start, prev_end, prev_bytes = merged[-1]
+                total = None if prev_bytes is None or nbytes is None \
+                    else prev_bytes + nbytes
+                merged[-1] = (prev_start, max(prev_end, end), total)
+            else:
+                merged.append((start, end, nbytes))
         trace = cls.__new__(cls)
-        trace._events = None
-        trace._kind = kind
-        trace._spans = _merge_spans(spans)
+        trace._spans = merged
         return trace
 
-    @property
-    def events(self) -> List[ActivityEvent]:
-        """The START/END events, in time order."""
-        if self._events is None:
-            rx = self._kind == "RX"
-            start_kind = EventKind.RX_START if rx else EventKind.TX_START
-            end_kind = EventKind.RX_END if rx else EventKind.TX_END
-            self._events = []
-            for start, end, nbytes in self._spans:
-                self._events.append(ActivityEvent(start, start_kind, nbytes))
-                self._events.append(ActivityEvent(end, end_kind))
-        return self._events
-
     def spans(self) -> List[Tuple[float, float, Optional[int]]]:
-        """Merged activity intervals (union of RX and TX), with byte totals."""
+        """Merged activity intervals, with byte totals."""
         return list(self._spans)
 
 
@@ -491,7 +426,7 @@ def simulate(trace: ActivityTrace, profile: RadioProfile,
 
     Every segment is priced here, once: an active segment at the receive
     power of its byte count over its duration (at ``rx_rate_bps`` when its
-    events carry no byte count, at rate 0 without either), a tail segment
+    span carries no byte count, at rate 0 without either), a tail segment
     at its state's configured power.
     """
     spans = trace.spans()

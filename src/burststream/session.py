@@ -58,8 +58,8 @@ class SessionResult:
     The run records values only: one tuple per report in
     ``trajectory_points`` (``TRAJECTORY_KEYS`` order, the phase as its
     string value) and one ``BurstRecord`` per burst in the shaper.
-    ``trajectory`` and ``burst_rows`` render them when read, as a fresh
-    list of dicts or of CSV rows on each read.
+    ``trajectory`` renders the points when read, as a fresh list of dicts
+    on each read; ``shaper.burst_log`` renders the burst rows.
     """
 
     activity_spans: List[Tuple[float, float, float]]
@@ -72,11 +72,6 @@ class SessionResult:
     quality_switches: List[Tuple[float, int]]
     zwa_bursts: int
     shaper: Shaper
-
-    @property
-    def burst_rows(self) -> List[str]:
-        """The shaper's burst log, one CSV row per burst."""
-        return self.shaper.burst_log
 
     @property
     def trajectory(self) -> List[Dict]:

@@ -287,12 +287,26 @@ class TestMalformedFiles:
         ("client", "buffer_bytes", None), ("scenario", "profile", None),
         ("scenario", "session_s", None), ("stream", "bitrate_bps", "fast"),
         ("bandwidth", "trace", "0:abc"), ("bandwidth", "trace", "0:-1"),
-        ("scenario", "loop_content", "maybe")])
+        ("scenario", "loop_content", "maybe"),
+        ("scenario", "session_s", "nan"), ("scenario", "session_s", "-1"),
+        ("scenario", "session_s", "inf"), ("client", "buffer_bytes", "0"),
+        ("client", "buffer_bytes", "inf"), ("client", "startup_s", "-1"),
+        ("scenario", "granularity_s", "0"),
+        ("scenario", "granularity_s", "inf"), ("client", "link_bps", "0")])
     def test_scenario(self, capsys, tmp_path, section, key, value):
         path = tmp_path / "bad.ini"
         path.write_text(ini_text(with_key(SCENARIO, section, key, value)))
         assert main(["run", str(path)]) == 1
         assert key in error_line(capsys)
+
+    def test_endless_looped_session(self, capsys, tmp_path):
+        # looped content with ``session_s = inf`` made ``run`` hang
+        sections = with_key(SCENARIO, "scenario", "loop_content", "true")
+        path = tmp_path / "bad.ini"
+        path.write_text(ini_text(with_key(sections, "scenario", "session_s",
+                                          "inf")))
+        assert main(["run", str(path)]) == 1
+        assert "[scenario] session_s" in error_line(capsys)
 
     @pytest.mark.parametrize("key, value", [
         ("period_s", "0"), ("period_s", "inf"), ("bytes", "-1"),
@@ -306,3 +320,31 @@ class TestMalformedFiles:
                                           value)))
         assert main(["run", str(path)]) == 1
         assert f"[background]: {key}" in error_line(capsys)
+
+
+class TestProxyOptions:
+    """An out-of-range proxy option is one ``error:`` line and exit status
+    1, before the proxy is built."""
+
+    @pytest.mark.parametrize("flag, text", [
+        ("--fast-start-seconds", "0"), ("--fast-start-seconds", "nan"),
+        ("--fast-start-seconds", "inf"), ("--granularity-s", "0"),
+        ("--granularity-s", "nan"), ("--backpressure-s", "0"),
+        ("--rate-override-bps", "-1")])
+    def test_out_of_range_is_an_error_line(self, capsys, monkeypatch, flag,
+                                           text):
+        from burststream import proxy
+
+        def started(config):
+            pytest.fail(f"proxy started with {flag} {text}")
+
+        monkeypatch.setattr(proxy, "ShapingProxy", started)
+        assert main(["proxy", "--listen", "127.0.0.1:0", flag, text]) == 1
+        assert flag[2:].replace("-", "_") in error_line(capsys)
+
+    @pytest.mark.parametrize("field, value", [
+        ("low_bw_chunk_s", 0.0), ("sndbuf_bytes", 0)])
+    def test_fields_without_a_flag_are_checked(self, field, value):
+        from burststream.proxy import SessionConfig
+        with pytest.raises(ValueError, match=field):
+            SessionConfig(**{field: value})

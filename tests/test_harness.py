@@ -191,7 +191,7 @@ class TestRenderOnRead:
         rows = result.burst_log
         assert rendered == records
         assert rows == [render(record) for record in records]
-        assert result.session.burst_rows == rows
+        assert result.session.shaper.burst_log == rows
         assert len(rendered) == 2 * len(records)
 
 

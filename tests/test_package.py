@@ -24,10 +24,10 @@ EXPORTED_FROM = {
                "avg_power_over_intervals", "delta_power_rx", "idle_time",
                "optimal_interval", "power_rx", "power_surface", "Surface",
                "surface_to_csv", "tail_energy", "tail_energy_for_idle"),
-    "radio": ("ActivityEvent", "ActivityTrace", "EventKind", "RadioState",
-              "SignalingConfigError", "SignalingCostTable",
-              "SignalingLedger", "StateSegment", "StateTrace", "TraceError",
-              "energy_of", "signaling_of", "simulate", "tail_states_energy"),
+    "radio": ("ActivityTrace", "RadioState", "SignalingConfigError",
+              "SignalingCostTable", "SignalingLedger", "StateSegment",
+              "StateTrace", "TraceError", "energy_of", "signaling_of",
+              "simulate", "tail_states_energy"),
     "client": ("AckEvent", "DeliveryOrderError", "DeliveryResult",
                "StreamingClient"),
     "profiler": ("BurstObservation", "FeedError", "TrafficProfiler",
@@ -49,7 +49,7 @@ ALL = sorted([*SUBMODULES, *(name for names in EXPORTED_FROM.values()
 
 class TestNamespace:
     def test_all_is_unchanged(self):
-        assert len(ALL) == 78
+        assert len(ALL) == 76
         assert burststream.__all__ == ALL
         assert burststream.__version__ == "0.1.0"
 

@@ -848,16 +848,16 @@ class _CountingResponse:
 
 
 class TestReadBody:
-    """``_read_body`` fills the send's buffer in place, in reads of at
-    most 64 KiB."""
+    """``_read_body`` fills a slab in place from its first byte, in reads
+    of at most 64 KiB."""
 
-    def test_fills_after_the_bytes_in_hand(self):
+    def test_fills_from_the_first_byte(self):
         body = _distinct_bytes(300_000)
         response = _CountingResponse(body + b"more")
-        buf = bytearray(b"held") + bytearray(len(body))
-        got, error = _read_body(response, buf, 4)
+        buf = bytearray(len(body))
+        got, error = _read_body(response, buf)
         assert (got, error) == (len(buf), None)
-        assert buf == b"held" + body
+        assert buf == body
         assert response.reads and max(response.reads) <= 65536
         assert len(response.reads) == -(-len(body) // 65536)
         assert not response.isclosed()         # the body goes on
@@ -866,17 +866,17 @@ class TestReadBody:
         body = _distinct_bytes(100_000)
         response = _CountingResponse(body, declared=300_000)
         buf = bytearray(300_000)
-        got, error = _read_body(response, buf, 0)
+        got, error = _read_body(response, buf)
         assert got == len(body) and buf[:got] == body
         assert isinstance(error, http.client.IncompleteRead)
         assert error.expected == 200_000
         # the error outlives the session in its report, so it must not
-        # pin the send buffer through the frames of its traceback
+        # pin the slab through the frames of its traceback
         assert error.__traceback__ is None and error.__context__ is None
         assert response.isclosed()
         assert max(response.reads) <= 65536
-        # the body has ended: a later call adds nothing
-        assert _read_body(response, bytearray(10), 0) == (0, None)
+        # the body has ended: a later call reads nothing
+        assert _read_body(response, bytearray(10)) == (0, None)
 
 
 class _Slices:
@@ -1029,7 +1029,7 @@ class TestSlabRelay:
 class TestOriginHeads:
     def test_chunked_body_arrives_whole(self):
         # no Content-Length: the proxy reads the chunked body through
-        # http.client into its send buffers, across more than one send
+        # http.client a slab at a time, across more than one send
         total = 1_500_000
         origin = _serve(_Origin(total, 8e6, chunked=True))
         proxy, addr = _start_proxy(origin, fast_start_seconds=1.0,
@@ -1057,7 +1057,8 @@ class TestOriginHeads:
 
     def test_short_body_of_unknown_length_costs_no_whole_send(self):
         # a 60 s Fast Start at 8 Mbit/s asks for 60 MB, but the chunked
-        # body ends at 3 MB: its buffer grows with the body instead
+        # body ends at 3 MB: the send reads it one slab at a time, and
+        # nothing the size of the whole send is allocated
         total = 3_000_000
         origin = _serve(_Origin(total, 8e6, chunked=True))
         proxy, addr = _start_proxy(origin, fast_start_seconds=60.0)
@@ -1079,7 +1080,7 @@ class TestOriginHeads:
 
     def test_bytes_left_at_a_zero_window_arrive_intact(self):
         # the client reads nothing for a second, so the Fast Start stops at
-        # a zero window; what it left is copied into later sends' buffers
+        # a zero window; what it left is offered first by the next send
         # and must reach the client unchanged and in order
         total = 2_000_000
         origin = _serve(_Origin(total, 8e6, distinct=True))

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burststream import (ActivityEvent, ActivityTrace, BurstScenario,
-                         EventKind, RadioState, SignalingConfigError,
-                         SignalingCostTable, StateSegment, StateTrace,
-                         Technology, TraceError, energy_of, get_profile,
-                         list_profiles, power_rx, signaling_of, simulate,
-                         tail_energy, tail_states_energy)
+from burststream import (ActivityTrace, BurstScenario, RadioState,
+                         SignalingConfigError, SignalingCostTable,
+                         StateSegment, StateTrace, Technology, TraceError,
+                         energy_of, get_profile, list_profiles, power_rx,
+                         signaling_of, simulate, tail_energy,
+                         tail_states_energy)
 from burststream import radio
 from burststream.energy import DrxConfig, FastDormancy, RadioProfile
 
@@ -38,27 +38,6 @@ def states_of(trace):
 
 
 class TestActivityTrace:
-    def test_ordering_enforced(self):
-        with pytest.raises(TraceError):
-            ActivityTrace([ActivityEvent(5.0, EventKind.RX_START),
-                           ActivityEvent(1.0, EventKind.RX_END)])
-
-    def test_nesting_rejected(self):
-        with pytest.raises(TraceError):
-            ActivityTrace([ActivityEvent(0.0, EventKind.RX_START),
-                           ActivityEvent(1.0, EventKind.RX_START),
-                           ActivityEvent(2.0, EventKind.RX_END),
-                           ActivityEvent(3.0, EventKind.RX_END)])
-
-    def test_rx_tx_overlap_merges(self):
-        tr = ActivityTrace([
-            ActivityEvent(0.0, EventKind.RX_START, 1000),
-            ActivityEvent(1.0, EventKind.TX_START, 500),
-            ActivityEvent(2.0, EventKind.RX_END),
-            ActivityEvent(3.0, EventKind.TX_END),
-        ])
-        assert tr.spans() == [(0.0, 3.0, 1500)]
-
     def test_from_spans_and_spans_merge_alike(self):
         # touching within 1e-12 s joins; an unknown byte count stays unknown
         raw = [(4.0, 5.0, 10), (0.0, 1.0, 100), (1.0 + 5e-13, 2.0, 200),
@@ -67,19 +46,6 @@ class TestActivityTrace:
         assert tr.spans() == [(0.0, 2.0, 300), (4.0, 5.0, 10),
                               (6.0, 8.0, None)]
         assert ActivityTrace.from_spans(tr.spans()).spans() == tr.spans()
-
-    @pytest.mark.parametrize("kind", ["RX", "TX"])
-    def test_from_spans_events_are_the_merged_spans_edges(self, kind):
-        tr = ActivityTrace.from_spans(
-            [(3.0, 4.0, None), (0.0, 1.0, 10), (0.5, 2.0, 5)], kind)
-        start, end = EventKind[f"{kind}_START"], EventKind[f"{kind}_END"]
-        assert tr.events == [ActivityEvent(0.0, start, 15),
-                             ActivityEvent(2.0, end),
-                             ActivityEvent(3.0, start, None),
-                             ActivityEvent(4.0, end)]
-        assert tr.events is tr.events
-        assert ActivityTrace().events == ActivityTrace.from_spans([]).events \
-            == []
 
     def test_equal_spans_with_and_without_bytes_merge(self):
         tr = ActivityTrace.from_spans([(0.0, 1.0, None), (0.0, 1.0, 5),
@@ -93,7 +59,7 @@ class TestActivityTrace:
 
 class TestHspaStateMachine:
     def test_empty_trace_stays_idle(self):
-        st = simulate(ActivityTrace([]), HSPA, horizon_s=60.0)
+        st = simulate(ActivityTrace.from_spans([]), HSPA, horizon_s=60.0)
         assert states_of(st) == [(RadioState.IDLE, 0.0, 60.0)]
         ledger = signaling_of(st, SignalingCostTable.default())
         assert ledger.transition_total == 0
@@ -200,7 +166,7 @@ class TestLteStateMachine:
 
 class TestEnergy:
     def test_all_idle_zero(self):
-        st = simulate(ActivityTrace([]), HSPA, horizon_s=60.0)
+        st = simulate(ActivityTrace.from_spans([]), HSPA, horizon_s=60.0)
         assert energy_of(st, HSPA, rx_rate_bps=1e6) == 0.0
 
     def test_single_burst_hand_integration(self):
@@ -226,8 +192,7 @@ class TestEnergy:
         assert e10 > e20
 
     def test_missing_rate_raises(self):
-        tr = ActivityTrace([ActivityEvent(0.0, EventKind.RX_START),
-                            ActivityEvent(1.0, EventKind.RX_END)])
+        tr = ActivityTrace.from_spans([(0.0, 1.0, None)])
         st = simulate(tr, HSPA, horizon_s=10.0)
         with pytest.raises(ValueError):
             energy_of(st, HSPA)
@@ -489,13 +454,31 @@ class TestStateTraceChecks:
 # -- the columns against per-segment loops -----------------------------------
 
 class TestColumnDifferential:
-    @given(spans=st.lists(SPAN, max_size=25),
-           kind=st.sampled_from(["RX", "TX"]))
+    @given(spans=st.lists(SPAN, max_size=25))
     @settings(max_examples=200, deadline=None)
-    def test_from_spans_keeps_what_its_events_pair_into(self, spans, kind):
-        tr = ActivityTrace.from_spans([(t, t + d, b) for t, d, b in spans],
-                                      kind)
-        assert tr.spans() == ActivityTrace(tr.events).spans()
+    def test_from_spans_merges_as_the_reference_does(self, spans):
+        raw = [(t, t + d, b) for t, d, b in spans]
+        merged = ActivityTrace.from_spans(raw).spans()
+        for (_, end, _), (start, _, _) in zip(merged, merged[1:]):
+            # sorted, and apart by more than the 1e-12 s that joins spans
+            assert start > end + 1e-12
+        # each input lies inside exactly one merged span
+        members = [[] for _ in merged]
+        for s, e, b in raw:
+            inside = [i for i, (ms, me, _) in enumerate(merged)
+                      if ms <= s and e <= me]
+            assert len(inside) == 1
+            members[inside[0]].append((s, e, b))
+        for (ms, me, mb), parts in zip(merged, members):
+            # the inputs cover the merged span, gaps of 1e-12 s aside
+            assert parts and min(s for s, _, _ in parts) == ms
+            reach = ms
+            for s, e, _ in sorted(parts, key=lambda part: part[0]):
+                assert s <= reach + 1e-12
+                reach = max(reach, e)
+            assert reach == me
+            counts = [b for _, _, b in parts]
+            assert mb == (None if None in counts else sum(counts))
 
     @given(name=st.sampled_from(list_profiles()),
            spans=st.lists(SPAN, max_size=25),

@@ -80,13 +80,13 @@ class TestStarOutcome:
     def test_burst_size_bound_holds_throughout(self):
         res = cbr_session().run()
         cap = 14 * 128e3 / 8
-        for row in res.burst_rows:
+        for row in res.shaper.burst_log:
             assert float(row.split(",")[3]) <= cap + 1e-6
 
     def test_deterministic(self):
         a = cbr_session().run()
         b = cbr_session().run()
-        assert a.burst_rows == b.burst_rows
+        assert a.shaper.burst_log == b.shaper.burst_log
         assert a.activity_spans == b.activity_spans
 
 
@@ -206,7 +206,7 @@ class TestAdaptiveSession:
                                adaptive=True).run()
         indices = [q for _, q in res.quality_switches]
         assert indices == [2, 0, 2, 0]
-        rates = {int(r.split(",")[1]) for r in res.burst_rows}
+        rates = {int(r.split(",")[1]) for r in res.shaper.burst_log}
         assert rates == {700000, 1500000}
 
     def test_settles_steady_at_top_quality(self):
@@ -215,7 +215,7 @@ class TestAdaptiveSession:
         assert st.current_quality_index == 5
         assert st.phase is Phase.STEADY
         assert st.bs_opt_bytes is not None
-        last_rows = res.burst_rows[-3:]
+        last_rows = res.shaper.burst_log[-3:]
         assert all(r.split(",")[1] == "3000000" for r in last_rows)
 
 
