@@ -31,8 +31,7 @@ _EXPORTS = {
               "simulate", "tail_states_energy"),
     "client": ("AckEvent", "DeliveryOrderError", "DeliveryResult",
                "StreamingClient"),
-    "profiler": ("BurstObservation", "FeedError", "TrafficProfiler",
-                 "estimate_bandwidth"),
+    "profiler": ("BurstObservation", "FeedError", "TrafficProfiler"),
     "shaper": ("Phase", "QualityLevel", "Shaper", "ShaperState",
                "StreamSpec", "initial_quality", "select_quality"),
     "session": ("BandwidthTrace", "ProbeSearchResult", "SessionResult",

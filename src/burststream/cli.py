@@ -94,16 +94,8 @@ def cmd_sweep(args) -> int:
         with open(args.out, "w") as fp:
             write_surface_csv(fp, profile, surface)
         print(f"wrote {args.out}")
-        return 0
-    try:
+    else:
         write_surface_csv(sys.stdout, profile, surface)
-        sys.stdout.flush()
-    except BrokenPipeError:
-        # the reader has gone (``| head``): what is left of the CSV, and
-        # what stdout still buffers when the interpreter exits, goes nowhere
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
     return 0
 
 
@@ -197,7 +189,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader has gone (``| head``): what is left of the output, and
+        # what stdout still buffers when the interpreter exits, goes nowhere
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     # OSError: an output path that cannot be written, or a missing input
     except (ConfigError, AssertionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,13 +9,13 @@ remaining bytes can only enter as fast as playback frees space.
 Occupancy evolves as a piecewise-linear fluid with breakpoints computed in
 closed form, so runs are exact and independent of any step size. A delivery
 records its fluid pieces and its explicit ACKs (each zero-window pin and the
-final cumulative ACK). From these it offers two views of the ACK stream:
-``DeliveryResult.feedback``, the breakpoint ACKs the profiler needs, and
-``DeliveryResult.acks``, the exact per-segment stream, expanded only when
-read. Both views come from one segment-ACK formula: ``feedback`` evaluates
-it inline for each piece's first and last segment (and bisects for a
-zero-window onset inside a piece), so a delivery's breakpoint ACKs cost a
-few tuples, not one object per segment. An ``AckEvent`` is a named tuple.
+final cumulative ACK). From these ``DeliveryResult.acks`` offers two views
+of the ACK stream: the exact per-segment stream, expanded only when read,
+and ``acks.feedback()``, the breakpoint ACKs the profiler needs. Both
+views come from one segment-ACK formula: ``feedback`` evaluates it inline
+for each piece's first and last segment (and bisects for a zero-window
+onset inside a piece), so a delivery's breakpoint ACKs cost a few tuples,
+not one object per segment. An ``AckEvent`` is a named tuple.
 """
 
 from __future__ import annotations
@@ -196,8 +196,8 @@ class DeliveryResult:
 
     ``acks`` is the exact per-segment ACK stream, one ACK per segment
     boundary crossed plus the explicit pin and final ACKs; it is a lazy
-    view whose length is counted without expanding it. ``feedback`` is
-    the short breakpoint subset that gives a profiler the same burst
+    view whose length is counted without expanding it. ``acks.feedback()``
+    is the short breakpoint subset that gives a profiler the same burst
     observation.
     """
 
@@ -209,10 +209,6 @@ class DeliveryResult:
     first_zwa_time_s: Optional[float] = None
     bytes_at_first_zwa: Optional[float] = None
     aborted: bool = False
-
-    @property
-    def feedback(self) -> List[AckEvent]:
-        return self.acks.feedback()
 
 
 # Stall intervals shorter than this are fluid-boundary artifacts, not stalls.
@@ -265,10 +261,6 @@ class StreamingClient:
     @property
     def drain_bytes_per_s(self) -> float:
         return self.drain_rate_bps / 8.0
-
-    @property
-    def playback_complete(self) -> bool:
-        return self.playback_position_s >= self.content_duration_s - 1e-12
 
     # -- clock ----------------------------------------------------------
 
@@ -328,9 +320,6 @@ class StreamingClient:
             self.advance(at_s)
         if self._stalled:
             self._close_stall(self.now_s)
-
-    def stalls_after(self, t: float) -> List[List[float]]:
-        return [s for s in self.stall_log if s[0] > t + 1e-9]
 
     # -- delivery --------------------------------------------------------
 

@@ -74,7 +74,6 @@ class Scenario:
     granularity_s: float = 1.0
     link_bps: Optional[float] = None
     startup_s: float = 2.0
-    loop_content: bool = False
     adaptive: bool = False
     background: Optional[BackgroundTraffic] = None
 
@@ -93,8 +92,7 @@ class Scenario:
                  "> 0")):
             if not ok:
                 raise _FieldError(name, rule)
-        if not self.loop_content and \
-                self.session_length_s > self.stream.duration_s + 1e-9:
+        if self.session_length_s > self.stream.duration_s + 1e-9:
             raise ConfigError("session length exceeds stream duration "
                               "without looping enabled")
 
@@ -138,6 +136,9 @@ def _scenario_from_parser(cp: configparser.ConfigParser,
     with rejected_as_config("[stream]"):
         stream = StreamSpec(ladder, config_value(stream_sec, "duration_s"),
                             config_value(sc, "fast_start_s", 20.0))
+    if config_value(sc, "loop_content", False, bool):
+        # looped content is a stream without end
+        stream = replace(stream, duration_s=math.inf)
 
     steps: List[Tuple[float, float]] = []
     with rejected_as_config("[bandwidth] trace"):
@@ -170,7 +171,6 @@ def _scenario_from_parser(cp: configparser.ConfigParser,
             granularity_s=config_value(sc, "granularity_s", 1.0),
             link_bps=config_value(client_sec, "link_bps", None),
             startup_s=config_value(client_sec, "startup_s", 2.0),
-            loop_content=config_value(sc, "loop_content", False, bool),
             adaptive=config_value(sc, "adaptive", False, bool),
             background=background,
         )
@@ -210,9 +210,7 @@ class RunResult:
 
 
 def _build_session(scenario: Scenario) -> SimulatedSession:
-    # looped content is a stream without end
-    stream = replace(scenario.stream, duration_s=math.inf) \
-        if scenario.loop_content else scenario.stream
+    stream = scenario.stream
     ladder = stream.qualities
     client = StreamingClient(
         scenario.buffer_bytes,
@@ -260,17 +258,12 @@ def run(scenario: Scenario,
 
 
 def sweep_surface(profile: RadioProfile, r_s_list: Sequence[float],
-                  t_list: Sequence[float], b_list: Sequence[float],
-                  out_path: Optional[Union[str, Path]] = None) -> str:
-    """The power surface over the grid as one CSV string, also written to
-    ``out_path`` when given. To write a large surface without holding its
-    CSV, pass ``power_surface``'s result to ``energy.write_surface_csv``,
-    as ``burststream sweep`` does."""
-    rows = power_surface(profile, r_s_list, t_list, b_list)
-    csv = surface_to_csv(profile, rows)
-    if out_path is not None:
-        Path(out_path).write_text(csv)
-    return csv
+                  t_list: Sequence[float], b_list: Sequence[float]) -> str:
+    """The power surface over the grid as one CSV string. To write a large
+    surface without holding its CSV, pass ``power_surface``'s result to
+    ``energy.write_surface_csv``, as ``burststream sweep`` does."""
+    return surface_to_csv(profile,
+                          power_surface(profile, r_s_list, t_list, b_list))
 
 
 def compare_configs(scenario: Scenario, profiles: Sequence[RadioProfile],
@@ -280,19 +273,25 @@ def compare_configs(scenario: Scenario, profiles: Sequence[RadioProfile],
     """Run the same scenario under several radio configurations.
 
     ``expect_energy_order`` optionally names profiles in non-decreasing
-    shaped-energy order; violations raise AssertionError so scripted
-    comparisons exit nonzero.
+    shaped-energy order; a name that is not among ``profiles`` is a
+    ConfigError before any run, and a violation raises AssertionError so
+    scripted comparisons exit nonzero.
     """
     if len(profiles) < 2:
         raise ConfigError("compare_configs needs at least two profiles")
+    names = [profile.name or profile.technology.value
+             for profile in profiles]
+    unknown = [n for n in expect_energy_order or () if n not in names]
+    if unknown:
+        raise ConfigError(f"expected energy order names "
+                          f"{', '.join(unknown)}, not among the compared "
+                          f"profiles {', '.join(names)}")
     rows = []
-    for profile in profiles:
-        sc = replace(
-            scenario, profile=profile,
-            name=f"{scenario.name}/{profile.name or profile.technology.value}")
-        result = run(sc, costs)
+    for name, profile in zip(names, profiles):
+        result = run(replace(scenario, profile=profile,
+                             name=f"{scenario.name}/{name}"), costs)
         rows.append({
-            "profile": profile.name or profile.technology.value,
+            "profile": name,
             "energy_mj": result.energy_mj,
             "energy_baseline_mj": result.energy_baseline_mj,
             "savings_pct": result.savings_pct,
@@ -305,9 +304,11 @@ def compare_configs(scenario: Scenario, profiles: Sequence[RadioProfile],
     if expect_energy_order:
         by_name = {r["profile"]: r["energy_mj"] for r in rows}
         for a, b in zip(expect_energy_order, expect_energy_order[1:]):
-            assert by_name[a] <= by_name[b], \
-                f"expected energy({a}) <= energy({b}), got " \
-                f"{by_name[a]:.1f} > {by_name[b]:.1f}"
+            # raised, not asserted: ``python -O`` drops assert statements
+            if not by_name[a] <= by_name[b]:
+                raise AssertionError(
+                    f"expected energy({a}) <= energy({b}), got "
+                    f"{by_name[a]:.1f} > {by_name[b]:.1f}")
     return rows
 
 

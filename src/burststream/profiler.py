@@ -1,8 +1,9 @@
-"""Traffic profiler: burst timing, zero-window detection, bandwidth estimate.
+"""Traffic profiler: burst timing and zero-window detection.
 
 Consumes the ACK/window feedback stream for one session. The shaper
 registers each burst's byte range before sending it (bursts are never
 pipelined, so attribution is unambiguous), then feeds ACKs in time order.
+The bandwidth estimate is the transport's: each ``Report`` carries it.
 """
 
 from __future__ import annotations
@@ -15,13 +16,6 @@ from .client import AckEvent
 
 class FeedError(ValueError):
     """ACK stream violated ordering (cumulative ack went backwards)."""
-
-
-def estimate_bandwidth(burst_bytes: float, t_bd_s: float) -> float:
-    """End-to-end bandwidth in bit/s for a burst delivered over ``t_bd_s``."""
-    if t_bd_s <= 0:
-        raise ValueError("burst duration must be > 0")
-    return burst_bytes * 8.0 / t_bd_s
 
 
 @dataclass(slots=True)
@@ -39,7 +33,6 @@ class BurstObservation:
     zwa_seen: bool = False
     zwa_time_s: Optional[float] = None
     sent_bytes_at_first_zwa: Optional[float] = None
-    est_bandwidth_bps: Optional[float] = None
 
     @property
     def t_bd_s(self) -> float:
@@ -47,10 +40,6 @@ class BurstObservation:
         if self.first_ack_s is None or self.last_ack_s is None:
             return 0.0
         return self.last_ack_s - self.first_ack_s
-
-    @property
-    def end_byte(self) -> float:
-        return self.start_byte + self.size_bytes
 
 
 class TrafficProfiler:
@@ -85,7 +74,7 @@ class TrafficProfiler:
         if obs is None or cum < obs.start_byte - 1e-9:
             return None  # predates the current burst
         start = obs.start_byte
-        end = start + obs.size_bytes      # obs.end_byte
+        end = start + obs.size_bytes
         if obs.first_ack_s is None:
             obs.first_ack_s = time_s
         obs.last_ack_s = time_s
@@ -100,23 +89,9 @@ class TrafficProfiler:
         return None
 
     def finish_burst(self) -> BurstObservation:
-        """Close out the current burst and compute its bandwidth estimate.
-
-        A burst cut short by a zero window is estimated over the pre-ZWA
-        span only; the post-ZWA drain proceeds at the encoding rate and
-        would bias the estimate low.
-        """
+        """Close out the current burst and return its observation."""
         obs = self.current
         if obs is None:
             raise FeedError("no burst in progress")
-        if obs.zwa_seen and obs.first_ack_s is not None and \
-                obs.zwa_time_s is not None:
-            span = obs.zwa_time_s - obs.first_ack_s
-            if span > 0:
-                obs.est_bandwidth_bps = estimate_bandwidth(
-                    obs.sent_bytes_at_first_zwa, span)
-        elif obs.t_bd_s > 0:
-            obs.est_bandwidth_bps = estimate_bandwidth(obs.acked_bytes,
-                                                       obs.t_bd_s)
         self.current = None
         return obs

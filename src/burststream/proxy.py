@@ -89,6 +89,15 @@ class SessionConfig:
                  or self.sndbuf_bytes > 0, "> 0")):
             if not ok:
                 raise ValueError(f"{name} must be {rule}")
+        if self.origin is not None:
+            base = urlsplit(self.origin)
+            try:
+                port = base.port     # a port that is no number or too big
+            except ValueError:
+                port = 0
+            if base.scheme != "http" or not base.hostname or port == 0:
+                raise ValueError(f"origin must be http://host[:port] with "
+                                 f"a port in 1-65535, not {self.origin!r}")
 
 
 SLAB_BYTES = 1 << 18     # origin bytes a send reads, and writes, at a time
@@ -139,10 +148,11 @@ def _path_and_query(split: SplitResult) -> str:
     return f"{path}?{split.query}" if split.query else path
 
 
-def _status_head(status: int) -> bytes:
+def _status_head(status: int, reason: str) -> bytes:
     """A bodyless response head that closes the connection."""
-    return (f"HTTP/1.1 {status} {HTTPStatus(status).phrase}\r\n"
-            f"Content-Length: 0\r\nConnection: close\r\n\r\n").encode()
+    return (f"HTTP/1.1 {status} {reason}\r\n"
+            f"Content-Length: 0\r\nConnection: close\r\n\r\n"
+            ).encode("latin-1")
 
 
 def _discard_input(conn: socket.socket) -> None:
@@ -375,7 +385,8 @@ class ShapingProxy:
             log.warning("session %s failed: %s", addr, exc)
             if isinstance(exc, ProxyError) and exc.status is not None:
                 with suppress(OSError):
-                    conn.sendall(_status_head(exc.status))
+                    conn.sendall(_status_head(exc.status,
+                                              HTTPStatus(exc.status).phrase))
                     conn.shutdown(socket.SHUT_WR)
                     _discard_input(conn)
         finally:
@@ -490,14 +501,13 @@ class ShapingProxy:
         """Relay the origin's head, then its body in shaped sends. A 206
         (a stream continued from a later second) is shaped as a 200 is; a
         204 (a range correction) is a head alone; any other status goes
-        back as a bare status line."""
+        back as a bodyless head with the origin's status."""
         cfg = self.config
         if response.status == 204:
             conn.sendall(_client_head(response))
             return
         if response.status not in (200, 206):
-            conn.sendall(f"HTTP/1.1 {response.status} "
-                         f"{response.reason}\r\n\r\n".encode())
+            conn.sendall(_status_head(response.status, response.reason))
             return
         r_s = self._discover_rate(response)
         conn.sendall(_client_head(response))
@@ -547,7 +557,6 @@ class ShapingProxy:
         """
         t0 = time.monotonic()
         pending = memoryview(b"")   # read from the origin, not yet accepted
-        sent_cum = 0
         burst_ids = itertools.count()
         send = controller.start()
         while send is not None and not self._stop.is_set():
@@ -564,14 +573,14 @@ class ShapingProxy:
             obs, rest = writer.write_burst(
                 itertools.chain((held,), origin.slices(size - len(held))),
                 min(size, len(held) + origin.left()), next(burst_ids),
-                sent_cum, send.abort_on_zwa, self._stop)
+                int(controller.content_sent_bytes), send.abort_on_zwa,
+                self._stop)
             if not obs.size_bytes:
                 break                    # the origin ended with nothing
             # the unaccepted bytes are those held past the accepted ones,
             # or else the rest of the slab in hand
             pending = pending[obs.acked_bytes:] \
                 if obs.acked_bytes < len(pending) else rest
-            sent_cum += obs.acked_bytes
             est = obs.acked_bytes * 8.0 / max(obs.t_bd_s, 1e-6)
             fill_bps = origin.fill_bps()
             if fill_bps is not None:
@@ -584,7 +593,8 @@ class ShapingProxy:
         if not self._stop.is_set():
             unread = _OriginReader(response, origin_errors).slices(math.inf)
             writer.write_burst(itertools.chain((pending,), unread), math.inf,
-                               next(burst_ids), sent_cum,
+                               next(burst_ids),
+                               int(controller.content_sent_bytes),
                                abort_on_zwa=False, stop=self._stop)
 
     def _flush_log(self, rows: List[str]) -> None:

@@ -143,8 +143,7 @@ class SimulatedSession:
             # read without the property
             points.append((now, st.phase._value_, st.t_s, st.t_min_s,
                            st.t_max_s, st.t_old_s, st.bs_opt_bytes,
-                           ctl.content_sent_s
-                           - self.client.playback_position_s))
+                           ctl.runway_s))
             if send is None or send.at_s >= self.session_length_s - 1e-9:
                 break
         self.client.finalize(max(now, self.session_length_s))
@@ -188,7 +187,7 @@ def probe_search(capacity_bytes: float, r_s_bps: float, t_max_s: float,
         size = t * r_s_bps / 8.0
         profiler.begin_burst(size, 0.0, 0.0, burst_id=rounds)
         res = client.deliver(size, link_bps, 0.0, abort_on_zwa=True)
-        for ack in res.feedback:
+        for ack in res.acks.feedback():
             profiler.ingest(ack)
         obs = profiler.finish_burst()
         rounds += 1

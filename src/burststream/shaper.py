@@ -39,9 +39,6 @@ class Phase(enum.Enum):
 @dataclass(frozen=True)
 class QualityLevel:
     bitrate_bps: float
-    init_header_bytes: int = 0
-    width: int = 0
-    height: int = 0
 
 
 @dataclass(frozen=True)
@@ -112,10 +109,10 @@ TYPICAL_MOBILE_BPS = 2_000_000  # planning figure for the very first pick
 SAFETY_FACTOR = 2.0             # demand bandwidth >= 2x encoding rate
 
 
-def initial_quality(ladder: Sequence[QualityLevel],
-                    bandwidth_hint_bps: float = TYPICAL_MOBILE_BPS) -> int:
-    """Highest quality whose rate fits within half the bandwidth hint."""
-    budget = bandwidth_hint_bps / SAFETY_FACTOR
+def initial_quality(ladder: Sequence[QualityLevel]) -> int:
+    """Highest quality whose rate fits within half the typical mobile
+    bandwidth."""
+    budget = TYPICAL_MOBILE_BPS / SAFETY_FACTOR
     best = 0
     for i, q in enumerate(ladder):
         if q.bitrate_bps <= budget:
@@ -274,21 +271,20 @@ class Shaper:
     # -- bandwidth fluctuation ---------------------------------------------
 
     def on_bandwidth_change(self, est_bps: Optional[float],
-                            runway_s: Optional[float] = None) -> None:
+                            runway_s: float) -> None:
         """React to a new bandwidth estimate.
 
         Below the encoding rate: save the current state (t_old) and fall
         back to continuous sending (phase LOW_BANDWIDTH), tracking t_max as
-        the content runway already shipped to the client. At recovery
-        (estimate at least twice the encoding rate) restore t = t_old and
-        search again (phase SEARCHING).
+        ``runway_s``, the content runway already shipped to the client. At
+        recovery (estimate at least twice the encoding rate) restore
+        t = t_old and search again (phase SEARCHING).
         """
         st = self.state
         if est_bps is None:
             return
         if st.phase is Phase.LOW_BANDWIDTH:
-            if runway_s is not None:
-                st.t_max_s = max(runway_s, 0.0)
+            st.t_max_s = max(runway_s, 0.0)
             if est_bps >= SAFETY_FACTOR * self.r_s_bps:
                 st.t_s = st.t_old_s
                 st.t_min_s = 0.0
@@ -395,8 +391,9 @@ class Report(NamedTuple):
     """What a transport saw of one ``Send``: ``obs`` is its burst feedback,
     ``est_bps`` is None when it has no bandwidth estimate, and
     ``played_s`` is the client's playback position, from which the
-    controller derives the runway. A transport with nothing left to send
-    reports nothing: the stream has ended."""
+    controller derives the runway, ``ShapingController.runway_s``. A
+    transport with nothing left to send reports nothing: the stream has
+    ended."""
 
     obs: BurstObservation
     delivered_bytes: float
@@ -425,6 +422,7 @@ class ShapingController:
         self.content_sent_bytes = 0.0
         self.content_sent_s = 0.0
         self.pending_bytes = 0.0     # offered but not accepted: re-offered
+        self.runway_s = 0.0          # content sent less content played
         self._now = 0.0
         self._last_burst_start = 0.0
 
@@ -449,8 +447,8 @@ class ShapingController:
             if self.adaptive:
                 sh.maybe_switch_quality(rep.est_bps)
             self._last_burst_start = rep.start_s
-        sh.on_bandwidth_change(rep.est_bps,
-                               self.content_sent_s - rep.played_s)
+        self.runway_s = self.content_sent_s - rep.played_s
+        sh.on_bandwidth_change(rep.est_bps, self.runway_s)
         if phase is Phase.LOW_BANDWIDTH and st.phase is Phase.SEARCHING:
             # the recovered search times its bursts from the chunk's end
             self._last_burst_start = rep.end_s

@@ -1,6 +1,7 @@
 """CLI surface tests."""
 
 import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -10,6 +11,7 @@ from burststream import ConfigError
 from burststream.cli import main, _parse_grid, _parse_listen
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+SRC_DIR = SCENARIO_DIR.parent / "src"
 
 
 class TestGridParsing:
@@ -160,6 +162,37 @@ class TestRunOutput:
         assert "savings=" in one_error_line(capsys)
 
 
+class TestClosedStdout:
+    """A reader that closes stdout early (``| head -1``) ends every command
+    quietly with exit status 0, after the files it writes are written."""
+
+    @staticmethod
+    def main_on_a_closed_pipe(capsys, monkeypatch, argv):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as stdout:
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert main(argv) == 0
+            assert capsys.readouterr().err == ""
+            # stdout now points at the null device: what it still buffers
+            # flushes without error
+            assert os.fstat(write_end).st_rdev == \
+                os.stat(os.devnull).st_rdev
+
+    def test_run(self, capsys, monkeypatch, tmp_path):
+        self.main_on_a_closed_pipe(capsys, monkeypatch, [
+            "run", str(SCENARIO_DIR / "lte-audio-18s.ini"),
+            "--out", str(tmp_path)])
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "bursts.csv", "radio_states.csv", "signaling.csv", "stalls.csv"]
+        assert (tmp_path / "stalls.csv").read_text() == "start_s,end_s\n"
+
+    def test_compare(self, capsys, monkeypatch):
+        self.main_on_a_closed_pipe(capsys, monkeypatch, [
+            "compare", str(SCENARIO_DIR / "lte-audio-18s.ini"),
+            "lte-drx-default", "lte-drx-longidle"])
+
+
 class TestCommands:
     def test_run_scenario(self, capsys, tmp_path):
         rc = main(["run", str(SCENARIO_DIR / "lte-audio-18s.ini"),
@@ -208,6 +241,34 @@ class TestCommands:
                    "--expect-energy-order",
                    "lte-drx-default,lte-drx-longidle"])
         assert rc == 1
+
+    def test_compare_violation_exits_nonzero_under_optimisation(self):
+        # ``python -O`` drops assert statements; the check still holds
+        proc = subprocess.run(
+            [sys.executable, "-O", "-m", "burststream.cli", "compare",
+             str(SCENARIO_DIR / "lte-audio-18s.ini"), "lte-drx-default",
+             "lte-drx-longidle", "--expect-energy-order",
+             "lte-drx-default,lte-drx-longidle"],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(SRC_DIR)))
+        assert proc.returncode == 1
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: expected energy(lte-drx-default)")
+
+    def test_compare_order_naming_an_uncompared_profile(self, capsys,
+                                                        monkeypatch):
+        from burststream import harness
+
+        def ran(*args):
+            pytest.fail("a profile ran before the order was checked")
+
+        monkeypatch.setattr(harness, "run", ran)
+        rc = main(["compare", str(SCENARIO_DIR / "lte-audio-18s.ini"),
+                   "lte-drx-default", "lte-drx-longidle",
+                   "--expect-energy-order", "nosuch,lte-drx-default"])
+        assert rc == 1
+        assert "nosuch" in error_line(capsys)
 
     def test_unknown_profile_errors(self):
         rc = main(["sweep", "no-such-profile", "--rs", "1", "--t", "1",
@@ -299,6 +360,17 @@ class TestMalformedFiles:
         assert main(["run", str(path)]) == 1
         assert key in error_line(capsys)
 
+    @pytest.mark.parametrize("value", ["abc", "-5"])
+    def test_looped_content_checks_its_duration(self, capsys, tmp_path,
+                                                value):
+        # looped content is endless, but the file's duration is still read
+        sections = with_key(SCENARIO, "scenario", "loop_content", "true")
+        path = tmp_path / "bad.ini"
+        path.write_text(ini_text(with_key(sections, "stream", "duration_s",
+                                          value)))
+        assert main(["run", str(path)]) == 1
+        assert "duration_s" in error_line(capsys)
+
     def test_endless_looped_session(self, capsys, tmp_path):
         # looped content with ``session_s = inf`` made ``run`` hang
         sections = with_key(SCENARIO, "scenario", "loop_content", "true")
@@ -330,7 +402,8 @@ class TestProxyOptions:
         ("--fast-start-seconds", "0"), ("--fast-start-seconds", "nan"),
         ("--fast-start-seconds", "inf"), ("--granularity-s", "0"),
         ("--granularity-s", "nan"), ("--backpressure-s", "0"),
-        ("--rate-override-bps", "-1")])
+        ("--rate-override-bps", "-1"), ("--origin", "127.0.0.1:9"),
+        ("--origin", "http://127.0.0.1:abc")])
     def test_out_of_range_is_an_error_line(self, capsys, monkeypatch, flag,
                                            text):
         from burststream import proxy

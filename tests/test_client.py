@@ -126,7 +126,7 @@ class TestAdvanceAndStalls:
         c = make_client(r_s=1e6, startup=0.0, content_duration_s=4.0)
         c.deliver(4 * 125_000, 16e6, 0.0)
         c.advance(60.0)
-        assert c.playback_complete
+        assert c.playback_position_s >= c.content_duration_s - 1e-12
         assert c.stall_log == []
 
     @pytest.mark.xfail(raises=RuntimeError, strict=True,
@@ -148,7 +148,7 @@ class TestAdvanceAndStalls:
         c.deliver(125_000, 1e9, 1.0)
         c.finalize(3.0)
         assert all(s[1] - s[0] > 1e-9 for s in c.stall_log if s[1])
-        assert len(c.stalls_after(0.0)) <= 1
+        assert len([s for s in c.stall_log if s[0] > 1e-9]) <= 1
 
 
 class TestConservation:

@@ -1,5 +1,6 @@
 """Harness tests: scenario files, paired runs, sweeps, comparisons."""
 
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -147,16 +148,25 @@ class TestLoopedContent:
     session runs past the content's end as an endless stream would."""
 
     @staticmethod
-    def scenario(duration_s, loop_content):
+    def scenario(duration_s):
         return Scenario(
             name="looped", profile=get_profile("lte-drx-default"),
             stream=StreamSpec.single(128e3, duration_s=duration_s,
                                      fast_start_s=18.0),
             buffer_bytes=10_000_000, bandwidth=BandwidthTrace.flat(16e6),
-            session_length_s=120.0, loop_content=loop_content)
+            session_length_s=120.0)
 
-    def test_looped_scenario_streams_past_the_content(self):
-        res = run(self.scenario(30.0, loop_content=True))
+    def test_looped_scenario_streams_past_the_content(self, tmp_path):
+        path = tmp_path / "looped.ini"
+        path.write_text(
+            "[scenario]\nprofile = lte-drx-default\nsession_s = 120\n"
+            "fast_start_s = 18\nloop_content = true\n"
+            "[stream]\nbitrate_bps = 128000\nduration_s = 30\n"
+            "[client]\nbuffer_bytes = 10000000\n"
+            "[bandwidth]\ntrace = 0:16000000\n")
+        looped = load_scenario(path)
+        assert looped.stream.duration_s == math.inf
+        res = run(looped)
         s = res.session
         assert s.content_sent_s > 30.0
         assert s.trajectory[-1]["time_s"] > 30.0
@@ -164,7 +174,7 @@ class TestLoopedContent:
         assert res.state_trace.segments[-1].end_s == pytest.approx(120.0)
         # 30 s of looped content ships as a stream that outlasts the
         # session does
-        endless = run(self.scenario(1e6, loop_content=False))
+        endless = run(self.scenario(1e6))
         assert res.burst_log == endless.burst_log
         assert s.decision_log == endless.session.decision_log
         assert res.energy_mj == endless.energy_mj
@@ -196,11 +206,9 @@ class TestRenderOnRead:
 
 
 class TestSweep:
-    def test_writes_csv(self, tmp_path):
-        out = tmp_path / "surface.csv"
+    def test_writes_csv(self):
         csv = sweep_surface(get_profile("wifi-ref"), [500e3],
-                            [1.0, 2.0, 4.0], [1e6, 2e6], out_path=out)
-        assert out.read_text() == csv
+                            [1.0, 2.0, 4.0], [1e6, 2e6])
         lines = csv.splitlines()
         assert lines[0].startswith("technology,")
         assert len(lines) == 1 + 6

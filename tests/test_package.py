@@ -30,8 +30,7 @@ EXPORTED_FROM = {
               "simulate", "tail_states_energy"),
     "client": ("AckEvent", "DeliveryOrderError", "DeliveryResult",
                "StreamingClient"),
-    "profiler": ("BurstObservation", "FeedError", "TrafficProfiler",
-                 "estimate_bandwidth"),
+    "profiler": ("BurstObservation", "FeedError", "TrafficProfiler"),
     "shaper": ("Phase", "QualityLevel", "Shaper", "ShaperState",
                "StreamSpec", "initial_quality", "select_quality"),
     "session": ("BandwidthTrace", "ProbeSearchResult", "SessionResult",
@@ -49,7 +48,7 @@ ALL = sorted([*SUBMODULES, *(name for names in EXPORTED_FROM.values()
 
 class TestNamespace:
     def test_all_is_unchanged(self):
-        assert len(ALL) == 76
+        assert len(ALL) == 75
         assert burststream.__all__ == ALL
         assert burststream.__version__ == "0.1.0"
 

@@ -1,4 +1,4 @@
-"""Profiler tests: burst timing, ZWA capture, bandwidth estimation."""
+"""Profiler tests: burst timing, ZWA capture, breakpoint feedback."""
 
 import random
 
@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from burststream import (AckEvent, BandwidthTrace, FeedError, QualityLevel,
                          SimulatedSession, StreamingClient, StreamSpec,
-                         TrafficProfiler, estimate_bandwidth)
+                         TrafficProfiler)
 from burststream.client import FluidPiece, SegmentAcks
 
 
@@ -20,18 +20,6 @@ def run_burst(profiler, client, size, rate, start, burst_id=None,
     for ack in res.acks:
         profiler.ingest(ack)
     return profiler.finish_burst(), res
-
-
-class TestEstimateBandwidth:
-    def test_one_megabyte_per_second(self):
-        assert estimate_bandwidth(1_000_000, 1.0) == 8e6
-
-    def test_ten_megabytes_in_five_seconds(self):
-        assert estimate_bandwidth(10_000_000, 5.0) == 16e6
-
-    def test_zero_duration_rejected(self):
-        with pytest.raises(ValueError):
-            estimate_bandwidth(1000, 0.0)
 
 
 class TestIngest:
@@ -93,24 +81,6 @@ class TestIngest:
         assert obs2.acked_bytes == pytest.approx(500_000)
 
 
-class TestBandwidthEstimate:
-    def test_estimate_tracks_link_rate_without_zwa(self):
-        profiler = TrafficProfiler()
-        client = StreamingClient(64_000_000, 500e3, 12e6)
-        obs, _ = run_burst(profiler, client, 2_000_000, 12e6, 0.0)
-        assert obs.est_bandwidth_bps == pytest.approx(12e6, rel=0.02)
-
-    def test_estimate_excludes_post_zwa_drain(self):
-        # with the drain included the estimate would collapse toward r_s
-        profiler = TrafficProfiler()
-        client = StreamingClient(2_000_000, 500e3, 16e6,
-                                 startup_threshold_s=1e9)
-        obs, res = run_burst(profiler, client, 6_000_000, 16e6, 0.0)
-        naive = obs.acked_bytes * 8 / obs.t_bd_s
-        assert obs.est_bandwidth_bps == pytest.approx(16e6, rel=0.05)
-        assert naive < 0.2 * obs.est_bandwidth_bps
-
-
 # -- breakpoint feedback against the dense per-segment stream ---------------
 
 SEGMENT_SIZES = (536, 1460, 9000)
@@ -154,10 +124,10 @@ def deliver_both_feeds(client, nbytes, rate, at, abort=False):
     res = client.deliver(nbytes, rate, at, abort_on_zwa=abort)
     dense = list(res.acks)
     assert len(res.acks) == len(dense)
-    assert res.feedback == picked_from_dense(res.acks)
+    assert res.acks.feedback() == picked_from_dense(res.acks)
     rest = iter(dense)
-    assert all(any(ack == d for d in rest) for ack in res.feedback)
-    assert observe(res.feedback, nbytes, start_byte, at) == \
+    assert all(any(ack == d for d in rest) for ack in res.acks.feedback())
+    assert observe(res.acks.feedback(), nbytes, start_byte, at) == \
         observe(dense, nbytes, start_byte, at)
     return res
 
@@ -233,7 +203,8 @@ class TestBreakpointFeedback:
     def test_abort_on_zwa(self, seg):
         client = StreamingClient(100_000, 1e6, segment_bytes=seg)
         res = deliver_both_feeds(client, 400_000, 2e7, 0.0, abort=True)
-        assert res.aborted and res.feedback[-1].advertised_window_bytes == 0
+        assert res.aborted
+        assert res.acks.feedback()[-1].advertised_window_bytes == 0
 
     @pytest.mark.parametrize("seg", SEGMENT_SIZES)
     def test_startup_threshold_crossed(self, seg):
@@ -297,9 +268,10 @@ def test_seeded_sessions_observe_the_same_bursts_from_both_feeds(
         start_byte = self.total_delivered_bytes
         res = deliver(self, total_bytes, at_rate_bps, start_s, **kw)
         dense = observe(res.acks, total_bytes, start_byte, start_s)
-        sparse = observe(res.feedback, total_bytes, start_byte, start_s)
+        feedback = res.acks.feedback()
+        sparse = observe(feedback, total_bytes, start_byte, start_s)
         bursts.append(dense)
-        if dense != sparse or res.feedback != picked_from_dense(res.acks):
+        if dense != sparse or feedback != picked_from_dense(res.acks):
             mismatches.append((dense, sparse))
         return res
 

@@ -1306,3 +1306,25 @@ class TestUnservableRequests:
             origin.join(timeout=5.0)
         assert not origin.is_alive()
         assert reply == _bare_status(b"502 Bad Gateway")
+
+    def test_origin_error_is_relayed_as_a_bodyless_head(self):
+        # the origin answers 404 with a body: the client reads the status
+        # in a head that closes the connection, and no body
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            def not_found():
+                conn, _ = listener.accept()
+                with conn:
+                    request = b""
+                    while b"\r\n\r\n" not in request:
+                        request += conn.recv(4096)
+                    conn.sendall(b"HTTP/1.1 404 Not Found\r\n"
+                                 b"Content-Length: 9\r\n\r\nnot found")
+
+            origin = threading.Thread(target=not_found, daemon=True)
+            origin.start()
+            port = listener.getsockname()[1]
+            reply = _answer(b"GET /a HTTP/1.1\r\nHost: x\r\n\r\n",
+                            origin=f"http://127.0.0.1:{port}")
+            origin.join(timeout=5.0)
+        assert not origin.is_alive()
+        assert reply == _bare_status(b"404 Not Found")
