@@ -30,6 +30,17 @@ simulation (``tests/test_proxy.py::TestSharedCore`` replays both), and
 Raw ACK capture would need privileged packet access; backpressure sensing
 needs none and provides the same two facts (buffer full, bytes accepted).
 
+Where the platform has ``os.splice`` (Linux), a body of declared length
+(a 200 or 206 with a ``Content-Length`` and no chunked coding) does not
+pass through Python's memory: after the bytes http.client read with the
+head, the session splices each slice from the origin socket into one
+pipe of ``SLAB_BYTES`` and from the pipe to the client socket. The pipe
+takes the slab's place and every rule above holds; the pipe is empty
+between sends, as bytes a zero window leaves or a read-ahead collects are
+read back out of it. A chunked body, which only http.client decodes, a
+body of unknown length, and every body on a platform without
+``os.splice`` are read through http.client into a slab.
+
 A request the proxy cannot serve is answered before any response head has
 gone out: 400 for a head it cannot parse or resolve to an origin, 501 for
 a method other than GET, 502 when the origin connection or request fails
@@ -44,6 +55,7 @@ import http.client
 import itertools
 import logging
 import math
+import os
 import select
 import socket
 import threading
@@ -101,6 +113,29 @@ class SessionConfig:
 
 
 SLAB_BYTES = 1 << 18     # origin bytes a send reads, and writes, at a time
+ORIGIN_TIMEOUT_S = 30.0  # the longest wait for the origin's next byte
+_SPLICE = hasattr(os, "splice")    # body bytes can skip Python (Linux)
+
+
+def _bare(exc: Exception) -> Exception:
+    """``exc`` without its frames and context: the session report keeps
+    the error, and its frames would hold the buffer."""
+    exc.__traceback__ = exc.__context__ = None
+    return exc
+
+
+def _wait(fd: int, writable: bool, timeout_s: float) -> bool:
+    """Whether ``fd`` turned readable (writable if ``writable``) within
+    ``timeout_s``. ``select.poll`` takes a descriptor of any number, where
+    ``select.select`` raises from 1024 on; only a platform without poll
+    waits with select."""
+    if hasattr(select, "poll"):
+        poller = select.poll()
+        poller.register(fd, select.POLLOUT if writable else select.POLLIN)
+        return bool(poller.poll(timeout_s * 1e3))
+    fds = [fd]
+    return any(select.select([] if writable else fds,
+                             fds if writable else [], [], timeout_s))
 
 
 def _read_body(response: http.client.HTTPResponse,
@@ -125,10 +160,7 @@ def _read_body(response: http.client.HTTPResponse,
             got += n
     except (OSError, http.client.HTTPException) as exc:
         response.close()
-        # the session report keeps the error: without its frames, which
-        # hold the buffer
-        exc.__traceback__ = exc.__context__ = None
-        return got, exc
+        return got, _bare(exc)
     return got, None
 
 
@@ -199,11 +231,13 @@ class _BackpressureWriter:
     def __init__(self, sock: socket.socket, threshold_s: float,
                  credit_bps: float):
         self.sock = sock
+        self.fd = sock.fileno()
         self.threshold_s = threshold_s
         self.credit_bps = credit_bps
         sock.setblocking(False)
 
-    def write_burst(self, slices: Iterable[memoryview], size_bytes: float,
+    def write_burst(self, slices: Iterable[Union[memoryview, _Piped]],
+                    size_bytes: float,
                     burst_id: int, start_byte: int,
                     abort_on_zwa: bool = True,
                     stop: Optional[threading.Event] = None
@@ -214,7 +248,8 @@ class _BackpressureWriter:
         backpressure over the whole burst, in one account, stands in for
         its ACKs; slices that run out early offered only what they gave.
         Returns the observation and the unaccepted rest of the slice in
-        hand, which is empty unless the burst stopped early."""
+        hand, which is empty unless the burst stopped early; a slice in a
+        pipe is spliced to the socket, and its rest read back out."""
         sent = 0
         blocked = 0.0
         zwa = False
@@ -227,7 +262,9 @@ class _BackpressureWriter:
                 if stop is not None and stop.is_set():
                     break
                 try:
-                    n = self.sock.send(view[done:])
+                    n = self.sock.send(view[done:]) \
+                        if isinstance(view, memoryview) \
+                        else view.splice_to(self.fd, done)
                 except (BlockingIOError, InterruptedError):
                     n = 0
                 if n > 0:
@@ -235,7 +272,7 @@ class _BackpressureWriter:
                     blocked = max(0.0, blocked - n * 8.0 / self.credit_bps)
                     continue
                 t0 = time.monotonic()
-                select.select([], [self.sock], [], 0.05)
+                _wait(self.fd, True, 0.05)
                 blocked += time.monotonic() - t0
                 if blocked >= self.threshold_s:
                     if not zwa:
@@ -246,7 +283,8 @@ class _BackpressureWriter:
                     blocked = 0.0
             sent += done
             if done < len(view):
-                rest = view[done:]
+                rest = view[done:] if isinstance(view, memoryview) \
+                    else view.read(done)
                 break
         else:
             size_bytes = sent          # the slices ran out
@@ -256,16 +294,15 @@ class _BackpressureWriter:
             sent >= size_bytes, zwa, end if zwa else None, zwa_at), rest
 
 
-class _OriginReader:
-    """One send's reads of the origin body, a slab at a time; their bytes
-    and seconds give the origin's fill rate."""
+class _SlabBody:
+    """The origin body read through http.client into a slab per send."""
+
+    held = memoryview(b"")    # no byte is read before the first send
 
     def __init__(self, response: http.client.HTTPResponse,
                  errors: List[Exception]):
         self.response = response
         self.errors = errors            # gets the error that ends the body
-        self.read_bytes = 0
-        self.read_s = 0.0
 
     def left(self) -> float:
         """Body bytes not yet read: unbounded for a body of unknown length
@@ -280,11 +317,8 @@ class _OriginReader:
         slab at a time; a slice is overwritten when the next is taken."""
         slab = memoryview(bytearray(min(SLAB_BYTES, want, self.left())))
         while want > 0 and not self.response.isclosed():
-            t = time.monotonic()
             got, error = _read_body(self.response,
                                     slab[:min(want, len(slab))])
-            self.read_s += time.monotonic() - t
-            self.read_bytes += got
             if error is not None:
                 self.errors.append(error)
             if not got:
@@ -292,19 +326,165 @@ class _OriginReader:
             want -= got
             yield slab[:got]
 
+    def close(self) -> None:
+        pass
+
+
+class _Piped:
+    """A slice of ``size`` body bytes waiting in the pipe ``fd``."""
+
+    __slots__ = ("fd", "size")
+
+    def __init__(self, fd: int, size: int):
+        self.fd = fd
+        self.size = size
+
+    def __len__(self) -> int:
+        return self.size
+
+    def splice_to(self, sock_fd: int, done: int) -> int:
+        """Splice the bytes after the ``done`` already taken to the
+        non-blocking socket ``sock_fd``; return the count it accepted."""
+        return os.splice(self.fd, sock_fd, self.size - done,
+                         flags=os.SPLICE_F_NONBLOCK)
+
+    def read(self, done: int = 0) -> memoryview:
+        """Read the bytes after the ``done`` already taken out of the
+        pipe, which is then empty."""
+        view = memoryview(bytearray(self.size - done))
+        got = 0
+        while got < len(view):
+            got += os.readv(self.fd, [view[got:]])
+        return view
+
+
+class _SplicedBody:
+    """A body of declared length moved from the origin socket to the
+    client socket through one pipe with ``os.splice``. The bytes
+    http.client buffered with the head are ``held``; from there on the
+    body is read from the origin's descriptor only, and ``unread`` counts
+    what is left of it."""
+
+    def __init__(self, response: http.client.HTTPResponse,
+                 errors: List[Exception]):
+        self.errors = errors            # gets the error that ends the body
+        self.pipe: Optional[Tuple[int, int]] = None
+        try:
+            # read1 keeps http.client's count of the body
+            self.held = memoryview(response.read1(SLAB_BYTES))
+        except (OSError, http.client.HTTPException) as exc:
+            self.held = memoryview(b"")
+            errors.append(_bare(exc))
+            self.unread = 0
+            return
+        self.unread = response.length
+        if self.unread and response.isclosed():   # the origin ended early
+            errors.append(http.client.IncompleteRead(b"", self.unread))
+            self.unread = 0
+        if not self.unread:
+            return
+        import fcntl             # where os.splice is, so is fcntl
+        self.origin_fd = response.fileno()
+        self.pipe = os.pipe()
+        with suppress(OSError):  # over the user's pipe limit: any size does
+            fcntl.fcntl(self.pipe[1], fcntl.F_SETPIPE_SZ, SLAB_BYTES)
+
+    def left(self) -> int:
+        return self.unread
+
+    def slices(self, want: float) -> Iterator[_Piped]:
+        """The next ``want`` body bytes, or what is left if fewer, one
+        pipe-full at a time; each slice leaves the pipe before the next
+        is taken."""
+        while want > 0 and self.unread:
+            got = self._fill(min(want, SLAB_BYTES, self.unread))
+            if not got:
+                return
+            want -= got
+            yield _Piped(self.pipe[0], got)
+
+    def _fill(self, size: int) -> int:
+        """Splice up to ``size`` body bytes from the origin into the empty
+        pipe, waiting for the first; return the count moved. An error or
+        an early end of the body is recorded, and ends it after these
+        bytes."""
+        got = 0
+        try:
+            while got < size:
+                try:
+                    n = os.splice(self.origin_fd, self.pipe[1], size - got,
+                                  flags=os.SPLICE_F_NONBLOCK)
+                except BlockingIOError:
+                    if got:
+                        break    # the origin has no more yet, or the pipe
+                                 # is full
+                    if not _wait(self.origin_fd, False, ORIGIN_TIMEOUT_S):
+                        raise TimeoutError("timed out") from None
+                    continue
+                if not n:
+                    raise http.client.IncompleteRead(b"", self.unread - got)
+                got += n
+        except (OSError, http.client.HTTPException) as exc:
+            self.errors.append(_bare(exc))
+            self.unread = got        # these bytes are the last
+        self.unread -= got
+        return got
+
+    def close(self) -> None:
+        if self.pipe is not None:
+            for fd in self.pipe:
+                os.close(fd)
+            self.pipe = None
+
+
+_Body = Union[_SlabBody, _SplicedBody]
+
+
+def _origin_body(response: http.client.HTTPResponse,
+                 errors: List[Exception]) -> _Body:
+    """The source of ``response``'s body: spliced where the platform can
+    and the body has a declared length, else read through http.client,
+    which alone decodes a chunked body."""
+    if _SPLICE and response.length is not None:
+        return _SplicedBody(response, errors)
+    return _SlabBody(response, errors)
+
+
+class _OriginReader:
+    """One send's reads of the origin body; their bytes and seconds give
+    the origin's fill rate."""
+
+    def __init__(self, body: _Body):
+        self.body = body
+        self.read_bytes = 0
+        self.read_s = 0.0
+
+    def slices(self, want: float) -> Iterator[Union[memoryview, _Piped]]:
+        """The body's next ``want`` bytes, or what is left if fewer, a
+        slice at a time."""
+        pieces = self.body.slices(want)
+        while True:
+            t = time.monotonic()
+            piece = next(pieces, None)
+            self.read_s += time.monotonic() - t
+            if piece is None:
+                return
+            self.read_bytes += len(piece)
+            yield piece
+
     def read_ahead(self, held: memoryview, size: int) -> memoryview:
         """``held``, then the body bytes after it up to ``size`` in all, in
         one buffer."""
         buf = bytearray(held)
         for piece in self.slices(size - len(held)):
-            buf += piece
+            buf += piece if isinstance(piece, memoryview) else piece.read()
         return memoryview(buf)
 
     def fill_bps(self) -> Optional[float]:
         """The rate of these reads, if they read a byte and the body goes
         on; a read that ends the body says nothing of the origin's
         rate."""
-        if not self.read_bytes or self.response.isclosed():
+        if not self.read_bytes or not self.body.left():
             return None
         return self.read_bytes * 8.0 / max(self.read_s, 1e-6)
 
@@ -450,23 +630,30 @@ class ShapingProxy:
 
     def _discover_rate(self, response) -> float:
         """Encoding rate: X-Stream-Info bitrate, else the override, else
-        content length over declared duration."""
+        content length over declared duration. A rate that is not > 0
+        and finite would fail the session after its head went out, so it
+        is a bad gateway too."""
         header = response.getheader("X-Stream-Info") or ""
         try:
             info = StreamInfo.parse(header)
             if info.get("bitrate") is not None:
-                return info.bitrate_bps
-            duration = info.duration_s
+                rate = info.bitrate_bps
+            elif self.config.rate_override_bps:
+                rate = self.config.rate_override_bps
+            else:
+                duration = info.duration_s
+                length = response.getheader("Content-Length")
+                if not (duration and length and duration > 0):
+                    raise ProxyError("origin does not declare a bitrate "
+                                     "and no --rate-override-bps given", 502)
+                rate = float(length) * 8.0 / duration
         except ValueError as exc:         # ProtocolError or a bad number
             raise ProxyError(f"bad X-Stream-Info {header!r}: {exc}",
                              502) from exc
-        if self.config.rate_override_bps:
-            return self.config.rate_override_bps
-        length = response.getheader("Content-Length")
-        if duration and length and duration > 0:
-            return float(length) * 8.0 / duration
-        raise ProxyError("origin does not declare a bitrate and no "
-                         "--rate-override-bps given", 502)
+        if not 0 < rate < math.inf:
+            raise ProxyError(f"unusable stream rate {rate!r} bit/s from "
+                             f"X-Stream-Info {header!r}", 502)
+        return rate
 
     def _run_session(self, conn: socket.socket, addr) -> None:
         cfg = self.config
@@ -480,8 +667,8 @@ class ShapingProxy:
         # the client's Range (the protocol's ``seconds=N-``) goes on to the
         # origin, whose 206 or 204 answers it
         wanted = _header(head, "Range")
-        with closing(http.client.HTTPConnection(host, port,
-                                                timeout=30)) as origin:
+        with closing(http.client.HTTPConnection(
+                host, port, timeout=ORIGIN_TIMEOUT_S)) as origin:
             try:
                 origin.request("GET", path,
                                headers={"Range": wanted} if wanted else {})
@@ -526,8 +713,9 @@ class ShapingProxy:
 
         origin_errors: List[Exception] = []
         try:
-            self._shape_stream(writer, response, origin_errors,
-                               ShapingController(shaper, cfg.low_bw_chunk_s))
+            with closing(_origin_body(response, origin_errors)) as body:
+                self._shape_stream(writer, body, ShapingController(
+                    shaper, cfg.low_bw_chunk_s))
         except (BrokenPipeError, ConnectionResetError):
             log.info("client %s disconnected", addr)
         finally:
@@ -540,14 +728,11 @@ class ShapingProxy:
             report["rows"] = rows
             self._flush_log(rows)
 
-    def _shape_stream(self, writer: _BackpressureWriter,
-                      response: http.client.HTTPResponse,
-                      origin_errors: List[Exception],
+    def _shape_stream(self, writer: _BackpressureWriter, body: _Body,
                       controller: ShapingController) -> None:
         """Perform the controller's sends on the client socket, on a clock
         that starts with the session, until the controller or the origin
-        is done; the error that ended the origin body goes to
-        ``origin_errors``.
+        body is done.
 
         A send writes the bytes the previous one left unaccepted, then
         reads the rest from the origin a slab at a time, each slice written
@@ -556,15 +741,15 @@ class ShapingProxy:
         during the wait instead, so a slow origin's burst leaves on time.
         """
         t0 = time.monotonic()
-        pending = memoryview(b"")   # read from the origin, not yet accepted
+        pending = body.held   # read from the origin, not yet accepted
         burst_ids = itertools.count()
         send = controller.start()
         while send is not None and not self._stop.is_set():
             size = max(math.ceil(send.size_bytes), 1)
-            origin = _OriginReader(response, origin_errors)
+            origin = _OriginReader(body)
             if len(pending) < size and t0 + send.at_s > time.monotonic():
                 pending = origin.read_ahead(pending, size)
-            if not pending and response.isclosed():
+            if not pending and not body.left():
                 break                    # the origin is done
             delay = t0 + send.at_s - time.monotonic()
             if delay > 0 and self._stop.wait(timeout=delay):
@@ -572,7 +757,7 @@ class ShapingProxy:
             held = pending[:size]
             obs, rest = writer.write_burst(
                 itertools.chain((held,), origin.slices(size - len(held))),
-                min(size, len(held) + origin.left()), next(burst_ids),
+                min(size, len(held) + body.left()), next(burst_ids),
                 int(controller.content_sent_bytes), send.abort_on_zwa,
                 self._stop)
             if not obs.size_bytes:
@@ -591,7 +776,7 @@ class ShapingProxy:
                        obs.last_ack_s - t0, est, time.monotonic() - t0))
         # final drain so the client sees the whole stream
         if not self._stop.is_set():
-            unread = _OriginReader(response, origin_errors).slices(math.inf)
+            unread = _OriginReader(body).slices(math.inf)
             writer.write_burst(itertools.chain((pending,), unread), math.inf,
                                next(burst_ids),
                                int(controller.content_sent_bytes),

@@ -57,7 +57,8 @@ class StreamSpec:
         if any(b >= a for a, b in zip(rates[1:], rates)):
             raise ValueError("qualities must be strictly increasing in "
                              "bitrate")
-        if self.duration_s <= 0 or self.fast_start_s <= 0:
+        # written so that NaN fails too
+        if not self.duration_s > 0 or not self.fast_start_s > 0:
             raise ValueError("duration_s and fast_start_s must be > 0")
 
     @classmethod

@@ -345,6 +345,7 @@ class TestMalformedFiles:
 
     @pytest.mark.parametrize("section, key, value", [
         ("stream", "duration_s", "abc"), ("stream", "duration_s", "-5"),
+        ("stream", "duration_s", "nan"),
         ("client", "buffer_bytes", None), ("scenario", "profile", None),
         ("scenario", "session_s", None), ("stream", "bitrate_bps", "fast"),
         ("bandwidth", "trace", "0:abc"), ("bandwidth", "trace", "0:-1"),

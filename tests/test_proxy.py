@@ -9,6 +9,7 @@ import copy
 import hashlib
 import http.client
 import http.server
+import os
 import random
 import socket
 import struct
@@ -199,6 +200,13 @@ class _Headers:
         return self.headers.get(name)
 
 
+# stream infos whose rate is not > 0 and finite: the last one's is the
+# length over an endless duration
+UNUSABLE_RATES = ["duration=8;bitrate=0", "duration=8;bitrate=nan",
+                  "duration=8;bitrate=-5", "duration=8;bitrate=inf",
+                  "duration=inf;seconds=0-"]
+
+
 class TestRateDiscovery:
     @pytest.mark.parametrize("info,override,expected", [
         ("duration=80;bitrate=500000;seconds=0-", 2e6, 5e5),  # bitrate first
@@ -220,7 +228,8 @@ class TestRateDiscovery:
 
     @pytest.mark.parametrize("info", ["duration=80;garbage;seconds=0-",
                                       "duration=eighty",
-                                      "bitrate=fast"])
+                                      "bitrate=fast",
+                                      *UNUSABLE_RATES])
     def test_malformed_header_rejected(self, info):
         response = _Headers(X_Stream_Info=info, Content_Length="10000000")
         proxy = ShapingProxy(SessionConfig(listen=("127.0.0.1", 0)))
@@ -1102,7 +1111,7 @@ class TestOriginHeads:
             origin.shutdown()
 
     @pytest.mark.parametrize("info", ["duration=eighty;seconds=0-",
-                                      "seconds=0-"])
+                                      "seconds=0-", *UNUSABLE_RATES])
     def test_unusable_head_is_a_bad_gateway(self, info):
         # a malformed X-Stream-Info, or one without any rate: the client
         # gets a 502 and the proxy hangs up on the origin, whose body
@@ -1328,3 +1337,238 @@ class TestUnservableRequests:
             origin.join(timeout=5.0)
         assert not origin.is_alive()
         assert reply == _bare_status(b"404 Not Found")
+
+
+@pytest.fixture(params=["pipe", "slab"])
+def relay_path(request, monkeypatch):
+    """Run the test with bodies of declared length spliced through a pipe,
+    and again with the splice switched off, so that they are read through
+    http.client into a slab; yields the path's name and the list of body
+    sources the sessions used, each checked to be the path's."""
+    if request.param == "pipe" and not hasattr(os, "splice"):
+        pytest.skip("os.splice is Linux-only")
+    monkeypatch.setattr(proxy_module, "_SPLICE", request.param == "pipe")
+    bodies = []
+    origin_body = proxy_module._origin_body
+
+    def recording(response, errors):
+        bodies.append(origin_body(response, errors))
+        return bodies[-1]
+
+    monkeypatch.setattr(proxy_module, "_origin_body", recording)
+    yield request.param, bodies
+    want = proxy_module._SplicedBody if request.param == "pipe" \
+        else proxy_module._SlabBody
+    assert bodies and all(type(b) is want for b in bodies)
+
+
+def _spy(monkeypatch, cls, name):
+    """Record the arguments of every call of method ``name`` of ``cls``."""
+    calls = []
+    method = getattr(cls, name)
+
+    def recording(self, *args):
+        calls.append(args)
+        return method(self, *args)
+
+    monkeypatch.setattr(cls, name, recording)
+    return calls
+
+
+def _session_report(proxy):
+    """The first session's report, once the session has ended."""
+    deadline = time.monotonic() + 5
+    while time.monotonic() < deadline and \
+            not (proxy.sessions and "origin_error" in proxy.sessions[0]):
+        time.sleep(0.05)
+    return proxy.sessions[0]
+
+
+class TestRelayPaths:
+    """Every relay case on both paths: spliced through a pipe, and read
+    into a slab."""
+
+    def test_whole_body(self, relay_path):
+        # past a 1 s Fast Start the rest goes out in bursts, whose bytes
+        # are collected while each waits for its time
+        total = 1_000_000
+        origin = _serve(_Origin(total, 4e6, distinct=True))
+        proxy, addr = _start_proxy(origin, fast_start_seconds=1.0,
+                                   granularity_s=0.5)
+        try:
+            with _connect(addr) as sock:
+                _, first = _read_head(sock)
+                body = bytearray(first)
+                sock.settimeout(15.0)
+                while data := sock.recv(65536):
+                    body += data
+            assert body == _distinct_bytes(total)
+            report = _session_report(proxy)
+            assert report["origin_error"] is None and report["rows"]
+        finally:
+            proxy.close()
+            origin.shutdown()
+
+    def test_body_read_with_the_head(self, relay_path):
+        # http.client's first read takes the whole body: no byte is left
+        # to splice
+        origin = _serve(_Origin(1000, 4e6, distinct=True))
+        proxy, addr = _start_proxy(origin, fast_start_seconds=1.0)
+        try:
+            with _connect(addr) as sock:
+                _, first = _read_head(sock)
+                body = bytearray(first)
+                while data := sock.recv(65536):
+                    body += data
+            assert body == _distinct_bytes(1000)
+            assert _session_report(proxy)["origin_error"] is None
+        finally:
+            proxy.close()
+            origin.shutdown()
+
+    def test_origin_reset_mid_body(self, relay_path):
+        total = 400_000
+        origin = _serve(_Origin(total, 4e6, reset_at=131072))
+        proxy, addr = _start_proxy(origin, fast_start_seconds=1.0)
+        try:
+            with _connect(addr) as sock:
+                _, first = _read_head(sock)
+                body = bytearray(first)
+                while data := sock.recv(65536):
+                    body += data
+            assert body == b"x" * 131072
+            assert isinstance(_session_report(proxy)["origin_error"],
+                              ConnectionResetError)
+        finally:
+            proxy.close()
+            origin.shutdown()
+
+    def test_short_declared_body(self, relay_path):
+        total = 400_000
+        origin = _serve(_Origin(total, 4e6, truncate_at=131072))
+        proxy, addr = _start_proxy(origin, fast_start_seconds=1.0)
+        try:
+            with _connect(addr) as sock:
+                _, first = _read_head(sock)
+                got = len(first)
+                while data := sock.recv(65536):
+                    got += len(data)
+            assert got == 131072
+            error = _session_report(proxy)["origin_error"]
+            assert isinstance(error, http.client.IncompleteRead)
+            assert error.expected == total - 131072
+            assert error.__traceback__ is None and error.__context__ is None
+        finally:
+            proxy.close()
+            origin.shutdown()
+
+    @staticmethod
+    def _zero_window_session(monkeypatch):
+        """A 2 MB stream whose client reads nothing for a second, so the
+        Fast Start stops at a zero window inside a slice; returns the body
+        the client got, the session's first decision and every
+        ``read_ahead`` call."""
+        read_aheads = _spy(monkeypatch, proxy_module._OriginReader,
+                           "read_ahead")
+        total = 2_000_000
+        origin = _serve(_Origin(total, 8e6, distinct=True))
+        proxy, addr = _start_proxy(origin, fast_start_seconds=20.0,
+                                   backpressure_s=0.2, sndbuf_bytes=65536)
+        try:
+            with _connect(addr, rcvbuf=65536) as sock:
+                _, first = _read_head(sock)
+                time.sleep(1.0)
+                body = bytearray(first)
+                sock.settimeout(15.0)
+                while data := sock.recv(65536):
+                    body += data
+            decision = proxy.sessions[0]["shaper"].decision_log[0]
+        finally:
+            proxy.close()
+            origin.shutdown()
+        assert body == _distinct_bytes(total)
+        assert "fast_start_zwa" in decision
+        return read_aheads
+
+    def test_zero_window_inside_a_spliced_send(self, relay_path,
+                                               monkeypatch):
+        # on the pipe path the writer reads the bytes the socket did not
+        # take back out of the pipe (a read-ahead passes no offset), and
+        # they arrive intact once the window reopens
+        reads = _spy(monkeypatch, proxy_module._Piped, "read")
+        self._zero_window_session(monkeypatch)
+        if relay_path[0] == "pipe":
+            assert any(args for args in reads)
+
+    def test_read_ahead_after_a_zero_window(self, relay_path, monkeypatch):
+        # the send after the zero window waits for its time holding what
+        # the window left, and collects the rest of its bytes meanwhile
+        read_aheads = self._zero_window_session(monkeypatch)
+        assert any(len(held) and size > len(held)
+                   for held, size in read_aheads)
+
+
+def _fd_count():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                    reason="counts /proc/self/fd")
+def test_sessions_leave_no_descriptor(relay_path):
+    # 20 sessions, most of them failed: the origin resets, ends the body
+    # short, gives no usable rate, or the client leaves mid-body. Once
+    # they have ended, the process holds the descriptors it held before.
+    whole = _serve(_Origin(300_000, 4e6))
+    reset = _serve(_Origin(400_000, 4e6, reset_at=131072))
+    short = _serve(_Origin(400_000, 4e6, truncate_at=131072))
+    unusable = _serve(_Origin(300_000, 4e6, stream_info="duration=8;bitrate=0"))
+    long = _serve(_Origin(8_000_000, 4e6))
+    origins = (whole, reset, short, unusable, long)
+    proxy = ShapingProxy(SessionConfig(listen=("127.0.0.1", 0),
+                                       fast_start_seconds=1.0))
+    addr = proxy.start()
+    baseline = _fd_count()
+    try:
+        for i in range(20):
+            origin = origins[i % len(origins)]
+            reset.reset_at = 131072
+            with socket.create_connection(addr, timeout=10.0) as sock:
+                sock.sendall(b"GET http://127.0.0.1:%d/s HTTP/1.1\r\n"
+                             b"Host: x\r\n\r\n" % origin.server_address[1])
+                _read_head(sock)
+                if origin is not long:
+                    while sock.recv(65536):
+                        pass
+        deadline = time.monotonic() + 10
+        while time.monotonic() < deadline and (
+                len(proxy._threads) > 1 or _fd_count() != baseline or
+                any(t.is_alive() for o in origins
+                    for t in o.handler_threads)):
+            time.sleep(0.05)
+        assert len(proxy.sessions) == 16
+        assert _fd_count() == baseline
+    finally:
+        proxy.close()
+        for origin in origins:
+            origin.shutdown()
+
+
+def test_writer_waits_on_a_descriptor_above_1023():
+    # select.select cannot wait on descriptors from 1024 on; the writer's
+    # waits must, or a session whose client socket lands there dies at its
+    # first blocked write
+    fcntl = pytest.importorskip("fcntl")
+    import resource
+    if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1100:
+        pytest.skip("the descriptor limit is below 1100")
+    ours, peer = socket.socketpair()
+    with ours, peer:
+        high = fcntl.fcntl(ours.fileno(), fcntl.F_DUPFD_CLOEXEC, 1024)
+        with socket.socket(fileno=high) as sock:
+            assert sock.fileno() >= 1024
+            writer = _BackpressureWriter(sock, threshold_s=0.2,
+                                         credit_bps=1e12)
+            body = memoryview(bytes(4_000_000))
+            obs, rest = writer.write_burst([body], len(body), 0, 0)
+    assert obs.zwa_seen and not obs.complete
+    assert obs.acked_bytes + len(rest) == len(body)
