@@ -233,7 +233,6 @@ class StreamingClient:
                                    else float(content_duration_s))
         self.startup_bytes = min(startup_threshold_s * self.drain_bytes_per_s,
                                  self.capacity_bytes)
-        self.resume_bytes = self.startup_bytes
         self._eps = max(1e-6, 1e-9 * self.capacity_bytes)
 
         self.now_s = 0.0
@@ -353,7 +352,7 @@ class StreamingClient:
         capacity = self.capacity_bytes
         drain = self.drain_rate_bps / 8.0
         startup = self.startup_bytes
-        resume_at = min(self.resume_bytes, capacity) - eps
+        resume_at = startup - eps
         content_s = self.content_duration_s
         complete_at = content_s - 1e-12
         # the clock, occupancy, cumulative bytes, playback position and
@@ -406,7 +405,7 @@ class StreamingClient:
                     if step < dt:
                         dt = step
                 if self._stalled:
-                    step = (self.resume_bytes - occ) / fill
+                    step = (startup - occ) / fill
                     if step < dt:
                         dt = step
                 if piece_drains:

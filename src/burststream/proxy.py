@@ -44,9 +44,10 @@ body of unknown length, and every body on a platform without
 A request the proxy cannot serve is answered before any response head has
 gone out: 400 for a head it cannot parse or resolve to an origin, 501 for
 a method other than GET, 502 when the origin connection or request fails
-or the origin's head gives no usable rate. The proxy then ends its side
-and drops what the client still sends, briefly, before it closes, so that
-an unread request body cannot reset the connection under the answer.
+or the origin's head gives no usable rate or ``Content-Length``. The
+proxy then ends its side and drops what the client still sends, briefly,
+before it closes, so that an unread request body cannot reset the
+connection under the answer.
 """
 
 from __future__ import annotations
@@ -88,19 +89,14 @@ class SessionConfig:
     low_bw_chunk_s: float = 0.25
 
     def __post_init__(self) -> None:
-        for name, ok, rule in (
-                ("fast_start_seconds",
-                 0 < self.fast_start_seconds < math.inf, "> 0 and finite"),
-                ("granularity_s", 0 < self.granularity_s < math.inf,
-                 "> 0 and finite"),
-                ("backpressure_s", self.backpressure_s > 0, "> 0"),
-                ("low_bw_chunk_s", self.low_bw_chunk_s > 0, "> 0"),
-                ("rate_override_bps", self.rate_override_bps is None
-                 or self.rate_override_bps > 0, "> 0"),
-                ("sndbuf_bytes", self.sndbuf_bytes is None
-                 or self.sndbuf_bytes > 0, "> 0")):
-            if not ok:
-                raise ValueError(f"{name} must be {rule}")
+        for name in ("fast_start_seconds", "granularity_s", "backpressure_s",
+                     "low_bw_chunk_s", "rate_override_bps", "sndbuf_bytes"):
+            value = getattr(self, name)
+            if value is None and name in ("rate_override_bps",
+                                          "sndbuf_bytes"):
+                continue
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be > 0 and finite")
         if self.origin is not None:
             base = urlsplit(self.origin)
             try:
@@ -630,9 +626,14 @@ class ShapingProxy:
 
     def _discover_rate(self, response) -> float:
         """Encoding rate: X-Stream-Info bitrate, else the override, else
-        content length over declared duration. A rate that is not > 0
-        and finite would fail the session after its head went out, so it
-        is a bad gateway too."""
+        content length over declared duration. A ``Content-Length`` that
+        http.client could not read, or a rate that is not > 0 and finite,
+        would fail the session after its head went out, so each is a bad
+        gateway too."""
+        declared = response.getheader("Content-Length")
+        if response.length is None and declared is not None and \
+                not response.chunked:
+            raise ProxyError(f"bad Content-Length {declared!r}", 502)
         header = response.getheader("X-Stream-Info") or ""
         try:
             info = StreamInfo.parse(header)
@@ -642,11 +643,11 @@ class ShapingProxy:
                 rate = self.config.rate_override_bps
             else:
                 duration = info.duration_s
-                length = response.getheader("Content-Length")
+                length = response.length
                 if not (duration and length and duration > 0):
                     raise ProxyError("origin does not declare a bitrate "
                                      "and no --rate-override-bps given", 502)
-                rate = float(length) * 8.0 / duration
+                rate = length * 8.0 / duration
         except ValueError as exc:         # ProtocolError or a bad number
             raise ProxyError(f"bad X-Stream-Info {header!r}: {exc}",
                              502) from exc
@@ -699,12 +700,11 @@ class ShapingProxy:
         r_s = self._discover_rate(response)
         conn.sendall(_client_head(response))
 
-        total_length = response.getheader("Content-Length")
+        length = response.length
         writer = _BackpressureWriter(conn, cfg.backpressure_s,
                                      credit_bps=4.0 * r_s)
         stream = StreamSpec.single(
-            r_s, duration_s=(float(total_length) * 8 / r_s
-                             if total_length else math.inf),
+            r_s, duration_s=(length * 8 / r_s if length else math.inf),
             fast_start_s=cfg.fast_start_seconds)
         shaper = Shaper(stream, cfg.granularity_s)
         report = {"addr": addr, "r_s": r_s, "rows": [], "shaper": shaper}

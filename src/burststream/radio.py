@@ -3,8 +3,9 @@
 Replays the activity spans of a session, each ``(start_s, end_s, bytes)``,
 against the state machine of one access technology and produces a
 contiguous state trace in which ``simulate`` prices each segment once. The
-trace is stored as columns (start, end, state, power, active and rate, one
-entry per segment); the energy integral, the tail-state energy and the
+trace is stored as columns (start, end, state, power and rate, one entry per
+segment); a receive segment is one with a rate, priced from its span's
+bytes over its duration. The energy integral, the tail-state energy and the
 ledger of state transitions (weighted by a configurable signaling cost
 table) are reductions over those columns. ``StateTrace.segments`` is a
 read-only view: a tuple of ``StateSegment`` built from the columns each
@@ -31,6 +32,7 @@ activity.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
@@ -69,7 +71,8 @@ _ALLOWED_STATES = {
 
 
 class TraceError(ValueError):
-    """Malformed activity trace: a span that ends before it starts."""
+    """Malformed activity trace: a span that ends before it starts, or
+    whose byte count is not a finite number >= 0."""
 
 
 class SignalingConfigError(KeyError):
@@ -82,34 +85,36 @@ class ActivityTrace:
     one."""
 
     @classmethod
-    def from_spans(cls, spans: Iterable[Tuple[float, float, Optional[int]]],
+    def from_spans(cls, spans: Iterable[Tuple[float, float, float]],
                    ) -> "ActivityTrace":
         """Build a trace from (start_s, end_s, bytes) activity spans.
 
-        The spans are sorted, and those that overlap or touch (within
-        1e-12 s) merge into one activity interval; byte counts add up, and
-        one unknown (None) count makes the merged count unknown.
+        Every span carries its byte count, a finite number >= 0. The spans
+        are sorted, and those that overlap or touch (within 1e-12 s) merge
+        into one activity interval whose count is the sum of theirs.
         """
         spans = list(spans)
-        if any(end < start for start, end, _ in spans):
-            raise TraceError("span end before start")
-        merged: List[Tuple[float, float, Optional[int]]] = []
-        # an unknown count sorts after the known ones of an equal span, as
-        # None and a number do not compare
-        for start, end, nbytes in sorted(
-                spans, key=lambda s: (s[0], s[1], s[2] is None, s[2] or 0)):
+        try:
+            bad = any(end < start or not 0 <= nbytes < math.inf
+                      for start, end, nbytes in spans)
+        except TypeError:  # a count that is no number, such as None
+            bad = True
+        if bad:
+            raise TraceError("span end before start, or byte count not a "
+                             "finite number >= 0")
+        merged: List[Tuple[float, float, float]] = []
+        for start, end, nbytes in sorted(spans):
             if merged and start <= merged[-1][1] + 1e-12:
                 prev_start, prev_end, prev_bytes = merged[-1]
-                total = None if prev_bytes is None or nbytes is None \
-                    else prev_bytes + nbytes
-                merged[-1] = (prev_start, max(prev_end, end), total)
+                merged[-1] = (prev_start, max(prev_end, end),
+                              prev_bytes + nbytes)
             else:
                 merged.append((start, end, nbytes))
         trace = cls.__new__(cls)
         trace._spans = merged
         return trace
 
-    def spans(self) -> List[Tuple[float, float, Optional[int]]]:
+    def spans(self) -> List[Tuple[float, float, float]]:
         """Merged activity intervals, with byte totals."""
         return list(self._spans)
 
@@ -120,8 +125,12 @@ class StateSegment:
     end_s: float
     state: RadioState
     power_mw: float
-    active: bool = False
     rate_bps: Optional[float] = None
+
+    @property
+    def active(self) -> bool:
+        """A receive segment: one that has a rate."""
+        return self.rate_bps is not None
 
     @property
     def duration_s(self) -> float:
@@ -132,8 +141,9 @@ class StateSegment:
 class StateTrace:
     """A contiguous state trace from 0 to ``horizon_s``, one column entry
     per segment: ``start_s[i]``, ``end_s[i]``, ``state[i]``,
-    ``power_mw[i]``, ``active[i]`` and ``rate_bps[i]`` are the fields of
-    ``segments[i]``. ``transitions`` counts the RRC transitions along the
+    ``power_mw[i]`` and ``rate_bps[i]`` are the fields of ``segments[i]``.
+    ``rate_bps[i]`` is the receive rate of a receive segment and None for a
+    tail segment. ``transitions`` counts the RRC transitions along the
     trace, which starts from IDLE, in order of first occurrence; DRX on/off
     cycling collapses into CONNECTED first, since duty cycling happens
     inside the connected state and exchanges no RRC signaling.
@@ -143,7 +153,6 @@ class StateTrace:
     end_s: List[float]
     state: List[RadioState]
     power_mw: List[float]
-    active: List[bool]
     rate_bps: List[Optional[float]]
     horizon_s: float
     technology: Technology
@@ -153,8 +162,7 @@ class StateTrace:
     def __post_init__(self) -> None:
         n = len(self.start_s)
         if any(len(col) != n for col in (self.end_s, self.state,
-                                         self.power_mw, self.active,
-                                         self.rate_bps)):
+                                         self.power_mw, self.rate_bps)):
             raise ValueError("state trace columns differ in length")
         allowed = _ALLOWED_STATES[self.technology]
         drx = (RadioState.CONN_DRX_ON, RadioState.CONN_DRX_OFF)
@@ -182,7 +190,7 @@ class StateTrace:
     def segments(self) -> Tuple[StateSegment, ...]:
         """The segments, built from the columns each time this is read."""
         return tuple(map(StateSegment, self.start_s, self.end_s, self.state,
-                         self.power_mw, self.active, self.rate_bps))
+                         self.power_mw, self.rate_bps))
 
     def to_csv(self) -> str:
         """One ``start_s,end_s,state,power_mw`` row per segment: the row
@@ -415,8 +423,7 @@ def _emit_hspa_gap(out: _TailSink, g0: float, g1: float, t_end: float,
 
 
 def simulate(trace: ActivityTrace, profile: RadioProfile,
-             horizon_s: Optional[float] = None,
-             rx_rate_bps: Optional[float] = None) -> StateTrace:
+             horizon_s: Optional[float] = None) -> StateTrace:
     """Replay an activity trace through the profile's state machine.
 
     Activity promotes the radio to its active state; inactivity timers
@@ -424,10 +431,9 @@ def simulate(trace: ActivityTrace, profile: RadioProfile,
     arriving during a DRX sleep window is deferred to the next on-duration
     (never past the RRC inactivity expiry).
 
-    Every segment is priced here, once: an active segment at the receive
-    power of its byte count over its duration (at ``rx_rate_bps`` when its
-    span carries no byte count, at rate 0 without either), a tail segment
-    at its state's configured power.
+    Every segment is priced here, once: a receive segment at the receive
+    power of its spans' bytes over its duration, a tail segment at its
+    state's configured power.
     """
     spans = trace.spans()
     if horizon_s is None:
@@ -450,11 +456,9 @@ def simulate(trace: ActivityTrace, profile: RadioProfile,
     ends: List[float] = []
     states: List[RadioState] = []
     powers: List[float] = []
-    actives: List[bool] = []
     rates: List[Optional[float]] = []
     add_start, add_end, add_state = starts.append, ends.append, states.append
-    add_power, add_active, add_rate = (powers.append, actives.append,
-                                       rates.append)
+    add_power, add_rate = powers.append, rates.append
 
     def tail(s: float, e: float, state: RadioState) -> None:
         """Append the tail segment [s, e) at its state's power, unless it
@@ -464,7 +468,6 @@ def simulate(trace: ActivityTrace, profile: RadioProfile,
             add_end(e)
             add_state(state)
             add_power(tail_power[state])
-            add_active(False)
             add_rate(None)
 
     drx_states = [RadioState.CONN_DRX_ON, RadioState.CONN_DRX_OFF]
@@ -479,7 +482,6 @@ def simulate(trace: ActivityTrace, profile: RadioProfile,
         cycles = len(edges) // 2
         states.extend(drx_states * cycles)
         powers.extend(drx_powers * cycles)
-        actives.extend([False] * len(edges))
         rates.extend([None] * len(edges))
 
     def emit_gap(g0: float, g1: float, t_end: float) -> None:
@@ -514,16 +516,13 @@ def simulate(trace: ActivityTrace, profile: RadioProfile,
             _, nend, nb = spans[i]
             i += 1
             eff_end = min(max(eff_end, nend), horizon_s)
-            nbytes = nbytes + nb if (nbytes is not None and
-                                     nb is not None) else None
+            nbytes = nbytes + nb
         if eff_end > eff_start:
-            rate = nbytes * 8.0 / (eff_end - eff_start) \
-                if nbytes is not None else rx_rate_bps
+            rate = nbytes * 8.0 / (eff_end - eff_start)
             add_start(eff_start)
             add_end(eff_end)
             add_state(active_state)
-            add_power(power_rx(0.0 if rate is None else rate, profile))
-            add_active(True)
+            add_power(power_rx(rate, profile))
             add_rate(rate)
         t = eff_end
         last_end = eff_end
@@ -534,31 +533,22 @@ def simulate(trace: ActivityTrace, profile: RadioProfile,
             emit_gap(t, horizon_s, last_end)
     if not starts:
         return StateTrace([0.0], [horizon_s], [RadioState.IDLE],
-                          [profile.p_idle_mw], [False], [None], horizon_s,
+                          [profile.p_idle_mw], [None], horizon_s,
                           profile.technology)
-    return StateTrace(starts, ends, states, powers, actives, rates,
-                      horizon_s, profile.technology)
+    return StateTrace(starts, ends, states, powers, rates, horizon_s,
+                      profile.technology)
 
 
-def energy_of(state_trace: StateTrace, profile: RadioProfile,
-              rx_rate_bps: Optional[float] = None) -> float:
+def energy_of(state_trace: StateTrace, profile: RadioProfile) -> float:
     """Total radio energy over the trace, mJ.
 
     Each segment contributes its duration times the power ``simulate``
-    priced it at. The one exception is an active segment that carried no
-    byte count and got no rate from ``simulate``: it is priced here at
-    ``rx_rate_bps``. Each reconnect (a transition out of IDLE) additionally
+    priced it at. Each reconnect (a transition out of IDLE) additionally
     charges ``reconnect_setup_s`` seconds at p1 for the signaling exchange.
     """
     tr = state_trace
     total = 0.0
-    for start, end, power, active, rate in zip(
-            tr.start_s, tr.end_s, tr.power_mw, tr.active, tr.rate_bps):
-        if active and rate is None:
-            if rx_rate_bps is None:
-                raise ValueError("active segment has no rate; pass "
-                                 "rx_rate_bps")
-            power = power_rx(rx_rate_bps, profile)
+    for start, end, power in zip(tr.start_s, tr.end_s, tr.power_mw):
         total += (end - start) * power
     reconnects = sum(n for (src, _), n in tr.transitions.items()
                      if src is RadioState.IDLE)
@@ -577,9 +567,9 @@ def tail_states_energy(state_trace: StateTrace, profile: RadioProfile,
             RadioState.CONN_DRX_ON, RadioState.CONN_DRX_OFF}
     tr = state_trace
     total = 0.0
-    for s, e, state, power, active in zip(tr.start_s, tr.end_s, tr.state,
-                                          tr.power_mw, tr.active):
-        if active or state not in tail:
+    for s, e, state, power, rate in zip(tr.start_s, tr.end_s, tr.state,
+                                        tr.power_mw, tr.rate_bps):
+        if rate is not None or state not in tail:
             continue
         if window is not None:
             s, e = max(s, window[0]), min(e, window[1])

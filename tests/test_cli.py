@@ -1,5 +1,6 @@
 """CLI surface tests."""
 
+import math
 import os
 import subprocess
 import sys
@@ -403,7 +404,8 @@ class TestProxyOptions:
         ("--fast-start-seconds", "0"), ("--fast-start-seconds", "nan"),
         ("--fast-start-seconds", "inf"), ("--granularity-s", "0"),
         ("--granularity-s", "nan"), ("--backpressure-s", "0"),
-        ("--rate-override-bps", "-1"), ("--origin", "127.0.0.1:9"),
+        ("--backpressure-s", "inf"), ("--rate-override-bps", "-1"),
+        ("--rate-override-bps", "inf"), ("--origin", "127.0.0.1:9"),
         ("--origin", "http://127.0.0.1:abc")])
     def test_out_of_range_is_an_error_line(self, capsys, monkeypatch, flag,
                                            text):
@@ -417,7 +419,8 @@ class TestProxyOptions:
         assert flag[2:].replace("-", "_") in error_line(capsys)
 
     @pytest.mark.parametrize("field, value", [
-        ("low_bw_chunk_s", 0.0), ("sndbuf_bytes", 0)])
+        ("low_bw_chunk_s", 0.0), ("low_bw_chunk_s", math.inf),
+        ("sndbuf_bytes", 0)])
     def test_fields_without_a_flag_are_checked(self, field, value):
         from burststream.proxy import SessionConfig
         with pytest.raises(ValueError, match=field):

@@ -193,8 +193,15 @@ def _read_head(sock):
 
 
 class _Headers:
+    """An origin response head, with the length http.client reads from
+    its ``Content-Length``."""
+
+    chunked = False
+
     def __init__(self, **headers):
         self.headers = {k.replace("_", "-"): v for k, v in headers.items()}
+        length = self.headers.get("Content-Length")
+        self.length = None if length is None else int(length)
 
     def getheader(self, name):
         return self.headers.get(name)
@@ -1132,10 +1139,46 @@ class TestOriginHeads:
             proxy.close()
             origin.shutdown()
 
+    @pytest.mark.parametrize("length", ["abc", "-5"])
+    def test_unreadable_length_is_a_bad_gateway(self, length):
+        # http.client reads no length from the head, so the stream has no
+        # duration: the client gets a 502 instead of a head and a hang-up
+        origin = _serve(_CannedOrigin(
+            200, [("X-Stream-Info", "duration=8;bitrate=4000000;seconds=0-"),
+                  ("Content-Length", length)], b"x" * 1000))
+        proxy, addr = _start_proxy(origin)
+        try:
+            with _connect(addr) as sock:
+                sock.settimeout(10.0)
+                reply = b""
+                while data := sock.recv(65536):
+                    reply += data
+            assert reply == _bare_status(b"502 Bad Gateway")
+            assert not proxy.sessions
+        finally:
+            proxy.close()
+            origin.shutdown()
+
+    def test_empty_declared_body_ends_its_session(self):
+        # a body of 0 bytes is a stream of no length, not a failed session
+        info = "duration=8;bitrate=4000000;seconds=0-"
+        origin = _serve(_CannedOrigin(200, [("X-Stream-Info", info)]))
+        proxy, addr = _start_proxy(origin)
+        try:
+            head, got = _exchange(addr, [])
+            assert head[0] == "HTTP/1.1 200 OK"
+            assert "Content-Length: 0" in head
+            assert got == b""
+            assert proxy.sessions[0]["origin_error"] is None
+        finally:
+            proxy.close()
+            origin.shutdown()
+
 
 class _CannedOrigin(http.server.ThreadingHTTPServer):
     """An origin that gives every request one canned answer and keeps the
-    Range header of each request (None where there was none)."""
+    Range header of each request (None where there was none). The answer
+    declares its body's length unless its headers name one."""
 
     daemon_threads = True
 
@@ -1161,7 +1204,8 @@ class _CannedHandler(http.server.BaseHTTPRequestHandler):
         self.send_response(status)
         for name, value in headers:
             self.send_header(name, value)
-        if status != 204:
+        if status != 204 and \
+                "Content-Length" not in (name for name, _ in headers):
             self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)

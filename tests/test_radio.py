@@ -39,22 +39,22 @@ def states_of(trace):
 
 class TestActivityTrace:
     def test_from_spans_and_spans_merge_alike(self):
-        # touching within 1e-12 s joins; an unknown byte count stays unknown
+        # touching within 1e-12 s joins, and the byte counts add up
         raw = [(4.0, 5.0, 10), (0.0, 1.0, 100), (1.0 + 5e-13, 2.0, 200),
-               (6.0, 7.0, None), (7.0, 8.0, 30)]
+               (6.0, 7.0, 5), (7.0, 8.0, 30)]
         tr = ActivityTrace.from_spans(raw)
         assert tr.spans() == [(0.0, 2.0, 300), (4.0, 5.0, 10),
-                              (6.0, 8.0, None)]
+                              (6.0, 8.0, 35)]
         assert ActivityTrace.from_spans(tr.spans()).spans() == tr.spans()
-
-    def test_equal_spans_with_and_without_bytes_merge(self):
-        tr = ActivityTrace.from_spans([(0.0, 1.0, None), (0.0, 1.0, 5),
-                                       (2.0, 3.0, 7), (2.0, 3.0, 4)])
-        assert tr.spans() == [(0.0, 1.0, None), (2.0, 3.0, 11)]
 
     def test_span_end_before_start_rejected(self):
         with pytest.raises(TraceError):
             ActivityTrace.from_spans([(0.0, 1.0, 10), (3.0, 2.0, 10)])
+
+    @pytest.mark.parametrize("nbytes", [None, math.nan, -1, math.inf])
+    def test_span_without_a_finite_count_rejected(self, nbytes):
+        with pytest.raises(TraceError):
+            ActivityTrace.from_spans([(0.0, 1.0, 10), (2.0, 3.0, nbytes)])
 
 
 class TestHspaStateMachine:
@@ -167,7 +167,7 @@ class TestLteStateMachine:
 class TestEnergy:
     def test_all_idle_zero(self):
         st = simulate(ActivityTrace.from_spans([]), HSPA, horizon_s=60.0)
-        assert energy_of(st, HSPA, rx_rate_bps=1e6) == 0.0
+        assert energy_of(st, HSPA) == 0.0
 
     def test_single_burst_hand_integration(self):
         st = simulate(periodic(60, 1.0, 1, nbytes=250_000), HSPA,
@@ -191,12 +191,6 @@ class TestEnergy:
         e20 = energy_of(simulate(tr, LTE_DRX20, horizon_s=360.0), LTE_DRX20)
         assert e10 > e20
 
-    def test_missing_rate_raises(self):
-        tr = ActivityTrace.from_spans([(0.0, 1.0, None)])
-        st = simulate(tr, HSPA, horizon_s=10.0)
-        with pytest.raises(ValueError):
-            energy_of(st, HSPA)
-
     def test_rate_free_profile_prices_an_instant_span(self):
         # one byte over a subnormal span has an infinite rate; a profile
         # whose receive power ignores the rate (k = 0) still prices it
@@ -210,7 +204,7 @@ class TestEnergy:
         a = simulate(tr, HSPA_FD, horizon_s=140.0)
         b = simulate(tr, HSPA_FD, horizon_s=140.0)
         assert states_of(a) == states_of(b)
-        assert energy_of(a, HSPA_FD, 1e6) == energy_of(b, HSPA_FD, 1e6)
+        assert energy_of(a, HSPA_FD) == energy_of(b, HSPA_FD)
 
 
 class TestSignaling:
@@ -310,17 +304,14 @@ def reference_tail_power(state, profile):
     }[state]
 
 
-def reference_energy(trace, profile, rx_rate_bps):
-    """(energy in mJ, reconnect count); ValueError for an unpriced segment."""
+def reference_energy(trace, profile):
+    """(energy in mJ, reconnect count)."""
     total = 0.0
     prev = RadioState.IDLE
     reconnects = 0
     for seg in trace.segments:
         if seg.active:
-            rate = seg.rate_bps if seg.rate_bps is not None else rx_rate_bps
-            if rate is None:
-                raise ValueError("active segment has no rate")
-            total += seg.duration_s * power_rx(rate, profile)
+            total += seg.duration_s * power_rx(seg.rate_bps, profile)
         else:
             total += seg.duration_s * reference_tail_power(seg.state, profile)
         if prev is RadioState.IDLE and seg.state in (RadioState.DCH,
@@ -360,27 +351,24 @@ def reference_ledger(trace, costs):
 
 
 SPAN = st.tuples(st.floats(0.0, 300.0), st.floats(0.0, 15.0),
-                 st.one_of(st.none(), st.integers(0, 10_000_000)))
-RATE = st.one_of(st.none(), st.floats(1e3, 5e7))
+                 st.integers(0, 10_000_000))
 
 
 class TestPricingDifferential:
     @given(name=st.sampled_from(list_profiles()),
            spans=st.lists(SPAN, max_size=25),
            horizon=st.one_of(st.none(), st.floats(1.0, 400.0)),
-           sim_rate=RATE, energy_rate=RATE,
            window=st.tuples(st.floats(0.0, 400.0), st.floats(0.0, 400.0)))
     @settings(max_examples=300, deadline=None)
     def test_trace_readers_match_per_segment_pricing(
-            self, name, spans, horizon, sim_rate, energy_rate, window):
+            self, name, spans, horizon, window):
         profile = get_profile(name)
         trace = simulate(
             ActivityTrace.from_spans([(t, t + d, b) for t, d, b in spans]),
-            profile, horizon_s=horizon, rx_rate_bps=sim_rate)
+            profile, horizon_s=horizon)
         for seg in trace.segments:
-            rate = seg.rate_bps if seg.active else None
             assert seg.power_mw == (
-                power_rx(0.0 if rate is None else rate, profile)
+                power_rx(seg.rate_bps, profile)
                 if seg.active else reference_tail_power(seg.state, profile))
 
         costs = SignalingCostTable.default()
@@ -392,16 +380,10 @@ class TestPricingDifferential:
         minutes = trace.horizon_s / 60.0
         assert ledger.per_minute == (total / minutes if minutes > 0 else 0.0)
 
-        try:
-            expected, reconnects = reference_energy(trace, profile,
-                                                    energy_rate)
-        except ValueError:
-            with pytest.raises(ValueError):
-                energy_of(trace, profile, energy_rate)
-        else:
-            assert energy_of(trace, profile, energy_rate) == expected
-            assert reconnects == sum(n for (src, _), n in counts.items()
-                                     if src is RadioState.IDLE)
+        expected, reconnects = reference_energy(trace, profile)
+        assert energy_of(trace, profile) == expected
+        assert reconnects == sum(n for (src, _), n in counts.items()
+                                 if src is RadioState.IDLE)
 
         assert tail_states_energy(trace, profile) == \
             reference_tail_energy(trace, profile, (0.0, trace.horizon_s))
@@ -415,7 +397,7 @@ def trace_of(*segments, horizon_s, technology=Technology.HSPA):
     n = len(segments)
     return StateTrace([s for s, _, _ in segments], [e for _, e, _ in segments],
                       [state for _, _, state in segments], [0.0] * n,
-                      [False] * n, [None] * n, horizon_s, technology)
+                      [None] * n, horizon_s, technology)
 
 
 class TestStateTraceChecks:
@@ -447,7 +429,7 @@ class TestStateTraceChecks:
 
     def test_columns_of_unequal_length_rejected(self):
         with pytest.raises(ValueError, match="differ in length"):
-            StateTrace([0.0], [1.0], [RadioState.IDLE], [0.0], [False], [],
+            StateTrace([0.0], [1.0], [RadioState.IDLE], [0.0], [],
                        1.0, Technology.HSPA)
 
 
@@ -477,24 +459,22 @@ class TestColumnDifferential:
                 assert s <= reach + 1e-12
                 reach = max(reach, e)
             assert reach == me
-            counts = [b for _, _, b in parts]
-            assert mb == (None if None in counts else sum(counts))
+            assert mb == sum(b for _, _, b in parts)
 
     @given(name=st.sampled_from(list_profiles()),
            spans=st.lists(SPAN, max_size=25),
-           horizon=st.one_of(st.none(), st.floats(0.0, 400.0)),
-           rate=RATE)
+           horizon=st.one_of(st.none(), st.floats(0.0, 400.0)))
     @settings(max_examples=200, deadline=None)
     def test_segments_time_in_and_csv_match_per_segment_loops(
-            self, name, spans, horizon, rate):
+            self, name, spans, horizon):
         trace = simulate(
             ActivityTrace.from_spans([(t, t + d, b) for t, d, b in spans]),
-            get_profile(name), horizon_s=horizon, rx_rate_bps=rate)
+            get_profile(name), horizon_s=horizon)
         segments = []
         for i in range(len(trace.start_s)):
             segments.append(StateSegment(
                 trace.start_s[i], trace.end_s[i], trace.state[i],
-                trace.power_mw[i], trace.active[i], trace.rate_bps[i]))
+                trace.power_mw[i], trace.rate_bps[i]))
         assert trace.segments == tuple(segments)
 
         for state in RadioState:
@@ -552,7 +532,7 @@ def per_cycle_lte_gap(out, out_cycles, g0, g1, t_end, profile):
 
 def columns(trace):
     return (trace.start_s, trace.end_s, trace.state, trace.power_mw,
-            trace.active, trace.rate_bps, trace.horizon_s)
+            trace.rate_bps, trace.horizon_s)
 
 
 # a time after the end of the previous activity: in the CONNECTED lead-in,
