@@ -30,24 +30,29 @@ simulation (``tests/test_proxy.py::TestSharedCore`` replays both), and
 Raw ACK capture would need privileged packet access; backpressure sensing
 needs none and provides the same two facts (buffer full, bytes accepted).
 
-Where the platform has ``os.splice`` (Linux), a body of declared length
-(a 200 or 206 with a ``Content-Length`` and no chunked coding) does not
-pass through Python's memory: after the bytes http.client read with the
-head, the session splices each slice from the origin socket into one
-pipe of ``SLAB_BYTES`` and from the pipe to the client socket. The pipe
-takes the slab's place and every rule above holds; the pipe is empty
-between sends, as bytes a zero window leaves or a read-ahead collects are
-read back out of it. A chunked body, which only http.client decodes, a
-body of unknown length, and every body on a platform without
-``os.splice`` are read through http.client into a slab.
+The proxy fetches from the origin itself: one write of the request that
+http.client sends (``GET``, ``Host``, ``Accept-Encoding: identity`` and
+the client's ``Range``), then a read of exactly the response head, which
+peeks at what has arrived and takes no byte past the head, so the body
+is still in the origin socket when the relay starts. Where the platform
+has ``os.splice`` (Linux), a body of declared length (a 200 or 206 with a
+``Content-Length`` and no chunked coding) does not pass through Python's
+memory: from its first byte, the session splices each slice from the
+origin socket into one pipe of ``SLAB_BYTES`` and from the pipe to the
+client socket. The pipe takes the slab's place and every rule above
+holds; the pipe is empty between sends, as bytes a zero window leaves or
+a read-ahead collects are read back out of it. A chunked body, which the
+proxy decodes, a body of unknown length, and every body on a platform
+without ``os.splice`` are read into a slab.
 
 A request the proxy cannot serve is answered before any response head has
-gone out: 400 for a head it cannot parse or resolve to an origin, 501 for
-a method other than GET, 502 when the origin connection or request fails
-or the origin's head gives no usable rate or ``Content-Length``. The
-proxy then ends its side and drops what the client still sends, briefly,
-before it closes, so that an unread request body cannot reset the
-connection under the answer.
+gone out: 400 for a head it cannot parse or resolve to an origin, 408 for
+a head not complete within ``HEAD_TIMEOUT_S``, 501 for a method other
+than GET, 502 when the origin connection or request fails or the
+origin's head is malformed, over 64 KiB, or gives no usable rate or
+``Content-Length``. The proxy then ends its side and drops what the
+client still sends, briefly, before it closes, so that an unread request
+body cannot reset the connection under the answer.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ import itertools
 import logging
 import math
 import os
+import re
 import select
 import socket
 import threading
@@ -65,7 +71,7 @@ from contextlib import closing, suppress
 from dataclasses import dataclass
 from http import HTTPStatus
 from pathlib import Path
-from typing import Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 from urllib.parse import SplitResult, urlsplit
 
 from .mediahttp import StreamInfo
@@ -109,7 +115,10 @@ class SessionConfig:
 
 
 SLAB_BYTES = 1 << 18     # origin bytes a send reads, and writes, at a time
-ORIGIN_TIMEOUT_S = 30.0  # the longest wait for the origin's next byte
+ORIGIN_TIMEOUT_S = 30.0  # the longest wait for the origin's next byte, and
+                         # for its whole response head
+HEAD_TIMEOUT_S = 10.0    # the longest wait for the client's whole request head
+HEAD_BYTES = 65536       # the longest head read, from the client or origin
 _SPLICE = hasattr(os, "splice")    # body bytes can skip Python (Linux)
 
 
@@ -134,7 +143,7 @@ def _wait(fd: int, writable: bool, timeout_s: float) -> bool:
                              fds if writable else [], [], timeout_s))
 
 
-def _read_body(response: http.client.HTTPResponse,
+def _read_body(response: _OriginResponse,
                buf: Union[bytearray, memoryview],
                ) -> Tuple[int, Optional[Exception]]:
     """Fill ``buf`` with the next origin body bytes, from its first byte;
@@ -149,8 +158,8 @@ def _read_body(response: http.client.HTTPResponse,
             n = response.readinto(view[got:got + 65536])
             if not n:
                 if response.length:
-                    # http.client ends a short body quietly; the bytes it
-                    # still expected mean the origin cut the stream
+                    # a read of nothing ends a short body quietly; the
+                    # bytes still expected mean the origin cut the stream
                     raise http.client.IncompleteRead(b"", response.length)
                 break
             got += n
@@ -158,6 +167,241 @@ def _read_body(response: http.client.HTTPResponse,
         response.close()
         return got, _bare(exc)
     return got, None
+
+
+def _head_end(data: Union[bytes, bytearray], start: int = 0) -> int:
+    """The offset just past the first empty line that a search of
+    ``data`` from ``start`` finds, or -1 if there is none yet. Lines end
+    in CRLF or a bare LF. The search steps from line break to line break,
+    so it reads no further than the head: the body after it may be long
+    and hold any bytes."""
+    i = data.find(b"\n", start)
+    while i >= 0:
+        if data[i + 1:i + 2] == b"\n":
+            return i + 2
+        if data[i + 1:i + 3] == b"\r\n":
+            return i + 3
+        i = data.find(b"\n", i + 1)
+    return -1
+
+
+# a character that cannot go into a request line or Host header: a control
+# character, a space or a byte beyond ASCII
+_UNSENDABLE = re.compile("[^\x21-\x7e]")
+
+
+def _origin_request(host: str, port: int, path: str,
+                    wanted: Optional[str]) -> bytes:
+    """The request for ``path`` from ``host:port``, byte for byte as
+    http.client sends it, with the client's Range ``wanted`` if it gave
+    one. A ValueError where the target, the host or the Range cannot go
+    into a request."""
+    if _UNSENDABLE.search(path):
+        raise ValueError("the target has a control, space or non-ASCII "
+                         "character")
+    if wanted is not None and "\r" in wanted:
+        raise ValueError("the Range header has a bare CR")
+    if not host.isascii():
+        host = host.encode("idna").decode("ascii")
+    if _UNSENDABLE.search(host):
+        raise ValueError("the host has a control or space character")
+    if ":" in host:     # an IPv6 address, without its zone
+        host = f"[{host.partition('%')[0]}]"
+    lines = [f"GET {path} HTTP/1.1",
+             f"Host: {host}" if port == 80 else f"Host: {host}:{port}",
+             "Accept-Encoding: identity"]
+    if wanted:
+        lines.append(f"Range: {wanted}")
+    return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
+
+
+def _read_origin_head(sock: socket.socket, deadline: float) -> bytes:
+    """Take one response head from ``sock``, and no byte past it. Each
+    step peeks at what has arrived: if the head ends there, it takes the
+    head up to its end, else it takes all it saw and waits for more, so a
+    trickling origin is never polled in a loop."""
+    head = bytearray()
+    while True:
+        sock.settimeout(max(deadline - time.monotonic(), 1e-3))
+        seen = sock.recv(HEAD_BYTES + 1 - len(head), socket.MSG_PEEK)
+        if not seen:
+            raise ProxyError("origin closed before its head ended", 502)
+        end = _head_end(head + seen if head else seen,
+                        max(len(head) - 2, 0))
+        want = len(seen) if end < 0 else end - len(head)
+        got = sock.recv(want)
+        head += got
+        if len(head) > HEAD_BYTES:
+            raise ProxyError(f"origin head over {HEAD_BYTES} bytes", 502)
+        if end >= 0 and len(got) == want:
+            return bytes(head)
+
+
+_STATUS_LINE = re.compile(r"HTTP/\d\.\d\s+([1-9]\d\d)(?:\s+(.*))?")
+
+
+class _OriginResponse:
+    """The origin's answer to one GET: its head, read whole, and its body,
+    read from the origin socket ``sock`` as it is asked for; closing it
+    closes the socket. The names, and the rules for ``length``, are
+    http.client's: ``length`` is None for a chunked body or an unreadable
+    ``Content-Length``, 0 for a 1xx, 204 or 304, and counts down as the
+    body is read; the body has ended once the response is closed."""
+
+    def __init__(self, sock: socket.socket, head: bytes):
+        self.sock = sock
+        lines = head.decode("latin-1").split("\n")
+        match = _STATUS_LINE.fullmatch(lines[0].strip())
+        if match is None:
+            raise ProxyError(f"bad origin status line {lines[0]!r}", 502)
+        self.status = int(match[1])
+        self.reason = (match[2] or "").strip()
+        self.headers: List[Tuple[str, str]] = []
+        for line in lines[1:]:
+            line = line.rstrip("\r")
+            if line[:1] in (" ", "\t") and self.headers:   # a folded line
+                name, value = self.headers[-1]
+                self.headers[-1] = (name, f"{value} {line.strip()}")
+                continue
+            name, colon, value = line.partition(":")
+            if colon:
+                self.headers.append((name, value.strip()))
+        self._values: Dict[str, List[str]] = {}    # by lower-case name
+        for name, value in self.headers:
+            self._values.setdefault(name.lower(), []).append(value)
+        coding = self._values.get("transfer-encoding", [""])[0]
+        self.chunked = coding.lower() == "chunked"
+        self.length: Optional[int] = None
+        declared = self._values.get("content-length", [None])[0]
+        if declared and not self.chunked:
+            with suppress(ValueError):
+                self.length = int(declared)
+            if self.length is not None and self.length < 0:
+                self.length = None
+        if self.status in (204, 304) or self.status < 200:
+            self.length = 0
+        self._chunk_left: Optional[int] = None  # of the chunk in hand
+        self._framing = bytearray()   # chunked-body bytes received past
+                                      # the framing read so far
+
+    def getheaders(self) -> List[Tuple[str, str]]:
+        return self.headers
+
+    def getheader(self, name: str,
+                  default: Optional[str] = None) -> Optional[str]:
+        """Header ``name``'s value, its values joined by ", " if it came
+        more than once."""
+        values = self._values.get(name.lower())
+        return ", ".join(values) if values else default
+
+    def fileno(self) -> int:
+        return self.sock.fileno()
+
+    def isclosed(self) -> bool:
+        return self.sock.fileno() < 0
+
+    def close(self) -> None:
+        self.sock.close()
+
+    def readinto(self, b: Union[bytearray, memoryview]) -> int:
+        """Read the next body bytes into ``b``; return their count, which
+        is 0 once the body has ended. An early end of a declared body
+        also returns 0, with ``length`` still counting what it lacked."""
+        if self.isclosed():
+            return 0
+        view = memoryview(b)
+        if self.chunked:
+            return self._readinto_chunked(view)
+        if self.length is not None:
+            view = view[:self.length]
+        n = self.sock.recv_into(view) if view else 0
+        if not n and view:          # the origin ended the stream
+            self.close()
+        elif self.length is not None:
+            self.length -= n
+            if not self.length:
+                self.close()
+        return n
+
+    def _readinto_chunked(self, view: memoryview) -> int:
+        """The chunked form of ``readinto``: chunk extensions and trailer
+        fields are read and dropped."""
+        if not self._chunk_left:
+            try:
+                if self._chunk_left == 0:    # the CRLF after a chunk's data
+                    self._line()
+                size = int(self._line().split(b";", 1)[0], 16)
+                if size < 0:
+                    raise ValueError(f"chunk size {size}")
+                if not size:                 # the last chunk, then trailer
+                    while self._line() not in (b"\r\n", b"\n", b""):
+                        pass
+            except ValueError:
+                raise http.client.IncompleteRead(b"") from None
+            if not size:
+                self.close()
+                return 0
+            self._chunk_left = size
+        view = view[:self._chunk_left]
+        if self._framing:
+            n = min(len(view), len(self._framing))
+            view[:n] = self._framing[:n]
+            del self._framing[:n]
+        else:
+            n = self.sock.recv_into(view)
+            if not n:
+                raise http.client.IncompleteRead(b"", self._chunk_left)
+        self._chunk_left -= n
+        return n
+
+    def _line(self) -> bytes:
+        """The next line of a chunked body's framing, b"" if the origin
+        ended the stream first."""
+        while (end := self._framing.find(b"\n")) < 0:
+            if len(self._framing) > HEAD_BYTES:
+                raise ValueError("chunk framing line too long")
+            data = self.sock.recv(65536)
+            if not data:
+                return b""
+            self._framing += data
+        line = bytes(self._framing[:end + 1])
+        del self._framing[:end + 1]
+        return line
+
+
+def _fetch(host: str, port: int, path: str,
+           wanted: Optional[str]) -> _OriginResponse:
+    """Send the origin the request for ``path`` and read its response
+    head, skipping any ``100 Continue``; one ``ORIGIN_TIMEOUT_S`` covers
+    every head. A ProxyError with the client's answer where it fails."""
+    try:
+        request = _origin_request(host, port, path, wanted)
+    except ValueError as exc:
+        raise ProxyError(f"cannot request {path!r} from {host}:{port}: "
+                         f"{exc}", 400) from exc
+    try:
+        sock = socket.create_connection((host, port),
+                                        timeout=ORIGIN_TIMEOUT_S)
+    except OSError as exc:
+        raise ProxyError(f"origin {host}:{port} failed: {exc!r}",
+                         502) from exc
+    try:
+        sock.sendall(request)
+        deadline = time.monotonic() + ORIGIN_TIMEOUT_S
+        while True:
+            response = _OriginResponse(sock, _read_origin_head(sock,
+                                                               deadline))
+            if response.status != 100:
+                break
+        sock.settimeout(ORIGIN_TIMEOUT_S)
+        return response
+    except OSError as exc:
+        sock.close()
+        raise ProxyError(f"origin {host}:{port} failed: {exc!r}",
+                         502) from exc
+    except ProxyError:
+        sock.close()
+        raise
 
 
 def _header(head: str, name: str) -> Optional[str]:
@@ -201,7 +445,7 @@ def _discard_input(conn: socket.socket) -> None:
         left -= len(data)
 
 
-def _client_head(response: http.client.HTTPResponse) -> bytes:
+def _client_head(response: _OriginResponse) -> bytes:
     """The origin's response head as the client gets it: without the
     origin's framing and connection headers, and closing the connection
     after the body."""
@@ -291,11 +535,9 @@ class _BackpressureWriter:
 
 
 class _SlabBody:
-    """The origin body read through http.client into a slab per send."""
+    """The origin body read into a slab per send."""
 
-    held = memoryview(b"")    # no byte is read before the first send
-
-    def __init__(self, response: http.client.HTTPResponse,
+    def __init__(self, response: _OriginResponse,
                  errors: List[Exception]):
         self.response = response
         self.errors = errors            # gets the error that ends the body
@@ -356,27 +598,14 @@ class _Piped:
 
 class _SplicedBody:
     """A body of declared length moved from the origin socket to the
-    client socket through one pipe with ``os.splice``. The bytes
-    http.client buffered with the head are ``held``; from there on the
-    body is read from the origin's descriptor only, and ``unread`` counts
-    what is left of it."""
+    client socket through one pipe with ``os.splice``, from its first
+    byte; ``unread`` counts what is left of it."""
 
-    def __init__(self, response: http.client.HTTPResponse,
+    def __init__(self, response: _OriginResponse,
                  errors: List[Exception]):
         self.errors = errors            # gets the error that ends the body
         self.pipe: Optional[Tuple[int, int]] = None
-        try:
-            # read1 keeps http.client's count of the body
-            self.held = memoryview(response.read1(SLAB_BYTES))
-        except (OSError, http.client.HTTPException) as exc:
-            self.held = memoryview(b"")
-            errors.append(_bare(exc))
-            self.unread = 0
-            return
         self.unread = response.length
-        if self.unread and response.isclosed():   # the origin ended early
-            errors.append(http.client.IncompleteRead(b"", self.unread))
-            self.unread = 0
         if not self.unread:
             return
         import fcntl             # where os.splice is, so is fcntl
@@ -436,11 +665,11 @@ class _SplicedBody:
 _Body = Union[_SlabBody, _SplicedBody]
 
 
-def _origin_body(response: http.client.HTTPResponse,
+def _origin_body(response: _OriginResponse,
                  errors: List[Exception]) -> _Body:
     """The source of ``response``'s body: spliced where the platform can
-    and the body has a declared length, else read through http.client,
-    which alone decodes a chunked body."""
+    and the body has a declared length, else read into a slab, which
+    alone decodes a chunked body."""
     if _SPLICE and response.length is not None:
         return _SplicedBody(response, errors)
     return _SlabBody(response, errors)
@@ -578,19 +807,25 @@ class ShapingProxy:
     # -- per-session machinery ---------------------------------------------
 
     def _read_request_head(self, conn: socket.socket) -> str:
-        conn.settimeout(10.0)
+        """The client's request head, and whatever came with it; one
+        ``HEAD_TIMEOUT_S`` deadline covers the whole head."""
+        deadline = time.monotonic() + HEAD_TIMEOUT_S
         data = bytearray()
         while True:
-            chunk = conn.recv(4096)
+            conn.settimeout(max(deadline - time.monotonic(), 1e-3))
+            try:
+                chunk = conn.recv(4096)
+            except TimeoutError:
+                raise ProxyError(f"request head not complete within "
+                                 f"{HEAD_TIMEOUT_S:g} s", 408) from None
             if not chunk:
                 raise ProxyError("client closed before sending a request")
             # a terminator may straddle the previous chunk's last bytes
-            tail = max(len(data) - 3, 0)
+            tail = max(len(data) - 2, 0)
             data += chunk
-            if len(data) > 65536:
+            if len(data) > HEAD_BYTES:
                 raise ProxyError("request head too large", 400)
-            if data.find(b"\r\n\r\n", tail) >= 0 or \
-                    data.find(b"\n\n", tail) >= 0:
+            if _head_end(data, tail) >= 0:
                 return data.decode("latin-1")
 
     def _resolve_origin(self, head: str) -> Tuple[str, int, str]:
@@ -627,7 +862,7 @@ class ShapingProxy:
     def _discover_rate(self, response) -> float:
         """Encoding rate: X-Stream-Info bitrate, else the override, else
         content length over declared duration. A ``Content-Length`` that
-        http.client could not read, or a rate that is not > 0 and finite,
+        does not read as a count, or a rate that is not > 0 and finite,
         would fail the session after its head went out, so each is a bad
         gateway too."""
         declared = response.getheader("Content-Length")
@@ -668,24 +903,11 @@ class ShapingProxy:
         # the client's Range (the protocol's ``seconds=N-``) goes on to the
         # origin, whose 206 or 204 answers it
         wanted = _header(head, "Range")
-        with closing(http.client.HTTPConnection(
-                host, port, timeout=ORIGIN_TIMEOUT_S)) as origin:
-            try:
-                origin.request("GET", path,
-                               headers={"Range": wanted} if wanted else {})
-                response = origin.getresponse()
-            except (http.client.InvalidURL, ValueError) as exc:
-                # a target or host that cannot go into a request line
-                raise ProxyError(f"cannot request {path!r} from "
-                                 f"{host}:{port}: {exc}", 400) from exc
-            except (OSError, http.client.HTTPException) as exc:
-                raise ProxyError(f"origin {host}:{port} failed: {exc!r}",
-                                 502) from exc
-            with response:
-                self._relay(conn, addr, response, f"{host}:{port}")
+        with closing(_fetch(host, port, path, wanted)) as response:
+            self._relay(conn, addr, response, f"{host}:{port}")
 
     def _relay(self, conn: socket.socket, addr,
-               response: http.client.HTTPResponse, origin_name: str) -> None:
+               response: _OriginResponse, origin_name: str) -> None:
         """Relay the origin's head, then its body in shaped sends. A 206
         (a stream continued from a later second) is shaped as a 200 is; a
         204 (a range correction) is a head alone; any other status goes
@@ -741,7 +963,7 @@ class ShapingProxy:
         during the wait instead, so a slow origin's burst leaves on time.
         """
         t0 = time.monotonic()
-        pending = body.held   # read from the origin, not yet accepted
+        pending = memoryview(b"")   # read, not yet accepted
         burst_ids = itertools.count()
         send = controller.start()
         while send is not None and not self._stop.is_set():

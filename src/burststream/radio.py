@@ -95,7 +95,7 @@ class ActivityTrace:
         """
         spans = list(spans)
         try:
-            bad = any(end < start or not 0 <= nbytes < math.inf
+            bad = any(not start <= end or not 0 <= nbytes < math.inf
                       for start, end, nbytes in spans)
         except TypeError:  # a count that is no number, such as None
             bad = True

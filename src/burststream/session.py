@@ -31,7 +31,7 @@ class BandwidthTrace:
         times = [t for t, _ in self.steps]
         if times != sorted(times) or any(math.isnan(t) for t in times):
             raise ValueError("bandwidth trace times must be increasing")
-        if any(bps <= 0 for _, bps in self.steps):
+        if any(not bps > 0 for _, bps in self.steps):   # NaN fails too
             raise ValueError("bandwidth must be > 0")
         object.__setattr__(self, "_times", times)
 

@@ -350,6 +350,7 @@ class TestMalformedFiles:
         ("client", "buffer_bytes", None), ("scenario", "profile", None),
         ("scenario", "session_s", None), ("stream", "bitrate_bps", "fast"),
         ("bandwidth", "trace", "0:abc"), ("bandwidth", "trace", "0:-1"),
+        ("bandwidth", "trace", "0:nan"),
         ("scenario", "loop_content", "maybe"),
         ("scenario", "session_s", "nan"), ("scenario", "session_s", "-1"),
         ("scenario", "session_s", "inf"), ("client", "buffer_bytes", "0"),

@@ -17,6 +17,7 @@ import sys
 import threading
 import time
 import tracemalloc
+from contextlib import contextmanager, suppress
 from types import SimpleNamespace
 
 import pytest
@@ -193,8 +194,8 @@ def _read_head(sock):
 
 
 class _Headers:
-    """An origin response head, with the length http.client reads from
-    its ``Content-Length``."""
+    """An origin response head, with the length the proxy reads from its
+    ``Content-Length``."""
 
     chunked = False
 
@@ -279,6 +280,40 @@ class TestRequestHead:
         head = b"GET /a HTTP/1.1\r\nX-Pad: " + b"p" * 70000 + b"\r\n\r\n"
         with pytest.raises(ProxyError, match="too large"):
             self._read_head(head, step=8192)
+
+    def test_trickled_head_times_out(self, monkeypatch):
+        # one byte every 0.2 s keeps each read inside any per-read timeout;
+        # the deadline over the whole head still ends it, with a 408, and
+        # the session's thread ends with it
+        monkeypatch.setattr(proxy_module, "HEAD_TIMEOUT_S", 0.5)
+        proxy = ShapingProxy(SessionConfig(listen=("127.0.0.1", 0)))
+        addr = proxy.start()
+        baseline = len(proxy._threads)
+        try:
+            with socket.create_connection(addr, timeout=5.0) as sock:
+                sock.settimeout(0.2)
+                t0 = time.monotonic()
+                reply = b""
+                for byte in b"GET /a HTTP/1.1\r\nHost: 127.0.0.1:9\r\n":
+                    with suppress(OSError):     # the proxy has hung up
+                        sock.send(bytes([byte]))
+                    try:
+                        data = sock.recv(4096)
+                    except socket.timeout:
+                        continue
+                    if not data:
+                        break
+                    reply += data
+                elapsed = time.monotonic() - t0
+            assert reply == _bare_status(b"408 Request Timeout")
+            assert elapsed < 1.5
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline and \
+                    len(proxy._threads) > baseline:
+                time.sleep(0.01)
+            assert len(proxy._threads) == baseline
+        finally:
+            proxy.close()
 
 
 class TestResolveOrigin:
@@ -834,10 +869,10 @@ class TestProxyConvergence:
 
 
 class _CountingResponse:
-    """The part of ``http.client.HTTPResponse`` that ``_read_body`` uses,
-    over ``body`` declared ``declared`` bytes long; it records the size of
-    each ``readinto`` and, like http.client, closes at the declared end or
-    at an early end of the stream."""
+    """The part of the origin response that ``_read_body`` uses, over
+    ``body`` declared ``declared`` bytes long; it records the size of each
+    ``readinto`` and, like the proxy's, closes at the declared end or at
+    an early end of the stream."""
 
     def __init__(self, body, declared=None):
         self.body = body
@@ -1044,8 +1079,8 @@ class TestSlabRelay:
 
 class TestOriginHeads:
     def test_chunked_body_arrives_whole(self):
-        # no Content-Length: the proxy reads the chunked body through
-        # http.client a slab at a time, across more than one send
+        # no Content-Length: the proxy decodes the chunked body a slab at
+        # a time, across more than one send
         total = 1_500_000
         origin = _serve(_Origin(total, 8e6, chunked=True))
         proxy, addr = _start_proxy(origin, fast_start_seconds=1.0,
@@ -1141,7 +1176,7 @@ class TestOriginHeads:
 
     @pytest.mark.parametrize("length", ["abc", "-5"])
     def test_unreadable_length_is_a_bad_gateway(self, length):
-        # http.client reads no length from the head, so the stream has no
+        # the proxy reads no length from the head, so the stream has no
         # duration: the client gets a 502 instead of a head and a hang-up
         origin = _serve(_CannedOrigin(
             200, [("X-Stream-Info", "duration=8;bitrate=4000000;seconds=0-"),
@@ -1317,9 +1352,10 @@ class TestUnservableRequests:
         # targets that cannot go into the origin's request line
         b"GET /a\x01b HTTP/1.1\r\nHost: 127.0.0.1:9\r\n\r\n",
         b"GET /caf\xe9 HTTP/1.1\r\nHost: 127.0.0.1:9\r\n\r\n",
+        b"GET /a HTTP/1.1\r\nHost: a\x01b:9\r\n\r\n",
     ], ids=["host-port-text", "host-port-range", "no-host", "absolute-port",
             "absolute-port-zero", "short-request-line", "control-character",
-            "non-ascii"])
+            "non-ascii", "host-control-character"])
     def test_unresolvable_head_is_a_bad_request(self, request_head):
         assert _answer(request_head) == _bare_status(b"400 Bad Request")
 
@@ -1383,12 +1419,135 @@ class TestUnservableRequests:
         assert reply == _bare_status(b"404 Not Found")
 
 
+@contextmanager
+def _raw_origin(pieces, pace_s=0.0):
+    """An origin on a bare socket for one request: it keeps the request
+    head byte for byte, writes each of ``pieces`` ``pace_s`` after the
+    last, and hangs up. Yields its URL and the list that gets the head."""
+    requests = []
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+        listener.settimeout(10.0)
+
+        def serve():
+            conn, _ = listener.accept()
+            with conn:
+                request = b""
+                while b"\r\n\r\n" not in request:
+                    data = conn.recv(4096)
+                    if not data:
+                        return
+                    request += data
+                requests.append(request)
+                with suppress(OSError):    # the proxy hung up on the answer
+                    for piece in pieces:
+                        conn.sendall(piece)
+                        time.sleep(pace_s)
+
+        thread = threading.Thread(target=serve, daemon=True)
+        thread.start()
+        yield f"http://127.0.0.1:{listener.getsockname()[1]}", requests
+        thread.join(timeout=10.0)
+    assert not thread.is_alive()
+
+
+def _chunked(body, sizes, extensions):
+    """``body`` in chunks of ``sizes``, the ith chunk's size line carrying
+    ``extensions[i]``, then a last chunk with an extension and a trailer."""
+    out, at = b"", 0
+    for size, extension in zip(sizes, extensions):
+        out += b"%x%s\r\n%s\r\n" % (size, extension, body[at:at + size])
+        at += size
+    assert at == len(body)
+    return out + b"0;last\r\nX-Trailer: t\r\nX-Other: u\r\n\r\n"
+
+
+STREAM_INFO = b"X-Stream-Info: duration=8;bitrate=4000000;seconds=0-\r\n"
+BODY = _distinct_bytes(1000)
+HEAD_200 = (b"HTTP/1.1 200 OK\r\n" + STREAM_INFO +
+            b"Content-Length: 1000\r\n\r\n")
+RELAYED_200 = (b"HTTP/1.1 200 OK\r\n" + STREAM_INFO +
+               b"Content-Length: 1000\r\nConnection: close\r\n\r\n" + BODY)
+
+
+class TestOriginExchange:
+    """The proxy writes the origin one request, the one http.client sent,
+    and reads exactly the response head, however the origin sends it."""
+
+    @pytest.mark.parametrize("range_line", [b"", b"Range: seconds=5-\r\n"],
+                             ids=["no-range", "range"])
+    def test_origin_gets_the_request_http_client_sent(self, range_line):
+        answer = b"HTTP/1.1 204 No Content\r\n" + STREAM_INFO + b"\r\n"
+        with _raw_origin([answer]) as (origin, requests):
+            reply = _answer(b"GET /a?b=1 HTTP/1.1\r\nHost: x\r\n" +
+                            range_line + b"\r\n", origin=origin)
+        port = origin.rsplit(":", 1)[1].encode()
+        assert requests == [b"GET /a?b=1 HTTP/1.1\r\n"
+                            b"Host: 127.0.0.1:%s\r\n"
+                            b"Accept-Encoding: identity\r\n%s\r\n"
+                            % (port, range_line)]
+        assert reply.startswith(b"HTTP/1.1 204 No Content\r\n")
+
+    @pytest.mark.parametrize("host,port", [
+        ("127.0.0.1", 8080), ("origin.example", 80), ("::1", 81),
+        ("::1", 80), ("fe80::1%eth0", 81), ("b\u00fccher.example", 80)])
+    @pytest.mark.parametrize("wanted", [None, "seconds=5-"])
+    def test_request_bytes_are_http_clients(self, host, port, wanted):
+        # http.client itself, writing to a socket that keeps what it gets,
+        # is the reference
+        class Kept:
+            sent = b""
+
+            def sendall(self, data):
+                self.sent += data
+
+        reference = http.client.HTTPConnection(host, port)
+        reference.sock = Kept()
+        reference.request("GET", "/v?q=1",
+                          headers={"Range": wanted} if wanted else {})
+        assert proxy_module._origin_request(host, port, "/v?q=1", wanted) \
+            == reference.sock.sent
+
+    @pytest.mark.parametrize("pieces,pace_s,reply", [
+        ([bytes([b]) for b in HEAD_200] + [BODY], 0.001, RELAYED_200),
+        ([b"HTTP/1.1 100 Continue\r\n\r\n", HEAD_200 + BODY], 0.05,
+         RELAYED_200),
+        ([b"HTTP/1.1 100 Continue\r\nX-A: b\r\n\r\n" + HEAD_200 + BODY],
+         0.0, RELAYED_200),
+        ([b"HTTP/1.1 200 OK\r\nX-Pad: " + b"p" * 70000 + b"\r\n" +
+          HEAD_200[17:] + BODY], 0.0, _bare_status(b"502 Bad Gateway")),
+        ([HEAD_200[:30]], 0.0, _bare_status(b"502 Bad Gateway")),
+        ([b"ICY 200 OK\r\n" + HEAD_200[17:] + BODY], 0.0,
+         _bare_status(b"502 Bad Gateway")),
+    ], ids=["head-one-byte-at-a-time", "continue-then-head",
+            "continue-with-head", "head-over-64-KiB", "closed-mid-head",
+            "no-status-line"])
+    def test_origin_head(self, pieces, pace_s, reply):
+        with _raw_origin(pieces, pace_s) as (origin, _):
+            assert _answer(b"GET /a HTTP/1.1\r\nHost: x\r\n\r\n",
+                           origin=origin) == reply
+
+    def test_chunked_body_with_extensions_and_trailer(self):
+        # size lines with extensions, a last chunk with one and a trailer,
+        # written in pieces of 7 bytes so that every line and chunk falls
+        # across the proxy's reads: the client gets the body whole
+        head = (b"HTTP/1.1 200 OK\r\n" + STREAM_INFO +
+                b"Transfer-Encoding: chunked\r\n\r\n")
+        answer = head + _chunked(BODY, [300, 500, 200],
+                                 [b";a=1", b";b;c=\"d\"", b""])
+        pieces = [answer[i:i + 7] for i in range(0, len(answer), 7)]
+        with _raw_origin(pieces, 0.0005) as (origin, _):
+            reply = _answer(b"GET /a HTTP/1.1\r\nHost: x\r\n\r\n",
+                            origin=origin)
+        assert reply == (b"HTTP/1.1 200 OK\r\n" + STREAM_INFO +
+                         b"Connection: close\r\n\r\n" + BODY)
+
+
 @pytest.fixture(params=["pipe", "slab"])
 def relay_path(request, monkeypatch):
     """Run the test with bodies of declared length spliced through a pipe,
-    and again with the splice switched off, so that they are read through
-    http.client into a slab; yields the path's name and the list of body
-    sources the sessions used, each checked to be the path's."""
+    and again with the splice switched off, so that they are read into a
+    slab; yields the path's name and the list of body sources the sessions
+    used, each checked to be the path's."""
     if request.param == "pipe" and not hasattr(os, "splice"):
         pytest.skip("os.splice is Linux-only")
     monkeypatch.setattr(proxy_module, "_SPLICE", request.param == "pipe")
@@ -1454,8 +1613,8 @@ class TestRelayPaths:
             origin.shutdown()
 
     def test_body_read_with_the_head(self, relay_path):
-        # http.client's first read takes the whole body: no byte is left
-        # to splice
+        # the whole body arrives with the head; the head read takes no
+        # byte of it, so the body is spliced, or read, from its first byte
         origin = _serve(_Origin(1000, 4e6, distinct=True))
         proxy, addr = _start_proxy(origin, fast_start_seconds=1.0)
         try:
@@ -1465,6 +1624,29 @@ class TestRelayPaths:
                 while data := sock.recv(65536):
                     body += data
             assert body == _distinct_bytes(1000)
+            assert _session_report(proxy)["origin_error"] is None
+        finally:
+            proxy.close()
+            origin.shutdown()
+
+    def test_session_opens_no_http_client_connection(self, relay_path,
+                                                     monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("an http.client connection was opened")
+
+        monkeypatch.setattr(http.client, "HTTPConnection", refused)
+        total = 300_000
+        origin = _serve(_Origin(total, 4e6, distinct=True))
+        proxy, addr = _start_proxy(origin, fast_start_seconds=1.0)
+        try:
+            with _connect(addr) as sock:
+                sock.settimeout(15.0)
+                reply = bytearray()
+                while data := sock.recv(65536):
+                    reply += data
+            head, _, body = bytes(reply).partition(b"\r\n\r\n")
+            assert head.startswith(b"HTTP/1.1 200 OK\r\n")
+            assert body == _distinct_bytes(total)
             assert _session_report(proxy)["origin_error"] is None
         finally:
             proxy.close()

@@ -51,6 +51,12 @@ class TestActivityTrace:
         with pytest.raises(TraceError):
             ActivityTrace.from_spans([(0.0, 1.0, 10), (3.0, 2.0, 10)])
 
+    @pytest.mark.parametrize("start,end", [(math.nan, 3.0), (2.0, math.nan)])
+    def test_span_with_a_nan_bound_rejected(self, start, end):
+        # a NaN bound compares false both ways: it must not pass as a span
+        with pytest.raises(TraceError):
+            ActivityTrace.from_spans([(0.0, 1.0, 10), (start, end, 10)])
+
     @pytest.mark.parametrize("nbytes", [None, math.nan, -1, math.inf])
     def test_span_without_a_finite_count_rejected(self, nbytes):
         with pytest.raises(TraceError):
