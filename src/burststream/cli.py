@@ -10,7 +10,7 @@ import sys
 from pathlib import Path
 from typing import List
 
-from .errors import ConfigError
+from .errors import ConfigError, FieldError, positive_finite
 
 # each command imports what it runs when it runs: ``proxy`` loads the proxy
 # and no simulation; ``run``, ``compare`` and ``profiles`` load the
@@ -23,20 +23,18 @@ def _parse_grid(text: str) -> List[float]:
     sep = ":" if ":" in text else ","
     try:
         parts = [float(x) for x in text.split(sep)]
+        if not all(math.isfinite(x) for x in parts):
+            raise ValueError("values must be finite")
+        if sep == ",":
+            return parts
+        if len(parts) > 3:
+            raise ValueError("a range is start:stop[:step]")
+        start, stop, step = (parts + [1.0])[:3]    # step 1 if left out
+        positive_finite("range step", step)
+        if start > stop:
+            raise ValueError("range start exceeds its stop")
     except ValueError as exc:
         raise ConfigError(f"grid {text!r}: {exc}") from None
-    if not all(math.isfinite(x) for x in parts):
-        raise ConfigError(f"grid {text!r}: values must be finite")
-    if sep == ",":
-        return parts
-    if len(parts) > 3:
-        raise ConfigError(f"grid {text!r}: a range is start:stop[:step]")
-    start, stop = parts[0], parts[1]
-    step = parts[2] if len(parts) > 2 else 1.0
-    if step <= 0:
-        raise ConfigError(f"grid {text!r}: range step must be > 0")
-    if start > stop:
-        raise ConfigError(f"grid {text!r}: range start exceeds its stop")
     out = []
     v = start
     while v <= stop + 1e-9:
@@ -114,20 +112,15 @@ def cmd_compare(args) -> int:
 
 def cmd_proxy(args) -> int:
     from .proxy import SessionConfig, ShapingProxy
-    listen = _parse_listen(args.listen)
-    try:
-        config = SessionConfig(
-            listen=listen,
-            origin=args.origin,
-            fast_start_seconds=args.fast_start_seconds,
-            granularity_s=args.granularity_s,
-            rate_override_bps=args.rate_override_bps,
-            log_path=args.log,
-            backpressure_s=args.backpressure_s,
-        )
-    except ValueError as exc:  # a value out of its field's range
-        raise ConfigError(f"proxy: {exc}") from None
-    proxy = ShapingProxy(config)
+    proxy = ShapingProxy(SessionConfig(
+        listen=_parse_listen(args.listen),
+        origin=args.origin,
+        fast_start_seconds=args.fast_start_seconds,
+        granularity_s=args.granularity_s,
+        rate_override_bps=args.rate_override_bps,
+        log_path=args.log,
+        backpressure_s=args.backpressure_s,
+    ))
     host, port = proxy.start()
     print(f"shaping proxy listening on {host}:{port}", flush=True)
     proxy.serve_forever()
@@ -199,8 +192,9 @@ def main(argv=None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return 0
+    # FieldError: a value out of its field's rule, such as a proxy option;
     # OSError: an output path that cannot be written, or a missing input
-    except (ConfigError, AssertionError, OSError) as exc:
+    except (ConfigError, FieldError, AssertionError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

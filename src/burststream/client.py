@@ -25,6 +25,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterable, Iterator, List, NamedTuple, Optional, Union
 
+from .errors import finite_at_least, positive_finite
+
 
 class DeliveryOrderError(ValueError):
     """A delivery was scheduled before the client's current clock."""
@@ -223,8 +225,8 @@ class StreamingClient:
                  startup_threshold_s: float = 2.0,
                  segment_bytes: int = 1460,
                  content_duration_s: Optional[float] = None):
-        if capacity_bytes <= 0 or drain_rate_bps <= 0:
-            raise ValueError("capacity and drain rate must be > 0")
+        positive_finite("capacity_bytes", capacity_bytes)
+        positive_finite("drain_rate_bps", drain_rate_bps)
         self.capacity_bytes = float(capacity_bytes)
         self.drain_rate_bps = float(drain_rate_bps)
         self.link_rate_bps = float(link_rate_bps)
@@ -249,8 +251,7 @@ class StreamingClient:
     def set_drain_rate(self, drain_rate_bps: float) -> None:
         """Playback byte rate follows the quality being played; buffered
         content of the previous quality is approximated at the new rate."""
-        if drain_rate_bps <= 0:
-            raise ValueError("drain rate must be > 0")
+        positive_finite("drain_rate_bps", drain_rate_bps)
         self.drain_rate_bps = float(drain_rate_bps)
 
     @property
@@ -334,12 +335,10 @@ class StreamingClient:
         if start_s < self.now_s - 1e-12:
             raise DeliveryOrderError(
                 f"delivery at {start_s} predates client clock {self.now_s}")
-        if total_bytes < 0:
-            raise ValueError("cannot deliver negative bytes")
+        finite_at_least("total_bytes", total_bytes)
         self.advance(start_s)
         rate = min(at_rate_bps, self.link_rate_bps) / 8.0  # bytes/s
-        if rate <= 0 or not math.isfinite(rate):
-            raise ValueError("delivery requires a positive finite rate")
+        positive_finite("delivery rate", rate)
 
         parts: List[Union[FluidPiece, AckEvent]] = []
         remaining = float(total_bytes)

@@ -32,6 +32,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 from typing import Iterator, Optional, TextIO, Tuple
 
+from .errors import finite_at_least, positive_finite
+
 
 class Technology(enum.Enum):
     WIFI = "WIFI"
@@ -62,8 +64,9 @@ class DrxConfig:
     on_ms: float
 
     def __post_init__(self) -> None:
-        if self.idle_ms < 0 or self.cycle_ms <= 0 or self.on_ms <= 0:
-            raise ValueError("DRX timers must be positive")
+        finite_at_least("idle_ms", self.idle_ms)
+        positive_finite("cycle_ms", self.cycle_ms)
+        positive_finite("on_ms", self.on_ms)
         if self.on_ms > self.cycle_ms:
             raise ValueError("DRX on-duration cannot exceed the cycle length")
 
@@ -121,25 +124,17 @@ class RadioProfile:
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.a_coeff < 1.0:
-            raise ValueError("a_coeff must be >= 1")
-        if self.k_coeff < 0.0:
-            raise ValueError("k_coeff must be >= 0")
-        for field in ("t1_s", "t2_s", "t3_s", "p1_mw", "p2_mw", "p_tail_mw",
-                      "legacy_fd_timeout_s", "p_idle_mw", "p_pch_mw",
-                      "p_drx_off_mw", "reconnect_setup_s"):
-            if getattr(self, field) < 0:
-                raise ValueError(f"{field} must be >= 0")
+        finite_at_least("a_coeff", self.a_coeff, 1.0)
+        for field in ("k_coeff", "t1_s", "t2_s", "t3_s", "p1_mw", "p2_mw",
+                      "p_tail_mw", "legacy_fd_timeout_s", "p_idle_mw",
+                      "p_pch_mw", "p_drx_off_mw", "reconnect_setup_s"):
+            finite_at_least(field, getattr(self, field))
+        if self.r_btc_bps is not None:
+            positive_finite("r_btc_bps", self.r_btc_bps)
         if self.p2_mw > self.p1_mw:
             raise ValueError("p2_mw must not exceed p1_mw")
         if self.drx is not None and self.technology is not Technology.LTE:
             raise ValueError("DRX is only modeled for LTE profiles")
-
-
-def _finite_positive(x) -> bool:
-    import numpy as np
-    x = np.asarray(x, dtype=float)
-    return bool(np.all(np.isfinite(x) & (x > 0)))  # NaN fails both
 
 
 @dataclass(frozen=True)
@@ -152,9 +147,9 @@ class BurstScenario:
     interval_t_s: float
 
     def __post_init__(self) -> None:
-        if not _finite_positive((self.r_s_bps, self.r_btc_bps,
-                                 self.buffer_b_bytes, self.interval_t_s)):
-            raise ValueError("all scenario fields must be > 0")
+        for field in ("r_s_bps", "r_btc_bps", "buffer_b_bytes",
+                      "interval_t_s"):
+            positive_finite(field, getattr(self, field))
         if self.r_s_bps > self.r_btc_bps:
             raise ValueError("encoding rate must not exceed the bulk "
                              "transfer capacity")
@@ -313,12 +308,15 @@ def avg_power_over_intervals(profile: RadioProfile, r_s_bps: float,
     r_btc = r_btc_bps if r_btc_bps is not None else profile.r_btc_bps
     if r_btc is None:
         raise ValueError("no bulk transfer capacity given")
-    if not (_finite_positive(r_s_bps) and np.all(r_s_bps <= r_btc) and
-            _finite_positive(buffer_bytes)):
-        raise ValueError("need 0 < r_s <= r_btc and buffer > 0")
     t = np.asarray(t_array, dtype=float)
-    if not _finite_positive(t):
-        raise ValueError("intervals must be > 0")
+    # all elements keep a rule if the least and greatest do; NaN is both
+    for field, x in (("r_s_bps", r_s_bps), ("buffer_bytes", buffer_bytes),
+                     ("interval_s", t)):
+        if np.size(x):
+            positive_finite(field, float(np.min(x)))
+            positive_finite(field, float(np.max(x)))
+    if not np.all(r_s_bps <= r_btc):
+        raise ValueError("r_s_bps must not exceed r_btc_bps")
     b_bits = buffer_bytes * 8.0
     fitting, overflow = _power_branches(profile, r_s_bps, r_btc, b_bits, t)
     return np.where(r_s_bps * t <= b_bits, fitting, overflow)

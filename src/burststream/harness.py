@@ -20,7 +20,8 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .client import StreamingClient
 from .energy import RadioProfile, power_surface, surface_to_csv
-from .profiles import (ConfigError, config_value, get_profile,
+from .errors import finite_at_least, positive, positive_finite
+from .profiles import (ConfigError, _read_ini, config_value, get_profile,
                        rejected_as_config)
 from .radio import (ActivityTrace, SignalingCostTable, SignalingLedger,
                     StateTrace, energy_of, signaling_of, simulate)
@@ -36,12 +37,9 @@ class BackgroundTraffic:
 
     def __post_init__(self) -> None:
         # a period of 0 would never end ``spans``
-        if not 0 < self.period_s < math.inf:
-            raise ValueError("period_s must be > 0 and finite")
-        if not 0 <= self.bytes < math.inf:
-            raise ValueError("bytes must be >= 0 and finite")
-        if not self.phase_s >= 0:
-            raise ValueError("phase_s must be >= 0")
+        positive_finite("period_s", self.period_s)
+        finite_at_least("bytes", self.bytes)
+        finite_at_least("phase_s", self.phase_s)
 
     def spans(self, horizon_s: float,
               bandwidth: BandwidthTrace) -> List[Tuple[float, float, float]]:
@@ -53,14 +51,6 @@ class BackgroundTraffic:
             out.append((t, min(t + dur, horizon_s), self.bytes))
             t += self.period_s
         return out
-
-
-class _FieldError(ValueError):
-    """A value outside its field's range; ``field`` names the field."""
-
-    def __init__(self, field: str, rule: str):
-        super().__init__(f"{field} must be {rule}")
-        self.field = field
 
 
 @dataclass
@@ -80,18 +70,11 @@ class Scenario:
     def __post_init__(self) -> None:
         # an endless session never ends ``run`` and a NaN one prices as
         # NaN; an endless buffer fails in Fast Start
-        for name, ok, rule in (
-                ("session_length_s", 0 < self.session_length_s < math.inf,
-                 "> 0 and finite"),
-                ("buffer_bytes", 0 < self.buffer_bytes < math.inf,
-                 "> 0 and finite"),
-                ("startup_s", self.startup_s >= 0, ">= 0"),
-                ("granularity_s", 0 < self.granularity_s < math.inf,
-                 "> 0 and finite"),
-                ("link_bps", self.link_bps is None or self.link_bps > 0,
-                 "> 0")):
-            if not ok:
-                raise _FieldError(name, rule)
+        for name in ("session_length_s", "buffer_bytes", "granularity_s"):
+            positive_finite(name, getattr(self, name))
+        finite_at_least("startup_s", self.startup_s)
+        if self.link_bps is not None:
+            positive("link_bps", self.link_bps)
         if self.session_length_s > self.stream.duration_s + 1e-9:
             raise ConfigError("session length exceeds stream duration "
                               "without looping enabled")
@@ -100,18 +83,15 @@ class Scenario:
 def load_scenario(path: Union[str, Path]) -> Scenario:
     """The scenario a file describes; any fault in the file is a
     ConfigError that names the file and the key."""
-    cp = configparser.ConfigParser()
-    if not cp.read(str(path)):
-        raise ConfigError(f"scenario file not found: {path}")
-    try:
-        return _scenario_from_parser(cp, Path(path).stem)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return _read_ini(Path(path),
+                     lambda cp: _scenario_from_parser(cp, Path(path).stem))
 
 
-# the INI key each checked Scenario field is read from
+# the INI key each checked StreamSpec and Scenario field is read from
 _SCENARIO_KEYS = {"session_length_s": "[scenario] session_s",
                   "granularity_s": "[scenario] granularity_s",
+                  "fast_start_s": "[scenario] fast_start_s",
+                  "duration_s": "[stream] duration_s",
                   "buffer_bytes": "[client] buffer_bytes",
                   "startup_s": "[client] startup_s",
                   "link_bps": "[client] link_bps"}
@@ -128,13 +108,15 @@ def _scenario_from_parser(cp: configparser.ConfigParser,
     profile = get_profile(config_value(sc, "profile", convert=str))
 
     if stream_sec.get("qualities_bps"):
-        with rejected_as_config("[stream] qualities_bps"):
-            ladder = tuple(QualityLevel(float(v)) for v in
-                           stream_sec.get("qualities_bps").split(","))
+        key = "qualities_bps"
+        rates = config_value(stream_sec, key, convert=lambda text: [
+            float(v) for v in text.split(",")])
     else:
-        ladder = (QualityLevel(config_value(stream_sec, "bitrate_bps")),)
-    with rejected_as_config("[stream]"):
-        stream = StreamSpec(ladder, config_value(stream_sec, "duration_s"),
+        key = "bitrate_bps"
+        rates = [config_value(stream_sec, key)]
+    with rejected_as_config(f"[stream] {key}", _SCENARIO_KEYS):
+        stream = StreamSpec(tuple(map(QualityLevel, rates)),
+                            config_value(stream_sec, "duration_s"),
                             config_value(sc, "fast_start_s", 20.0))
     if config_value(sc, "loop_content", False, bool):
         # looped content is a stream without end
@@ -160,7 +142,7 @@ def _scenario_from_parser(cp: configparser.ConfigParser,
             background = BackgroundTraffic(config_value(bg, "period_s"),
                                            config_value(bg, "bytes"),
                                            config_value(bg, "phase_s", 0.0))
-    try:
+    with rejected_as_config("[scenario]", _SCENARIO_KEYS):
         return Scenario(
             name=sc.get("name", default_name),
             profile=profile,
@@ -174,8 +156,6 @@ def _scenario_from_parser(cp: configparser.ConfigParser,
             adaptive=config_value(sc, "adaptive", False, bool),
             background=background,
         )
-    except _FieldError as exc:
-        raise ConfigError(f"{_SCENARIO_KEYS[exc.field]}: {exc}") from None
 
 
 @dataclass

@@ -15,7 +15,7 @@ from contextlib import contextmanager
 from dataclasses import MISSING, fields
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Dict, Iterator, List, Union
+from typing import Callable, Dict, Iterator, List, Optional, TypeVar, Union
 
 from .energy import DrxConfig, FastDormancy, RadioProfile, Technology
 from .errors import ConfigError
@@ -26,6 +26,23 @@ def _data_dir():
 
 
 _REQUIRED = object()   # the fallback of a key a file must set
+T = TypeVar("T")
+
+
+def _read_ini(path, build: Callable[[configparser.ConfigParser], T]) -> T:
+    """``build`` of the INI file at ``path`` (a filesystem path or a shipped
+    resource), where ``%`` is no interpolation; a file that cannot be read
+    or parsed, and a ConfigError of ``build``, are one ConfigError line
+    that names the file."""
+    cp = configparser.ConfigParser(interpolation=None)
+    try:
+        cp.read_string(path.read_text(), str(path))
+        return build(cp)
+    except configparser.Error as exc:     # its text names the file
+        raise ConfigError(" ".join(str(exc).split())) from None
+    except (OSError, UnicodeError, ConfigError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"{path}: {reason}") from None
 
 
 def _technology(text: str) -> Technology:
@@ -55,14 +72,17 @@ def config_value(section: configparser.SectionProxy, key: str,
 
 
 @contextmanager
-def rejected_as_config(where: str) -> Iterator[None]:
+def rejected_as_config(where: str,
+                       keys: Optional[Dict[str, str]] = None
+                       ) -> Iterator[None]:
     """A model's ValueError over values read from ``where`` (a section, a
-    key) is a ConfigError there."""
+    key) is a ConfigError there, or at the key ``keys`` maps its field to."""
     try:
         yield
     except ConfigError:
         raise
     except ValueError as exc:
+        where = (keys or {}).get(getattr(exc, "field", None), where)
         raise ConfigError(f"{where}: {exc}") from None
 
 
@@ -97,14 +117,7 @@ def _profile_from_parser(cp: configparser.ConfigParser) -> RadioProfile:
 
 
 def load_profile_file(path: Union[str, Path]) -> RadioProfile:
-    cp = configparser.ConfigParser()
-    read = cp.read(str(path))
-    if not read:
-        raise ConfigError(f"profile file not found: {path}")
-    try:
-        return _profile_from_parser(cp)
-    except ConfigError as exc:
-        raise ConfigError(f"{path}: {exc}") from None
+    return _read_ini(Path(path), _profile_from_parser)
 
 
 def list_profiles() -> List[str]:
@@ -122,9 +135,7 @@ def get_profile(name_or_path: Union[str, Path]) -> RadioProfile:
         return load_profile_file(path)
     entry = _data_dir() / f"{name_or_path}.ini"
     if entry.is_file():
-        cp = configparser.ConfigParser()
-        cp.read_string(entry.read_text())
-        return _profile_from_parser(cp)
+        return _read_ini(entry, _profile_from_parser)
     if path.exists():
         return load_profile_file(path)
     raise ConfigError(f"no such profile: {name_or_path!r} "

@@ -74,6 +74,7 @@ from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
 from urllib.parse import SplitResult, urlsplit
 
+from .errors import FieldError, positive_finite
 from .mediahttp import StreamInfo
 from .profiler import BurstObservation
 from .shaper import (Report, Shaper, ShapingController, StreamSpec,
@@ -98,11 +99,9 @@ class SessionConfig:
         for name in ("fast_start_seconds", "granularity_s", "backpressure_s",
                      "low_bw_chunk_s", "rate_override_bps", "sndbuf_bytes"):
             value = getattr(self, name)
-            if value is None and name in ("rate_override_bps",
-                                          "sndbuf_bytes"):
-                continue
-            if not 0 < value < math.inf:
-                raise ValueError(f"{name} must be > 0 and finite")
+            if value is not None or name not in ("rate_override_bps",
+                                                 "sndbuf_bytes"):
+                positive_finite(name, value)
         if self.origin is not None:
             base = urlsplit(self.origin)
             try:
@@ -110,8 +109,8 @@ class SessionConfig:
             except ValueError:
                 port = 0
             if base.scheme != "http" or not base.hostname or port == 0:
-                raise ValueError(f"origin must be http://host[:port] with "
-                                 f"a port in 1-65535, not {self.origin!r}")
+                raise FieldError("origin", f"http://host[:port] with a port "
+                                 f"in 1-65535, not {self.origin!r}")
 
 
 SLAB_BYTES = 1 << 18     # origin bytes a send reads, and writes, at a time
@@ -883,12 +882,10 @@ class ShapingProxy:
                     raise ProxyError("origin does not declare a bitrate "
                                      "and no --rate-override-bps given", 502)
                 rate = length * 8.0 / duration
+            positive_finite("stream rate", rate)
         except ValueError as exc:         # ProtocolError or a bad number
             raise ProxyError(f"bad X-Stream-Info {header!r}: {exc}",
                              502) from exc
-        if not 0 < rate < math.inf:
-            raise ProxyError(f"unusable stream rate {rate!r} bit/s from "
-                             f"X-Stream-Info {header!r}", 502)
         return rate
 
     def _run_session(self, conn: socket.socket, addr) -> None:

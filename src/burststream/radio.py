@@ -32,12 +32,12 @@ activity.
 from __future__ import annotations
 
 import enum
-import math
 from dataclasses import dataclass, field
 from itertools import chain
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .energy import FastDormancy, RadioProfile, Technology, power_rx
+from .errors import FieldError, finite_at_least
 
 
 class RadioState(enum.Enum):
@@ -70,9 +70,10 @@ _ALLOWED_STATES = {
 }
 
 
-class TraceError(ValueError):
-    """Malformed activity trace: a span that ends before it starts, or
-    whose byte count is not a finite number >= 0."""
+class TraceError(FieldError):
+    """Malformed activity trace: a span whose times are not finite with
+    its start at or before its end, or whose byte count is not a finite
+    number >= 0, or byte counts whose sum is not finite."""
 
 
 class SignalingConfigError(KeyError):
@@ -89,19 +90,23 @@ class ActivityTrace:
                    ) -> "ActivityTrace":
         """Build a trace from (start_s, end_s, bytes) activity spans.
 
-        Every span carries its byte count, a finite number >= 0. The spans
+        Every span has finite times, its start at or before its end, and
+        carries its byte count, a finite number >= 0. The spans
         are sorted, and those that overlap or touch (within 1e-12 s) merge
         into one activity interval whose count is the sum of theirs.
         """
         spans = list(spans)
+        total = 0.0      # no merged count exceeds it
         try:
-            bad = any(not start <= end or not 0 <= nbytes < math.inf
-                      for start, end, nbytes in spans)
-        except TypeError:  # a count that is no number, such as None
-            bad = True
-        if bad:
-            raise TraceError("span end before start, or byte count not a "
-                             "finite number >= 0")
+            for start, end, nbytes in spans:
+                # a NaN or infinite bound makes the length NaN or infinite
+                finite_at_least("span end - start", end - start)
+                finite_at_least("span bytes", nbytes)
+                total += nbytes
+            finite_at_least("span bytes in all", total)
+        except (FieldError, TypeError) as exc:  # TypeError: None, say
+            raise TraceError(getattr(exc, "field", "span"),
+                             getattr(exc, "rule", "numbers")) from None
         merged: List[Tuple[float, float, float]] = []
         for start, end, nbytes in sorted(spans):
             if merged and start <= merged[-1][1] + 1e-12:

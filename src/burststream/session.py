@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from .client import StreamingClient
+from .errors import finite_at_least, positive
 from .profiler import TrafficProfiler
 from .shaper import (Phase, Report, Send, Shaper, ShapingController,
                      StreamSpec)
@@ -29,10 +30,12 @@ class BandwidthTrace:
 
     def __post_init__(self) -> None:
         times = [t for t, _ in self.steps]
-        if times != sorted(times) or any(math.isnan(t) for t in times):
-            raise ValueError("bandwidth trace times must be increasing")
-        if any(not bps > 0 for _, bps in self.steps):   # NaN fails too
-            raise ValueError("bandwidth must be > 0")
+        # each time is finite and none is before the one before it; the
+        # first is taken from itself, which NaN or infinity makes NaN
+        for before, t in zip(times[:1] + times, times):
+            finite_at_least("time_s increment", t - before)
+        for _, bps in self.steps:
+            positive("bps", bps)
         object.__setattr__(self, "_times", times)
 
     def at(self, t: float) -> float:

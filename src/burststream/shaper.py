@@ -24,6 +24,7 @@ import logging
 from dataclasses import dataclass, field
 from typing import IO, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
+from .errors import positive, positive_finite
 from .profiler import BurstObservation
 
 log = logging.getLogger(__name__)
@@ -39,6 +40,9 @@ class Phase(enum.Enum):
 @dataclass(frozen=True)
 class QualityLevel:
     bitrate_bps: float
+
+    def __post_init__(self) -> None:
+        positive_finite("bitrate_bps", self.bitrate_bps)
 
 
 @dataclass(frozen=True)
@@ -57,9 +61,8 @@ class StreamSpec:
         if any(b >= a for a, b in zip(rates[1:], rates)):
             raise ValueError("qualities must be strictly increasing in "
                              "bitrate")
-        # written so that NaN fails too
-        if not self.duration_s > 0 or not self.fast_start_s > 0:
-            raise ValueError("duration_s and fast_start_s must be > 0")
+        positive("duration_s", self.duration_s)
+        positive_finite("fast_start_s", self.fast_start_s)
 
     @classmethod
     def single(cls, bitrate_bps: float, duration_s: float,
@@ -155,8 +158,7 @@ class Shaper:
     """
 
     def __init__(self, stream: StreamSpec, granularity_s: float = 1.0):
-        if granularity_s <= 0:
-            raise ValueError("granularity must be > 0")
+        positive_finite("granularity_s", granularity_s)
         self.stream = stream
         self.granularity_s = granularity_s
         self.state = ShaperState(
@@ -192,8 +194,7 @@ class Shaper:
 
     def end_fast_start(self, sent_bytes: float) -> float:
         """Close Fast Start; returns t_max and arms the search at t_max/2."""
-        if sent_bytes <= 0:
-            raise ValueError("fast start must deliver some bytes")
+        positive_finite("fast start sent_bytes", sent_bytes)
         t_max = sent_bytes * 8.0 / self.r_s_bps
         st = self.state
         st.t_max_s = t_max

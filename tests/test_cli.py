@@ -323,19 +323,46 @@ class TestMalformedFiles:
     naming the key, and exit status 1."""
 
     def test_well_formed_files_run(self, capsys, tmp_path):
+        # a % is an ordinary character: no file interpolates
         profile = tmp_path / "good-profile.ini"
-        profile.write_text(ini_text({"profile": PROFILE}))
+        profile.write_text(ini_text({"profile": dict(PROFILE, name="5%")}))
         scenario = tmp_path / "good.ini"
-        scenario.write_text(ini_text(with_key(SCENARIO, "scenario",
-                                              "profile", str(profile))))
+        sections = with_key(SCENARIO, "scenario", "profile", str(profile))
+        scenario.write_text(ini_text(with_key(sections, "scenario", "name",
+                                              "50%")))
         assert main(["run", str(scenario)]) == 0
+        assert capsys.readouterr().out.startswith("50%: ")
         assert main(["sweep", str(profile), "--rs", "500000", "--t", "1",
                      "--b", "1000000"]) == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.parametrize("kind", ["scenario", "profile"])
+    @pytest.mark.parametrize("fault", ["duplicate key", "duplicate section",
+                                       "no section header"])
+    def test_unparsable(self, capsys, tmp_path, kind, fault):
+        # faults the INI parser finds were each a configparser traceback;
+        # they name the file and the key, section or line
+        text = ini_text(SCENARIO if kind == "scenario"
+                        else {"profile": PROFILE})
+        header, first, rest = text.split("\n", 2)
+        named, text = {
+            "duplicate key": (first.partition(" ")[0],
+                              f"{header}\n{first}\n{first}\n{rest}"),
+            "duplicate section": (header[1:-1], f"{text}{header}\n"),
+            "no section header": (first, f"{first}\n{rest}")}[fault]
+        path = tmp_path / "bad.ini"
+        path.write_text(text)
+        argv = ["run", str(path)] if kind == "scenario" else [
+            "sweep", str(path), "--rs", "500000", "--t", "1", "--b",
+            "1000000"]
+        assert main(argv) == 1
+        line = error_line(capsys)
+        assert str(path) in line and named in line
+
     @pytest.mark.parametrize("key, value", [
         ("t1_s", None), ("t1_s", "abc"), ("t1_s", "-1"), ("a_coeff", "0.5"),
-        ("pch_enabled", "maybe")])
+        ("pch_enabled", "maybe"), ("p1_mw", "nan"), ("a_coeff", "nan"),
+        ("r_btc_bps", "-1"), ("t1_s", "inf"), ("p1_mw", "50%")])
     def test_profile(self, capsys, tmp_path, key, value):
         path = tmp_path / "bad.ini"
         path.write_text(ini_text(with_key({"profile": PROFILE}, "profile",
@@ -356,7 +383,12 @@ class TestMalformedFiles:
         ("scenario", "session_s", "inf"), ("client", "buffer_bytes", "0"),
         ("client", "buffer_bytes", "inf"), ("client", "startup_s", "-1"),
         ("scenario", "granularity_s", "0"),
-        ("scenario", "granularity_s", "inf"), ("client", "link_bps", "0")])
+        ("scenario", "granularity_s", "inf"), ("client", "link_bps", "0"),
+        ("stream", "bitrate_bps", "nan"), ("stream", "bitrate_bps", "inf"),
+        ("stream", "bitrate_bps", "-5"), ("stream", "bitrate_bps", "0"),
+        ("stream", "qualities_bps", "128000,nan"),
+        ("scenario", "fast_start_s", "inf"),
+        ("client", "buffer_bytes", "50%")])
     def test_scenario(self, capsys, tmp_path, section, key, value):
         path = tmp_path / "bad.ini"
         path.write_text(ini_text(with_key(SCENARIO, section, key, value)))
@@ -385,7 +417,7 @@ class TestMalformedFiles:
 
     @pytest.mark.parametrize("key, value", [
         ("period_s", "0"), ("period_s", "inf"), ("bytes", "-1"),
-        ("phase_s", "-1")])
+        ("phase_s", "-1"), ("phase_s", "inf")])
     def test_background(self, capsys, tmp_path, key, value):
         # ``period_s = 0`` made ``run`` hang
         sections = dict(SCENARIO, background={"period_s": "30",

@@ -1690,20 +1690,37 @@ class TestRelayPaths:
 
     @staticmethod
     def _zero_window_session(monkeypatch):
-        """A 2 MB stream whose client reads nothing for a second, so the
-        Fast Start stops at a zero window inside a slice; returns the body
-        the client got, the session's first decision and every
-        ``read_ahead`` call."""
-        read_aheads = _spy(monkeypatch, proxy_module._OriginReader,
-                           "read_ahead")
-        total = 2_000_000
-        origin = _serve(_Origin(total, 8e6, distinct=True))
+        """A 600 kB stream at 2 Mbit/s whose client reads nothing until a
+        send holding what a zero window left has read ahead, so the Fast
+        Start stops at a zero window inside a slice; returns every
+        ``read_ahead`` call, once the client got the whole body and the
+        session's first decision was that zero window.
+
+        The ~250 kB that the socket buffers take before the zero window
+        are ~1 s of content at this rate, so the first send after it is
+        due ~1 s into the session. The Fast Start ends ~0.2 s in, the
+        backpressure threshold after the buffers fill: that send waits
+        ~0.75 s for its time, and reads ahead meanwhile."""
+        read_aheads = []
+        held_read_ahead = threading.Event()
+        read_ahead = proxy_module._OriginReader.read_ahead
+
+        def recording(self, held, size):
+            read_aheads.append((held, size))
+            if len(held):
+                held_read_ahead.set()
+            return read_ahead(self, held, size)
+
+        monkeypatch.setattr(proxy_module._OriginReader, "read_ahead",
+                            recording)
+        total = 600_000
+        origin = _serve(_Origin(total, 2e6, distinct=True))
         proxy, addr = _start_proxy(origin, fast_start_seconds=20.0,
                                    backpressure_s=0.2, sndbuf_bytes=65536)
         try:
             with _connect(addr, rcvbuf=65536) as sock:
                 _, first = _read_head(sock)
-                time.sleep(1.0)
+                held_read_ahead.wait(timeout=10.0)
                 body = bytearray(first)
                 sock.settimeout(15.0)
                 while data := sock.recv(65536):

@@ -51,11 +51,20 @@ class TestActivityTrace:
         with pytest.raises(TraceError):
             ActivityTrace.from_spans([(0.0, 1.0, 10), (3.0, 2.0, 10)])
 
-    @pytest.mark.parametrize("start,end", [(math.nan, 3.0), (2.0, math.nan)])
-    def test_span_with_a_nan_bound_rejected(self, start, end):
-        # a NaN bound compares false both ways: it must not pass as a span
+    @pytest.mark.parametrize("start,end", [
+        (math.nan, 3.0), (2.0, math.nan), (2.0, math.inf),
+        (-math.inf, 3.0)])
+    def test_span_with_a_nan_or_infinite_bound_rejected(self, start, end):
+        # a NaN bound compares false both ways, and an infinite one has no
+        # end: neither may pass as a span
         with pytest.raises(TraceError):
             ActivityTrace.from_spans([(0.0, 1.0, 10), (start, end, 10)])
+
+    def test_spans_whose_counts_sum_past_the_float_range_rejected(self):
+        # each count is finite, but merged they were an infinite count,
+        # which prices infinite energy
+        with pytest.raises(TraceError):
+            ActivityTrace.from_spans([(0.0, 1.0, 1e308), (1.0, 2.0, 1e308)])
 
     @pytest.mark.parametrize("nbytes", [None, math.nan, -1, math.inf])
     def test_span_without_a_finite_count_rejected(self, nbytes):
