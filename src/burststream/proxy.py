@@ -1,17 +1,29 @@
 """Live HTTP forward proxy that delivers the origin stream in shaped bursts.
 
-One thread per client session. The proxy fetches the origin response,
-relays the head, and is the socket transport of the shaping loop: it
-performs each send a ``ShapingController`` asks for (the Fast Start, then
-bursts at full socket speed, or continuous chunks under low bandwidth) and
-reports what happened. Flow-control feedback comes from socket
-backpressure: sustained blocked writes stand in for a zero-window
+One loop thread serves every client session. The proxy fetches the origin
+response, relays the head, and is the socket transport of the shaping
+loop: it performs each send a ``ShapingController`` asks for (the Fast
+Start, then bursts at full socket speed, or continuous chunks under low
+bandwidth) and reports what happened. Flow-control feedback comes from
+socket backpressure: sustained blocked writes stand in for a zero-window
 advertisement, and the byte count accepted up to that point is the
 SentBytes estimate of the client's buffer; each send returns the
 ``BurstObservation`` the controller reads. A body of unknown length is a
 stream of infinite duration, as in the simulation.
 
-The session thread reads each send's bytes from the origin itself, so the
+A session is one generator. Every socket it holds is non-blocking, and it
+yields each wait it makes, a ``_Wait`` for a descriptor to turn readable
+or writable or for a deadline on ``time.monotonic``, and is resumed with
+whether the descriptor turned ready first. The loop holds the listener
+and every waiting session in one ``selectors`` selector and a heap of
+deadlines: it runs a new session up to its first wait as it accepts the
+connection, and each waiting one up to its next wait as that wait ends.
+An origin named by a numeric address is connected on the loop; a name is
+looked up on a thread of its own, one per such session, so that no session
+waits on another's lookup. ``close()`` closes every session generator, whose
+``finally`` blocks close its sockets and pipe and write its log rows.
+
+The session reads each send's bytes from the origin itself, so the
 origin is flow-controlled by the same backpressure and no copy of the body
 is kept beyond the send in hand. A send first writes the bytes it holds,
 then reads the rest from the origin one slab (``SLAB_BYTES``) at a time
@@ -57,13 +69,15 @@ body cannot reset the connection under the answer.
 
 from __future__ import annotations
 
+import errno
+import heapq
 import http.client
 import itertools
 import logging
 import math
 import os
 import re
-import select
+import selectors
 import socket
 import threading
 import time
@@ -71,7 +85,8 @@ from contextlib import closing, suppress
 from dataclasses import dataclass
 from http import HTTPStatus
 from pathlib import Path
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import (Callable, Dict, Generator, Iterable, Iterator, List,
+                    NamedTuple, Optional, Tuple, TypeVar, Union)
 from urllib.parse import SplitResult, urlsplit
 
 from .errors import FieldError, positive_finite
@@ -128,33 +143,62 @@ def _bare(exc: Exception) -> Exception:
     return exc
 
 
-def _wait(fd: int, writable: bool, timeout_s: float) -> bool:
-    """Whether ``fd`` turned readable (writable if ``writable``) within
-    ``timeout_s``. ``select.poll`` takes a descriptor of any number, where
-    ``select.select`` raises from 1024 on; only a platform without poll
-    waits with select."""
-    if hasattr(select, "poll"):
-        poller = select.poll()
-        poller.register(fd, select.POLLOUT if writable else select.POLLIN)
-        return bool(poller.poll(timeout_s * 1e3))
-    fds = [fd]
-    return any(select.select([] if writable else fds,
-                             fds if writable else [], [], timeout_s))
+class _Wait(NamedTuple):
+    """What a session waits for: descriptor ``fd`` to turn writable, or
+    readable unless ``writable``, or ``time.monotonic()`` to reach
+    ``deadline``, whichever comes first. An ``fd`` of -1 waits for the
+    deadline alone. The session is resumed with True if the descriptor
+    turned ready first, else False."""
+
+    fd: int
+    writable: bool
+    deadline: float
+
+
+_T = TypeVar("_T")
+# a session, or a step of one: it yields its waits, is resumed with their
+# outcomes, and returns a ``_T``
+_Steps = Generator[_Wait, bool, _T]
+
+
+def _ready(fd: int, writable: bool, deadline: float) -> _Steps[None]:
+    """Wait for ``fd`` to turn readable (writable if ``writable``); a
+    TimeoutError if ``deadline`` comes first."""
+    if not (yield _Wait(fd, writable, deadline)):
+        raise TimeoutError("timed out")
+
+
+def _send_all(sock: socket.socket, data: bytes,
+              deadline: float) -> _Steps[None]:
+    """Write all of ``data`` to the non-blocking ``sock`` by
+    ``deadline``."""
+    view = memoryview(data)
+    while view:
+        try:
+            view = view[sock.send(view):]
+        except BlockingIOError:
+            yield from _ready(sock.fileno(), True, deadline)
 
 
 def _read_body(response: _OriginResponse,
                buf: Union[bytearray, memoryview],
-               ) -> Tuple[int, Optional[Exception]]:
+               ) -> _Steps[Tuple[int, Optional[Exception]]]:
     """Fill ``buf`` with the next origin body bytes, from its first byte;
     return the count read, and the error that ended the body, if one did.
     A count short of ``len(buf)`` means the body has ended; once it has,
     every later call reads nothing. Reads take at most 64 KiB each, so an
-    error mid-body loses no byte read before it."""
+    error mid-body loses no byte read before it. Each wait for the origin
+    lasts at most ``ORIGIN_TIMEOUT_S``."""
     view = memoryview(buf)
     got = 0
     try:
         while got < len(buf) and not response.isclosed():
-            n = response.readinto(view[got:got + 65536])
+            try:
+                n = response.readinto(view[got:got + 65536])
+            except BlockingIOError:
+                yield from _ready(response.fileno(), False,
+                                  time.monotonic() + ORIGIN_TIMEOUT_S)
+                continue
             if not n:
                 if response.length:
                     # a read of nothing ends a short body quietly; the
@@ -214,15 +258,19 @@ def _origin_request(host: str, port: int, path: str,
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
 
-def _read_origin_head(sock: socket.socket, deadline: float) -> bytes:
-    """Take one response head from ``sock``, and no byte past it. Each
-    step peeks at what has arrived: if the head ends there, it takes the
-    head up to its end, else it takes all it saw and waits for more, so a
-    trickling origin is never polled in a loop."""
+def _read_origin_head(sock: socket.socket,
+                      deadline: float) -> _Steps[bytes]:
+    """Take one response head from ``sock`` by ``deadline``, and no byte
+    past it. Each step peeks at what has arrived: if the head ends there,
+    it takes the head up to its end, else it takes all it saw and waits for
+    more, so a trickling origin is never polled in a loop."""
     head = bytearray()
     while True:
-        sock.settimeout(max(deadline - time.monotonic(), 1e-3))
-        seen = sock.recv(HEAD_BYTES + 1 - len(head), socket.MSG_PEEK)
+        try:
+            seen = sock.recv(HEAD_BYTES + 1 - len(head), socket.MSG_PEEK)
+        except BlockingIOError:
+            yield from _ready(sock.fileno(), False, deadline)
+            continue
         if not seen:
             raise ProxyError("origin closed before its head ended", 502)
         end = _head_end(head + seen if head else seen,
@@ -241,11 +289,12 @@ _STATUS_LINE = re.compile(r"HTTP/\d\.\d\s+([1-9]\d\d)(?:\s+(.*))?")
 
 class _OriginResponse:
     """The origin's answer to one GET: its head, read whole, and its body,
-    read from the origin socket ``sock`` as it is asked for; closing it
-    closes the socket. The names, and the rules for ``length``, are
-    http.client's: ``length`` is None for a chunked body or an unreadable
-    ``Content-Length``, 0 for a 1xx, 204 or 304, and counts down as the
-    body is read; the body has ended once the response is closed."""
+    read from the non-blocking origin socket ``sock`` as it is asked for;
+    closing it closes the socket. The names, and the rules for ``length``,
+    are http.client's: ``length`` is None for a chunked body or an
+    unreadable ``Content-Length``, 0 for a 1xx, 204 or 304, and counts
+    down as the body is read; the body has ended once the response is
+    closed."""
 
     def __init__(self, sock: socket.socket, head: bytes):
         self.sock = sock
@@ -279,7 +328,9 @@ class _OriginResponse:
                 self.length = None
         if self.status in (204, 304) or self.status < 200:
             self.length = 0
-        self._chunk_left: Optional[int] = None  # of the chunk in hand
+        self._chunk_left: Optional[int] = None  # of the chunk in hand; 0
+                                                # until its CRLF is read
+        self._trailer = False         # the last chunk has been read
         self._framing = bytearray()   # chunked-body bytes received past
                                       # the framing read so far
 
@@ -305,7 +356,9 @@ class _OriginResponse:
     def readinto(self, b: Union[bytearray, memoryview]) -> int:
         """Read the next body bytes into ``b``; return their count, which
         is 0 once the body has ended. An early end of a declared body
-        also returns 0, with ``length`` still counting what it lacked."""
+        also returns 0, with ``length`` still counting what it lacked. A
+        BlockingIOError where no byte has arrived yet; the next call goes
+        on where this one stopped."""
         if self.isclosed():
             return 0
         view = memoryview(b)
@@ -324,23 +377,26 @@ class _OriginResponse:
 
     def _readinto_chunked(self, view: memoryview) -> int:
         """The chunked form of ``readinto``: chunk extensions and trailer
-        fields are read and dropped."""
-        if not self._chunk_left:
+        fields are read and dropped. Each framing line read moves the
+        state on, so a call that has to wait for the next one resumes
+        there."""
+        while not self._chunk_left:
             try:
-                if self._chunk_left == 0:    # the CRLF after a chunk's data
-                    self._line()
-                size = int(self._line().split(b";", 1)[0], 16)
-                if size < 0:
-                    raise ValueError(f"chunk size {size}")
-                if not size:                 # the last chunk, then trailer
-                    while self._line() not in (b"\r\n", b"\n", b""):
-                        pass
+                line = self._line()
+                if self._trailer:
+                    if line in (b"\r\n", b"\n", b""):
+                        self.close()
+                        return 0
+                elif self._chunk_left == 0:  # the CRLF after a chunk's data
+                    self._chunk_left = None
+                else:
+                    size = int(line.split(b";", 1)[0], 16)
+                    if size < 0:
+                        raise ValueError(f"chunk size {size}")
+                    self._chunk_left = size
+                    self._trailer = not size    # the last chunk
             except ValueError:
                 raise http.client.IncompleteRead(b"") from None
-            if not size:
-                self.close()
-                return 0
-            self._chunk_left = size
         view = view[:self._chunk_left]
         if self._framing:
             n = min(len(view), len(self._framing))
@@ -368,38 +424,93 @@ class _OriginResponse:
         return line
 
 
+def _lookup(host: str, port: int, deadline: float) -> _Steps[list]:
+    """``socket.getaddrinfo`` for the name ``host``, by ``deadline``. The
+    lookup runs on a thread of its own, which closes a pipe once it is
+    done; the session waits for the pipe."""
+    done, finish = os.pipe()
+    found: list = []
+
+    def resolve() -> None:
+        try:
+            found.append(socket.getaddrinfo(host, port,
+                                            type=socket.SOCK_STREAM))
+        except Exception as exc:
+            found.append(exc)
+        finally:
+            os.close(finish)
+
+    try:
+        try:
+            threading.Thread(target=resolve, daemon=True).start()
+        except BaseException:
+            os.close(finish)
+            raise
+        yield from _ready(done, False, deadline)
+    finally:
+        os.close(done)
+    if isinstance(found[0], Exception):
+        raise found[0]
+    return found[0]
+
+
+def _connect(host: str, port: int, deadline: float,
+             ) -> _Steps[socket.socket]:
+    """A non-blocking socket connected to ``host:port`` by ``deadline``,
+    trying each of its addresses in turn, as
+    ``socket.create_connection`` does."""
+    try:                # a numeric address takes no lookup
+        addresses = socket.getaddrinfo(host, port, type=socket.SOCK_STREAM,
+                                       flags=socket.AI_NUMERICHOST)
+    except socket.gaierror:
+        addresses = yield from _lookup(host, port, deadline)
+    error: Optional[BaseException] = None
+    for family, kind, proto, _, address in addresses:
+        sock = socket.socket(family, kind, proto)
+        try:
+            sock.setblocking(False)
+            code = sock.connect_ex(address)
+            if code == errno.EINPROGRESS:
+                yield from _ready(sock.fileno(), True, deadline)
+                code = sock.getsockopt(socket.SOL_SOCKET, socket.SO_ERROR)
+            if code:
+                raise OSError(code, os.strerror(code))
+            return sock
+        except BaseException as exc:
+            sock.close()
+            if not isinstance(exc, OSError):
+                raise
+            error = exc
+    raise error or OSError(f"no address for {host!r}")
+
+
 def _fetch(host: str, port: int, path: str,
-           wanted: Optional[str]) -> _OriginResponse:
+           wanted: Optional[str]) -> _Steps[_OriginResponse]:
     """Send the origin the request for ``path`` and read its response
     head, skipping any ``100 Continue``; one ``ORIGIN_TIMEOUT_S`` covers
-    every head. A ProxyError with the client's answer where it fails."""
+    the connection and every head. A ProxyError with the client's answer
+    where it fails."""
     try:
         request = _origin_request(host, port, path, wanted)
     except ValueError as exc:
         raise ProxyError(f"cannot request {path!r} from {host}:{port}: "
                          f"{exc}", 400) from exc
+    deadline = time.monotonic() + ORIGIN_TIMEOUT_S
+    sock = None
     try:
-        sock = socket.create_connection((host, port),
-                                        timeout=ORIGIN_TIMEOUT_S)
-    except OSError as exc:
-        raise ProxyError(f"origin {host}:{port} failed: {exc!r}",
-                         502) from exc
-    try:
-        sock.sendall(request)
-        deadline = time.monotonic() + ORIGIN_TIMEOUT_S
+        sock = yield from _connect(host, port, deadline)
+        yield from _send_all(sock, request, deadline)
         while True:
-            response = _OriginResponse(sock, _read_origin_head(sock,
-                                                               deadline))
+            response = _OriginResponse(
+                sock, (yield from _read_origin_head(sock, deadline)))
             if response.status != 100:
-                break
-        sock.settimeout(ORIGIN_TIMEOUT_S)
-        return response
-    except OSError as exc:
-        sock.close()
-        raise ProxyError(f"origin {host}:{port} failed: {exc!r}",
-                         502) from exc
-    except ProxyError:
-        sock.close()
+                return response
+    except BaseException as exc:
+        if sock is not None:
+            sock.close()
+        if isinstance(exc, OSError):
+            raise ProxyError(f"origin {host}:{port} failed: {exc!r}",
+                             502) from exc
         raise
 
 
@@ -426,19 +537,20 @@ def _status_head(status: int, reason: str) -> bytes:
             ).encode("latin-1")
 
 
-def _discard_input(conn: socket.socket) -> None:
+def _discard_input(conn: socket.socket) -> _Steps[None]:
     """Read and drop what the client sends until it closes, for at most
-    1 s and 1 MiB, so that one client cannot hold the thread. Closing a
+    1 s and 1 MiB, so that one client cannot hold its session. Closing a
     socket with input unread resets the connection, and a reset can
     destroy an answer the client has not read yet."""
     deadline = time.monotonic() + 1.0
     left = 1 << 20
     while left > 0:
-        wait = deadline - time.monotonic()
-        if wait <= 0:
-            return
-        conn.settimeout(wait)
-        data = conn.recv(min(left, 65536))
+        try:
+            data = conn.recv(min(left, 65536))
+        except BlockingIOError:
+            if not (yield _Wait(conn.fileno(), False, deadline)):
+                return
+            continue
         if not data:
             return
         left -= len(data)
@@ -455,6 +567,34 @@ def _client_head(response: _OriginResponse) -> bytes:
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
 
+_Slice = Union[memoryview, "_Piped"]
+# body slices, one at a time, and the waits that reading them makes: each
+# wait is resumed with its outcome, each slice with None
+_Slices = Generator[Union[_Slice, _Wait], Optional[bool], None]
+
+
+def _next_slice(slices: Iterator[Union[_Slice, _Wait]]
+                ) -> _Steps[Optional[_Slice]]:
+    """The next slice that ``slices`` gives, None once it has ended. An
+    origin's slices are a generator that also yields the waits its reads
+    make: each is passed on, and its outcome passed back."""
+    answer = None
+    while True:
+        try:
+            item = next(slices) if answer is None else slices.send(answer)
+        except StopIteration:
+            return None
+        if not isinstance(item, _Wait):
+            return item
+        answer = yield item
+
+
+def _held_then(held: _Slice, more: _Slices) -> _Slices:
+    """``held``, then the slices and waits of ``more``."""
+    yield held
+    yield from more
+
+
 class _BackpressureWriter:
     """Non-blocking writes with leaky blocked-time accounting.
 
@@ -465,54 +605,58 @@ class _BackpressureWriter:
     client's buffer being full; the bytes accepted up to that point are the
     SentBytes estimate. A plain consecutive-block detector would miss this,
     because the kernel keeps accepting dribbles as the receiver drains.
+    Time is read from ``clock``, ``time.monotonic`` unless one is given.
     """
 
     def __init__(self, sock: socket.socket, threshold_s: float,
-                 credit_bps: float):
+                 credit_bps: float,
+                 clock: Optional[Callable[[], float]] = None):
         self.sock = sock
         self.fd = sock.fileno()
         self.threshold_s = threshold_s
         self.credit_bps = credit_bps
+        self.clock = clock or time.monotonic
         sock.setblocking(False)
 
-    def write_burst(self, slices: Iterable[Union[memoryview, _Piped]],
+    def write_burst(self, slices: Iterable[Union[_Slice, _Wait]],
                     size_bytes: float,
                     burst_id: int, start_byte: int,
                     abort_on_zwa: bool = True,
-                    stop: Optional[threading.Event] = None
-                    ) -> Tuple[BurstObservation, memoryview]:
+                    ) -> _Steps[Tuple[BurstObservation, memoryview]]:
         """Write burst ``burst_id``, ``size_bytes`` of the stream from
         ``start_byte`` on, taken from ``slices`` one at a time: the next
-        slice is taken only once the socket has accepted the last. Socket
-        backpressure over the whole burst, in one account, stands in for
-        its ACKs; slices that run out early offered only what they gave.
-        Returns the observation and the unaccepted rest of the slice in
-        hand, which is empty unless the burst stopped early; a slice in a
-        pipe is spliced to the socket, and its rest read back out."""
+        slice is taken only once the socket has accepted the last, and
+        each wait that taking it makes is passed on. Socket backpressure
+        over the whole burst, in one account, stands in for its ACKs;
+        slices that run out early offered only what they gave. Each wait
+        for the socket lasts at most 0.05 s and adds at most that to the
+        account, however late the loop resumes the writer. Returns the
+        observation and the unaccepted rest of the slice in hand, which is
+        empty unless the burst stopped early; a slice in a pipe is spliced
+        to the socket, and its rest read back out."""
         sent = 0
         blocked = 0.0
         zwa = False
         zwa_at: Optional[int] = None
         rest = memoryview(b"")
-        start = time.monotonic()
-        for view in slices:
+        slices = iter(slices)
+        start = self.clock()
+        while (view := (yield from _next_slice(slices))) is not None:
             done = 0
             while done < len(view):
-                if stop is not None and stop.is_set():
-                    break
                 try:
                     n = self.sock.send(view[done:]) \
                         if isinstance(view, memoryview) \
                         else view.splice_to(self.fd, done)
-                except (BlockingIOError, InterruptedError):
+                except BlockingIOError:
                     n = 0
                 if n > 0:
                     done += n
                     blocked = max(0.0, blocked - n * 8.0 / self.credit_bps)
                     continue
-                t0 = time.monotonic()
-                _wait(self.fd, True, 0.05)
-                blocked += time.monotonic() - t0
+                t0 = self.clock()
+                yield _Wait(self.fd, True, t0 + 0.05)
+                blocked += min(self.clock() - t0, 0.05)
                 if blocked >= self.threshold_s:
                     if not zwa:
                         zwa = True
@@ -527,7 +671,7 @@ class _BackpressureWriter:
                 break
         else:
             size_bytes = sent          # the slices ran out
-        end = time.monotonic()
+        end = self.clock()
         return BurstObservation(
             burst_id, size_bytes, start_byte, start, start, end, sent,
             sent >= size_bytes, zwa, end if zwa else None, zwa_at), rest
@@ -549,13 +693,14 @@ class _SlabBody:
         length = self.response.length
         return math.inf if length is None else length
 
-    def slices(self, want: float) -> Iterator[memoryview]:
+    def slices(self, want: float) -> _Slices:
         """The next ``want`` body bytes, or what is left if fewer, one
-        slab at a time; a slice is overwritten when the next is taken."""
+        slab at a time, and the waits their reads make; a slice is
+        overwritten when the next is taken."""
         slab = memoryview(bytearray(min(SLAB_BYTES, want, self.left())))
         while want > 0 and not self.response.isclosed():
-            got, error = _read_body(self.response,
-                                    slab[:min(want, len(slab))])
+            got, error = yield from _read_body(self.response,
+                                               slab[:min(want, len(slab))])
             if error is not None:
                 self.errors.append(error)
             if not got:
@@ -616,22 +761,22 @@ class _SplicedBody:
     def left(self) -> int:
         return self.unread
 
-    def slices(self, want: float) -> Iterator[_Piped]:
+    def slices(self, want: float) -> _Slices:
         """The next ``want`` body bytes, or what is left if fewer, one
-        pipe-full at a time; each slice leaves the pipe before the next
-        is taken."""
+        pipe-full at a time, and the waits their splices make; each slice
+        leaves the pipe before the next is taken."""
         while want > 0 and self.unread:
-            got = self._fill(min(want, SLAB_BYTES, self.unread))
+            got = yield from self._fill(min(want, SLAB_BYTES, self.unread))
             if not got:
                 return
             want -= got
             yield _Piped(self.pipe[0], got)
 
-    def _fill(self, size: int) -> int:
+    def _fill(self, size: int) -> _Steps[int]:
         """Splice up to ``size`` body bytes from the origin into the empty
-        pipe, waiting for the first; return the count moved. An error or
-        an early end of the body is recorded, and ends it after these
-        bytes."""
+        pipe, waiting up to ``ORIGIN_TIMEOUT_S`` for the first; return the
+        count moved. An error or an early end of the body is recorded, and
+        ends it after these bytes."""
         got = 0
         try:
             while got < size:
@@ -642,8 +787,8 @@ class _SplicedBody:
                     if got:
                         break    # the origin has no more yet, or the pipe
                                  # is full
-                    if not _wait(self.origin_fd, False, ORIGIN_TIMEOUT_S):
-                        raise TimeoutError("timed out") from None
+                    yield from _ready(self.origin_fd, False,
+                                      time.monotonic() + ORIGIN_TIMEOUT_S)
                     continue
                 if not n:
                     raise http.client.IncompleteRead(b"", self.unread - got)
@@ -683,24 +828,25 @@ class _OriginReader:
         self.read_bytes = 0
         self.read_s = 0.0
 
-    def slices(self, want: float) -> Iterator[Union[memoryview, _Piped]]:
+    def slices(self, want: float) -> _Slices:
         """The body's next ``want`` bytes, or what is left if fewer, a
-        slice at a time."""
+        slice at a time, and the waits their reads make."""
         pieces = self.body.slices(want)
         while True:
             t = time.monotonic()
-            piece = next(pieces, None)
+            piece = yield from _next_slice(pieces)
             self.read_s += time.monotonic() - t
             if piece is None:
                 return
             self.read_bytes += len(piece)
             yield piece
 
-    def read_ahead(self, held: memoryview, size: int) -> memoryview:
+    def read_ahead(self, held: memoryview, size: int) -> _Steps[memoryview]:
         """``held``, then the body bytes after it up to ``size`` in all, in
         one buffer."""
         buf = bytearray(held)
-        for piece in self.slices(size - len(held)):
+        pieces = self.slices(size - len(held))
+        while (piece := (yield from _next_slice(pieces))) is not None:
             buf += piece if isinstance(piece, memoryview) else piece.read()
         return memoryview(buf)
 
@@ -724,24 +870,41 @@ class ProxyError(RuntimeError):
 
 
 class ShapingProxy:
-    """Forward proxy applying burst shaping per client session."""
+    """Forward proxy applying burst shaping per client session.
+
+    ``start()`` opens the listener and starts the loop thread, which runs
+    every session until ``close()``. The loop thread alone touches the
+    selector, the deadline heap and the sessions' sockets."""
 
     def __init__(self, config: SessionConfig):
         self.config = config
+        self.sessions: List[dict] = []   # per-session report dicts
         self._listener: Optional[socket.socket] = None
         self._stop = threading.Event()
-        self._threads: List[threading.Thread] = []
-        self.sessions: List[dict] = []   # per-session report dicts
-        self._lock = threading.Lock()
+        self._loop: Optional[threading.Thread] = None
+        self._selector: Optional[selectors.BaseSelector] = None
+        self._wake: Tuple[socket.socket, ...] = ()   # close() writes to [1]
+        # each waiting session: the descriptor it waits for, -1 for none,
+        # and its entry in the heap of deadlines
+        self._waiting: Dict[_Steps[None], Tuple[int, list]] = {}
+        # [deadline, sequence number, session or None once it was woken
+        # by its descriptor]
+        self._deadlines: List[list] = []
+        self._woken = 0                  # heap entries whose session is None
+        self._order = itertools.count()
 
     # -- lifecycle --------------------------------------------------------
 
     def start(self) -> Tuple[str, int]:
         self._listener = socket.create_server(self.config.listen)
-        self._listener.settimeout(0.2)
-        t = threading.Thread(target=self._accept_loop, daemon=True)
-        t.start()
-        self._threads.append(t)
+        self._listener.setblocking(False)
+        self._wake = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        self._selector.register(self._wake[0], selectors.EVENT_READ)
+        self._loop = threading.Thread(target=self._serve, daemon=True,
+                                      name="burststream-proxy")
+        self._loop.start()
         return self._listener.getsockname()[:2]
 
     def serve_forever(self) -> None:
@@ -757,66 +920,140 @@ class ShapingProxy:
             self.close()
 
     def close(self) -> None:
+        """Stop the loop, which closes every session, and wait for it."""
         self._stop.set()
-        if self._listener is not None:
-            try:
-                self._listener.close()
-            except OSError:
-                pass
-        with self._lock:
-            threads = list(self._threads)
-        for t in threads:
-            t.join(timeout=2.0)
+        if self._loop is None:
+            return
+        with suppress(OSError):          # closed by an earlier close()
+            self._wake[1].send(b"\0")
+        self._loop.join()
+        self._wake[1].close()
 
-    def _accept_loop(self) -> None:
-        while not self._stop.is_set():
+    # -- the loop ------------------------------------------------------------
+
+    def _serve(self) -> None:
+        """Wake each session as its descriptor turns ready or its deadline
+        comes, and accept connections, until ``close()``."""
+        try:
+            while True:
+                timeout = None
+                if self._deadlines:
+                    timeout = max(self._deadlines[0][0] - time.monotonic(),
+                                  0.0)
+                for key, _ in self._selector.select(timeout):
+                    if key.fileobj is self._wake[0]:
+                        return
+                    if key.fileobj is self._listener:
+                        self._accept()
+                        continue
+                    fd, entry = self._waiting.pop(key.data)
+                    self._selector.unregister(fd)
+                    entry[2] = None
+                    self._woken += 1
+                    self._advance(key.data, True)
+                now = time.monotonic()
+                while self._deadlines and self._deadlines[0][0] <= now:
+                    session = heapq.heappop(self._deadlines)[2]
+                    if session is None:
+                        self._woken -= 1
+                        continue
+                    fd, _ = self._waiting.pop(session)
+                    if fd >= 0:
+                        self._selector.unregister(fd)
+                    self._advance(session, False)
+                if self._woken > 256 and \
+                        2 * self._woken > len(self._deadlines):
+                    self._deadlines = [e for e in self._deadlines
+                                       if e[2] is not None]
+                    heapq.heapify(self._deadlines)
+                    self._woken = 0
+        finally:
+            for session, (fd, _) in list(self._waiting.items()):
+                if fd >= 0:
+                    self._selector.unregister(fd)
+                try:
+                    session.close()
+                except Exception:       # a fault past the session's guard
+                    log.exception("session close failed")
+            self._waiting.clear()
+            self._deadlines.clear()
+            self._selector.close()
+            self._listener.close()
+            self._wake[0].close()
+
+    def _accept(self) -> None:
+        """Accept every waiting connection and run its session up to its
+        first wait."""
+        while True:
             try:
                 conn, addr = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
+            except BlockingIOError:
                 return
-            t = threading.Thread(target=self._session_guard,
-                                 args=(conn, addr), daemon=True)
-            with self._lock:
-                self._threads.append(t)
-            t.start()
+            except OSError as exc:      # out of descriptors, say
+                log.warning("accept failed: %s", exc)
+                self._selector.unregister(self._listener)
+                self._advance(self._listen_later(), None)
+                return
+            conn.setblocking(False)
+            self._advance(self._session(conn, addr), None)
 
-    def _session_guard(self, conn: socket.socket, addr) -> None:
+    def _listen_later(self) -> _Steps[None]:
+        """Accept again in a second, when sessions that ended meanwhile
+        may have freed what the last accept lacked."""
+        yield _Wait(-1, False, time.monotonic() + 1.0)
+        self._selector.register(self._listener, selectors.EVENT_READ)
+
+    def _advance(self, session: _Steps[None], answer: Optional[bool]) -> None:
+        """Resume ``session`` with ``answer`` and file the wait it yields
+        next, unless it has ended."""
         try:
-            self._run_session(conn, addr)
-        except Exception as exc:              # session isolation
-            log.warning("session %s failed: %s", addr, exc)
-            if isinstance(exc, ProxyError) and exc.status is not None:
-                with suppress(OSError):
-                    conn.sendall(_status_head(exc.status,
-                                              HTTPStatus(exc.status).phrase))
-                    conn.shutdown(socket.SHUT_WR)
-                    _discard_input(conn)
-        finally:
-            try:
-                conn.close()
-            except OSError:
-                pass
-            # a finished session leaves the list itself, so the list holds
-            # the live threads whenever connections stop arriving
-            with self._lock:
-                self._threads.remove(threading.current_thread())
+            wait = session.send(answer)
+        except StopIteration:
+            return
+        except Exception:               # a fault past the session's guard
+            log.exception("session step failed")
+            return
+        if wait.fd >= 0:
+            self._selector.register(
+                wait.fd, selectors.EVENT_WRITE if wait.writable
+                else selectors.EVENT_READ, session)
+        entry = [wait.deadline, next(self._order), session]
+        heapq.heappush(self._deadlines, entry)
+        self._waiting[session] = (wait.fd, entry)
 
     # -- per-session machinery ---------------------------------------------
 
-    def _read_request_head(self, conn: socket.socket) -> str:
+    def _session(self, conn: socket.socket, addr) -> _Steps[None]:
+        """One client session on the non-blocking ``conn``; any failure
+        ends it alone."""
+        try:
+            yield from self._run_session(conn, addr)
+        except Exception as exc:              # session isolation
+            log.warning("session %s failed: %s", addr, exc)
+            if isinstance(exc, ProxyError) and exc.status is not None:
+                answer = _status_head(exc.status,
+                                      HTTPStatus(exc.status).phrase)
+                with suppress(OSError):
+                    yield from _send_all(conn, answer, time.monotonic() +
+                                         HEAD_TIMEOUT_S)
+                    conn.shutdown(socket.SHUT_WR)
+                    yield from _discard_input(conn)
+        finally:
+            conn.close()
+
+    def _read_request_head(self, conn: socket.socket) -> _Steps[str]:
         """The client's request head, and whatever came with it; one
         ``HEAD_TIMEOUT_S`` deadline covers the whole head."""
         deadline = time.monotonic() + HEAD_TIMEOUT_S
         data = bytearray()
         while True:
-            conn.settimeout(max(deadline - time.monotonic(), 1e-3))
             try:
                 chunk = conn.recv(4096)
-            except TimeoutError:
-                raise ProxyError(f"request head not complete within "
-                                 f"{HEAD_TIMEOUT_S:g} s", 408) from None
+            except BlockingIOError:
+                if not (yield _Wait(conn.fileno(), False, deadline)):
+                    raise ProxyError(f"request head not complete within "
+                                     f"{HEAD_TIMEOUT_S:g} s", 408) from None
+                continue
             if not chunk:
                 raise ProxyError("client closed before sending a request")
             # a terminator may straddle the previous chunk's last bytes
@@ -888,36 +1125,41 @@ class ShapingProxy:
                              502) from exc
         return rate
 
-    def _run_session(self, conn: socket.socket, addr) -> None:
+    def _run_session(self, conn: socket.socket, addr) -> _Steps[None]:
         cfg = self.config
         if cfg.sndbuf_bytes:
             conn.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF,
                             cfg.sndbuf_bytes)
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
-        head = self._read_request_head(conn)
+        head = yield from self._read_request_head(conn)
         host, port, path = self._resolve_origin(head)
 
         # the client's Range (the protocol's ``seconds=N-``) goes on to the
         # origin, whose 206 or 204 answers it
         wanted = _header(head, "Range")
-        with closing(_fetch(host, port, path, wanted)) as response:
-            self._relay(conn, addr, response, f"{host}:{port}")
+        response = yield from _fetch(host, port, path, wanted)
+        with closing(response):
+            yield from self._relay(conn, addr, response, f"{host}:{port}")
 
     def _relay(self, conn: socket.socket, addr,
-               response: _OriginResponse, origin_name: str) -> None:
+               response: _OriginResponse, origin_name: str) -> _Steps[None]:
         """Relay the origin's head, then its body in shaped sends. A 206
         (a stream continued from a later second) is shaped as a 200 is; a
         204 (a range correction) is a head alone; any other status goes
-        back as a bodyless head with the origin's status."""
+        back as a bodyless head with the origin's status. The client gets
+        ``HEAD_TIMEOUT_S`` to take the head."""
         cfg = self.config
+        deadline = time.monotonic() + HEAD_TIMEOUT_S
         if response.status == 204:
-            conn.sendall(_client_head(response))
+            yield from _send_all(conn, _client_head(response), deadline)
             return
         if response.status not in (200, 206):
-            conn.sendall(_status_head(response.status, response.reason))
+            yield from _send_all(conn, _status_head(response.status,
+                                                    response.reason),
+                                 deadline)
             return
         r_s = self._discover_rate(response)
-        conn.sendall(_client_head(response))
+        yield from _send_all(conn, _client_head(response), deadline)
 
         length = response.length
         writer = _BackpressureWriter(conn, cfg.backpressure_s,
@@ -927,13 +1169,12 @@ class ShapingProxy:
             fast_start_s=cfg.fast_start_seconds)
         shaper = Shaper(stream, cfg.granularity_s)
         report = {"addr": addr, "r_s": r_s, "rows": [], "shaper": shaper}
-        with self._lock:
-            self.sessions.append(report)
+        self.sessions.append(report)
 
         origin_errors: List[Exception] = []
         try:
             with closing(_origin_body(response, origin_errors)) as body:
-                self._shape_stream(writer, body, ShapingController(
+                yield from self._shape_stream(writer, body, ShapingController(
                     shaper, cfg.low_bw_chunk_s))
         except (BrokenPipeError, ConnectionResetError):
             log.info("client %s disconnected", addr)
@@ -948,7 +1189,7 @@ class ShapingProxy:
             self._flush_log(rows)
 
     def _shape_stream(self, writer: _BackpressureWriter, body: _Body,
-                      controller: ShapingController) -> None:
+                      controller: ShapingController) -> _Steps[None]:
         """Perform the controller's sends on the client socket, on a clock
         that starts with the session, until the controller or the origin
         body is done.
@@ -963,22 +1204,20 @@ class ShapingProxy:
         pending = memoryview(b"")   # read, not yet accepted
         burst_ids = itertools.count()
         send = controller.start()
-        while send is not None and not self._stop.is_set():
+        while send is not None:
             size = max(math.ceil(send.size_bytes), 1)
             origin = _OriginReader(body)
             if len(pending) < size and t0 + send.at_s > time.monotonic():
-                pending = origin.read_ahead(pending, size)
+                pending = yield from origin.read_ahead(pending, size)
             if not pending and not body.left():
                 break                    # the origin is done
-            delay = t0 + send.at_s - time.monotonic()
-            if delay > 0 and self._stop.wait(timeout=delay):
-                break
+            if t0 + send.at_s > time.monotonic():
+                yield _Wait(-1, False, t0 + send.at_s)
             held = pending[:size]
-            obs, rest = writer.write_burst(
-                itertools.chain((held,), origin.slices(size - len(held))),
+            obs, rest = yield from writer.write_burst(
+                _held_then(held, origin.slices(size - len(held))),
                 min(size, len(held) + body.left()), next(burst_ids),
-                int(controller.content_sent_bytes), send.abort_on_zwa,
-                self._stop)
+                int(controller.content_sent_bytes), send.abort_on_zwa)
             if not obs.size_bytes:
                 break                    # the origin ended with nothing
             # the unaccepted bytes are those held past the accepted ones,
@@ -994,18 +1233,16 @@ class ShapingProxy:
                 Report(obs, obs.acked_bytes, obs.send_time_s - t0,
                        obs.last_ack_s - t0, est, time.monotonic() - t0))
         # final drain so the client sees the whole stream
-        if not self._stop.is_set():
-            unread = _OriginReader(body).slices(math.inf)
-            writer.write_burst(itertools.chain((pending,), unread), math.inf,
-                               next(burst_ids),
-                               int(controller.content_sent_bytes),
-                               abort_on_zwa=False, stop=self._stop)
+        unread = _OriginReader(body).slices(math.inf)
+        yield from writer.write_burst(_held_then(pending, unread), math.inf,
+                                      next(burst_ids),
+                                      int(controller.content_sent_bytes),
+                                      abort_on_zwa=False)
 
     def _flush_log(self, rows: List[str]) -> None:
         if not self.config.log_path:
             return
         path = Path(self.config.log_path)
-        with self._lock:
-            new_file = not path.exists() or path.stat().st_size == 0
-            with path.open("a") as fh:
-                write_burst_log(fh, rows, header=new_file)
+        new_file = not path.exists() or path.stat().st_size == 0
+        with path.open("a") as fh:
+            write_burst_log(fh, rows, header=new_file)

@@ -6,11 +6,14 @@ throttled-origin tests carry the integration marker (run them with
 """
 
 import copy
+import errno
 import hashlib
 import http.client
 import http.server
+import math
 import os
 import random
+import selectors
 import socket
 import struct
 import sys
@@ -18,7 +21,6 @@ import threading
 import time
 import tracemalloc
 from contextlib import contextmanager, suppress
-from types import SimpleNamespace
 
 import pytest
 
@@ -166,6 +168,23 @@ class _DrainingReader(threading.Thread):
             self.total += len(data)
 
 
+def _drive(steps):
+    """Run ``steps``, a session step, to its end on real time, making each
+    wait it yields; return its value."""
+    answer = None
+    while True:
+        try:
+            wait = steps.send(answer)
+        except StopIteration as stop:
+            return stop.value
+        with selectors.DefaultSelector() as selector:
+            if wait.fd >= 0:
+                selector.register(wait.fd, selectors.EVENT_WRITE
+                                  if wait.writable else selectors.EVENT_READ)
+            answer = bool(selector.select(
+                max(wait.deadline - time.monotonic(), 0.0)))
+
+
 def _start_proxy(origin, **cfg_kw):
     origin_addr = f"http://127.0.0.1:{origin.server_address[1]}"
     config = SessionConfig(listen=("127.0.0.1", 0), origin=origin_addr,
@@ -261,8 +280,9 @@ class TestRequestHead:
 
         writer = threading.Thread(target=client, daemon=True)
         writer.start()
+        ours.setblocking(False)
         try:
-            return proxy._read_request_head(ours)
+            return _drive(proxy._read_request_head(ours))
         finally:
             ours.close()
             writer.join(timeout=10.0)
@@ -284,11 +304,11 @@ class TestRequestHead:
     def test_trickled_head_times_out(self, monkeypatch):
         # one byte every 0.2 s keeps each read inside any per-read timeout;
         # the deadline over the whole head still ends it, with a 408, and
-        # the session's thread ends with it
+        # the session adds no thread
         monkeypatch.setattr(proxy_module, "HEAD_TIMEOUT_S", 0.5)
         proxy = ShapingProxy(SessionConfig(listen=("127.0.0.1", 0)))
         addr = proxy.start()
-        baseline = len(proxy._threads)
+        baseline = threading.active_count()
         try:
             with socket.create_connection(addr, timeout=5.0) as sock:
                 sock.settimeout(0.2)
@@ -309,9 +329,9 @@ class TestRequestHead:
             assert elapsed < 1.5
             deadline = time.monotonic() + 5
             while time.monotonic() < deadline and \
-                    len(proxy._threads) > baseline:
+                    threading.active_count() != baseline:
                 time.sleep(0.01)
-            assert len(proxy._threads) == baseline
+            assert threading.active_count() == baseline
         finally:
             proxy.close()
 
@@ -580,6 +600,7 @@ class TestProxySmoke:
         origin = _Origin(total, 4e6)
         threading.Thread(target=origin.serve_forever, daemon=True).start()
         proxy, addr = _start_proxy(origin, fast_start_seconds=1.0)
+        baseline = threading.active_count()
         try:
             for _ in range(10):
                 with _connect(addr) as sock:
@@ -588,24 +609,25 @@ class TestProxySmoke:
                     while data := sock.recv(65536):
                         got += len(data)
                 assert got == total
-                # the session thread ends just after it hangs up
+                # the origin's handler thread ends just after it has sent
                 deadline = time.monotonic() + 5
                 while time.monotonic() < deadline and \
-                        sum(t.is_alive() for t in proxy._threads) > 1:
+                        threading.active_count() != baseline:
                     time.sleep(0.01)
-            # the accept loop and at most the last session
-            assert len(proxy._threads) <= 2
+            # the loop alone: no thread per session
+            assert threading.active_count() == baseline
             assert len(proxy.sessions) == 10
         finally:
             proxy.close()
             origin.shutdown()
 
     def test_concurrent_sessions_leave_only_the_accept_thread(self):
-        # 8 clients at once, 4 times over, on a short switch interval: each
-        # session thread takes itself off the list, so none is lost or left
+        # 8 clients at once, 4 times over, on a short switch interval: every
+        # session ends, and none leaves a thread behind
         total = 100_000               # fits in the Fast Start
         origin = _serve(_Origin(total, 4e6))
         proxy, addr = _start_proxy(origin, fast_start_seconds=1.0)
+        baseline = threading.active_count()
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
         try:
@@ -619,9 +641,11 @@ class TestProxySmoke:
                             got += len(data)
                     assert got == total
             deadline = time.monotonic() + 5
-            while time.monotonic() < deadline and len(proxy._threads) > 1:
+            while time.monotonic() < deadline and \
+                    threading.active_count() != baseline:
                 time.sleep(0.01)
-            assert len(proxy._threads) == 1 and len(proxy.sessions) == 32
+            assert threading.active_count() == baseline and \
+                len(proxy.sessions) == 32
         finally:
             sys.setswitchinterval(interval)
             proxy.close()
@@ -712,7 +736,7 @@ class TestOriginPull:
                 assert _first_body_bytes(sock, first)
                 added = set(threading.enumerate()) - before - \
                     origin.handler_threads
-                assert len(added) == 1, added
+                assert len(added) == 0, added
         finally:
             proxy.close()
             origin.shutdown()
@@ -906,7 +930,7 @@ class TestReadBody:
         body = _distinct_bytes(300_000)
         response = _CountingResponse(body + b"more")
         buf = bytearray(len(body))
-        got, error = _read_body(response, buf)
+        got, error = _drive(_read_body(response, buf))
         assert (got, error) == (len(buf), None)
         assert buf == body
         assert response.reads and max(response.reads) <= 65536
@@ -917,7 +941,7 @@ class TestReadBody:
         body = _distinct_bytes(100_000)
         response = _CountingResponse(body, declared=300_000)
         buf = bytearray(300_000)
-        got, error = _read_body(response, buf)
+        got, error = _drive(_read_body(response, buf))
         assert got == len(body) and buf[:got] == body
         assert isinstance(error, http.client.IncompleteRead)
         assert error.expected == 200_000
@@ -927,7 +951,7 @@ class TestReadBody:
         assert response.isclosed()
         assert max(response.reads) <= 65536
         # the body has ended: a later call reads nothing
-        assert _read_body(response, bytearray(10)) == (0, None)
+        assert _drive(_read_body(response, bytearray(10))) == (0, None)
 
 
 class _Slices:
@@ -960,32 +984,47 @@ def _received(peer):
 
 class _WaitClock:
     """A clock for ``_BackpressureWriter`` that moves only while the writer
-    waits for the socket: each wait lasts its whole timeout, and after
-    every ``every_s`` of waiting the peer reads ``nbytes``, at most
-    ``reads`` times."""
+    waits for the socket: ``run`` answers each wait the writer yields at
+    its deadline, or ``late_s`` past it, and after every ``every_s`` of
+    waiting the peer reads ``nbytes``, at most ``reads`` times. ``fds``
+    keeps the descriptors waited for."""
 
-    def __init__(self, peer, nbytes, every_s, reads):
+    def __init__(self, peer, nbytes=0, every_s=math.inf, reads=0,
+                 late_s=0.0):
         self.peer = peer
+        self.late_s = late_s
         self.nbytes = nbytes
         self.every_s = every_s
         self.reads_left = reads
         self.now = 0.0
         self.waited = 0.0
         self.read = bytearray()
+        self.fds = set()
 
     def monotonic(self):
         return self.now
 
-    def select(self, readers, writers, errors, timeout):
-        self.now += timeout
-        self.waited += timeout
+    def run(self, steps):
+        """The value of ``steps``, every wait of it answered."""
+        answer = None
+        while True:
+            try:
+                wait = steps.send(answer)
+            except StopIteration as stop:
+                return stop.value
+            answer = self._answer(wait)
+
+    def _answer(self, wait):
+        self.fds.add(wait.fd)
+        self.waited += wait.deadline - self.now
+        self.now = wait.deadline + self.late_s
         if self.waited >= self.every_s - 1e-9 and self.reads_left:
             self.waited = 0.0
             self.reads_left -= 1
             want = len(self.read) + self.nbytes
             while len(self.read) < want:
                 self.read += self.peer.recv(want - len(self.read))
-        return [], [], []
+        return False        # the socket never turns writable in time
 
 
 class TestSlabRelay:
@@ -1001,9 +1040,12 @@ class TestSlabRelay:
         with writer_sock, peer:
             writer_sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF,
                                    65536)
+            clock = _WaitClock(peer)
             writer = _BackpressureWriter(writer_sock, threshold_s=0.2,
-                                         credit_bps=1e12)
-            obs, rest = writer.write_burst(slices, len(body), 7, 1000)
+                                         credit_bps=1e12,
+                                         clock=clock.monotonic)
+            obs, rest = clock.run(writer.write_burst(slices, len(body), 7,
+                                                     1000))
             got = _received(peer)
         assert slices.taken > 1
         assert obs.zwa_seen and not obs.complete
@@ -1017,7 +1059,7 @@ class TestSlabRelay:
             (7, len(body), 1000)
         assert obs.t_bd_s >= 0.2
 
-    def test_blocked_time_carries_across_slices(self, monkeypatch):
+    def test_blocked_time_carries_across_slices(self):
         # the peer reads 32 KiB after every 0.2 s of waiting, so each wait
         # ends inside the 0.5 s threshold, but the waits add up to it
         # across the 8 KiB slices: the zero window comes at the third
@@ -1029,19 +1071,38 @@ class TestSlabRelay:
             writer_sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF,
                                    65536)
             clock = _WaitClock(peer, 32768, every_s=0.2, reads=20)
-            monkeypatch.setattr(proxy_module, "time",
-                                SimpleNamespace(monotonic=clock.monotonic))
-            monkeypatch.setattr(proxy_module, "select",
-                                SimpleNamespace(select=clock.select))
             writer = _BackpressureWriter(writer_sock, threshold_s=0.5,
-                                         credit_bps=1e12)
-            obs, rest = writer.write_burst(_Slices(body, 8192), len(body),
-                                           0, 0)
+                                         credit_bps=1e12,
+                                         clock=clock.monotonic)
+            obs, rest = clock.run(writer.write_burst(_Slices(body, 8192),
+                                                     len(body), 0, 0))
             got = clock.read + _received(peer)
         assert obs.zwa_seen and clock.reads_left == 18
         assert obs.sent_bytes_at_first_zwa == obs.acked_bytes == len(got)
         assert got == body[:len(got)]
         assert rest == body[len(got):len(got) + len(rest)]
+
+    def test_a_wait_resumed_late_adds_at_most_its_length(self):
+        # the peer reads 32 KiB during every wait, but each wait is resumed
+        # 1 s past its 0.05 s deadline, as a loop busy with other sessions
+        # may: each still adds 0.05 s, so the 0.25 s threshold is reached
+        # at the fifth wait, not the first
+        body = _distinct_bytes(2_000_000)
+        writer_sock, peer = socket.socketpair()
+        with writer_sock, peer:
+            writer_sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF,
+                                   65536)
+            clock = _WaitClock(peer, 32768, every_s=0.0, reads=20,
+                               late_s=1.0)
+            writer = _BackpressureWriter(writer_sock, threshold_s=0.25,
+                                         credit_bps=math.inf,
+                                         clock=clock.monotonic)
+            obs, rest = clock.run(writer.write_burst(_Slices(body, 8192),
+                                                     len(body), 0, 0))
+            got = clock.read + _received(peer)
+        assert obs.zwa_seen and clock.reads_left == 15
+        assert obs.sent_bytes_at_first_zwa == obs.acked_bytes == len(got)
+        assert got == body[:len(got)]
 
     def test_fast_start_holds_one_slab(self):
         # 32 MiB inside one 60 s Fast Start: the proxy reads and writes it
@@ -1771,6 +1832,7 @@ def test_sessions_leave_no_descriptor(relay_path):
                                        fast_start_seconds=1.0))
     addr = proxy.start()
     baseline = _fd_count()
+    threads = threading.active_count()
     try:
         for i in range(20):
             origin = origins[i % len(origins)]
@@ -1784,12 +1846,14 @@ def test_sessions_leave_no_descriptor(relay_path):
                         pass
         deadline = time.monotonic() + 10
         while time.monotonic() < deadline and (
-                len(proxy._threads) > 1 or _fd_count() != baseline or
+                threading.active_count() != threads or
+                _fd_count() != baseline or
                 any(t.is_alive() for o in origins
                     for t in o.handler_threads)):
             time.sleep(0.05)
         assert len(proxy.sessions) == 16
         assert _fd_count() == baseline
+        assert threading.active_count() == threads
     finally:
         proxy.close()
         for origin in origins:
@@ -1798,8 +1862,9 @@ def test_sessions_leave_no_descriptor(relay_path):
 
 def test_writer_waits_on_a_descriptor_above_1023():
     # select.select cannot wait on descriptors from 1024 on; the writer's
-    # waits must, or a session whose client socket lands there dies at its
-    # first blocked write
+    # waits name such a descriptor, and the proxy's selector must take it,
+    # or a session whose client socket lands there dies at its first
+    # blocked write
     fcntl = pytest.importorskip("fcntl")
     import resource
     if resource.getrlimit(resource.RLIMIT_NOFILE)[0] < 1100:
@@ -1809,9 +1874,179 @@ def test_writer_waits_on_a_descriptor_above_1023():
         high = fcntl.fcntl(ours.fileno(), fcntl.F_DUPFD_CLOEXEC, 1024)
         with socket.socket(fileno=high) as sock:
             assert sock.fileno() >= 1024
+            clock = _WaitClock(peer)
             writer = _BackpressureWriter(sock, threshold_s=0.2,
-                                         credit_bps=1e12)
+                                         credit_bps=1e12,
+                                         clock=clock.monotonic)
             body = memoryview(bytes(4_000_000))
-            obs, rest = writer.write_burst([body], len(body), 0, 0)
+            obs, rest = clock.run(writer.write_burst([body], len(body), 0, 0))
+            assert clock.fds == {high}
+            with selectors.DefaultSelector() as selector:
+                selector.register(high, selectors.EVENT_WRITE)
+                assert selector.select(0) == []     # the buffer is full
     assert obs.zwa_seen and not obs.complete
     assert obs.acked_bytes + len(rest) == len(body)
+
+
+class TestLoop:
+    """One loop thread serves every session: many at once, one waiting on
+    a slow name lookup, and all of them closed mid-stream."""
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="counts /proc/self/fd")
+    def test_concurrent_clients(self):
+        # 20 clients at once, read side by side: each gets its body byte
+        # for byte, and no thread but the origin's handlers comes and goes.
+        # The socket buffers hold less than a body, so every session is
+        # still sending when the heads are in.
+        total = 300_000
+        origin = _serve(_Origin(total, 4e6, distinct=True))
+        proxy, addr = _start_proxy(origin, fast_start_seconds=1.0,
+                                   sndbuf_bytes=65536)
+        baseline = _fd_count()
+        before = set(threading.enumerate())
+
+        def assert_no_thread_added():
+            added = set(threading.enumerate()) - before - \
+                origin.handler_threads
+            assert not added, added
+
+        socks = []
+        try:
+            socks = [_connect(addr, rcvbuf=65536) for _ in range(20)]
+            # a head has come back for each, so every origin handler thread
+            # has registered itself
+            bodies = [bytearray(_read_head(sock)[1]) for sock in socks]
+            assert_no_thread_added()
+            with selectors.DefaultSelector() as selector:
+                for i, sock in enumerate(socks):
+                    selector.register(sock, selectors.EVENT_READ, i)
+                deadline = time.monotonic() + 15
+                while selector.get_map() and time.monotonic() < deadline:
+                    for key, _ in selector.select(1.0):
+                        if data := key.fileobj.recv(65536):
+                            bodies[key.data] += data
+                        else:
+                            selector.unregister(key.fileobj)
+                    assert_no_thread_added()
+            want = _distinct_bytes(total)
+            assert all(body == want for body in bodies)
+            for sock in socks:
+                sock.close()
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline and (
+                    _fd_count() != baseline or
+                    any(t.is_alive() for t in origin.handler_threads)):
+                time.sleep(0.05)
+            assert _fd_count() == baseline
+            assert len(proxy.sessions) == 20
+        finally:
+            for sock in socks:
+                sock.close()
+            proxy.close()
+            origin.shutdown()
+
+    def test_slow_name_lookup_holds_up_no_other_session(self, monkeypatch):
+        # the name slow.example takes 1 s to look up; a session on a
+        # numeric origin that starts meanwhile gets its first body byte
+        # long before that, and the named session is served whole after it
+        total = 300_000
+        origin = _serve(_Origin(total, 4e6, distinct=True))
+        port = origin.server_address[1]
+        looking_up = threading.Event()
+        getaddrinfo = socket.getaddrinfo
+
+        def slow(host, *args, flags=0, **kwargs):
+            # a call for numeric addresses only makes no lookup: it fails
+            # at once for a name, as the real one does
+            if host == "slow.example" and not flags & socket.AI_NUMERICHOST:
+                looking_up.set()
+                time.sleep(1.0)
+                host = "127.0.0.1"
+            return getaddrinfo(host, *args, flags=flags, **kwargs)
+
+        monkeypatch.setattr(socket, "getaddrinfo", slow)
+        proxy = ShapingProxy(SessionConfig(listen=("127.0.0.1", 0),
+                                           fast_start_seconds=1.0))
+        addr = proxy.start()
+        try:
+            with socket.create_connection(addr, timeout=10.0) as named, \
+                    socket.create_connection(addr, timeout=10.0) as numeric:
+                named.sendall(b"GET http://slow.example:%d/s HTTP/1.1\r\n"
+                              b"Host: x\r\n\r\n" % port)
+                assert looking_up.wait(5.0)
+                t0 = time.monotonic()
+                numeric.sendall(b"GET http://127.0.0.1:%d/s HTTP/1.1\r\n"
+                                b"Host: x\r\n\r\n" % port)
+                _, first = _read_head(numeric)
+                first = _first_body_bytes(numeric, first)
+                assert first and time.monotonic() - t0 < 0.5
+                for sock, body in ((numeric, bytearray(first)),
+                                   (named, bytearray(_read_head(named)[1]))):
+                    sock.settimeout(15.0)
+                    while data := sock.recv(65536):
+                        body += data
+                    assert body == _distinct_bytes(total)
+        finally:
+            proxy.close()
+            origin.shutdown()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
+                        reason="counts /proc/self/fd")
+    def test_close_mid_session(self, tmp_path):
+        # past a 1 s Fast Start (500 kB) the session paces 16 s of content;
+        # close() ends it at once, writes its log rows, and leaves no
+        # descriptor and no thread of the proxy's
+        origin = _serve(_Origin(8_000_000, 4e6))
+        baseline = _fd_count()
+        before = set(threading.enumerate())
+        log_path = tmp_path / "sessions.csv"
+        proxy, addr = _start_proxy(origin, fast_start_seconds=1.0,
+                                   granularity_s=0.5, log_path=str(log_path))
+        try:
+            with _connect(addr) as sock:
+                _, first = _read_head(sock)
+                got = len(first)
+                while got < 600_000:
+                    got += len(sock.recv(65536))
+                t0 = time.monotonic()
+                proxy.close()
+                assert time.monotonic() - t0 < 1.0
+            assert not set(threading.enumerate()) - before - \
+                origin.handler_threads
+            assert log_path.read_text().startswith("burst_id,")
+            deadline = time.monotonic() + 5
+            while time.monotonic() < deadline and (
+                    _fd_count() != baseline or
+                    any(t.is_alive() for t in origin.handler_threads)):
+                time.sleep(0.05)
+            assert _fd_count() == baseline
+        finally:
+            proxy.close()
+            origin.shutdown()
+
+    def test_failed_accept_listens_again(self, monkeypatch):
+        # an accept that fails (out of descriptors, say) stops the listener
+        # for a second instead of spinning on it; then it accepts again
+        proxy = ShapingProxy(SessionConfig(listen=("127.0.0.1", 0)))
+        accept = socket.socket.accept
+        failed = []
+
+        def failing_once(sock):
+            if sock is proxy._listener and not failed:
+                failed.append(time.monotonic())
+                raise OSError(errno.EMFILE, os.strerror(errno.EMFILE))
+            return accept(sock)
+
+        monkeypatch.setattr(socket.socket, "accept", failing_once)
+        addr = proxy.start()
+        try:
+            with socket.create_connection(addr, timeout=10.0) as sock:
+                sock.sendall(b"BREW /pot HTTP/1.1\r\n\r\n")
+                reply = b""
+                while data := sock.recv(1024):
+                    reply += data
+            assert reply == _bare_status(b"501 Not Implemented")
+            assert failed and time.monotonic() - failed[0] >= 0.9
+        finally:
+            proxy.close()
