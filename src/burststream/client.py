@@ -9,13 +9,12 @@ remaining bytes can only enter as fast as playback frees space.
 Occupancy evolves as a piecewise-linear fluid with breakpoints computed in
 closed form, so runs are exact and independent of any step size. A delivery
 records its fluid pieces and its explicit ACKs (each zero-window pin and the
-final cumulative ACK). From these ``DeliveryResult.acks`` offers two views
-of the ACK stream: the exact per-segment stream, expanded only when read,
-and ``acks.feedback()``, the breakpoint ACKs the profiler needs. Both
-views come from one segment-ACK formula: ``feedback`` evaluates it inline
-for each piece's first and last segment (and bisects for a zero-window
-onset inside a piece), so a delivery's breakpoint ACKs cost a few tuples,
-not one object per segment. An ``AckEvent`` is a named tuple.
+final cumulative ACK) in ``DeliveryResult.acks``: the exact per-segment ACK
+stream, expanded only when read, and its breakpoint summary, kept as each
+part is recorded, which is all a burst observation needs. Both use one
+segment-ACK formula; the summary evaluates it for each piece's first and
+last segment (and bisects for a zero-window onset inside a piece), so a
+delivery's observation costs a few tuples, not one object per segment.
 """
 
 from __future__ import annotations
@@ -23,13 +22,17 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, Iterator, List, NamedTuple, Optional, Union
+from typing import Iterator, List, NamedTuple, Optional, Union
 
-from .errors import finite_at_least, positive_finite
+from .errors import FieldError, finite_at_least, positive_finite
 
 
 class DeliveryOrderError(ValueError):
     """A delivery was scheduled before the client's current clock."""
+
+
+class FeedError(ValueError):
+    """ACK stream violated ordering (cumulative ack went backwards)."""
 
 
 def _clamp(x: float, hi: float) -> float:
@@ -76,13 +79,19 @@ class SegmentAcks(Sequence):
     ``parts`` holds, in time order, the delivery's fluid pieces and its
     explicit ACKs. A piece stands for one ACK per segment boundary it
     crosses; its length is counted from the piece without building them.
-    """
+    Adding a part also updates the stream's breakpoint summary: the first
+    and last ACK's times, the last cumulative ACK, and the time and
+    cumulative ACK of the first zero-window ACK (None until one comes)."""
 
-    def __init__(self, parts: List[Union[FluidPiece, AckEvent]],
-                 segment_bytes: int, capacity_bytes: float):
-        self.parts = parts
+    __slots__ = ("parts", "segment_bytes", "capacity_bytes", "first_ack_s",
+                 "last_ack_s", "last_ack_bytes", "zwa_ack_s", "zwa_ack_bytes")
+
+    def __init__(self, segment_bytes: int, capacity_bytes: float):
+        self.parts: List[Union[FluidPiece, AckEvent]] = []
         self.segment_bytes = segment_bytes
         self.capacity_bytes = capacity_bytes
+        self.first_ack_s = self.last_ack_s = self.last_ack_bytes = None
+        self.zwa_ack_s = self.zwa_ack_bytes = None
 
     def _segments(self, piece: FluidPiece) -> range:
         """Indices of the segments whose last byte enters during ``piece``."""
@@ -90,18 +99,60 @@ class SegmentAcks(Sequence):
         return range(math.floor(piece.cum0 / seg) + 1,
                      math.floor((piece.cum0 + piece.moved) / seg) + 1)
 
-    def _segment_acks(self, piece: FluidPiece,
-                      ks: Iterable[int]) -> List[AckEvent]:
-        """The ACKs of segments ``ks`` of ``piece``, at the instant each
-        segment's last byte enters the buffer."""
+    def _ack(self, piece: FluidPiece, k: int) -> AckEvent:
+        """The ACK of segment ``k`` of ``piece``, sent as the segment's last
+        byte enters the buffer: the one segment-ACK formula."""
         seg, cap = self.segment_bytes, self.capacity_bytes
         t0, cum0, occ0, fill, net, _ = piece
-        out = []
-        for k in ks:
-            dt = (k * seg - cum0) / fill
-            occ = _clamp(occ0 + net * dt, cap)
-            out.append(AckEvent(t0 + dt, float(k * seg), _nonneg(cap - occ)))
-        return out
+        dt = (k * seg - cum0) / fill
+        occ = _clamp(occ0 + net * dt, cap)
+        return AckEvent(t0 + dt, float(k * seg), _nonneg(cap - occ))
+
+    def add_piece(self, piece: FluidPiece) -> None:
+        """Append ``piece`` and fold in its first and last segment ACK, by
+        ``_ack``'s formula inline, and, unless a zero window came before, its
+        first zero-window ACK: a piece's window is monotone, so that is its
+        first ACK or is found by bisection."""
+        self.parts.append(piece)
+        seg, cap = self.segment_bytes, self.capacity_bytes
+        t0, cum0, occ0, fill, net, moved = piece
+        k0 = math.floor(cum0 / seg) + 1            # as ``_segments``
+        k1 = math.floor((cum0 + moved) / seg)
+        if k1 < k0:
+            return
+        dt0 = (k0 * seg - cum0) / fill
+        dt1 = (k1 * seg - cum0) / fill
+        if self.first_ack_s is None:
+            self.first_ack_s = t0 + dt0
+        self.last_ack_s, self.last_ack_bytes = t0 + dt1, float(k1 * seg)
+        if self.zwa_ack_s is not None:
+            return
+        lo = k0
+        if _nonneg(cap - _clamp(occ0 + net * dt0, cap)) > 0:
+            if _nonneg(cap - _clamp(occ0 + net * dt1, cap)) > 0:
+                return
+            lo, hi = k0 + 1, k1   # segment hi is zero-window, k0 not
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if self._ack(piece, mid).advertised_window_bytes <= 0:
+                    hi = mid
+                else:
+                    lo = mid + 1
+        self.zwa_ack_s, self.zwa_ack_bytes, _ = self._ack(piece, lo)
+
+    def add_ack(self, ack: AckEvent) -> None:
+        """Append the explicit ``ack`` and fold it in; a cumulative ACK
+        more than 1e-9 bytes below the last one is a FeedError."""
+        time_s, cum, window = ack
+        last = self.last_ack_bytes
+        if last is not None and cum < last - 1e-9:
+            raise FeedError("cumulative ack regressed")
+        self.parts.append(ack)
+        if self.first_ack_s is None:
+            self.first_ack_s = time_s
+        self.last_ack_s, self.last_ack_bytes = time_s, cum
+        if window <= 0 and self.zwa_ack_s is None:
+            self.zwa_ack_s, self.zwa_ack_bytes = time_s, cum
 
     def _part_len(self, part: Union[FluidPiece, AckEvent]) -> int:
         return 1 if isinstance(part, AckEvent) else len(self._segments(part))
@@ -114,82 +165,21 @@ class SegmentAcks(Sequence):
             if isinstance(part, AckEvent):
                 yield part
             else:
-                yield from self._segment_acks(part, self._segments(part))
+                for k in self._segments(part):
+                    yield self._ack(part, k)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return list(self)[i]
         if i < 0:
             i += len(self)
-        if i >= 0:
-            for part in self.parts:
-                n = self._part_len(part)
-                if i < n:
-                    if isinstance(part, AckEvent):
-                        return part
-                    return self._segment_acks(
-                        part, (self._segments(part)[i],))[0]
-                i -= n
+        for part in self.parts if i >= 0 else ():
+            n = self._part_len(part)
+            if i < n:
+                return part if isinstance(part, AckEvent) else \
+                    self._ack(part, self._segments(part)[i])
+            i -= n
         raise IndexError("ack index out of range")
-
-    def last_cum_ack(self) -> Optional[float]:
-        """``self[-1].cum_ack_bytes`` read off the last part that has an
-        ACK, or None when the stream has no ACK."""
-        for part in reversed(self.parts):
-            if isinstance(part, AckEvent):
-                return part.cum_ack_bytes
-            ks = self._segments(part)
-            if ks:
-                return float(ks[-1] * self.segment_bytes)
-        return None
-
-    def feedback(self) -> List[AckEvent]:
-        """The breakpoint ACKs: the explicit ACKs and, of each piece, the
-        first and last segment ACK plus the first zero-window one.
-
-        Fed to a ``TrafficProfiler`` registered at the delivery's first
-        byte, they yield the same observation as the whole stream: it keeps
-        the first and the last ACK, the highest cumulative ACK, and the
-        first zero-window ACK. Within a piece the window is monotone, so
-        that ACK is the piece's first one or found by bisection. The first
-        and last ACK of a piece are computed here with the formula of
-        ``_segment_acks``.
-        """
-        seg, cap = self.segment_bytes, self.capacity_bytes
-        floor = math.floor
-        out: List[AckEvent] = []
-        for part in self.parts:
-            if isinstance(part, AckEvent):
-                out.append(part)
-                continue
-            t0, cum0, occ0, fill, net, moved = part
-            k0 = floor(cum0 / seg) + 1
-            k1 = floor((cum0 + moved) / seg)
-            if k1 < k0:
-                continue
-            dt = (k0 * seg - cum0) / fill
-            occ = _clamp(occ0 + net * dt, cap)
-            first = AckEvent(t0 + dt, float(k0 * seg), _nonneg(cap - occ))
-            out.append(first)
-            if k1 == k0:
-                continue
-            dt = (k1 * seg - cum0) / fill
-            occ = _clamp(occ0 + net * dt, cap)
-            last = AckEvent(t0 + dt, float(k1 * seg), _nonneg(cap - occ))
-            if first.advertised_window_bytes > 0 >= \
-                    last.advertised_window_bytes:
-                lo, hi = k0 + 1, k1   # segment hi is zero-window, k0 not
-                while lo < hi:
-                    mid = (lo + hi) // 2
-                    ack, = self._segment_acks(part, (mid,))
-                    if ack.advertised_window_bytes <= 0:
-                        hi = mid
-                    else:
-                        lo = mid + 1
-                if lo < k1:
-                    out.extend(self._segment_acks(part, (lo,)))
-            out.append(last)
-        return out
 
 
 @dataclass(slots=True)
@@ -198,9 +188,8 @@ class DeliveryResult:
 
     ``acks`` is the exact per-segment ACK stream, one ACK per segment
     boundary crossed plus the explicit pin and final ACKs; it is a lazy
-    view whose length is counted without expanding it. ``acks.feedback()``
-    is the short breakpoint subset that gives a profiler the same burst
-    observation.
+    view whose length is counted without expanding it, and it carries the
+    stream's breakpoint summary, from which a burst observation is read.
     """
 
     acks: SegmentAcks
@@ -339,8 +328,13 @@ class StreamingClient:
         self.advance(start_s)
         rate = min(at_rate_bps, self.link_rate_bps) / 8.0  # bytes/s
         positive_finite("delivery rate", rate)
+        if not total_bytes / rate < math.inf:     # an endless delivery
+            field = ("link_rate_bps" if self.link_rate_bps <= at_rate_bps
+                     else "at_rate_bps")
+            raise FieldError(field, f"high enough to deliver {total_bytes:g}"
+                                    f" bytes in a finite time")
 
-        parts: List[Union[FluidPiece, AckEvent]] = []
+        acks = SegmentAcks(self.segment_bytes, self.capacity_bytes)
         remaining = float(total_bytes)
         delivered = 0.0
         zwa_episodes = 0
@@ -430,8 +424,8 @@ class StreamingClient:
                 now = t0 + dt
 
                 if moved > 0:
-                    parts.append(FluidPiece(t0, cum0, occ0, fill,
-                                            0.0 if pinned else net, moved))
+                    acks.add_piece(FluidPiece(t0, cum0, occ0, fill,
+                                              0.0 if pinned else net, moved))
 
                 # breakpoint bookkeeping, in priority order
                 if not started and occ >= startup - eps:
@@ -448,7 +442,7 @@ class StreamingClient:
                     if first_zwa_t is None:
                         first_zwa_t = now
                         bytes_at_zwa = delivered
-                    parts.append(AckEvent(now, cum, 0.0))
+                    acks.add_ack(AckEvent(now, cum, 0.0))
                     if abort_on_zwa:
                         aborted = True
                         break
@@ -459,12 +453,10 @@ class StreamingClient:
             self.total_delivered_bytes, self.playback_position_s = cum, pos
             self.playback_started = started
 
-        # final cumulative ACK so the profiler sees the burst end
-        acks = SegmentAcks(parts, self.segment_bytes, capacity)
-        if delivered > 0:
-            last = acks.last_cum_ack()
-            if last is None or last < cum - 1e-9:
-                parts.append(AckEvent(now, cum, capacity - occ))
+        # a final cumulative ACK marks the burst's end
+        last = acks.last_ack_bytes
+        if delivered > 0 and (last is None or last < cum - 1e-9):
+            acks.add_ack(AckEvent(now, cum, capacity - occ))
         return DeliveryResult(acks, delivered, start_clock, now,
                               zwa_episodes, first_zwa_t, bytes_at_zwa,
                               aborted)

@@ -20,7 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from .client import StreamingClient
 from .energy import RadioProfile, power_surface, surface_to_csv
-from .errors import finite_at_least, positive, positive_finite
+from .errors import FieldError, finite_at_least, positive, positive_finite
 from .profiles import (ConfigError, _read_ini, config_value, get_profile,
                        rejected_as_config)
 from .radio import (ActivityTrace, SignalingCostTable, SignalingLedger,
@@ -205,11 +205,23 @@ def _build_session(scenario: Scenario) -> SimulatedSession:
         adaptive=scenario.adaptive)
 
 
+# the key of each rate a delivery can find too low to end: the client's link
+# rate, or the offered rate it was given, which the bandwidth trace sets
+_RATE_KEYS = {"link_rate_bps": "[client] link_bps",
+              "at_rate_bps": "[bandwidth] trace"}
+
+
 def run(scenario: Scenario,
         costs: Optional[SignalingCostTable] = None) -> RunResult:
     costs = costs or SignalingCostTable.default()
     sim = _build_session(scenario)
-    session = sim.run()
+    try:
+        session = sim.run()
+    except FieldError as exc:
+        if exc.field not in _RATE_KEYS:
+            raise
+        raise ConfigError(f"{scenario.name}: {_RATE_KEYS[exc.field]} rate "
+                          f"must be {exc.rule}") from None
 
     horizon = scenario.session_length_s
     background = scenario.background.spans(horizon, scenario.bandwidth) \

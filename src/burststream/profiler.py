@@ -1,9 +1,17 @@
-"""Traffic profiler: burst timing and zero-window detection.
+"""Burst observations, and the ACK-by-ACK traffic profiler.
 
-Consumes the ACK/window feedback stream for one session. The shaper
-registers each burst's byte range before sending it (bursts are never
-pipelined, so attribution is unambiguous), then feeds ACKs in time order.
-The bandwidth estimate is the transport's: each ``Report`` carries it.
+A ``BurstObservation`` is what the shaper learns of one burst: when its
+first and last ACKs arrived, how many bytes were acknowledged, and whether
+a zero window came first. The simulated session reads it off each
+delivery's breakpoint summary (``client.SegmentAcks``) and the proxy off
+socket backpressure. The bandwidth estimate is the transport's: each
+``Report`` carries it.
+
+``TrafficProfiler`` derives the same observation from the whole ACK
+stream, one ACK at a time: a burst's byte range is registered before it
+is sent (bursts are never pipelined, so attribution is unambiguous), then
+its ACKs are fed in time order. No transport runs it; the tests hold the
+summary to it.
 """
 
 from __future__ import annotations
@@ -11,11 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .client import AckEvent
-
-
-class FeedError(ValueError):
-    """ACK stream violated ordering (cumulative ack went backwards)."""
+from .client import AckEvent, FeedError
 
 
 @dataclass(slots=True)

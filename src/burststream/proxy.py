@@ -19,9 +19,11 @@ and every waiting session in one ``selectors`` selector and a heap of
 deadlines: it runs a new session up to its first wait as it accepts the
 connection, and each waiting one up to its next wait as that wait ends.
 An origin named by a numeric address is connected on the loop; a name is
-looked up on a thread of its own, one per such session, so that no session
-waits on another's lookup. ``close()`` closes every session generator, whose
-``finally`` blocks close its sockets and pipe and write its log rows.
+looked up on one of ``LOOKUP_THREADS`` persistent threads, so that no
+session waits on another's lookup while fewer than that many are in flight,
+and however many sessions name origins, the proxy runs no more threads.
+``close()`` closes every session generator, whose ``finally`` blocks close
+its sockets and pipe and write its log rows, and stops the lookup threads.
 
 The session reads each send's bytes from the origin itself, so the
 origin is flow-controlled by the same backpressure and no copy of the body
@@ -76,6 +78,7 @@ import itertools
 import logging
 import math
 import os
+import queue
 import re
 import selectors
 import socket
@@ -424,37 +427,81 @@ class _OriginResponse:
         return line
 
 
-def _lookup(host: str, port: int, deadline: float) -> _Steps[list]:
-    """``socket.getaddrinfo`` for the name ``host``, by ``deadline``. The
-    lookup runs on a thread of its own, which closes a pipe once it is
-    done; the session waits for the pipe."""
-    done, finish = os.pipe()
-    found: list = []
+# the threads that look origin names up, per proxy: a lookup mostly waits on
+# the resolver, so a few overlap the lookups of sessions that start together
+LOOKUP_THREADS = 4
 
-    def resolve() -> None:
+
+class _Lookup:
+    """One name lookup. Its session waits for the pipe end ``done`` to
+    turn readable; a worker closes the other end, ``finish``, once
+    ``found`` holds the addresses or the error. The session sets
+    ``abandoned`` when it stops waiting, and a worker that has not begun
+    the lookup by then skips it."""
+
+    __slots__ = ("host", "port", "done", "finish", "found", "abandoned")
+
+    def __init__(self, host: str, port: int):
+        self.host, self.port = host, port
+        self.done, self.finish = os.pipe()
+        self.found: object = None
+        self.abandoned = False
+
+
+class _Lookups:
+    """``socket.getaddrinfo`` for origin names on ``LOOKUP_THREADS``
+    persistent threads, started at the first lookup, so that a session
+    never waits on another's lookup unless that many are in flight, and a
+    flood of named origins adds no thread beyond them."""
+
+    def __init__(self):
+        self._queue: "queue.SimpleQueue[Optional[_Lookup]]" = \
+            queue.SimpleQueue()
+        self._workers: List[threading.Thread] = []
+
+    def lookup(self, host: str, port: int, deadline: float) -> _Steps[list]:
+        """The addresses of ``host:port``, by ``deadline``."""
+        job = _Lookup(host, port)
         try:
-            found.append(socket.getaddrinfo(host, port,
-                                            type=socket.SOCK_STREAM))
-        except Exception as exc:
-            found.append(exc)
+            try:
+                while len(self._workers) < LOOKUP_THREADS:
+                    worker = threading.Thread(target=self._work, daemon=True,
+                                              name="burststream-lookup")
+                    worker.start()
+                    self._workers.append(worker)
+                self._queue.put(job)
+            except BaseException:
+                os.close(job.finish)
+                raise
+            yield from _ready(job.done, False, deadline)
         finally:
-            os.close(finish)
+            job.abandoned = True
+            os.close(job.done)
+        if isinstance(job.found, Exception):
+            raise job.found
+        return job.found
 
-    try:
-        try:
-            threading.Thread(target=resolve, daemon=True).start()
-        except BaseException:
-            os.close(finish)
-            raise
-        yield from _ready(done, False, deadline)
-    finally:
-        os.close(done)
-    if isinstance(found[0], Exception):
-        raise found[0]
-    return found[0]
+    def _work(self) -> None:
+        while (job := self._queue.get()) is not None:
+            try:
+                if not job.abandoned:
+                    job.found = socket.getaddrinfo(job.host, job.port,
+                                                   type=socket.SOCK_STREAM)
+            except Exception as exc:
+                job.found = exc
+            finally:
+                os.close(job.finish)
+
+    def close(self) -> None:
+        """Stop the workers once each has ended the lookup in hand."""
+        for _ in self._workers:
+            self._queue.put(None)
+        for worker in self._workers:
+            worker.join()
+        self._workers.clear()
 
 
-def _connect(host: str, port: int, deadline: float,
+def _connect(host: str, port: int, deadline: float, lookups: _Lookups,
              ) -> _Steps[socket.socket]:
     """A non-blocking socket connected to ``host:port`` by ``deadline``,
     trying each of its addresses in turn, as
@@ -463,7 +510,7 @@ def _connect(host: str, port: int, deadline: float,
         addresses = socket.getaddrinfo(host, port, type=socket.SOCK_STREAM,
                                        flags=socket.AI_NUMERICHOST)
     except socket.gaierror:
-        addresses = yield from _lookup(host, port, deadline)
+        addresses = yield from lookups.lookup(host, port, deadline)
     error: Optional[BaseException] = None
     for family, kind, proto, _, address in addresses:
         sock = socket.socket(family, kind, proto)
@@ -484,8 +531,8 @@ def _connect(host: str, port: int, deadline: float,
     raise error or OSError(f"no address for {host!r}")
 
 
-def _fetch(host: str, port: int, path: str,
-           wanted: Optional[str]) -> _Steps[_OriginResponse]:
+def _fetch(host: str, port: int, path: str, wanted: Optional[str],
+           lookups: _Lookups) -> _Steps[_OriginResponse]:
     """Send the origin the request for ``path`` and read its response
     head, skipping any ``100 Continue``; one ``ORIGIN_TIMEOUT_S`` covers
     the connection and every head. A ProxyError with the client's answer
@@ -498,7 +545,7 @@ def _fetch(host: str, port: int, path: str,
     deadline = time.monotonic() + ORIGIN_TIMEOUT_S
     sock = None
     try:
-        sock = yield from _connect(host, port, deadline)
+        sock = yield from _connect(host, port, deadline, lookups)
         yield from _send_all(sock, request, deadline)
         while True:
             response = _OriginResponse(
@@ -892,6 +939,7 @@ class ShapingProxy:
         self._deadlines: List[list] = []
         self._woken = 0                  # heap entries whose session is None
         self._order = itertools.count()
+        self._lookups = _Lookups()
 
     # -- lifecycle --------------------------------------------------------
 
@@ -920,7 +968,8 @@ class ShapingProxy:
             self.close()
 
     def close(self) -> None:
-        """Stop the loop, which closes every session, and wait for it."""
+        """Stop the loop, which closes every session, and wait for it; then
+        stop the lookup threads."""
         self._stop.set()
         if self._loop is None:
             return
@@ -928,6 +977,7 @@ class ShapingProxy:
             self._wake[1].send(b"\0")
         self._loop.join()
         self._wake[1].close()
+        self._lookups.close()
 
     # -- the loop ------------------------------------------------------------
 
@@ -1137,7 +1187,8 @@ class ShapingProxy:
         # the client's Range (the protocol's ``seconds=N-``) goes on to the
         # origin, whose 206 or 204 answers it
         wanted = _header(head, "Range")
-        response = yield from _fetch(host, port, path, wanted)
+        response = yield from _fetch(host, port, path, wanted,
+                                     self._lookups)
         with closing(response):
             yield from self._relay(conn, addr, response, f"{host}:{port}")
 

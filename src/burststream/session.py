@@ -2,10 +2,10 @@
 
 ``SimulatedSession`` is the simulated transport of the shaping loop: it
 performs each send a ``ShapingController`` asks for against the fluid
-client, feeds the ACKs through the traffic profiler, and reports back, on
-one simulated clock up to the session horizon. Also provides the isolated
-probe search and the linear-sweep oracle used to validate the search
-against a client of known buffer size.
+client, reads the burst's observation off the delivery's breakpoint ACK
+summary, and reports back, on one simulated clock up to the session
+horizon. Also provides the isolated probe search and the linear-sweep
+oracle used to validate the search against a client of known buffer size.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
-from .client import StreamingClient
+from .client import SegmentAcks, StreamingClient
 from .errors import finite_at_least, positive
-from .profiler import TrafficProfiler
+from .profiler import BurstObservation
 from .shaper import (Phase, Report, Send, Shaper, ShapingController,
                      StreamSpec)
 
@@ -103,23 +103,19 @@ class SimulatedSession:
         self.shaper = Shaper(stream, granularity_s)
         self.controller = ShapingController(self.shaper, low_bw_chunk_s,
                                             adaptive)
-        self.profiler = TrafficProfiler()
         self.activity_spans: List[Tuple[float, float, float]] = []
         self.trajectory_points: List[Tuple] = []
         self.quality_switches: List[Tuple[float, int]] = []
-        self.zwa_bursts = 0
+        self.zwa_bursts = self._sends = 0
 
     def _deliver(self, send: Send) -> Report:
-        """Perform one send through the profiler and the fluid client."""
+        """Perform one send against the fluid client."""
         size, send_at = send.size_bytes, send.at_s
-        self.profiler.begin_burst(size, self.client.total_delivered_bytes,
-                                  send_at)
+        start_byte = self.client.total_delivered_bytes
         res = self.client.deliver(size, self.bandwidth.at(send_at), send_at,
                                   abort_on_zwa=send.abort_on_zwa)
-        ingest = self.profiler.ingest
-        for ack in res.acks.feedback():
-            ingest(ack)
-        obs = self.profiler.finish_burst()
+        obs = _observe(res.acks, self._sends, size, start_byte, send_at)
+        self._sends += 1
         delivered = res.delivered_bytes
         if res.end_s > send_at and delivered > 0:
             self.activity_spans.append((send_at, res.end_s, delivered))
@@ -158,6 +154,22 @@ class SimulatedSession:
             shaper)
 
 
+def _observe(acks: SegmentAcks, burst_id: int, size: float,
+             start_byte: float, send_at: float) -> BurstObservation:
+    """The burst of ``size`` bytes from ``start_byte`` as its delivery's ACK
+    summary shows it: what a ``TrafficProfiler`` fed every ACK observes."""
+    cum = acks.last_ack_bytes
+    if cum is None:
+        return BurstObservation(burst_id, size, start_byte, send_at)
+    end = start_byte + size
+    zwa_s = acks.zwa_ack_s
+    return BurstObservation(
+        burst_id, size, start_byte, send_at, acks.first_ack_s,
+        acks.last_ack_s, (end if end < cum else cum) - start_byte,
+        cum >= end - 1e-9, zwa_s is not None, zwa_s,
+        None if zwa_s is None else acks.zwa_ack_bytes - start_byte)
+
+
 # -- search validation utilities ---------------------------------------------
 
 @dataclass
@@ -186,13 +198,9 @@ def probe_search(capacity_bytes: float, r_s_bps: float, t_max_s: float,
         probes.append(t)
         client = StreamingClient(capacity_bytes, r_s_bps, link_bps,
                                  segment_bytes=segment_bytes)
-        profiler = TrafficProfiler()
         size = t * r_s_bps / 8.0
-        profiler.begin_burst(size, 0.0, 0.0, burst_id=rounds)
         res = client.deliver(size, link_bps, 0.0, abort_on_zwa=True)
-        for ack in res.acks.feedback():
-            profiler.ingest(ack)
-        obs = profiler.finish_burst()
+        obs = _observe(res.acks, rounds, size, 0.0, 0.0)
         rounds += 1
         zwa = zwa or obs.zwa_seen
         shaper.on_burst_feedback(obs)

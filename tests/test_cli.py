@@ -395,6 +395,17 @@ class TestMalformedFiles:
         assert main(["run", str(path)]) == 1
         assert key in error_line(capsys)
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("client", "link_bps", "1e-308"), ("bandwidth", "trace", "0:1e-308")])
+    def test_rate_too_low_to_end_a_delivery(self, capsys, tmp_path, section,
+                                            key, value):
+        # each passes every rule at load, but a delivery at that rate would
+        # take an endless time: the run ended in an OverflowError traceback
+        path = tmp_path / "bad.ini"
+        path.write_text(ini_text(with_key(SCENARIO, section, key, value)))
+        assert main(["run", str(path)]) == 1
+        assert f"[{section}] {key} rate must be" in error_line(capsys)
+
     @pytest.mark.parametrize("value", ["abc", "-5"])
     def test_looped_content_checks_its_duration(self, capsys, tmp_path,
                                                 value):

@@ -4,8 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from burststream import AckEvent, DeliveryOrderError, StreamingClient
+from burststream import (AckEvent, DeliveryOrderError, FeedError,
+                         StreamingClient)
 from burststream.client import SegmentAcks
+from burststream.errors import FieldError
 
 
 def make_client(capacity=4_000_000, r_s=500e3, link=16e6, startup=2.0,
@@ -190,24 +192,49 @@ class TestPostZwaRate:
         assert avg_rate == pytest.approx(500e3, rel=0.01)
 
 
-class TestLastCumAck:
+class TestAckSummary:
     @given(st.lists(st.tuples(st.floats(0.0, 2e6), st.floats(1e6, 5e7),
                               st.floats(0.0, 30.0)), min_size=1, max_size=8),
            st.integers(100, 3000))
     @settings(max_examples=100, deadline=None)
-    def test_reads_the_last_ack_of_every_prefix(self, ops, segment_bytes):
+    def test_reads_the_stream_of_every_prefix(self, ops, segment_bytes):
         # every prefix of a delivery's parts, the empty one and those
-        # ending in a piece that crosses no segment boundary included
+        # ending in a piece that crosses no segment boundary included: the
+        # summary holds the first and the last ACK of the stream so far
         c = make_client(capacity=3_000_000, r_s=750e3,
                         segment_bytes=segment_bytes)
         t = 0.0
         for nbytes, rate, gap in ops:
             res = c.deliver(nbytes, rate, t)
-            parts = res.acks.parts
-            for k in range(len(parts) + 1):
-                acks = SegmentAcks(parts[:k], segment_bytes, c.capacity_bytes)
-                last = acks.last_cum_ack()
-                assert (last is None) == (len(acks) == 0)
-                if last is not None:
-                    assert last == acks[-1].cum_ack_bytes
+            acks = SegmentAcks(segment_bytes, c.capacity_bytes)
+            for part in [None, *res.acks.parts]:
+                if isinstance(part, AckEvent):
+                    acks.add_ack(part)
+                elif part is not None:
+                    acks.add_piece(part)
+                assert (acks.last_ack_bytes is None) == (len(acks) == 0)
+                if len(acks):
+                    assert (acks.first_ack_s, acks.last_ack_s,
+                            acks.last_ack_bytes) == (
+                        acks[0].time_s, acks[-1].time_s,
+                        acks[-1].cum_ack_bytes)
             t = res.end_s + gap
+
+    def test_regressed_ack_rejected(self):
+        acks = SegmentAcks(1460, 1e6)
+        acks.add_ack(AckEvent(0.1, 3000.0, 1000.0))
+        with pytest.raises(FeedError):
+            acks.add_ack(AckEvent(0.2, 2000.0, 0.0))
+        assert acks.last_ack_bytes == 3000.0 and len(acks) == 1
+
+
+class TestRateTooLowToEnd:
+    @pytest.mark.parametrize("link, offered, field", [
+        (1e-308, 16e6, "link_rate_bps"), (16e6, 1e-308, "at_rate_bps")])
+    def test_endless_delivery_names_its_rate(self, link, offered, field):
+        # the burst would take an endless time: it raised OverflowError
+        # from the ACK arithmetic
+        c = make_client(link=link)
+        with pytest.raises(FieldError, match="finite time") as err:
+            c.deliver(288_000, offered, 0.0)
+        assert err.value.field == field

@@ -1,6 +1,8 @@
-"""Profiler tests: burst timing, ZWA capture, breakpoint feedback."""
+"""Profiler tests: burst timing and ZWA capture, and the delivery's
+breakpoint summary held to the profiler fed every ACK."""
 
 import random
+from dataclasses import asdict
 
 import pytest
 from hypothesis import assume, given, settings
@@ -9,7 +11,9 @@ from hypothesis import strategies as st
 from burststream import (AckEvent, BandwidthTrace, FeedError, QualityLevel,
                          SimulatedSession, StreamingClient, StreamSpec,
                          TrafficProfiler)
+from burststream import session as session_module
 from burststream.client import FluidPiece, SegmentAcks
+from burststream.session import _observe
 
 
 def run_burst(profiler, client, size, rate, start, burst_id=None,
@@ -81,12 +85,13 @@ class TestIngest:
         assert obs2.acked_bytes == pytest.approx(500_000)
 
 
-# -- breakpoint feedback against the dense per-segment stream ---------------
+# -- the breakpoint summary against the dense per-segment stream ------------
 
 SEGMENT_SIZES = (536, 1460, 9000)
 
 
 def observe(acks, size, start_byte, send_at):
+    """The reference: a profiler fed ``acks`` one at a time."""
     profiler = TrafficProfiler()
     profiler.begin_burst(size, start_byte, send_at)
     for ack in acks:
@@ -94,41 +99,27 @@ def observe(acks, size, start_byte, send_at):
     return profiler.finish_burst()
 
 
-def picked_from_dense(acks):
-    """The breakpoint ACKs picked out of each part's expanded ACKs: an
-    explicit ACK, and of a piece its first ACK, its first zero-window ACK
-    when that lies strictly inside, and its last ACK."""
-    out = []
-    for part in acks.parts:
-        if isinstance(part, AckEvent):
-            out.append(part)
-            continue
-        dense = acks._segment_acks(part, acks._segments(part))
-        if not dense:
-            continue
-        out.append(dense[0])
-        onset = next((i for i, a in enumerate(dense)
-                      if a.advertised_window_bytes <= 0), None)
-        if onset is not None and 0 < onset < len(dense) - 1:
-            out.append(dense[onset])
-        if len(dense) > 1:
-            out.append(dense[-1])
-    return out
+def assert_summary_of(acks, size, start_byte, send_at):
+    """Require the summary of ``acks`` to hold the first and last ACK and
+    the first zero-window ACK of the dense stream, and the observation read
+    off it to equal the profiler's of that stream, field by field."""
+    dense = list(acks)
+    assert len(acks) == len(dense)
+    zwa = next((a for a in dense if a.advertised_window_bytes <= 0), None)
+    assert (acks.first_ack_s, acks.last_ack_s, acks.last_ack_bytes) == (
+        (dense[0].time_s, dense[-1].time_s, dense[-1].cum_ack_bytes)
+        if dense else (None, None, None))
+    assert (acks.zwa_ack_s, acks.zwa_ack_bytes) == (
+        (zwa.time_s, zwa.cum_ack_bytes) if zwa else (None, None))
+    assert asdict(_observe(acks, 0, size, start_byte, send_at)) == \
+        asdict(observe(dense, size, start_byte, send_at))
 
 
-def deliver_both_feeds(client, nbytes, rate, at, abort=False):
-    """Deliver one burst; require the breakpoint feed to be the ACKs picked
-    from the dense stream, a subsequence of it, and to give the profiler
-    the same observation."""
+def deliver_checked(client, nbytes, rate, at, abort=False):
+    """Deliver one burst and hold its summary to the dense stream."""
     start_byte = client.total_delivered_bytes
     res = client.deliver(nbytes, rate, at, abort_on_zwa=abort)
-    dense = list(res.acks)
-    assert len(res.acks) == len(dense)
-    assert res.acks.feedback() == picked_from_dense(res.acks)
-    rest = iter(dense)
-    assert all(any(ack == d for d in rest) for ack in res.acks.feedback())
-    assert observe(res.acks.feedback(), nbytes, start_byte, at) == \
-        observe(dense, nbytes, start_byte, at)
+    assert_summary_of(res.acks, nbytes, start_byte, at)
     return res
 
 
@@ -154,7 +145,7 @@ class TestBreakpointFeedback:
                                  segment_bytes=seg)
         t = 0.0
         for nbytes, rate, gap, abort in ops:
-            res = deliver_both_feeds(client, nbytes, rate, t, abort)
+            res = deliver_checked(client, nbytes, rate, t, abort)
             t = res.end_s + gap
 
     @pytest.mark.parametrize("net, place", [(5e-10, "second"),
@@ -162,14 +153,15 @@ class TestBreakpointFeedback:
                                             (1e-12, "last but one")])
     def test_zero_window_from_a_middle_segment(self, net, place):
         # occupancy creeps to within rounding of the capacity: the window
-        # reads 0 from a middle segment of the piece on, and the feedback
-        # carries that segment's ACK as the first zero-window one
+        # reads 0 from a middle segment of the piece on, and the summary
+        # finds that segment's ACK as the first zero-window one
         cap, seg = 1e6, 1460
 
         def piece(segments):
-            return SegmentAcks([FluidPiece(0.0, 0.0, cap - 1e-9, float(seg),
-                                           net, segments * float(seg))],
-                               seg, cap)
+            acks = SegmentAcks(seg, cap)
+            acks.add_piece(FluidPiece(0.0, 0.0, cap - 1e-9, float(seg), net,
+                                      segments * float(seg)))
+            return acks
 
         def onset_of(acks):
             return next(i for i, a in enumerate(acks)
@@ -184,54 +176,51 @@ class TestBreakpointFeedback:
         assert onset == {"second": 1, "last but one": len(dense) - 2}.get(
             place, onset)
         assert 0 < onset < len(dense) - 1
-        assert dense[onset] in acks.feedback()
-        assert acks.feedback() == picked_from_dense(acks)
-        size = segments * float(seg)
-        assert observe(acks.feedback(), size, 0.0, 0.0) == \
-            observe(dense, size, 0.0, 0.0)
+        assert (acks.zwa_ack_s, acks.zwa_ack_bytes) == dense[onset][:2]
+        assert_summary_of(acks, segments * float(seg), 0.0, 0.0)
 
     @pytest.mark.parametrize("seg", SEGMENT_SIZES)
     def test_pinned_at_start(self, seg):
         client = StreamingClient(100_000, 1e6, startup_threshold_s=0.0,
                                  segment_bytes=seg)
-        first = deliver_both_feeds(client, 400_000, 2e7, 0.0, abort=True)
-        res = deliver_both_feeds(client, 50_000, 2e7, first.end_s)
+        first = deliver_checked(client, 400_000, 2e7, 0.0, abort=True)
+        res = deliver_checked(client, 50_000, 2e7, first.end_s)
         assert res.acks and \
             all(a.advertised_window_bytes == 0.0 for a in res.acks)
 
     @pytest.mark.parametrize("seg", SEGMENT_SIZES)
     def test_abort_on_zwa(self, seg):
         client = StreamingClient(100_000, 1e6, segment_bytes=seg)
-        res = deliver_both_feeds(client, 400_000, 2e7, 0.0, abort=True)
+        res = deliver_checked(client, 400_000, 2e7, 0.0, abort=True)
         assert res.aborted
-        assert res.acks.feedback()[-1].advertised_window_bytes == 0
+        assert res.acks[-1].advertised_window_bytes == 0
 
     @pytest.mark.parametrize("seg", SEGMENT_SIZES)
     def test_startup_threshold_crossed(self, seg):
         client = StreamingClient(1_000_000, 1e6, startup_threshold_s=2.0,
                                  segment_bytes=seg)
-        deliver_both_feeds(client, 100_000, 2e7, 0.0)
+        deliver_checked(client, 100_000, 2e7, 0.0)
         assert not client.playback_started
-        deliver_both_feeds(client, 300_000, 2e7, client.now_s)
+        deliver_checked(client, 300_000, 2e7, client.now_s)
         assert client.playback_started
 
     @pytest.mark.parametrize("seg", SEGMENT_SIZES)
     def test_stall_closes_mid_burst(self, seg):
         client = StreamingClient(1_000_000, 1e6, startup_threshold_s=1.0,
                                  segment_bytes=seg)
-        first = deliver_both_feeds(client, 200_000, 2e7, 0.0)
+        first = deliver_checked(client, 200_000, 2e7, 0.0)
         client.advance(first.end_s + 5.0)
         assert client.stall_log[-1][1] is None
-        res = deliver_both_feeds(client, 400_000, 2e7, client.now_s)
+        res = deliver_checked(client, 400_000, 2e7, client.now_s)
         assert res.start_s < client.stall_log[-1][1] < res.end_s
 
     @pytest.mark.parametrize("seg", SEGMENT_SIZES)
     def test_pieces_shorter_than_a_segment(self, seg):
         client = StreamingClient(1_000_000, 1e6, startup_threshold_s=1.0,
                                  segment_bytes=seg)
-        deliver_both_feeds(client, 124_990, 2e7, 0.0)
+        deliver_checked(client, 124_990, 2e7, 0.0)
         # the startup threshold falls 10 bytes into this delivery
-        res = deliver_both_feeds(client, 3 * seg, 2e7, client.now_s)
+        res = deliver_checked(client, 3 * seg, 2e7, client.now_s)
         assert any(isinstance(p, FluidPiece) and p.moved < seg
                    for p in res.acks.parts)
 
@@ -260,23 +249,20 @@ def seeded_session(seed):
 
 def test_seeded_sessions_observe_the_same_bursts_from_both_feeds(
         monkeypatch):
-    deliver = StreamingClient.deliver
-    mismatches = []
+    # every observation a session reads off a delivery's summary is the
+    # one the profiler makes of the delivery's whole ACK stream
+    observe_summary = session_module._observe
     bursts = []
 
-    def checked(self, total_bytes, at_rate_bps, start_s, **kw):
-        start_byte = self.total_delivered_bytes
-        res = deliver(self, total_bytes, at_rate_bps, start_s, **kw)
-        dense = observe(res.acks, total_bytes, start_byte, start_s)
-        feedback = res.acks.feedback()
-        sparse = observe(feedback, total_bytes, start_byte, start_s)
-        bursts.append(dense)
-        if dense != sparse or feedback != picked_from_dense(res.acks):
-            mismatches.append((dense, sparse))
-        return res
+    def checked(acks, burst_id, size, start_byte, send_at):
+        obs = observe_summary(acks, burst_id, size, start_byte, send_at)
+        dense = observe(acks, size, start_byte, send_at)
+        dense.burst_id = burst_id
+        bursts.append((asdict(obs), asdict(dense)))
+        return obs
 
-    monkeypatch.setattr(StreamingClient, "deliver", checked)
+    monkeypatch.setattr(session_module, "_observe", checked)
     for seed in range(24):
         seeded_session(seed).run()
-    assert bursts and any(obs.zwa_seen for obs in bursts)
-    assert mismatches == []
+    assert bursts and any(obs["zwa_seen"] for obs, _ in bursts)
+    assert [obs for obs, dense in bursts if obs != dense] == []

@@ -621,7 +621,7 @@ class TestProxySmoke:
             proxy.close()
             origin.shutdown()
 
-    def test_concurrent_sessions_leave_only_the_accept_thread(self):
+    def test_concurrent_sessions_leave_no_thread(self):
         # 8 clients at once, 4 times over, on a short switch interval: every
         # session ends, and none leaves a thread behind
         total = 100_000               # fits in the Fast Start
@@ -694,8 +694,8 @@ def _first_body_bytes(sock, first):
 
 
 class TestOriginPull:
-    """The session thread reads the origin body itself, one send at a
-    time: no thread of its own and no byte limit."""
+    """The session reads the origin body itself, one send at a time, on
+    the loop thread: no thread of its own and no byte limit."""
 
     def test_origin_reset_mid_body(self):
         # the origin declares 400 kB and resets after 128 kB: the client
@@ -724,7 +724,7 @@ class TestOriginPull:
             proxy.close()
             origin.shutdown()
 
-    def test_session_adds_one_thread(self):
+    def test_session_adds_no_thread(self):
         # an origin paced at 2 Mbit/s takes 4 s over a 1 MB body, so the
         # session is still reading it when its first bytes arrive
         origin = _serve(_Origin(1_000_000, 1e6, rate_cap_bps=2e6))
@@ -1990,6 +1990,109 @@ class TestLoop:
         finally:
             proxy.close()
             origin.shutdown()
+
+    def test_named_origin_lookups_share_a_bounded_pool(self, monkeypatch):
+        # 20 sessions at once, each naming its origin by a host name that
+        # takes 0.2 s to look up: every one is served whole, the lookups
+        # run LOOKUP_THREADS at a time on that many threads of the proxy's,
+        # and close() stops them
+        total = 100_000               # fits in the Fast Start
+        origin = _serve(_Origin(total, 4e6, distinct=True))
+        port = origin.server_address[1]
+        getaddrinfo = socket.getaddrinfo
+        lock = threading.Lock()
+        in_flight = [0, 0]            # now, most at once
+        samples = []                  # the threads alive, seen in lookups
+
+        def slow(host, *args, flags=0, **kwargs):
+            if host.endswith(".example") and \
+                    not flags & socket.AI_NUMERICHOST:
+                with lock:
+                    in_flight[0] += 1
+                    in_flight[1] = max(in_flight)
+                    samples.append(set(threading.enumerate()))
+                time.sleep(0.2)
+                with lock:
+                    in_flight[0] -= 1
+                host = "127.0.0.1"
+            return getaddrinfo(host, *args, flags=flags, **kwargs)
+
+        monkeypatch.setattr(socket, "getaddrinfo", slow)
+        before = set(threading.enumerate())
+        proxy = ShapingProxy(SessionConfig(listen=("127.0.0.1", 0),
+                                           fast_start_seconds=1.0))
+        addr = proxy.start()
+        baseline = set(threading.enumerate())
+        socks = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for i in range(20):
+                socks.append(socket.create_connection(addr, timeout=15.0))
+                socks[-1].sendall(b"GET http://origin-%d.example:%d/s "
+                                  b"HTTP/1.1\r\nHost: x\r\n\r\n" % (i, port))
+            for sock in socks:
+                body = bytearray(_read_head(sock)[1])
+                sock.settimeout(15.0)
+                while data := sock.recv(65536):
+                    body += data
+                samples.append(set(threading.enumerate()))
+                assert body == _distinct_bytes(total)
+        finally:
+            sys.setswitchinterval(interval)
+            for sock in socks:
+                sock.close()
+            proxy.close()
+            origin.shutdown()
+        # every origin handler has registered itself by now
+        added = [sample - baseline - origin.handler_threads
+                 for sample in samples]
+        assert in_flight[1] == proxy_module.LOOKUP_THREADS
+        assert max(map(len, added)) == proxy_module.LOOKUP_THREADS
+        assert not set(threading.enumerate()) - before - \
+            origin.handler_threads
+
+    def test_lookup_of_a_session_that_gave_up_is_skipped(self,
+                                                         monkeypatch):
+        # one lookup thread, busy 0.6 s with the first name: the second
+        # session's 0.2 s origin deadline passes while its lookup waits in
+        # the queue, so it answers 502, and the thread never looks the
+        # second name up
+        monkeypatch.setattr(proxy_module, "LOOKUP_THREADS", 1)
+        monkeypatch.setattr(proxy_module, "ORIGIN_TIMEOUT_S", 0.2)
+        looked_up = []
+        started = threading.Event()
+        getaddrinfo = socket.getaddrinfo
+
+        def slow(host, *args, flags=0, **kwargs):
+            if host.endswith(".example") and \
+                    not flags & socket.AI_NUMERICHOST:
+                looked_up.append(host)
+                started.set()
+                time.sleep(0.6)
+                raise socket.gaierror(socket.EAI_NONAME, "no such name")
+            return getaddrinfo(host, *args, flags=flags, **kwargs)
+
+        monkeypatch.setattr(socket, "getaddrinfo", slow)
+        proxy = ShapingProxy(SessionConfig(listen=("127.0.0.1", 0)))
+        addr = proxy.start()
+        try:
+            with socket.create_connection(addr, timeout=10.0) as first, \
+                    socket.create_connection(addr, timeout=10.0) as second:
+                first.sendall(b"GET http://first.example/s HTTP/1.1\r\n"
+                              b"Host: x\r\n\r\n")
+                assert started.wait(5.0)
+                second.sendall(b"GET http://second.example/s HTTP/1.1\r\n"
+                               b"Host: x\r\n\r\n")
+                for sock in (first, second):
+                    reply = b""
+                    while data := sock.recv(4096):
+                        reply += data
+                    assert reply == _bare_status(b"502 Bad Gateway")
+        finally:
+            proxy.close()
+        # close() has waited for the thread to take every queued lookup
+        assert looked_up == ["first.example"]
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                         reason="counts /proc/self/fd")
