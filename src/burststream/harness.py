@@ -211,6 +211,15 @@ _RATE_KEYS = {"link_rate_bps": "[client] link_bps",
               "at_rate_bps": "[bandwidth] trace"}
 
 
+def _rate_key(scenario: Scenario, field: str) -> str:
+    """The key that set the rate ``field`` of a delivery in ``scenario``;
+    a scenario without a trace offers its profile's rate."""
+    if field == "at_rate_bps" and scenario.bandwidth.steps == (
+            (0.0, scenario.profile.r_btc_bps),):
+        return "[profile] r_btc_bps"
+    return _RATE_KEYS[field]
+
+
 def run(scenario: Scenario,
         costs: Optional[SignalingCostTable] = None) -> RunResult:
     costs = costs or SignalingCostTable.default()
@@ -220,8 +229,8 @@ def run(scenario: Scenario,
     except FieldError as exc:
         if exc.field not in _RATE_KEYS:
             raise
-        raise ConfigError(f"{scenario.name}: {_RATE_KEYS[exc.field]} rate "
-                          f"must be {exc.rule}") from None
+        raise ConfigError(f"{scenario.name}: {_rate_key(scenario, exc.field)}"
+                          f" rate must be {exc.rule}") from None
 
     horizon = scenario.session_length_s
     background = scenario.background.spans(horizon, scenario.bandwidth) \

@@ -19,11 +19,12 @@ and every waiting session in one ``selectors`` selector and a heap of
 deadlines: it runs a new session up to its first wait as it accepts the
 connection, and each waiting one up to its next wait as that wait ends.
 An origin named by a numeric address is connected on the loop; a name is
-looked up on one of ``LOOKUP_THREADS`` persistent threads, so that no
-session waits on another's lookup while fewer than that many are in flight,
-and however many sessions name origins, the proxy runs no more threads.
-``close()`` closes every session generator, whose ``finally`` blocks close
-its sockets and pipe and write its log rows, and stops the lookup threads.
+looked up on a pool of at most ``LOOKUP_THREADS`` threads, so that
+however many sessions name origins, the proxy runs no more threads; while
+that many lookups are in flight, a later named origin waits for one of
+them to end. ``close()`` closes every session generator, whose ``finally``
+blocks close its sockets and pipe and write its log rows, and stops the
+lookup threads.
 
 The session reads each send's bytes from the origin itself, so the
 origin is flow-controlled by the same backpressure and no copy of the body
@@ -78,12 +79,12 @@ import itertools
 import logging
 import math
 import os
-import queue
 import re
 import selectors
 import socket
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, suppress
 from dataclasses import dataclass
 from http import HTTPStatus
@@ -427,82 +428,38 @@ class _OriginResponse:
         return line
 
 
-# the threads that look origin names up, per proxy: a lookup mostly waits on
-# the resolver, so a few overlap the lookups of sessions that start together
+# the threads that look origin names up, per proxy: while that many lookups
+# are in flight, a later named origin waits for one of them to end. The
+# count is a guess, not measured against real traffic; BENCH_24.json's
+# named_origin rows give its cost with a fake resolver that sleeps
 LOOKUP_THREADS = 4
 
 
-class _Lookup:
-    """One name lookup. Its session waits for the pipe end ``done`` to
-    turn readable; a worker closes the other end, ``finish``, once
-    ``found`` holds the addresses or the error. The session sets
-    ``abandoned`` when it stops waiting, and a worker that has not begun
-    the lookup by then skips it."""
-
-    __slots__ = ("host", "port", "done", "finish", "found", "abandoned")
-
-    def __init__(self, host: str, port: int):
-        self.host, self.port = host, port
-        self.done, self.finish = os.pipe()
-        self.found: object = None
-        self.abandoned = False
-
-
-class _Lookups:
-    """``socket.getaddrinfo`` for origin names on ``LOOKUP_THREADS``
-    persistent threads, started at the first lookup, so that a session
-    never waits on another's lookup unless that many are in flight, and a
-    flood of named origins adds no thread beyond them."""
-
-    def __init__(self):
-        self._queue: "queue.SimpleQueue[Optional[_Lookup]]" = \
-            queue.SimpleQueue()
-        self._workers: List[threading.Thread] = []
-
-    def lookup(self, host: str, port: int, deadline: float) -> _Steps[list]:
-        """The addresses of ``host:port``, by ``deadline``."""
-        job = _Lookup(host, port)
-        try:
-            try:
-                while len(self._workers) < LOOKUP_THREADS:
-                    worker = threading.Thread(target=self._work, daemon=True,
-                                              name="burststream-lookup")
-                    worker.start()
-                    self._workers.append(worker)
-                self._queue.put(job)
-            except BaseException:
-                os.close(job.finish)
-                raise
-            yield from _ready(job.done, False, deadline)
-        finally:
-            job.abandoned = True
-            os.close(job.done)
-        if isinstance(job.found, Exception):
-            raise job.found
-        return job.found
-
-    def _work(self) -> None:
-        while (job := self._queue.get()) is not None:
-            try:
-                if not job.abandoned:
-                    job.found = socket.getaddrinfo(job.host, job.port,
-                                                   type=socket.SOCK_STREAM)
-            except Exception as exc:
-                job.found = exc
-            finally:
-                os.close(job.finish)
-
-    def close(self) -> None:
-        """Stop the workers once each has ended the lookup in hand."""
-        for _ in self._workers:
-            self._queue.put(None)
-        for worker in self._workers:
-            worker.join()
-        self._workers.clear()
+def _lookup(pool: ThreadPoolExecutor, host: str, port: int,
+            deadline: float) -> _Steps[list]:
+    """The addresses of ``host:port``, looked up on ``pool`` by
+    ``deadline``. The session waits for a pipe that the lookup's end
+    closes; a lookup still queued when the session stops waiting is
+    skipped."""
+    done, finish = os.pipe()
+    try:
+        found = pool.submit(socket.getaddrinfo, host, port,
+                            type=socket.SOCK_STREAM)
+    except BaseException:
+        os.close(done)
+        os.close(finish)
+        raise
+    found.add_done_callback(lambda _: os.close(finish))
+    try:
+        yield from _ready(done, False, deadline)
+    finally:
+        found.cancel()
+        os.close(done)
+    return found.result()
 
 
-def _connect(host: str, port: int, deadline: float, lookups: _Lookups,
-             ) -> _Steps[socket.socket]:
+def _connect(host: str, port: int, deadline: float,
+             lookups: ThreadPoolExecutor) -> _Steps[socket.socket]:
     """A non-blocking socket connected to ``host:port`` by ``deadline``,
     trying each of its addresses in turn, as
     ``socket.create_connection`` does."""
@@ -510,7 +467,7 @@ def _connect(host: str, port: int, deadline: float, lookups: _Lookups,
         addresses = socket.getaddrinfo(host, port, type=socket.SOCK_STREAM,
                                        flags=socket.AI_NUMERICHOST)
     except socket.gaierror:
-        addresses = yield from lookups.lookup(host, port, deadline)
+        addresses = yield from _lookup(lookups, host, port, deadline)
     error: Optional[BaseException] = None
     for family, kind, proto, _, address in addresses:
         sock = socket.socket(family, kind, proto)
@@ -532,7 +489,7 @@ def _connect(host: str, port: int, deadline: float, lookups: _Lookups,
 
 
 def _fetch(host: str, port: int, path: str, wanted: Optional[str],
-           lookups: _Lookups) -> _Steps[_OriginResponse]:
+           lookups: ThreadPoolExecutor) -> _Steps[_OriginResponse]:
     """Send the origin the request for ``path`` and read its response
     head, skipping any ``100 Continue``; one ``ORIGIN_TIMEOUT_S`` covers
     the connection and every head. A ProxyError with the client's answer
@@ -939,7 +896,8 @@ class ShapingProxy:
         self._deadlines: List[list] = []
         self._woken = 0                  # heap entries whose session is None
         self._order = itertools.count()
-        self._lookups = _Lookups()
+        self._lookups = ThreadPoolExecutor(
+            LOOKUP_THREADS, thread_name_prefix="burststream-lookup")
 
     # -- lifecycle --------------------------------------------------------
 
@@ -969,7 +927,9 @@ class ShapingProxy:
 
     def close(self) -> None:
         """Stop the loop, which closes every session, and wait for it; then
-        stop the lookup threads."""
+        stop the lookup threads without waiting for them. A lookup in
+        progress runs to its end on its thread, which the interpreter
+        waits for at exit."""
         self._stop.set()
         if self._loop is None:
             return
@@ -977,7 +937,7 @@ class ShapingProxy:
             self._wake[1].send(b"\0")
         self._loop.join()
         self._wake[1].close()
-        self._lookups.close()
+        self._lookups.shutdown(wait=False, cancel_futures=True)
 
     # -- the loop ------------------------------------------------------------
 

@@ -396,13 +396,23 @@ class TestMalformedFiles:
         assert key in error_line(capsys)
 
     @pytest.mark.parametrize("section, key, value", [
-        ("client", "link_bps", "1e-308"), ("bandwidth", "trace", "0:1e-308")])
+        ("client", "link_bps", "1e-308"), ("bandwidth", "trace", "0:1e-308"),
+        ("profile", "r_btc_bps", "1e-308")])
     def test_rate_too_low_to_end_a_delivery(self, capsys, tmp_path, section,
                                             key, value):
         # each passes every rule at load, but a delivery at that rate would
-        # take an endless time: the run ended in an OverflowError traceback
+        # take an endless time: the run ended in an OverflowError traceback.
+        # With no trace, the profile's r_btc_bps is the rate offered.
+        sections = with_key(SCENARIO, section, key, value)
+        if section == "profile":
+            shipped = SRC_DIR / "burststream" / "profiles_data"
+            profile = tmp_path / "tiny.ini"
+            profile.write_text((shipped / "lte-drx-default.ini").read_text()
+                               .replace("r_btc_bps = 16000000",
+                                        f"r_btc_bps = {value}"))
+            sections = with_key(SCENARIO, "scenario", "profile", str(profile))
         path = tmp_path / "bad.ini"
-        path.write_text(ini_text(with_key(SCENARIO, section, key, value)))
+        path.write_text(ini_text(sections))
         assert main(["run", str(path)]) == 1
         assert f"[{section}] {key} rate must be" in error_line(capsys)
 

@@ -1816,6 +1816,15 @@ def _fd_count():
     return len(os.listdir("/proc/self/fd"))
 
 
+def _lookup_threads_end():
+    """Wait for the closed proxies' lookup threads to end their lookups
+    and stop, which close() does not wait for."""
+    for thread in threading.enumerate():
+        if thread.name.startswith("burststream-lookup"):
+            thread.join(5.0)
+            assert not thread.is_alive()
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
                     reason="counts /proc/self/fd")
 def test_sessions_leave_no_descriptor(relay_path):
@@ -1995,7 +2004,7 @@ class TestLoop:
         # 20 sessions at once, each naming its origin by a host name that
         # takes 0.2 s to look up: every one is served whole, the lookups
         # run LOOKUP_THREADS at a time on that many threads of the proxy's,
-        # and close() stops them
+        # and those threads end after close()
         total = 100_000               # fits in the Fast Start
         origin = _serve(_Origin(total, 4e6, distinct=True))
         port = origin.server_address[1]
@@ -2049,6 +2058,7 @@ class TestLoop:
                  for sample in samples]
         assert in_flight[1] == proxy_module.LOOKUP_THREADS
         assert max(map(len, added)) == proxy_module.LOOKUP_THREADS
+        _lookup_threads_end()
         assert not set(threading.enumerate()) - before - \
             origin.handler_threads
 
@@ -2056,12 +2066,12 @@ class TestLoop:
                                                          monkeypatch):
         # one lookup thread, busy 0.6 s with the first name: the second
         # session's 0.2 s origin deadline passes while its lookup waits in
-        # the queue, so it answers 502, and the thread never looks the
-        # second name up
+        # the queue, so it answers 502, and once free the thread does not
+        # look the second name up
         monkeypatch.setattr(proxy_module, "LOOKUP_THREADS", 1)
         monkeypatch.setattr(proxy_module, "ORIGIN_TIMEOUT_S", 0.2)
         looked_up = []
-        started = threading.Event()
+        started, ended = threading.Event(), threading.Event()
         getaddrinfo = socket.getaddrinfo
 
         def slow(host, *args, flags=0, **kwargs):
@@ -2070,6 +2080,7 @@ class TestLoop:
                 looked_up.append(host)
                 started.set()
                 time.sleep(0.6)
+                ended.set()
                 raise socket.gaierror(socket.EAI_NONAME, "no such name")
             return getaddrinfo(host, *args, flags=flags, **kwargs)
 
@@ -2089,9 +2100,13 @@ class TestLoop:
                     while data := sock.recv(4096):
                         reply += data
                     assert reply == _bare_status(b"502 Bad Gateway")
+            # close() cancels every queued lookup, so the thread is given
+            # time to take the next one first
+            assert ended.wait(5.0)
+            time.sleep(0.1)
         finally:
             proxy.close()
-        # close() has waited for the thread to take every queued lookup
+            _lookup_threads_end()
         assert looked_up == ["first.example"]
 
     @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"),
