@@ -28,12 +28,13 @@ lookup threads.
 
 The session reads each send's bytes from the origin itself, so the
 origin is flow-controlled by the same backpressure and no copy of the body
-is kept beyond the send in hand. A send first writes the bytes it holds,
-then reads the rest from the origin one slab (``SLAB_BYTES``) at a time
-and writes each slice as soon as it is read; the next slice is read only
-once the client has accepted the last. A send whose time is still ahead
-collects its bytes during the wait instead, so a paced origin's burst
-still leaves at full speed. Bytes a zero window leaves unaccepted are
+is kept beyond the send in hand. A send writes its held bytes, then
+``take`` per slice: each body source has one pull step, ``take(want)``,
+which reads its next slice of at most ``want`` bytes and one slab
+(``SLAB_BYTES``) from the origin, and the writer takes the next slice
+only once the client has accepted the last. A send whose time is still
+ahead collects its bytes during the wait instead, so a paced origin's
+burst still leaves at full speed. Bytes a zero window leaves unaccepted are
 offered first by the next send; bytes not yet read stay in the origin
 socket. The origin reads of a send that does not end the body also
 measure the origin's fill rate, which caps the bandwidth estimate; what is
@@ -67,7 +68,9 @@ than GET, 502 when the origin connection or request fails or the
 origin's head is malformed, over 64 KiB, or gives no usable rate or
 ``Content-Length``. The proxy then ends its side and drops what the
 client still sends, briefly, before it closes, so that an unread request
-body cannot reset the connection under the answer.
+body cannot reset the connection under the answer. A session serves one
+request: bytes that follow its head, a pipelined request's too, are
+dropped.
 """
 
 from __future__ import annotations
@@ -89,8 +92,8 @@ from contextlib import closing, suppress
 from dataclasses import dataclass
 from http import HTTPStatus
 from pathlib import Path
-from typing import (Callable, Dict, Generator, Iterable, Iterator, List,
-                    NamedTuple, Optional, Tuple, TypeVar, Union)
+from typing import (Callable, Dict, Generator, List, NamedTuple, Optional,
+                    Tuple, TypeVar, Union)
 from urllib.parse import SplitResult, urlsplit
 
 from .errors import FieldError, positive_finite
@@ -182,38 +185,6 @@ def _send_all(sock: socket.socket, data: bytes,
             view = view[sock.send(view):]
         except BlockingIOError:
             yield from _ready(sock.fileno(), True, deadline)
-
-
-def _read_body(response: _OriginResponse,
-               buf: Union[bytearray, memoryview],
-               ) -> _Steps[Tuple[int, Optional[Exception]]]:
-    """Fill ``buf`` with the next origin body bytes, from its first byte;
-    return the count read, and the error that ended the body, if one did.
-    A count short of ``len(buf)`` means the body has ended; once it has,
-    every later call reads nothing. Reads take at most 64 KiB each, so an
-    error mid-body loses no byte read before it. Each wait for the origin
-    lasts at most ``ORIGIN_TIMEOUT_S``."""
-    view = memoryview(buf)
-    got = 0
-    try:
-        while got < len(buf) and not response.isclosed():
-            try:
-                n = response.readinto(view[got:got + 65536])
-            except BlockingIOError:
-                yield from _ready(response.fileno(), False,
-                                  time.monotonic() + ORIGIN_TIMEOUT_S)
-                continue
-            if not n:
-                if response.length:
-                    # a read of nothing ends a short body quietly; the
-                    # bytes still expected mean the origin cut the stream
-                    raise http.client.IncompleteRead(b"", response.length)
-                break
-            got += n
-    except (OSError, http.client.HTTPException) as exc:
-        response.close()
-        return got, _bare(exc)
-    return got, None
 
 
 def _head_end(data: Union[bytes, bytearray], start: int = 0) -> int:
@@ -571,32 +542,8 @@ def _client_head(response: _OriginResponse) -> bytes:
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
 
+# a slice of the body: bytes in memory, or bytes waiting in a pipe
 _Slice = Union[memoryview, "_Piped"]
-# body slices, one at a time, and the waits that reading them makes: each
-# wait is resumed with its outcome, each slice with None
-_Slices = Generator[Union[_Slice, _Wait], Optional[bool], None]
-
-
-def _next_slice(slices: Iterator[Union[_Slice, _Wait]]
-                ) -> _Steps[Optional[_Slice]]:
-    """The next slice that ``slices`` gives, None once it has ended. An
-    origin's slices are a generator that also yields the waits its reads
-    make: each is passed on, and its outcome passed back."""
-    answer = None
-    while True:
-        try:
-            item = next(slices) if answer is None else slices.send(answer)
-        except StopIteration:
-            return None
-        if not isinstance(item, _Wait):
-            return item
-        answer = yield item
-
-
-def _held_then(held: _Slice, more: _Slices) -> _Slices:
-    """``held``, then the slices and waits of ``more``."""
-    yield held
-    yield from more
 
 
 class _BackpressureWriter:
@@ -622,30 +569,32 @@ class _BackpressureWriter:
         self.clock = clock or time.monotonic
         sock.setblocking(False)
 
-    def write_burst(self, slices: Iterable[Union[_Slice, _Wait]],
-                    size_bytes: float,
-                    burst_id: int, start_byte: int,
+    def write_burst(self, held: memoryview,
+                    take: Callable[[float], _Steps[Optional[_Slice]]],
+                    size_bytes: float, burst_id: int, start_byte: int,
                     abort_on_zwa: bool = True,
                     ) -> _Steps[Tuple[BurstObservation, memoryview]]:
         """Write burst ``burst_id``, ``size_bytes`` of the stream from
-        ``start_byte`` on, taken from ``slices`` one at a time: the next
-        slice is taken only once the socket has accepted the last, and
-        each wait that taking it makes is passed on. Socket backpressure
-        over the whole burst, in one account, stands in for its ACKs;
-        slices that run out early offered only what they gave. Each wait
-        for the socket lasts at most 0.05 s and adds at most that to the
-        account, however late the loop resumes the writer. Returns the
-        observation and the unaccepted rest of the slice in hand, which is
-        empty unless the burst stopped early; a slice in a pipe is spliced
-        to the socket, and its rest read back out."""
+        ``start_byte`` on: ``held`` first, then each slice that
+        ``take(size_bytes - sent)`` gives, taken only once the socket has
+        accepted the last, until ``size_bytes`` are sent or ``take`` gives
+        None; each wait that taking a slice makes is passed on. Socket
+        backpressure over the whole burst, in one account, stands in for
+        its ACKs; a burst whose every byte offered was accepted has the
+        size it sent. Each wait for the socket lasts at most 0.05 s and
+        adds at most that to the account, however late the loop resumes
+        the writer. Returns the observation and the unaccepted rest of the
+        slice in hand, which is empty unless the burst stopped early; a
+        slice in a pipe is spliced to the socket, and its rest read back
+        out."""
         sent = 0
         blocked = 0.0
         zwa = False
         zwa_at: Optional[int] = None
         rest = memoryview(b"")
-        slices = iter(slices)
+        view: Optional[_Slice] = held
         start = self.clock()
-        while (view := (yield from _next_slice(slices))) is not None:
+        while view is not None:
             done = 0
             while done < len(view):
                 try:
@@ -673,8 +622,11 @@ class _BackpressureWriter:
                 rest = view[done:] if isinstance(view, memoryview) \
                     else view.read(done)
                 break
+            view = None           # frees the accepted slice before the next
+            if sent < size_bytes:
+                view = yield from take(size_bytes - sent)
         else:
-            size_bytes = sent          # the slices ran out
+            size_bytes = sent          # every byte offered was accepted
         end = self.clock()
         return BurstObservation(
             burst_id, size_bytes, start_byte, start, start, end, sent,
@@ -682,7 +634,7 @@ class _BackpressureWriter:
 
 
 class _SlabBody:
-    """The origin body read into a slab per send."""
+    """The origin body read into a slab per slice."""
 
     def __init__(self, response: _OriginResponse,
                  errors: List[Exception]):
@@ -697,20 +649,38 @@ class _SlabBody:
         length = self.response.length
         return math.inf if length is None else length
 
-    def slices(self, want: float) -> _Slices:
-        """The next ``want`` body bytes, or what is left if fewer, one
-        slab at a time, and the waits their reads make; a slice is
-        overwritten when the next is taken."""
+    def take(self, want: float) -> _Steps[Optional[memoryview]]:
+        """The next body bytes, up to ``want`` and one slab, read into a
+        new slab; None once the body has ended. A slice shorter than both
+        means the body has ended. Reads take at most 64 KiB each, so an
+        error mid-body loses no byte read before it. Each wait for the
+        origin lasts at most ``ORIGIN_TIMEOUT_S``."""
+        response = self.response
+        if response.isclosed():
+            return None
         slab = memoryview(bytearray(min(SLAB_BYTES, want, self.left())))
-        while want > 0 and not self.response.isclosed():
-            got, error = yield from _read_body(self.response,
-                                               slab[:min(want, len(slab))])
-            if error is not None:
-                self.errors.append(error)
-            if not got:
-                return
-            want -= got
-            yield slab[:got]
+        got = 0
+        try:
+            while got < len(slab) and not response.isclosed():
+                try:
+                    n = response.readinto(slab[got:got + 65536])
+                except BlockingIOError:
+                    yield from _ready(response.fileno(), False,
+                                      time.monotonic() + ORIGIN_TIMEOUT_S)
+                    continue
+                if not n:
+                    if response.length:
+                        # a read of nothing ends a short body quietly; the
+                        # bytes still expected mean the origin cut the
+                        # stream
+                        raise http.client.IncompleteRead(b"",
+                                                         response.length)
+                    break
+                got += n
+        except (OSError, http.client.HTTPException) as exc:
+            response.close()
+            self.errors.append(_bare(exc))
+        return slab[:got] if got else None
 
     def close(self) -> None:
         pass
@@ -765,22 +735,16 @@ class _SplicedBody:
     def left(self) -> int:
         return self.unread
 
-    def slices(self, want: float) -> _Slices:
-        """The next ``want`` body bytes, or what is left if fewer, one
-        pipe-full at a time, and the waits their splices make; each slice
-        leaves the pipe before the next is taken."""
-        while want > 0 and self.unread:
-            got = yield from self._fill(min(want, SLAB_BYTES, self.unread))
-            if not got:
-                return
-            want -= got
-            yield _Piped(self.pipe[0], got)
-
-    def _fill(self, size: int) -> _Steps[int]:
-        """Splice up to ``size`` body bytes from the origin into the empty
-        pipe, waiting up to ``ORIGIN_TIMEOUT_S`` for the first; return the
-        count moved. An error or an early end of the body is recorded, and
-        ends it after these bytes."""
+    def take(self, want: float) -> _Steps[Optional[_Piped]]:
+        """The next body bytes, up to ``want`` and one pipe-full, spliced
+        from the origin into the empty pipe, waiting up to
+        ``ORIGIN_TIMEOUT_S`` for the first; None once the body has ended.
+        The slice must leave the pipe before the next is taken. An error or
+        an early end of the body is recorded, and ends it after these
+        bytes."""
+        if not self.unread:
+            return None
+        size = min(want, SLAB_BYTES, self.unread)
         got = 0
         try:
             while got < size:
@@ -801,7 +765,7 @@ class _SplicedBody:
             self.errors.append(_bare(exc))
             self.unread = got        # these bytes are the last
         self.unread -= got
-        return got
+        return _Piped(self.pipe[0], got) if got else None
 
     def close(self) -> None:
         if self.pipe is not None:
@@ -832,25 +796,22 @@ class _OriginReader:
         self.read_bytes = 0
         self.read_s = 0.0
 
-    def slices(self, want: float) -> _Slices:
-        """The body's next ``want`` bytes, or what is left if fewer, a
-        slice at a time, and the waits their reads make."""
-        pieces = self.body.slices(want)
-        while True:
-            t = time.monotonic()
-            piece = yield from _next_slice(pieces)
-            self.read_s += time.monotonic() - t
-            if piece is None:
-                return
+    def take(self, want: float) -> _Steps[Optional[_Slice]]:
+        """The body's next slice of up to ``want`` bytes, timed; None once
+        the body has ended."""
+        t = time.monotonic()
+        piece = yield from self.body.take(want)
+        self.read_s += time.monotonic() - t
+        if piece is not None:
             self.read_bytes += len(piece)
-            yield piece
+        return piece
 
     def read_ahead(self, held: memoryview, size: int) -> _Steps[memoryview]:
         """``held``, then the body bytes after it up to ``size`` in all, in
         one buffer."""
         buf = bytearray(held)
-        pieces = self.slices(size - len(held))
-        while (piece := (yield from _next_slice(pieces))) is not None:
+        while len(buf) < size and \
+                (piece := (yield from self.take(size - len(buf)))) is not None:
             buf += piece if isinstance(piece, memoryview) else piece.read()
         return memoryview(buf)
 
@@ -1052,8 +1013,9 @@ class ShapingProxy:
             conn.close()
 
     def _read_request_head(self, conn: socket.socket) -> _Steps[str]:
-        """The client's request head, and whatever came with it; one
-        ``HEAD_TIMEOUT_S`` deadline covers the whole head."""
+        """The client's request head, without the bytes that came after
+        it, which are dropped; one ``HEAD_TIMEOUT_S`` deadline covers the
+        whole head."""
         deadline = time.monotonic() + HEAD_TIMEOUT_S
         data = bytearray()
         while True:
@@ -1071,8 +1033,9 @@ class ShapingProxy:
             data += chunk
             if len(data) > HEAD_BYTES:
                 raise ProxyError("request head too large", 400)
-            if _head_end(data, tail) >= 0:
-                return data.decode("latin-1")
+            end = _head_end(data, tail)
+            if end >= 0:
+                return data[:end].decode("latin-1")
 
     def _resolve_origin(self, head: str) -> Tuple[str, int, str]:
         request_line = head.split("\r\n", 1)[0].split("\n", 1)[0]
@@ -1206,8 +1169,8 @@ class ShapingProxy:
         body is done.
 
         A send writes the bytes the previous one left unaccepted, then
-        reads the rest from the origin a slab at a time, each slice written
-        before the next is read, so the origin is paced by the client's
+        takes the rest from the origin a slice at a time, each slice written
+        before the next is taken, so the origin is paced by the client's
         backpressure. A send whose time is still ahead reads its bytes
         during the wait instead, so a slow origin's burst leaves on time.
         """
@@ -1226,9 +1189,9 @@ class ShapingProxy:
                 yield _Wait(-1, False, t0 + send.at_s)
             held = pending[:size]
             obs, rest = yield from writer.write_burst(
-                _held_then(held, origin.slices(size - len(held))),
-                min(size, len(held) + body.left()), next(burst_ids),
-                int(controller.content_sent_bytes), send.abort_on_zwa)
+                held, origin.take, min(size, len(held) + body.left()),
+                next(burst_ids), int(controller.content_sent_bytes),
+                send.abort_on_zwa)
             if not obs.size_bytes:
                 break                    # the origin ended with nothing
             # the unaccepted bytes are those held past the accepted ones,
@@ -1244,8 +1207,7 @@ class ShapingProxy:
                 Report(obs, obs.acked_bytes, obs.send_time_s - t0,
                        obs.last_ack_s - t0, est, time.monotonic() - t0))
         # final drain so the client sees the whole stream
-        unread = _OriginReader(body).slices(math.inf)
-        yield from writer.write_burst(_held_then(pending, unread), math.inf,
+        yield from writer.write_burst(pending, body.take, math.inf,
                                       next(burst_ids),
                                       int(controller.content_sent_bytes),
                                       abort_on_zwa=False)

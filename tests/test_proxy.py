@@ -27,8 +27,8 @@ import pytest
 from burststream import (BandwidthTrace, Phase, QualityLevel, Shaper,
                          SimulatedSession, StreamingClient, StreamSpec)
 from burststream import proxy as proxy_module
-from burststream.proxy import (ProxyError, SessionConfig, ShapingProxy,
-                               _BackpressureWriter, _read_body)
+from burststream.proxy import (SLAB_BYTES, ProxyError, SessionConfig,
+                               ShapingProxy, _BackpressureWriter, _SlabBody)
 from burststream.shaper import ShapingController
 
 
@@ -48,11 +48,34 @@ class _Origin(http.server.ThreadingHTTPServer):
         self.chunked = chunked           # the same, chunked, no length
         self.handler_threads = set()
         self.peer_closed = threading.Event()   # a body write failed
+        self.connections = set()               # those not yet closed
+        self.connections_lock = threading.Lock()
         super().__init__(("127.0.0.1", 0), _OriginHandler)
 
+    def process_request(self, request, client_address):
+        with self.connections_lock:
+            self.connections.add(request)
+        super().process_request(request, client_address)
+
+    def shutdown_request(self, request):
+        # under the lock, so that shutdown() never names a descriptor that
+        # this close has freed for reuse
+        with self.connections_lock:
+            self.connections.discard(request)
+            super().shutdown_request(request)
+
     def shutdown(self):
+        """Stop serving, end every handler still writing by shutting its
+        connection down, and wait up to 5 s for the handlers to end."""
         super().shutdown()
         self.server_close()
+        with self.connections_lock:
+            for conn in self.connections:
+                with suppress(OSError):
+                    conn.shutdown(socket.SHUT_RDWR)
+        deadline = time.monotonic() + 5.0
+        for thread in list(self.handler_threads):
+            thread.join(max(deadline - time.monotonic(), 0.0))
 
 
 class _OriginHandler(http.server.BaseHTTPRequestHandler):
@@ -295,6 +318,11 @@ class TestRequestHead:
         # every terminator arrives split over several reads
         assert self._read_head(head, pace_s=0.001, step=1) == \
             head.decode("latin-1")
+
+    def test_bytes_after_the_head_are_dropped(self):
+        head = b"GET /a HTTP/1.1\r\nHost: origin:81\r\n\r\n"
+        later = b"GET /b HTTP/1.1\r\nRange: seconds=5-\r\n\r\n"
+        assert self._read_head(head + later) == head.decode("latin-1")
 
     def test_oversized_head_rejected(self):
         head = b"GET /a HTTP/1.1\r\nX-Pad: " + b"p" * 70000 + b"\r\n\r\n"
@@ -893,7 +921,7 @@ class TestProxyConvergence:
 
 
 class _CountingResponse:
-    """The part of the origin response that ``_read_body`` uses, over
+    """The part of the origin response that ``_SlabBody`` uses, over
     ``body`` declared ``declared`` bytes long; it records the size of each
     ``readinto`` and, like the proxy's, closes at the declared end or at
     an early end of the stream."""
@@ -922,15 +950,29 @@ class _CountingResponse:
         return n
 
 
+def _read_body(response, buf):
+    """Fill ``buf`` with the slices that ``_SlabBody.take`` reads of
+    ``response``; return the count read, and the error that ended the
+    body, if one did."""
+    errors = []
+    body = _SlabBody(response, errors)
+    got = 0
+    while got < len(buf) and \
+            (piece := _drive(body.take(len(buf) - got))) is not None:
+        buf[got:got + len(piece)] = piece
+        got += len(piece)
+    return got, (errors[0] if errors else None)
+
+
 class TestReadBody:
-    """``_read_body`` fills a slab in place from its first byte, in reads
-    of at most 64 KiB."""
+    """``_SlabBody.take`` fills each slab from the body's first byte, in
+    reads of at most 64 KiB."""
 
     def test_fills_from_the_first_byte(self):
         body = _distinct_bytes(300_000)
         response = _CountingResponse(body + b"more")
         buf = bytearray(len(body))
-        got, error = _drive(_read_body(response, buf))
+        got, error = _read_body(response, buf)
         assert (got, error) == (len(buf), None)
         assert buf == body
         assert response.reads and max(response.reads) <= 65536
@@ -941,7 +983,7 @@ class TestReadBody:
         body = _distinct_bytes(100_000)
         response = _CountingResponse(body, declared=300_000)
         buf = bytearray(300_000)
-        got, error = _drive(_read_body(response, buf))
+        got, error = _read_body(response, buf)
         assert got == len(body) and buf[:got] == body
         assert isinstance(error, http.client.IncompleteRead)
         assert error.expected == 200_000
@@ -951,7 +993,7 @@ class TestReadBody:
         assert response.isclosed()
         assert max(response.reads) <= 65536
         # the body has ended: a later call reads nothing
-        assert _drive(_read_body(response, bytearray(10))) == (0, None)
+        assert _read_body(response, bytearray(10)) == (0, None)
 
 
 class _Slices:
@@ -961,11 +1003,24 @@ class _Slices:
         self.body = memoryview(body)
         self.size = size
         self.taken = 0
+        self.at = 0
 
-    def __iter__(self):
-        for i in range(0, len(self.body), self.size):
-            self.taken += 1
-            yield self.body[i:i + self.size]
+    def take(self, want):
+        """The next slice, of up to ``want`` bytes, None after the last; a
+        step that makes no wait."""
+        yield from ()
+        piece = self.body[self.at:self.at + min(self.size, want)]
+        if not piece:
+            return None
+        self.taken += 1
+        self.at += len(piece)
+        return piece
+
+
+def _ended(want):
+    """The pull step of a body that has ended."""
+    yield from ()
+    return None
 
 
 def _received(peer):
@@ -1027,6 +1082,16 @@ class _WaitClock:
         return False        # the socket never turns writable in time
 
 
+class _ReadingClock(_WaitClock):
+    """A ``_WaitClock`` whose peer reads everything waiting at each
+    wait."""
+
+    def _answer(self, wait):
+        answer = super()._answer(wait)
+        self.read += _received(self.peer)
+        return answer
+
+
 class TestSlabRelay:
     """A send is written a slice at a time, over one blocked-time account,
     and only one slab of it is held at once."""
@@ -1044,8 +1109,8 @@ class TestSlabRelay:
             writer = _BackpressureWriter(writer_sock, threshold_s=0.2,
                                          credit_bps=1e12,
                                          clock=clock.monotonic)
-            obs, rest = clock.run(writer.write_burst(slices, len(body), 7,
-                                                     1000))
+            obs, rest = clock.run(writer.write_burst(
+                memoryview(b""), slices.take, len(body), 7, 1000))
             got = _received(peer)
         assert slices.taken > 1
         assert obs.zwa_seen and not obs.complete
@@ -1074,8 +1139,8 @@ class TestSlabRelay:
             writer = _BackpressureWriter(writer_sock, threshold_s=0.5,
                                          credit_bps=1e12,
                                          clock=clock.monotonic)
-            obs, rest = clock.run(writer.write_burst(_Slices(body, 8192),
-                                                     len(body), 0, 0))
+            obs, rest = clock.run(writer.write_burst(
+                memoryview(b""), _Slices(body, 8192).take, len(body), 0, 0))
             got = clock.read + _received(peer)
         assert obs.zwa_seen and clock.reads_left == 18
         assert obs.sent_bytes_at_first_zwa == obs.acked_bytes == len(got)
@@ -1097,12 +1162,53 @@ class TestSlabRelay:
             writer = _BackpressureWriter(writer_sock, threshold_s=0.25,
                                          credit_bps=math.inf,
                                          clock=clock.monotonic)
-            obs, rest = clock.run(writer.write_burst(_Slices(body, 8192),
-                                                     len(body), 0, 0))
+            obs, rest = clock.run(writer.write_burst(
+                memoryview(b""), _Slices(body, 8192).take, len(body), 0, 0))
             got = clock.read + _received(peer)
         assert obs.zwa_seen and clock.reads_left == 15
         assert obs.sent_bytes_at_first_zwa == obs.acked_bytes == len(got)
         assert got == body[:len(got)]
+
+    @pytest.mark.parametrize("peer_reads", [True, False],
+                             ids=["peer-reads", "peer-stops"])
+    @pytest.mark.parametrize("slice_bytes", [1, 8192, SLAB_BYTES],
+                             ids=["1B", "8KiB", "slab"])
+    @pytest.mark.parametrize("held_as", ["none", "one", "slice-less-one",
+                                         "size", "over-size"])
+    def test_held_then_taken_slices(self, held_as, slice_bytes, peer_reads):
+        # a burst writes the bytes it holds, then takes slices, each only
+        # once the socket has accepted the last. Wherever the seam falls,
+        # the socket gets a prefix of the stream, the accepted bytes and
+        # the rest handed back are every byte offered, and a burst whose
+        # every byte was accepted has the size it sent. The peer that
+        # stops leaves a send buffer of a few KiB full, which ends the
+        # burst at a zero window.
+        size = 2 * slice_bytes + 40_000
+        held_bytes = {"none": 0, "one": 1, "slice-less-one": slice_bytes - 1,
+                      "size": size, "over-size": size + slice_bytes}[held_as]
+        stream = _distinct_bytes(size + 2 * slice_bytes + 1)
+        slices = _Slices(stream[held_bytes:], slice_bytes)
+        writer_sock, peer = socket.socketpair()
+        with writer_sock, peer:
+            writer_sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF,
+                                   4096)
+            clock = (_ReadingClock if peer_reads else _WaitClock)(peer)
+            # each byte accepted credits back a whole second of blocking
+            writer = _BackpressureWriter(writer_sock, threshold_s=0.2,
+                                         credit_bps=8.0,
+                                         clock=clock.monotonic)
+            obs, rest = clock.run(writer.write_burst(
+                memoryview(stream)[:held_bytes], slices.take, size, 3, 0))
+            got = clock.read + _received(peer)
+        offered = held_bytes + slices.at
+        assert got == stream[:len(got)]
+        assert obs.acked_bytes == len(got)
+        assert obs.acked_bytes + len(rest) == offered
+        assert rest == stream[len(got):offered]
+        assert obs.zwa_seen != peer_reads
+        if peer_reads:
+            assert obs.complete
+            assert obs.size_bytes == obs.acked_bytes == max(size, held_bytes)
 
     def test_fast_start_holds_one_slab(self):
         # 32 MiB inside one 60 s Fast Start: the proxy reads and writes it
@@ -1360,6 +1466,30 @@ class TestSecondsRange:
             proxy.close()
             origin.shutdown()
 
+    def test_pipelined_request_lends_no_range(self):
+        # a request with no Range, and in the same write a second one with
+        # a Range: the origin is asked for the first without one
+        body = _distinct_bytes(10_000)
+        origin = _serve(_CannedOrigin(200, [("X-Stream-Info", self.INFO)],
+                                      body))
+        proxy, addr = _start_proxy(origin)
+        try:
+            with socket.create_connection(addr) as sock:
+                sock.sendall(b"GET /a HTTP/1.1\r\nHost: x\r\n\r\n"
+                             b"GET /b HTTP/1.1\r\nHost: x\r\n"
+                             b"Range: seconds=5-\r\n\r\n")
+                head, first = _read_head(sock)
+                got = bytearray(first)
+                sock.settimeout(15.0)
+                while data := sock.recv(65536):
+                    got += data
+            assert head.startswith("HTTP/1.1 200 ")
+            assert got == body
+            assert origin.ranges == [None]
+        finally:
+            proxy.close()
+            origin.shutdown()
+
     def test_correction_keeps_its_head(self):
         info = "duration=60;bitrate=400000;seconds=5-9"
         origin = _serve(_CannedOrigin(204, [("X-Stream-Info", info)]))
@@ -1419,6 +1549,22 @@ class TestUnservableRequests:
             "non-ascii", "host-control-character"])
     def test_unresolvable_head_is_a_bad_request(self, request_head):
         assert _answer(request_head) == _bare_status(b"400 Bad Request")
+
+    def test_pipelined_request_lends_no_host(self):
+        # a relative target with no Host header, and in the same write a
+        # second request whose Host names a live origin: the first has no
+        # origin, and that origin is never asked
+        origin = _serve(_CannedOrigin(
+            200, [("X-Stream-Info", "duration=1;bitrate=80000")], b"b" * 10))
+        port = origin.server_address[1]
+        try:
+            reply = _answer(b"GET /a HTTP/1.1\r\n\r\n"
+                            b"GET /b HTTP/1.1\r\nHost: 127.0.0.1:%d\r\n\r\n"
+                            % port)
+        finally:
+            origin.shutdown()
+        assert reply == _bare_status(b"400 Bad Request")
+        assert origin.ranges == []
 
     @pytest.mark.parametrize("method", [b"POST", b"HEAD", b"BREW"])
     def test_method_other_than_get_is_not_implemented(self, method):
@@ -1888,7 +2034,8 @@ def test_writer_waits_on_a_descriptor_above_1023():
                                          credit_bps=1e12,
                                          clock=clock.monotonic)
             body = memoryview(bytes(4_000_000))
-            obs, rest = clock.run(writer.write_burst([body], len(body), 0, 0))
+            obs, rest = clock.run(writer.write_burst(body, _ended, len(body),
+                                                     0, 0))
             assert clock.fds == {high}
             with selectors.DefaultSelector() as selector:
                 selector.register(high, selectors.EVENT_WRITE)
