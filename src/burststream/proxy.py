@@ -50,8 +50,13 @@ The proxy fetches from the origin itself: one write of the request that
 http.client sends (``GET``, ``Host``, ``Accept-Encoding: identity`` and
 the client's ``Range``), then a read of exactly the response head, which
 peeks at what has arrived and takes no byte past the head, so the body
-is still in the origin socket when the relay starts. Where the platform
-has ``os.splice`` (Linux), a body of declared length (a 200 or 206 with a
+is still in the origin socket when the relay starts. The origin response
+is that head alone; the session closes its socket when it ends. Each body
+source reads the socket and keeps the one count of the body bytes it has
+not yet read, ``unread``: the declared length less what it has read,
+unbounded for a body of unknown length until the body ends, and 0 once
+the body has ended, early or not. Where the platform has ``os.splice``
+(Linux), a body of declared length (a 200 or 206 with a
 ``Content-Length`` and no chunked coding) does not pass through Python's
 memory: from its first byte, the session splices each slice from the
 origin socket into one pipe of ``SLAB_BYTES`` and from the pipe to the
@@ -59,16 +64,19 @@ client socket. The pipe takes the slab's place and every rule above
 holds; the pipe is empty between sends, as bytes a zero window leaves or
 a read-ahead collects are read back out of it. A chunked body, which the
 proxy decodes, a body of unknown length, and every body on a platform
-without ``os.splice`` are read into a slab.
+without ``os.splice`` are read into a slab. A decoded chunked body goes to
+the client without the origin's ``Content-Length``; the close of the
+connection ends it.
 
 A request the proxy cannot serve is answered before any response head has
-gone out: 400 for a head it cannot parse or resolve to an origin, 408 for
-a head not complete within ``HEAD_TIMEOUT_S``, 501 for a method other
-than GET, 502 when the origin connection or request fails or the
-origin's head is malformed, over 64 KiB, or gives no usable rate or
-``Content-Length``. The proxy then ends its side and drops what the
-client still sends, briefly, before it closes, so that an unread request
-body cannot reset the connection under the answer. A session serves one
+gone out: 400 for a head it cannot parse or resolve to an origin or that
+has more than one ``Host`` line, 408 for a head not complete within
+``HEAD_TIMEOUT_S``, 501 for a method other than GET, 502 when the origin
+connection or request fails or the origin's head is malformed, over
+64 KiB, or gives no usable rate or ``Content-Length`` (lines whose values
+differ give none). The proxy then ends its side and drops what the client
+still sends, briefly, before it closes, so that an unread request body
+cannot reset the connection under the answer. A session serves one
 request: bytes that follow its head, a pipelined request's too, are
 dropped.
 """
@@ -263,13 +271,11 @@ _STATUS_LINE = re.compile(r"HTTP/\d\.\d\s+([1-9]\d\d)(?:\s+(.*))?")
 
 
 class _OriginResponse:
-    """The origin's answer to one GET: its head, read whole, and its body,
-    read from the non-blocking origin socket ``sock`` as it is asked for;
-    closing it closes the socket. The names, and the rules for ``length``,
-    are http.client's: ``length`` is None for a chunked body or an
-    unreadable ``Content-Length``, 0 for a 1xx, 204 or 304, and counts
-    down as the body is read; the body has ended once the response is
-    closed."""
+    """The head of the origin's answer to one GET, read whole; its body is
+    still in the non-blocking origin socket ``sock``, which closing the
+    response closes. ``length`` is the body's declared length: None for a
+    chunked body or a ``Content-Length`` that does not read as one count,
+    0 for a 1xx, 204 or 304."""
 
     def __init__(self, sock: socket.socket, head: bytes):
         self.sock = sock
@@ -295,108 +301,24 @@ class _OriginResponse:
         coding = self._values.get("transfer-encoding", [""])[0]
         self.chunked = coding.lower() == "chunked"
         self.length: Optional[int] = None
-        declared = self._values.get("content-length", [None])[0]
-        if declared and not self.chunked:
+        # Content-Length lines whose values differ declare no one length
+        declared = set(self._values.get("content-length", ()))
+        if len(declared) == 1 and not self.chunked:
             with suppress(ValueError):
-                self.length = int(declared)
+                self.length = int(declared.pop())
             if self.length is not None and self.length < 0:
                 self.length = None
         if self.status in (204, 304) or self.status < 200:
             self.length = 0
-        self._chunk_left: Optional[int] = None  # of the chunk in hand; 0
-                                                # until its CRLF is read
-        self._trailer = False         # the last chunk has been read
-        self._framing = bytearray()   # chunked-body bytes received past
-                                      # the framing read so far
 
-    def getheaders(self) -> List[Tuple[str, str]]:
-        return self.headers
-
-    def getheader(self, name: str,
-                  default: Optional[str] = None) -> Optional[str]:
+    def getheader(self, name: str) -> Optional[str]:
         """Header ``name``'s value, its values joined by ", " if it came
         more than once."""
         values = self._values.get(name.lower())
-        return ", ".join(values) if values else default
-
-    def fileno(self) -> int:
-        return self.sock.fileno()
-
-    def isclosed(self) -> bool:
-        return self.sock.fileno() < 0
+        return ", ".join(values) if values else None
 
     def close(self) -> None:
         self.sock.close()
-
-    def readinto(self, b: Union[bytearray, memoryview]) -> int:
-        """Read the next body bytes into ``b``; return their count, which
-        is 0 once the body has ended. An early end of a declared body
-        also returns 0, with ``length`` still counting what it lacked. A
-        BlockingIOError where no byte has arrived yet; the next call goes
-        on where this one stopped."""
-        if self.isclosed():
-            return 0
-        view = memoryview(b)
-        if self.chunked:
-            return self._readinto_chunked(view)
-        if self.length is not None:
-            view = view[:self.length]
-        n = self.sock.recv_into(view) if view else 0
-        if not n and view:          # the origin ended the stream
-            self.close()
-        elif self.length is not None:
-            self.length -= n
-            if not self.length:
-                self.close()
-        return n
-
-    def _readinto_chunked(self, view: memoryview) -> int:
-        """The chunked form of ``readinto``: chunk extensions and trailer
-        fields are read and dropped. Each framing line read moves the
-        state on, so a call that has to wait for the next one resumes
-        there."""
-        while not self._chunk_left:
-            try:
-                line = self._line()
-                if self._trailer:
-                    if line in (b"\r\n", b"\n", b""):
-                        self.close()
-                        return 0
-                elif self._chunk_left == 0:  # the CRLF after a chunk's data
-                    self._chunk_left = None
-                else:
-                    size = int(line.split(b";", 1)[0], 16)
-                    if size < 0:
-                        raise ValueError(f"chunk size {size}")
-                    self._chunk_left = size
-                    self._trailer = not size    # the last chunk
-            except ValueError:
-                raise http.client.IncompleteRead(b"") from None
-        view = view[:self._chunk_left]
-        if self._framing:
-            n = min(len(view), len(self._framing))
-            view[:n] = self._framing[:n]
-            del self._framing[:n]
-        else:
-            n = self.sock.recv_into(view)
-            if not n:
-                raise http.client.IncompleteRead(b"", self._chunk_left)
-        self._chunk_left -= n
-        return n
-
-    def _line(self) -> bytes:
-        """The next line of a chunked body's framing, b"" if the origin
-        ended the stream first."""
-        while (end := self._framing.find(b"\n")) < 0:
-            if len(self._framing) > HEAD_BYTES:
-                raise ValueError("chunk framing line too long")
-            data = self.sock.recv(65536)
-            if not data:
-                return b""
-            self._framing += data
-        line = bytes(self._framing[:end + 1])
-        del self._framing[:end + 1]
-        return line
 
 
 # the threads that look origin names up, per proxy: while that many lookups
@@ -489,14 +411,12 @@ def _fetch(host: str, port: int, path: str, wanted: Optional[str],
         raise
 
 
-def _header(head: str, name: str) -> Optional[str]:
-    """The value of header ``name`` in the request ``head``, if it has
-    one."""
+def _headers(head: str, name: str) -> List[str]:
+    """The values of header ``name`` in the request ``head``, one per
+    line."""
     prefix = name.lower() + ":"
-    for line in head.split("\n")[1:]:
-        if line.lower().startswith(prefix):
-            return line.split(":", 1)[1].strip()
-    return None
+    return [line.split(":", 1)[1].strip() for line in head.split("\n")[1:]
+            if line.lower().startswith(prefix)]
 
 
 def _path_and_query(split: SplitResult) -> str:
@@ -534,10 +454,13 @@ def _discard_input(conn: socket.socket) -> _Steps[None]:
 def _client_head(response: _OriginResponse) -> bytes:
     """The origin's response head as the client gets it: without the
     origin's framing and connection headers, and closing the connection
-    after the body."""
+    after the body. A chunked body goes out decoded, so any
+    ``Content-Length`` beside its coding goes too."""
+    dropped = ("transfer-encoding", "connection", "content-length") \
+        if response.chunked else ("transfer-encoding", "connection")
     lines = [f"HTTP/1.1 {response.status} {response.reason}"]
-    lines += [f"{name}: {value}" for name, value in response.getheaders()
-              if name.lower() not in ("transfer-encoding", "connection")]
+    lines += [f"{name}: {value}" for name, value in response.headers
+              if name.lower() not in dropped]
     lines.append("Connection: close")
     return ("\r\n".join(lines) + "\r\n\r\n").encode("latin-1")
 
@@ -634,20 +557,23 @@ class _BackpressureWriter:
 
 
 class _SlabBody:
-    """The origin body read into a slab per slice."""
+    """The origin body read into a slab per slice; the one source that
+    decodes a chunked body. ``unread`` counts the body bytes not yet read:
+    unbounded for a body of unknown length until it ends, and 0 once the
+    body has ended."""
 
     def __init__(self, response: _OriginResponse,
                  errors: List[Exception]):
-        self.response = response
+        self.sock = response.sock
+        self.chunked = response.chunked
         self.errors = errors            # gets the error that ends the body
-
-    def left(self) -> float:
-        """Body bytes not yet read: unbounded for a body of unknown length
-        that has not ended."""
-        if self.response.isclosed():
-            return 0
-        length = self.response.length
-        return math.inf if length is None else length
+        self.unread = math.inf if response.length is None \
+            else response.length
+        self._chunk_left: Optional[int] = None  # of the chunk in hand; 0
+                                                # until its CRLF is read
+        self._trailer = False         # the last chunk has been read
+        self._framing = bytearray()   # chunked-body bytes received past
+                                      # the framing read so far
 
     def take(self, want: float) -> _Steps[Optional[memoryview]]:
         """The next body bytes, up to ``want`` and one slab, read into a
@@ -655,32 +581,86 @@ class _SlabBody:
         means the body has ended. Reads take at most 64 KiB each, so an
         error mid-body loses no byte read before it. Each wait for the
         origin lasts at most ``ORIGIN_TIMEOUT_S``."""
-        response = self.response
-        if response.isclosed():
+        if not self.unread:
             return None
-        slab = memoryview(bytearray(min(SLAB_BYTES, want, self.left())))
+        slab = memoryview(bytearray(min(SLAB_BYTES, want, self.unread)))
         got = 0
         try:
-            while got < len(slab) and not response.isclosed():
+            while got < len(slab) and self.unread:
                 try:
-                    n = response.readinto(slab[got:got + 65536])
+                    got += self._readinto(slab[got:got + 65536])
                 except BlockingIOError:
-                    yield from _ready(response.fileno(), False,
+                    yield from _ready(self.sock.fileno(), False,
                                       time.monotonic() + ORIGIN_TIMEOUT_S)
-                    continue
-                if not n:
-                    if response.length:
-                        # a read of nothing ends a short body quietly; the
-                        # bytes still expected mean the origin cut the
-                        # stream
-                        raise http.client.IncompleteRead(b"",
-                                                         response.length)
-                    break
-                got += n
         except (OSError, http.client.HTTPException) as exc:
-            response.close()
+            self.unread = 0
             self.errors.append(_bare(exc))
         return slab[:got] if got else None
+
+    def _readinto(self, view: memoryview) -> int:
+        """Read the next body bytes into ``view``, which ``unread``
+        bounds, and count them off; the body ends where the origin ends
+        the stream. An IncompleteRead where that end comes early, with the
+        bytes still expected. A BlockingIOError where no byte has arrived
+        yet."""
+        if self.chunked:
+            return self._readinto_chunked(view)
+        n = self.sock.recv_into(view)
+        if n:
+            self.unread -= n
+        elif self.unread < math.inf:
+            raise http.client.IncompleteRead(b"", self.unread)
+        else:
+            self.unread = 0
+        return n
+
+    def _readinto_chunked(self, view: memoryview) -> int:
+        """The chunked form of ``_readinto``: chunk extensions and trailer
+        fields are read and dropped. Each framing line read moves the
+        state on, so a call that has to wait for the next one resumes
+        there."""
+        while not self._chunk_left:
+            try:
+                line = self._line()
+                if self._trailer:
+                    if line in (b"\r\n", b"\n", b""):
+                        self.unread = 0
+                        return 0
+                elif self._chunk_left == 0:  # the CRLF after a chunk's data
+                    self._chunk_left = None
+                else:
+                    size = int(line.split(b";", 1)[0], 16)
+                    if size < 0:
+                        raise ValueError(f"chunk size {size}")
+                    self._chunk_left = size
+                    self._trailer = not size    # the last chunk
+            except ValueError:
+                raise http.client.IncompleteRead(b"") from None
+        view = view[:self._chunk_left]
+        if self._framing:
+            n = min(len(view), len(self._framing))
+            view[:n] = self._framing[:n]
+            del self._framing[:n]
+        else:
+            n = self.sock.recv_into(view)
+            if not n:
+                raise http.client.IncompleteRead(b"", self._chunk_left)
+        self._chunk_left -= n
+        return n
+
+    def _line(self) -> bytes:
+        """The next line of a chunked body's framing, b"" if the origin
+        ended the stream first."""
+        while (end := self._framing.find(b"\n")) < 0:
+            if len(self._framing) > HEAD_BYTES:
+                raise ValueError("chunk framing line too long")
+            data = self.sock.recv(65536)
+            if not data:
+                return b""
+            self._framing += data
+        line = bytes(self._framing[:end + 1])
+        del self._framing[:end + 1]
+        return line
 
     def close(self) -> None:
         pass
@@ -727,13 +707,10 @@ class _SplicedBody:
         if not self.unread:
             return
         import fcntl             # where os.splice is, so is fcntl
-        self.origin_fd = response.fileno()
+        self.origin_fd = response.sock.fileno()
         self.pipe = os.pipe()
         with suppress(OSError):  # over the user's pipe limit: any size does
             fcntl.fcntl(self.pipe[1], fcntl.F_SETPIPE_SZ, SLAB_BYTES)
-
-    def left(self) -> int:
-        return self.unread
 
     def take(self, want: float) -> _Steps[Optional[_Piped]]:
         """The next body bytes, up to ``want`` and one pipe-full, spliced
@@ -819,7 +796,7 @@ class _OriginReader:
         """The rate of these reads, if they read a byte and the body goes
         on; a read that ends the body says nothing of the origin's
         rate."""
-        if not self.read_bytes or not self.body.left():
+        if not self.read_bytes or not self.body.unread:
             return None
         return self.read_bytes * 8.0 / max(self.read_s, 1e-6)
 
@@ -1045,6 +1022,9 @@ class ShapingProxy:
         if parts[0] != "GET":
             raise ProxyError(f"unsupported method: {request_line!r}", 501)
         target = parts[1]
+        hosts = _headers(head, "Host")
+        if len(hosts) > 1:
+            raise ProxyError(f"{len(hosts)} Host headers", 400)
         if self.config.origin:
             base = urlsplit(self.config.origin)
             path = target if target.startswith("/") else \
@@ -1055,10 +1035,10 @@ class ShapingProxy:
             netloc, path = split.netloc, _path_and_query(split)
         else:
             # relative target: use the Host header
-            netloc, path = _header(head, "Host"), target
-            if netloc is None:
+            if not hosts:
                 raise ProxyError("cannot resolve origin (no override, "
                                  "absolute URI, or Host header)", 400)
+            netloc, path = hosts[0], target
         try:
             address = urlsplit("//" + netloc)
             port = address.port     # a port that is no number or too big
@@ -1071,9 +1051,9 @@ class ShapingProxy:
     def _discover_rate(self, response) -> float:
         """Encoding rate: X-Stream-Info bitrate, else the override, else
         content length over declared duration. A ``Content-Length`` that
-        does not read as a count, or a rate that is not > 0 and finite,
-        would fail the session after its head went out, so each is a bad
-        gateway too."""
+        does not read as one count (lines whose values differ, say), or a
+        rate that is not > 0 and finite, would fail the session after its
+        head went out, so each is a bad gateway too."""
         declared = response.getheader("Content-Length")
         if response.length is None and declared is not None and \
                 not response.chunked:
@@ -1109,7 +1089,7 @@ class ShapingProxy:
 
         # the client's Range (the protocol's ``seconds=N-``) goes on to the
         # origin, whose 206 or 204 answers it
-        wanted = _header(head, "Range")
+        wanted = next(iter(_headers(head, "Range")), None)
         response = yield from _fetch(host, port, path, wanted,
                                      self._lookups)
         with closing(response):
@@ -1183,13 +1163,13 @@ class ShapingProxy:
             origin = _OriginReader(body)
             if len(pending) < size and t0 + send.at_s > time.monotonic():
                 pending = yield from origin.read_ahead(pending, size)
-            if not pending and not body.left():
+            if not pending and not body.unread:
                 break                    # the origin is done
             if t0 + send.at_s > time.monotonic():
                 yield _Wait(-1, False, t0 + send.at_s)
             held = pending[:size]
             obs, rest = yield from writer.write_burst(
-                held, origin.take, min(size, len(held) + body.left()),
+                held, origin.take, min(size, len(held) + body.unread),
                 next(burst_ids), int(controller.content_sent_bytes),
                 send.abort_on_zwa)
             if not obs.size_bytes:

@@ -20,7 +20,7 @@ import sys
 import threading
 import time
 import tracemalloc
-from contextlib import contextmanager, suppress
+from contextlib import closing, contextmanager, suppress
 
 import pytest
 
@@ -377,6 +377,17 @@ class TestResolveOrigin:
     def test_from_absolute_target_else_host_header(self, head, origin):
         proxy = ShapingProxy(SessionConfig(listen=("127.0.0.1", 0)))
         assert proxy._resolve_origin(head) == origin
+
+    @pytest.mark.parametrize("override", [None, "http://o.example:81"])
+    @pytest.mark.parametrize("target", ["/a", "http://good.example/a"])
+    def test_more_than_one_host_is_a_bad_request(self, override, target):
+        proxy = ShapingProxy(SessionConfig(listen=("127.0.0.1", 0),
+                                           origin=override))
+        head = (f"GET {target} HTTP/1.1\r\nHost: good.example\r\n"
+                f"Host: evil.example:81\r\n\r\n")
+        with pytest.raises(ProxyError) as caught:
+            proxy._resolve_origin(head)
+        assert caught.value.status == 400
 
     @pytest.mark.parametrize("override", [None, "http://o.example:81"])
     @pytest.mark.parametrize("target", ["http://h.example:8080/v?q=1",
@@ -922,46 +933,38 @@ class TestProxyConvergence:
 
 class _CountingResponse:
     """The part of the origin response that ``_SlabBody`` uses, over
-    ``body`` declared ``declared`` bytes long; it records the size of each
-    ``readinto`` and, like the proxy's, closes at the declared end or at
-    an early end of the stream."""
+    ``body`` declared ``declared`` bytes long; it is its own socket, which
+    records the size of each ``recv_into`` and ends the stream after
+    ``body``."""
+
+    chunked = False
 
     def __init__(self, body, declared=None):
         self.body = body
         self.pos = 0
         self.length = len(body) if declared is None else declared
         self.reads = []
-        self.closed = False
+        self.sock = self
 
-    def isclosed(self):
-        return self.closed
-
-    def close(self):
-        self.closed = True
-
-    def readinto(self, b):
+    def recv_into(self, b):
         self.reads.append(len(b))
-        n = min(len(b), self.length, len(self.body) - self.pos)
+        n = min(len(b), len(self.body) - self.pos)
         b[:n] = self.body[self.pos:self.pos + n]
         self.pos += n
-        self.length -= n
-        if (not n and len(b)) or not self.length:
-            self.closed = True
         return n
 
 
-def _read_body(response, buf):
-    """Fill ``buf`` with the slices that ``_SlabBody.take`` reads of
-    ``response``; return the count read, and the error that ended the
-    body, if one did."""
-    errors = []
-    body = _SlabBody(response, errors)
+def _read_body(body, buf):
+    """Fill ``buf`` with the slices that ``body.take`` reads; return the
+    count read, and the error that ended the body in these takes, if one
+    did."""
+    before = len(body.errors)
     got = 0
     while got < len(buf) and \
             (piece := _drive(body.take(len(buf) - got))) is not None:
         buf[got:got + len(piece)] = piece
         got += len(piece)
-    return got, (errors[0] if errors else None)
+    return got, next(iter(body.errors[before:]), None)
 
 
 class TestReadBody:
@@ -971,29 +974,70 @@ class TestReadBody:
     def test_fills_from_the_first_byte(self):
         body = _distinct_bytes(300_000)
         response = _CountingResponse(body + b"more")
+        source = _SlabBody(response, [])
         buf = bytearray(len(body))
-        got, error = _read_body(response, buf)
+        got, error = _read_body(source, buf)
         assert (got, error) == (len(buf), None)
         assert buf == body
         assert response.reads and max(response.reads) <= 65536
         assert len(response.reads) == -(-len(body) // 65536)
-        assert not response.isclosed()         # the body goes on
+        assert source.unread == 4              # the body goes on
 
     def test_short_body_keeps_its_bytes(self):
         body = _distinct_bytes(100_000)
         response = _CountingResponse(body, declared=300_000)
+        source = _SlabBody(response, [])
         buf = bytearray(300_000)
-        got, error = _read_body(response, buf)
+        got, error = _read_body(source, buf)
         assert got == len(body) and buf[:got] == body
         assert isinstance(error, http.client.IncompleteRead)
         assert error.expected == 200_000
         # the error outlives the session in its report, so it must not
         # pin the slab through the frames of its traceback
         assert error.__traceback__ is None and error.__context__ is None
-        assert response.isclosed()
+        assert source.unread == 0
         assert max(response.reads) <= 65536
         # the body has ended: a later call reads nothing
-        assert _read_body(response, bytearray(10)) == (0, None)
+        assert _read_body(source, bytearray(10)) == (0, None)
+
+
+class TestUnread:
+    """Each body source keeps the one count of the body bytes left."""
+
+    @pytest.mark.parametrize("name", ["_SlabBody", "_SplicedBody"])
+    def test_count_down_to_a_cut(self, name):
+        if name == "_SplicedBody" and not hasattr(os, "splice"):
+            pytest.skip("os.splice is Linux-only")
+        # 300 000 bytes declared, and the origin hangs up after 200 000
+        body = _distinct_bytes(200_000)
+        ours, theirs = socket.socketpair()
+        ours.setblocking(False)
+
+        def serve():
+            with theirs, suppress(OSError):    # the reader may stop early
+                theirs.sendall(body)
+
+        origin = threading.Thread(target=serve)
+        origin.start()
+        response = proxy_module._OriginResponse(
+            ours, b"HTTP/1.1 200 OK\r\nContent-Length: 300000\r\n\r\n")
+        errors = []
+        got = bytearray()
+        with closing(response), \
+                closing(getattr(proxy_module, name)(response, errors)) \
+                as source:
+            assert source.unread == 300_000
+            while (piece := _drive(source.take(30_000))) is not None:
+                got += piece if isinstance(piece, memoryview) \
+                    else piece.read()
+                if not errors:
+                    assert source.unread == 300_000 - len(got)
+            origin.join(timeout=10.0)
+            assert got == body
+            assert [type(e) for e in errors] == [http.client.IncompleteRead]
+            assert errors[0].expected == 100_000
+            assert source.unread == 0
+            assert _drive(source.take(30_000)) is None
 
 
 class _Slices:
@@ -1747,6 +1791,27 @@ class TestOriginExchange:
                             origin=origin)
         assert reply == (b"HTTP/1.1 200 OK\r\n" + STREAM_INFO +
                          b"Connection: close\r\n\r\n" + BODY)
+
+    def test_decoded_chunked_body_goes_without_content_length(self):
+        # the chunked coding overrides the length beside it, and the body
+        # goes out decoded: the client gets no length but all 20 bytes
+        answer = (b"HTTP/1.1 200 OK\r\n" + STREAM_INFO +
+                  b"Transfer-Encoding: chunked\r\nContent-Length: 5\r\n\r\n"
+                  + _chunked(BODY[:20], [20], [b""]))
+        with _raw_origin([answer]) as (origin, _):
+            reply = _answer(b"GET /a HTTP/1.1\r\nHost: x\r\n\r\n",
+                            origin=origin)
+        assert reply == (b"HTTP/1.1 200 OK\r\n" + STREAM_INFO +
+                         b"Connection: close\r\n\r\n" + BODY[:20])
+
+    def test_content_lengths_that_differ_are_a_bad_gateway(self):
+        answer = (b"HTTP/1.1 200 OK\r\n" + STREAM_INFO +
+                  b"Content-Length: 5\r\nContent-Length: 20\r\n\r\n" +
+                  BODY[:20])
+        with _raw_origin([answer]) as (origin, _):
+            reply = _answer(b"GET /a HTTP/1.1\r\nHost: x\r\n\r\n",
+                            origin=origin)
+        assert reply == _bare_status(b"502 Bad Gateway")
 
 
 @pytest.fixture(params=["pipe", "slab"])
