@@ -460,3 +460,89 @@ class StreamingClient:
         return DeliveryResult(acks, delivered, start_clock, now,
                               zwa_episodes, first_zwa_t, bytes_at_zwa,
                               aborted)
+
+    def steady_delivery(self, total_bytes: float, at_rate_bps: float,
+                        start_s: float) -> Optional[tuple]:
+        """``deliver(total_bytes, at_rate_bps, start_s, abort_on_zwa=True)``
+        worked out without writing anything, for a delivery that is one
+        fluid piece: at most one drain step to ``start_s``, then one
+        unpinned piece that neither stalls, pins, draws a zero window at
+        its first or last segment ACK, nor reaches the end of the content.
+
+        Returns ``(end_s, delivered_bytes, last_ack_bytes, position_s,
+        occupancy_bytes, delivered_total_bytes, drained_total_bytes)``, the
+        values ``deliver`` would leave (``last_ack_bytes`` is its ACK
+        summary's last cumulative ACK), for ``take_steady`` to write; None
+        for any other delivery, which ``deliver`` alone computes. Each value
+        comes from ``advance`` and ``deliver``'s float operations in their
+        order."""
+        now, occ = self.now_s, self.occupancy_bytes
+        pos, drained = self.playback_position_s, self.total_drained_bytes
+        if not self.playback_started or self._stalled or \
+                start_s < now - 1e-12:
+            return None
+        eps, capacity = self._eps, self.capacity_bytes
+        drain = self.drain_rate_bps / 8.0
+        content_s = self.content_duration_s
+        complete_at = content_s - 1e-12
+        if start_s > now + 1e-15:              # ``advance``: one step
+            if pos >= complete_at or not occ > 0:
+                return None
+            dt = start_s - now
+            dt_empty = occ / drain
+            if dt_empty < dt or content_s - pos < dt:
+                return None
+            taken = dt * drain
+            occ = _nonneg(occ - taken)
+            drained += taken
+            pos += dt
+            now += dt
+            if not pos >= complete_at and occ <= eps and \
+                    dt >= dt_empty - 1e-15:
+                return None                     # a stall opens
+            if start_s > now + 1e-15:
+                return None                     # a second step
+        rate = min(at_rate_bps, self.link_rate_bps) / 8.0
+        if not (0 < rate < math.inf and total_bytes / rate < math.inf and
+                total_bytes > eps):
+            return None
+        # ``deliver``'s first piece, which must be its last
+        if occ >= capacity - eps or pos >= complete_at or \
+                occ <= eps and rate < drain:
+            return None                         # pinned, done or stalling
+        net = rate - drain
+        dt = total_bytes / rate
+        if net > 1e-15 and (capacity - occ) / net < dt or \
+                content_s - pos < dt or \
+                net < -1e-15 and occ / -net < dt or not dt > 0.0:
+            return None
+        cum0, occ0 = self.total_delivered_bytes, occ
+        moved = rate * dt
+        drained += dt * drain
+        pos += dt
+        occ = _clamp(occ0 + net * dt, capacity)
+        cum = cum0 + moved
+        end = now + dt
+        if not moved > 0 or total_bytes - moved > eps or \
+                net < -1e-15 and occ <= eps or occ >= capacity - eps:
+            return None       # no progress, a second piece, a stall or a pin
+        # ``SegmentAcks.add_piece``'s window test at the first and last
+        # segment, then the final cumulative ACK: a segment's window,
+        # ``_nonneg(capacity - _clamp(x, capacity))`` for the occupancy
+        # ``x``, is > 0 exactly when ``x < capacity``
+        seg = self.segment_bytes
+        k0 = math.floor(cum0 / seg) + 1
+        k1 = math.floor(cum / seg)
+        last = cum
+        if k1 >= k0:
+            if not (occ0 + net * ((k0 * seg - cum0) / rate) < capacity and
+                    occ0 + net * ((k1 * seg - cum0) / rate) < capacity):
+                return None                     # a zero window
+            if not float(k1 * seg) < cum - 1e-9:
+                last = float(k1 * seg)
+        return end, moved, last, pos, occ, cum, drained
+
+    def take_steady(self, delivery: tuple) -> None:
+        """Write the state a ``steady_delivery`` result leaves."""
+        (self.now_s, _, _, self.playback_position_s, self.occupancy_bytes,
+         self.total_delivered_bytes, self.total_drained_bytes) = delivery

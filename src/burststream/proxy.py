@@ -74,11 +74,12 @@ has more than one ``Host`` line, 408 for a head not complete within
 ``HEAD_TIMEOUT_S``, 501 for a method other than GET, 502 when the origin
 connection or request fails or the origin's head is malformed, over
 64 KiB, or gives no usable rate or ``Content-Length`` (lines whose values
-differ give none). The proxy then ends its side and drops what the client
-still sends, briefly, before it closes, so that an unread request body
-cannot reset the connection under the answer. A session serves one
-request: bytes that follow its head, a pipelined request's too, are
-dropped.
+differ give none, and so does a value that is not all digits), or a
+transfer coding other than a lone ``chunked``. The proxy then ends its
+side and drops what the client still sends, briefly, before it closes, so
+that an unread request body cannot reset the connection under the
+answer. A session serves one request: bytes that follow its head, a
+pipelined request's too, are dropped.
 """
 
 from __future__ import annotations
@@ -274,8 +275,10 @@ class _OriginResponse:
     """The head of the origin's answer to one GET, read whole; its body is
     still in the non-blocking origin socket ``sock``, which closing the
     response closes. ``length`` is the body's declared length: None for a
-    chunked body or a ``Content-Length`` that does not read as one count,
-    0 for a 1xx, 204 or 304."""
+    chunked body or a ``Content-Length`` that does not read as one count
+    of digits, 0 for a 1xx, 204 or 304. A transfer coding other than a
+    lone ``chunked``, the one framing the proxy decodes, is a 502: the
+    proxy asks for none."""
 
     def __init__(self, sock: socket.socket, head: bytes):
         self.sock = sock
@@ -298,16 +301,19 @@ class _OriginResponse:
         self._values: Dict[str, List[str]] = {}    # by lower-case name
         for name, value in self.headers:
             self._values.setdefault(name.lower(), []).append(value)
-        coding = self._values.get("transfer-encoding", [""])[0]
-        self.chunked = coding.lower() == "chunked"
+        coding = self.getheader("Transfer-Encoding")
+        if coding is not None and coding.lower() != "chunked":
+            raise ProxyError(f"origin transfer coding {coding!r} is not a "
+                             f"lone chunked", 502)
+        self.chunked = coding is not None
         self.length: Optional[int] = None
-        # Content-Length lines whose values differ declare no one length
+        # Content-Length lines whose values differ declare no one length,
+        # and a value is digits alone (RFC 9110 8.6): no sign, space or _
         declared = set(self._values.get("content-length", ()))
         if len(declared) == 1 and not self.chunked:
-            with suppress(ValueError):
-                self.length = int(declared.pop())
-            if self.length is not None and self.length < 0:
-                self.length = None
+            value = declared.pop()
+            if value.isascii() and value.isdigit():
+                self.length = int(value)
         if self.status in (204, 304) or self.status < 200:
             self.length = 0
 

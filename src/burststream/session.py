@@ -6,6 +6,19 @@ client, reads the burst's observation off the delivery's breakpoint ACK
 summary, and reports back, on one simulated clock up to the session
 horizon. Also provides the isolated probe search and the linear-sweep
 oracle used to validate the search against a client of known buffer size.
+
+The steady state is periodic: equal bursts at equal intervals into a
+client whose buffer refills to about the same level. Once a send of a
+non-adaptive session comes back STEADY, each following period that is
+one unpinned fluid piece, draws no zero window, opens no stall, leaves
+content to send and reads an estimate of at least the encoding rate is
+taken in one step: ``StreamingClient.steady_delivery`` and
+``ShapingController.report_steady`` compute it by the per-send path's
+float operations, in its order, without the ACK summary, observation,
+report or send objects, so both routes give the same outputs bit for bit.
+The first period that fails any of those tests, all made before any
+state is written, goes to the per-send path, which serves every other
+send; ``_STEADY_STEP = False`` sends every period there.
 """
 
 from __future__ import annotations
@@ -48,6 +61,10 @@ class BandwidthTrace:
     def flat(cls, bps: float) -> "BandwidthTrace":
         return cls(((0.0, bps),))
 
+
+# whether ``SimulatedSession.run`` takes plain STEADY periods in one step
+# (see the module docstring); False runs every send on the per-send path
+_STEADY_STEP = True
 
 # the keys of a trajectory point, in the order of its value tuple
 TRAJECTORY_KEYS = ("time_s", "phase", "t_s", "t_min_s", "t_max_s", "t_old_s",
@@ -129,6 +146,7 @@ class SimulatedSession:
     def run(self) -> SessionResult:
         ctl, shaper, st = self.controller, self.shaper, self.shaper.state
         points = self.trajectory_points
+        horizon = self.session_length_s - 1e-9
         send = ctl.start()
         while True:       # the Fast Start always goes out
             report = self._deliver(send)
@@ -143,8 +161,14 @@ class SimulatedSession:
             points.append((now, st.phase._value_, st.t_s, st.t_min_s,
                            st.t_max_s, st.t_old_s, st.bs_opt_bytes,
                            ctl.runway_s))
-            if send is None or send.at_s >= self.session_length_s - 1e-9:
+            if send is None or send.at_s >= horizon:
                 break
+            if _STEADY_STEP and st.phase is Phase.STEADY and \
+                    not ctl.adaptive:
+                send = self._steady(send)
+                now = points[-1][0]
+                if send.at_s >= horizon:
+                    break
         self.client.finalize(max(now, self.session_length_s))
         fs_end = points[0][0]      # the Fast Start's end
         return SessionResult(
@@ -152,6 +176,39 @@ class SimulatedSession:
             ctl.content_sent_bytes, ctl.content_sent_s, points,
             shaper.decision_log, self.quality_switches, self.zwa_bursts,
             shaper)
+
+    def _steady(self, send: Send) -> Send:
+        """Take ``send`` and the sends after it, each as ``_deliver``,
+        ``ShapingController.report`` and ``run`` do, while each is a STEADY
+        burst whose delivery ``StreamingClient.steady_delivery`` takes as
+        one fluid piece and whose report ``report_steady`` books; return
+        the first send that is not, or that is due at the horizon."""
+        client, ctl, st = self.client, self.controller, self.shaper.state
+        spans, points = self.activity_spans, self.trajectory_points
+        rate_at, horizon = self.bandwidth.at, self.session_length_s - 1e-9
+        size, at = send.size_bytes, send.at_s
+        while True:
+            got = client.steady_delivery(size, rate_at(at), at)
+            if got is None or not got[0] > at:
+                break
+            end, delivered, cum = got[0], got[1], got[2]
+            start_byte = client.total_delivered_bytes
+            last = start_byte + size              # ``_observe``'s acked
+            acked = (last if last < cum else cum) - start_byte
+            booked = ctl.report_steady(self._sends, size, delivered, acked,
+                                       at, end, delivered * 8.0 / (end - at),
+                                       got[3])
+            if booked is None:
+                break
+            client.take_steady(got)
+            self._sends += 1
+            spans.append((at, end, delivered))
+            points.append((end, "STEADY", st.t_s, st.t_min_s, st.t_max_s,
+                           st.t_old_s, st.bs_opt_bytes, ctl.runway_s))
+            size, at = booked
+            if at >= horizon:
+                break
+        return Send(size, at, True)
 
 
 def _observe(acks: SegmentAcks, burst_id: int, size: float,

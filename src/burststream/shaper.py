@@ -11,10 +11,12 @@ that loop without I/O, for the simulated session and the live proxy alike;
 the ``Shaper`` methods it calls change the shaper's state and return
 nothing else. An endless stream is a ``StreamSpec`` of infinite duration.
 
-Each burst is recorded once, by ``Shaper.log_burst``, as one tuple of
-values, a ``BurstRecord``; the CSV rows of ``Shaper.burst_log`` are
-rendered from those records, by ``render_burst_row`` alone, only when they
-are read, and ``write_burst_log`` writes them to a burst-log file.
+Each burst is recorded once, as one tuple of values, a ``BurstRecord``:
+by ``Shaper.log_burst``, or, for a plain STEADY burst that a simulated
+session takes in one step, by ``ShapingController.report_steady`` with the
+same values. The CSV rows of ``Shaper.burst_log`` are rendered from those
+records, by ``render_burst_row`` alone, only when they are read, and
+``write_burst_log`` writes them to a burst-log file.
 """
 
 from __future__ import annotations
@@ -148,6 +150,16 @@ def select_quality(est_bps: float, ladder: Sequence[QualityLevel],
     return 0, True
 
 
+def _burst_bytes(st: ShaperState, r_s: float, pending_bytes: float) -> float:
+    """``Shaper.next_burst_bytes`` at encoding rate ``r_s``."""
+    size = st.t_s * r_s / 8.0 + pending_bytes
+    if st.bs_opt_bytes is not None:
+        size = min(size, st.bs_opt_bytes)
+    elif st.t_max_s is not None:
+        size = min(size, st.t_max_s * r_s / 8.0)
+    return size
+
+
 class Shaper:
     """Per-session traffic shaper state machine; quality switches follow
     ``select_quality``.
@@ -180,15 +192,9 @@ class Shaper:
     def next_burst_bytes(self, pending_bytes: float = 0.0) -> float:
         """Size of the next burst: interval worth of content plus any
         remainder re-offered after an aborted burst, capped by BS_OPT."""
-        st, r_s = self.state, self.r_s_bps
-        if st.t_s is None:
+        if self.state.t_s is None:
             raise RuntimeError("no interval chosen yet")
-        size = st.t_s * r_s / 8.0 + pending_bytes
-        if st.bs_opt_bytes is not None:
-            size = min(size, st.bs_opt_bytes)
-        elif st.t_max_s is not None:
-            size = min(size, st.t_max_s * r_s / 8.0)
-        return size
+        return _burst_bytes(self.state, self.r_s_bps, pending_bytes)
 
     # -- fast start -------------------------------------------------------
 
@@ -457,10 +463,53 @@ class ShapingController:
         self._now = rep.end_s
         return self._next()
 
+    def report_steady(self, burst_id: int, size_bytes: float,
+                      delivered_bytes: float, acked_bytes: float,
+                      start_s: float, end_s: float, est_bps: float,
+                      played_s: float) -> Optional[Tuple[float, float]]:
+        """``report`` for a STEADY burst of a non-adaptive session that
+        drew no zero window, taking the report's values one by one and
+        returning the next send's ``(size_bytes, at_s)``.
+
+        None, with nothing written, when ``report`` would change the
+        phase (an estimate below the encoding rate) or return no send (the
+        content is exhausted), or the session is adaptive or not STEADY:
+        ``report`` then books the burst. Each value comes from ``report``
+        and ``_next``'s float operations in their order. Such a burst
+        leaves every other part of the shaper's state as it was, except
+        ``on_burst_feedback``'s mark against stale feedback: burst ids only
+        rise, so the next burst passes that check either way."""
+        sh = self.shaper
+        st = sh.state
+        if self.adaptive or st.phase is not Phase.STEADY:
+            return None
+        r_s = sh.r_s_bps
+        if est_bps < r_s:
+            return None
+        sent_bytes = self.content_sent_bytes + delivered_bytes
+        sent_s = self.content_sent_s + delivered_bytes * 8.0 / r_s
+        pending = max(size_bytes - delivered_bytes, 0.0)
+        size = min(_burst_bytes(st, r_s, pending), self._left(sent_s, r_s))
+        if size <= 1e-9:
+            return None
+        self.content_sent_bytes, self.content_sent_s = sent_bytes, sent_s
+        self.pending_bytes = pending
+        sh.burst_records.append((burst_id, r_s, st.t_s, acked_bytes, False,
+                                 st.bs_opt_bytes, "STEADY"))
+        self._last_burst_start = start_s
+        self.runway_s = sent_s - played_s
+        self._now = end_s
+        return size, max(self._last_burst_start + st.t_s, self._now)
+
+    def _left(self, sent_s: float, r_s: float) -> float:
+        """The content bytes left at encoding rate ``r_s`` after ``sent_s``
+        seconds of content have been sent."""
+        return max(self.shaper.stream.duration_s - sent_s, 0.0) * r_s / 8.0
+
     def _next(self) -> Optional[Send]:
         sh = self.shaper
         phase, r_s = sh.state.phase, sh.r_s_bps
-        left = max(sh.stream.duration_s - self.content_sent_s, 0.0) * r_s / 8.0
+        left = self._left(self.content_sent_s, r_s)
         if phase is Phase.FAST_START:
             return Send(min(sh.stream.fast_start_s * r_s / 8.0, left),
                         self._now, True)

@@ -1,7 +1,10 @@
 """Streaming-client tests: flow control, drain, stalls, conservation."""
 
+import copy
+import math
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from burststream import (AckEvent, DeliveryOrderError, FeedError,
@@ -238,3 +241,60 @@ class TestRateTooLowToEnd:
         with pytest.raises(FieldError, match="finite time") as err:
             c.deliver(288_000, offered, 0.0)
         assert err.value.field == field
+
+
+class TestSteadyDelivery:
+    """``steady_delivery`` is ``deliver`` for a delivery that is one plain
+    fluid piece, bit for bit, and declines every other delivery without
+    writing anything."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(capacity=st.floats(2e5, 2e7), r_s=st.floats(64e3, 4e6),
+           fill=st.floats(0.05, 1.0), link=st.floats(0.5, 50.0),
+           offered=st.floats(0.2, 10.0), wait=st.floats(0.0, 1.2),
+           refill=st.floats(0.0, 1.5), seg=st.sampled_from((536, 1460)),
+           content_s=st.sampled_from((math.inf, 60.0, 400.0)),
+           sends=st.integers(1, 4))
+    def test_equals_deliver_or_declines(self, capacity, r_s, fill, link,
+                                        offered, wait, refill, seg,
+                                        content_s, sends):
+        # each send waits ``wait`` times what the buffer holds and refills
+        # ``refill`` times what playback took meanwhile; the link runs at
+        # ``link`` times the encoding rate
+        client = make_client(capacity, r_s, link * r_s, segment_bytes=seg,
+                             content_duration_s=content_s)
+        client.deliver(fill * capacity, 4.0 * r_s, 0.0)
+        for _ in range(sends):
+            gap = wait * client.occupancy_bytes * 8.0 / r_s
+            size, rate = refill * gap * r_s / 8.0, offered * r_s
+            at = client.now_s + gap
+            before = repr(vars(client))
+            got = client.steady_delivery(size, rate, at)
+            assert repr(vars(client)) == before      # nothing written
+            twin = copy.deepcopy(client)
+            try:
+                res = twin.deliver(size, rate, at, abort_on_zwa=True)
+            except RuntimeError:     # full, with the content played out
+                assert got is None
+                return
+            event("declined" if got is None else "taken")
+            if got is None:
+                client = twin
+                continue
+            client.take_steady(got)
+            assert repr(vars(client)) == repr(vars(twin))
+            assert repr(got[:3]) == repr((res.end_s, res.delivered_bytes,
+                                          res.acks.last_ack_bytes))
+            assert res.zwa_episodes == 0 and res.acks.zwa_ack_s is None
+            assert len(res.acks.parts) <= 2          # a piece and an ACK
+
+    def test_a_pin_a_stall_and_the_content_end_decline(self):
+        # a burst that pins the buffer, one into a buffer that runs dry
+        # before it, and one past the end of the content
+        c = make_client(1_000_000, 500e3, content_duration_s=100.0)
+        c.deliver(500_000, 4e6, 0.0)
+        assert c.steady_delivery(900_000, 4e6, c.now_s) is None
+        assert c.steady_delivery(100_000, 4e6, c.now_s + 30.0) is None
+        assert c.steady_delivery(100_000, 4e6, c.now_s + 1.0) is not None
+        c.advance(98.0)
+        assert c.steady_delivery(100_000, 4e6, 99.0) is None

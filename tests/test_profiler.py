@@ -250,7 +250,9 @@ def seeded_session(seed):
 def test_seeded_sessions_observe_the_same_bursts_from_both_feeds(
         monkeypatch):
     # every observation a session reads off a delivery's summary is the
-    # one the profiler makes of the delivery's whole ACK stream
+    # one the profiler makes of the delivery's whole ACK stream; the steady
+    # step reads no observation, so it is off and every burst is observed
+    monkeypatch.setattr(session_module, "_STEADY_STEP", False)
     observe_summary = session_module._observe
     bursts = []
 

@@ -1813,6 +1813,38 @@ class TestOriginExchange:
                             origin=origin)
         assert reply == _bare_status(b"502 Bad Gateway")
 
+    @pytest.mark.parametrize("codings", [
+        b"Transfer-Encoding: gzip, chunked\r\n",
+        b"Transfer-Encoding: gzip\r\nTransfer-Encoding: chunked\r\n",
+        b"Transfer-Encoding: chunked\r\nTransfer-Encoding: chunked\r\n",
+        b"Transfer-Encoding: gzip\r\nContent-Length: 20\r\n",
+    ], ids=["gzip-then-chunked", "two-lines", "chunked-twice", "gzip-alone"])
+    def test_codings_other_than_a_lone_chunked_are_a_bad_gateway(
+            self, codings):
+        # the proxy decodes chunked framing alone: a body under any other
+        # coding would reach the client still coded, and without the
+        # header that names its coding
+        body = BODY[:20] if b"Content-Length" in codings else \
+            _chunked(BODY[:20], [20], [b""])
+        answer = (b"HTTP/1.1 200 OK\r\n" + STREAM_INFO + codings + b"\r\n" +
+                  body)
+        with _raw_origin([answer]) as (origin, _):
+            reply = _answer(b"GET /a HTTP/1.1\r\nHost: x\r\n\r\n",
+                            origin=origin)
+        assert reply == _bare_status(b"502 Bad Gateway")
+
+    # str.isdigit takes the superscript two of latin-1, and int() does not
+    @pytest.mark.parametrize("length", [b"1_0", b"+5", b"-0", b"\xb2"],
+                             ids=["underscore", "plus", "minus-zero",
+                                  "superscript"])
+    def test_a_content_length_not_all_digits_is_a_bad_gateway(self, length):
+        answer = (b"HTTP/1.1 200 OK\r\n" + STREAM_INFO + b"Content-Length: "
+                  + length + b"\r\n\r\n" + BODY[:20])
+        with _raw_origin([answer]) as (origin, _):
+            reply = _answer(b"GET /a HTTP/1.1\r\nHost: x\r\n\r\n",
+                            origin=origin)
+        assert reply == _bare_status(b"502 Bad Gateway")
+
 
 @pytest.fixture(params=["pipe", "slab"])
 def relay_path(request, monkeypatch):

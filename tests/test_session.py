@@ -3,12 +3,15 @@
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from strategies import scenarios
 
-from burststream import (BandwidthTrace, Phase, QualityLevel, SimulatedSession,
-                         StreamingClient, StreamSpec, linear_sweep_oracle,
-                         probe_search)
+from burststream import (BandwidthTrace, Phase, QualityLevel, Scenario,
+                         SimulatedSession, StreamingClient, StreamSpec,
+                         harness, linear_sweep_oracle, probe_search)
+from burststream import session as session_module
+from burststream.profiles import ConfigError, get_profile
 from burststream.shaper import ShapingController
 
 
@@ -258,3 +261,59 @@ class TestTrajectoryView:
         assert res.fs_end_s == built[0]["time_s"]
         # each read builds a fresh list
         assert res.trajectory is not res.trajectory
+
+
+def _outputs(scenario, step):
+    """Every output of ``harness.run(scenario)`` with the steady step on or
+    off, as one string (a run that fails gives its error), and the number
+    of sends the step took."""
+    stepped = []
+    take = StreamingClient.take_steady
+    kept = session_module._STEADY_STEP
+    session_module._STEADY_STEP = step
+    StreamingClient.take_steady = lambda client, got: \
+        stepped.append(got) or take(client, got)
+    try:
+        res = harness.run(scenario)
+    except ConfigError as exc:
+        return f"ConfigError: {exc}", 0
+    finally:
+        session_module._STEADY_STEP = kept
+        StreamingClient.take_steady = take
+    s = res.session
+    ledgers = [(ledger.total_messages, sorted(
+        (a.value, b.value, n) for (a, b), n in
+        ledger.transition_counts.items()))
+        for ledger in (res.signaling, res.signaling_baseline)]
+    return repr((
+        s.shaper.burst_records, s.stall_log, s.activity_spans,
+        s.trajectory_points, s.decision_log, s.quality_switches,
+        s.zwa_bursts, s.fs_end_s, s.content_sent_bytes, s.content_sent_s,
+        s.shaper.state, res.energy_mj, res.energy_baseline_mj, ledgers,
+        res.state_trace.segments, res.baseline_trace.segments)), \
+        len(stepped)
+
+
+class TestSteadyStep:
+    """The steady step changes no output: each run is repr-equal with the
+    step on and with every send on the per-send path."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(scenario=scenarios())
+    def test_drawn_scenarios_are_the_same_either_way(self, scenario):
+        on, stepped = _outputs(scenario, True)
+        event("stepped" if stepped else "not stepped")
+        assert on == _outputs(scenario, False)[0]
+
+    def test_a_two_hour_stream_is_the_same_and_steps_each_steady_burst(
+            self):
+        # a flat link: after the search every period is one plain piece
+        scenario = Scenario(
+            "two-hours", get_profile("hspa-default"),
+            StreamSpec.single(1e6, math.inf, 20.0), 2.5e6,
+            BandwidthTrace.flat(6e6), 7200.0)
+        on, stepped = _outputs(scenario, True)
+        off, none = _outputs(scenario, False)
+        assert on == off and none == 0
+        # every STEADY burst but none of the search's
+        assert stepped == on.count("'STEADY')") == 355

@@ -1,5 +1,6 @@
 """Shaper tests: search trace, termination cases, fluctuation, quality."""
 
+import copy
 import math
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from burststream import (BurstObservation, Phase, QualityLevel, Shaper,
                          StreamSpec, initial_quality, select_quality)
-from burststream.shaper import render_burst_row
+from burststream.shaper import Report, ShapingController, render_burst_row
 
 LADDER = tuple(QualityLevel(r * 1000) for r in
                (700, 1200, 1500, 2000, 2500, 3000))
@@ -276,3 +277,56 @@ class TestBurstRecords:
         # each read renders a fresh list
         assert sh.burst_log == [row]
         assert sh.burst_log is not sh.burst_log
+
+
+class TestReportSteady:
+    """``report_steady`` books a plain STEADY burst as ``report`` does, bit
+    for bit, and declines, writing nothing, whatever ``report`` would
+    book differently."""
+
+    @staticmethod
+    def steady(duration_s=600.0, adaptive=False):
+        # a zero window in Fast Start settles at once
+        ctl = ShapingController(
+            Shaper(StreamSpec((QualityLevel(500e3), QualityLevel(1.2e6)),
+                              duration_s, 20.0)), adaptive=adaptive)
+        send = ctl.start()
+        fs = feedback(0, zwa=True, sent_at_zwa=1e6, size=send.size_bytes)
+        ctl.report(Report(fs, 1e6, 0.0, 1.0, 8e6, 1.0))
+        assert ctl.shaper.phase is Phase.STEADY
+        return ctl
+
+    @staticmethod
+    def values(ctl):
+        """The controller's and its shaper's state, but for the mark
+        against stale feedback, which only ``report`` sets."""
+        shaper = {k: v for k, v in vars(ctl.shaper).items()
+                  if k != "_last_feedback_id"}
+        ours = {k: v for k, v in vars(ctl).items() if k != "shaper"}
+        return repr((ours, shaper, vars(ctl.shaper.state)))
+
+    @pytest.mark.parametrize("delivered", [1e6, 1e6 - 0.5])
+    def test_books_as_report(self, delivered):
+        ctl = self.steady()
+        twin = copy.deepcopy(ctl)
+        for burst_id, start_s in enumerate((16.0, 32.0, 48.0), start=1):
+            obs = feedback(burst_id, size=1e6)
+            obs.acked_bytes = delivered
+            send = twin.report(Report(obs, delivered, start_s, start_s + 2.0,
+                                      4e6, start_s - 10.0))
+            booked = ctl.report_steady(burst_id, 1e6, delivered, delivered,
+                                       start_s, start_s + 2.0, 4e6,
+                                       start_s - 10.0)
+            assert repr(booked) == repr((send.size_bytes, send.at_s))
+            assert self.values(ctl) == self.values(twin)
+
+    @pytest.mark.parametrize("case", ["low-estimate", "content-end",
+                                      "adaptive"])
+    def test_declines_what_report_books_otherwise(self, case):
+        ctl = self.steady(duration_s=30.0 if case == "content-end" else 600.0,
+                          adaptive=case == "adaptive")
+        before = self.values(ctl)
+        est = 100e3 if case == "low-estimate" else 4e6
+        assert ctl.report_steady(1, 1e6, 1e6, 1e6, 16.0, 18.0, est,
+                                 6.0) is None
+        assert self.values(ctl) == before
