@@ -220,9 +220,13 @@ def _rate_key(scenario: Scenario, field: str) -> str:
     return _RATE_KEYS[field]
 
 
+# the cost table of a run given none, built and checked once
+_DEFAULT_COSTS = SignalingCostTable.default()
+
+
 def run(scenario: Scenario,
         costs: Optional[SignalingCostTable] = None) -> RunResult:
-    costs = costs or SignalingCostTable.default()
+    costs = costs or _DEFAULT_COSTS
     sim = _build_session(scenario)
     try:
         session = sim.run()

@@ -11,11 +11,22 @@ table) are reductions over those columns. ``StateTrace.segments`` is a
 read-only view: a tuple of ``StateSegment`` built from the columns each
 time it is read.
 
-Inside an LTE gap, the DRX cycles that end before the gap does (or before
-the RRC timer expires) are appended to the columns as one run, from list
-comprehensions over the cycle starts; a per-cycle loop emits only the
-partial cycles at the gap's two ends. Both compute each boundary from the
-cycle start the same way, so the run holds the same floats the loop would.
+``simulate`` is one loop over the merged spans, clipped at the horizon as
+it goes, that makes no Python call per segment: each gap's tail (the HSPA
+cascade with fast dormancy, the LTE head, the partial DRX cycles and IDLE)
+is appended straight to the start, end and state columns, and the power
+and rate columns are filled once per trace. Inside an LTE gap, the DRX
+cycles that end before the gap does (or before the RRC timer expires) are
+appended as one run, from list comprehensions over the cycle starts; the
+loop emits only the partial cycles at the gap's two ends. Both compute each
+boundary from the cycle start the same way, so the run holds the same
+floats a per-cycle loop would.
+
+``StateTrace`` checks its columns with one C-level pass per rule (a list
+comparison for contiguity, measuring only the boundaries that differ
+against the 1e-9 s tolerance; ``map(lt, ...)`` for reversed segments; a
+set for the states) and raises what a walk in segment order would. It
+counts the RRC transitions from the states as bytes, one per segment.
 
 State sets per technology:
   HSPA   DCH -> FACH -> PCH -> IDLE, driven by the T1/T2/T3 inactivity
@@ -32,11 +43,13 @@ activity.
 from __future__ import annotations
 
 import enum
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from itertools import chain, compress
+from operator import lt, ne
+from typing import Dict, Iterable, List, Optional, Tuple
 
-from .energy import FastDormancy, RadioProfile, Technology, power_rx
+from .energy import FastDormancy, RadioProfile, Technology
 from .errors import FieldError, finite_at_least
 
 
@@ -55,11 +68,29 @@ class RadioState(enum.Enum):
     CONN_DRX_OFF = "CONN_DRX_OFF"
 
 
+# the members as module constants: each read of a member off the class goes
+# through the Enum metaclass, which costs the replay more than the append
+_DCH, _FACH, _PCH, _IDLE = (RadioState.DCH, RadioState.FACH, RadioState.PCH,
+                            RadioState.IDLE)
+_CONNECTED, _DRX_ON, _DRX_OFF = (RadioState.CONNECTED, RadioState.CONN_DRX_ON,
+                                 RadioState.CONN_DRX_OFF)
+
 _ACTIVE_STATE = {
     Technology.HSPA: RadioState.DCH,
     Technology.LTE: RadioState.CONNECTED,
     Technology.WIFI: RadioState.CONNECTED,
 }
+
+# each state's RRC state as a code below 8, DRX on/off cycling collapsed
+# into CONNECTED, since duty cycling happens inside the connected state; a
+# pair of RRC states (from, to) is the byte 8 * from + to
+_RRC_STATES = (_DCH, _FACH, _PCH, _IDLE, _CONNECTED)
+_RRC_CODE = {state: code for code, state in enumerate(_RRC_STATES)}
+_RRC_CODE[_DRX_ON] = _RRC_CODE[_DRX_OFF] = _RRC_CODE[_CONNECTED]
+_IDLE_BYTE = bytes((_RRC_CODE[_IDLE],))
+_PAIR_STATES = {8 * a + b: (src, dst) for a, src in enumerate(_RRC_STATES)
+                for b, dst in enumerate(_RRC_STATES)}
+_SAME_PAIR = bytes(9 * code for code in range(len(_RRC_STATES)))
 
 _ALLOWED_STATES = {
     Technology.HSPA: {RadioState.DCH, RadioState.FACH, RadioState.PCH,
@@ -165,31 +196,59 @@ class StateTrace:
         init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n = len(self.start_s)
-        if any(len(col) != n for col in (self.end_s, self.state,
-                                         self.power_mw, self.rate_bps)):
+        start_s, end_s, state = self.start_s, self.end_s, self.state
+        n = len(start_s)
+        if len(end_s) != n or len(state) != n or \
+                len(self.power_mw) != n or len(self.rate_bps) != n:
             raise ValueError("state trace columns differ in length")
+        # each rule is one C-level pass; where one fails, the first segment
+        # that breaks any rule names the error, as a walk in segment order
+        # would find it. Each segment starts where the one before it ends
+        # (the first at 0) within 1e-9 s: only the boundaries that differ
+        # are measured.
+        prev_end = [0.0]
+        prev_end += end_s
+        exact = start_s == prev_end[:-1]
         allowed = _ALLOWED_STATES[self.technology]
-        drx = (RadioState.CONN_DRX_ON, RadioState.CONN_DRX_OFF)
-        counts: Dict[Tuple[RadioState, RadioState], int] = {}
-        prev = RadioState.IDLE
-        t = 0.0
-        for start, end, state in zip(self.start_s, self.end_s, self.state):
-            if abs(start - t) > 1e-9:
+        gap = back = alien = n
+        if not exact:
+            gap = next((i for i in compress(range(n), map(ne, start_s,
+                                                          prev_end))
+                        if abs(start_s[i] - prev_end[i]) > 1e-9), n)
+        if exact:
+            # none ends before it starts iff the ends, after the 0, never
+            # step down: iff sorting leaves them as they are, which takes
+            # one run of float comparisons
+            reversed_any = prev_end != sorted(prev_end)
+        else:
+            reversed_any = any(map(lt, end_s, start_s))
+        if reversed_any:
+            back = next(compress(range(n), map(lt, end_s, start_s)))
+        if not allowed.issuperset(state):
+            alien = next(i for i, s in enumerate(state) if s not in allowed)
+        first = min(gap, back, alien)
+        if first < n:
+            if first == gap:
                 raise ValueError("state trace must be contiguous from 0")
-            if end < start:
+            if first == back:
                 raise ValueError("segment ends before it starts")
-            if state not in allowed:
-                raise ValueError(f"state {state} invalid for "
-                                 f"{self.technology}")
-            t = end
-            cur = RadioState.CONNECTED if state in drx else state
-            if cur is not prev:
-                counts[(prev, cur)] = counts.get((prev, cur), 0) + 1
-            prev = cur
-        if abs(t - self.horizon_s) > 1e-9:
+            raise ValueError(f"state {state[first]} invalid for "
+                             f"{self.technology}")
+        if abs((end_s[-1] if n else 0.0) - self.horizon_s) > 1e-9:
             raise ValueError("state trace must cover the horizon")
-        self.transitions = counts
+        # each segment's RRC code as one byte; the codes of the segments
+        # before them (IDLE before the first), shifted three bits within
+        # their bytes, make each byte the segment's (from, to) pair. The
+        # pairs of unequal codes are the transitions, counted in order of
+        # first occurrence.
+        pairs = b""
+        if n:
+            codes = bytes(map(_RRC_CODE.__getitem__, state))
+            before = int.from_bytes(_IDLE_BYTE + codes[:-1], "big")
+            pairs = (before << 3 | int.from_bytes(codes, "big")).to_bytes(
+                n, "big").translate(None, _SAME_PAIR)
+        self.transitions = {_PAIR_STATES[pair]: pairs.count(pair)
+                            for pair in dict.fromkeys(pairs)}
 
     @property
     def segments(self) -> Tuple[StateSegment, ...]:
@@ -285,146 +344,20 @@ class SignalingLedger:
         return "\n".join(lines) + "\n"
 
 
-def _hspa_cascade(t_end: float, profile: RadioProfile,
-                  ) -> List[Tuple[float, RadioState]]:
-    """Demotion schedule after activity ends at ``t_end`` (absolute times)."""
-    t1, t2, t3 = profile.t1_s, profile.t2_s, profile.t3_s
-    steps: List[Tuple[float, RadioState]] = [(t_end + t1, RadioState.FACH)]
-    if profile.pch_enabled:
-        steps.append((t_end + t1 + t2, RadioState.PCH))
-        if t3 > 0:
-            steps.append((t_end + t1 + t2 + t3, RadioState.IDLE))
-    else:
-        steps.append((t_end + t1 + t2, RadioState.IDLE))
-
-    fd = profile.fast_dormancy
-    if fd is not FastDormancy.NONE and profile.legacy_fd_timeout_s > 0:
-        t_fd = t_end + profile.legacy_fd_timeout_s
-        # Dormancy fires only while still in an active state (DCH/FACH).
-        before = [(t, s) for (t, s) in steps
-                  if t <= t_fd and s in (RadioState.PCH, RadioState.IDLE)]
-        if not before:
-            kept = [(t, s) for (t, s) in steps if t < t_fd]
-            if fd is FastDormancy.LEGACY or not profile.pch_enabled:
-                steps = kept + [(t_fd, RadioState.IDLE)]
-            else:
-                steps = kept + [(t_fd, RadioState.PCH)]
-                if t3 > 0:
-                    steps.append((t_fd + t3, RadioState.IDLE))
-    return steps
+_INF = float("inf")
+_EPS = 1e-12    # the DRX and RRC boundaries' tolerance
 
 
-def _lte_phase_at(dt: float, profile: RadioProfile) -> RadioState:
-    """State ``dt`` seconds after the last activity (LTE/Wi-Fi tail)."""
-    rrc_idle = profile.t1_s
-    if dt >= rrc_idle:
-        return RadioState.IDLE
-    drx = profile.drx
-    if drx is None or dt < drx.idle_s:
-        return RadioState.CONNECTED
-    phase = (dt - drx.idle_s) % drx.cycle_s
-    return RadioState.CONN_DRX_ON if phase < drx.on_s else RadioState.CONN_DRX_OFF
-
-
-def _next_drx_on(dt: float, profile: RadioProfile) -> float:
-    """Offset of the next DRX on-window start at or after ``dt``."""
-    drx = profile.drx
-    base = drx.idle_s
-    if dt <= base:
-        return base
-    k = int((dt - base) / drx.cycle_s)
-    candidate = base + k * drx.cycle_s
-    if candidate < dt - 1e-12:
-        candidate += drx.cycle_s
-    return candidate
-
-
-# receives one tail segment: (start_s, end_s, state)
-_TailSink = Callable[[float, float, RadioState], None]
-# receives a run of whole DRX cycles: (start_s, edges), where ``edges`` holds
-# each cycle's ON end and then its OFF end, and the first ON starts at start_s
-_CycleSink = Callable[[float, List[float]], None]
-
-
-def _emit_lte_gap(out: _TailSink, out_cycles: _CycleSink, g0: float,
-                  g1: float, t_end: float, profile: RadioProfile) -> None:
-    """Emit tail segments for the gap [g0, g1) after activity at t_end.
-
-    The per-cycle loop emits the partial DRX cycles at the gap's two ends;
-    each run of whole cycles between them goes to ``out_cycles`` at once,
-    with every boundary computed as the loop computes it.
-    """
-    eps = 1e-12
-    rrc_abs = t_end + profile.t1_s
-    drx = profile.drx
-    t = g0
-    drx_start = t_end + drx.idle_s if drx is not None else rrc_abs
-    head = min(drx_start, rrc_abs, g1)
-    if t < head - eps:
-        out(t, head, RadioState.CONNECTED)
-        t = head
-    if drx is not None:
-        cycle, on = drx.cycle_s, drx.on_s
-        limit = min(g1, rrc_abs)
-        stop = limit - eps
-        # cycles 0..whole-1 end before the stop. They go out in one run only
-        # where rounding cannot empty a segment or reorder its boundaries:
-        # each ON and OFF window is wider than eps plus a bound on the
-        # rounding of the times involved.
-        whole = 0
-        if min(on, cycle - on) > \
-                eps + 1e-14 * (abs(drx_start) + abs(limit) + cycle):
-            whole = max(int((stop - drx_start) / cycle), 0)
-            while whole > 0 and \
-                    drx_start + (whole - 1) * cycle + cycle >= stop:
-                whole -= 1
-            while drx_start + whole * cycle + cycle < stop:
-                whole += 1
-        k = max(int((t - drx_start) / cycle), 0)
-        while t < stop:
-            cycle_start = drx_start + k * cycle
-            on_end = cycle_start + on
-            cycle_end = cycle_start + cycle
-            if t < on_end - eps and k < whole:
-                # the loop would emit each of cycles k..whole-1 as one ON
-                # and one OFF segment, computed as below
-                starts = [drx_start + j * cycle for j in range(k, whole)]
-                edges = [0.0] * (2 * len(starts))
-                edges[0::2] = [cs + on for cs in starts]
-                edges[1::2] = [cs + cycle for cs in starts]
-                out_cycles(t, edges)
-                t, k = edges[-1], whole
-                continue
-            if t < on_end - eps:
-                nxt = min(on_end, limit)
-                out(t, nxt, RadioState.CONN_DRX_ON)
-            elif t < cycle_end - eps:
-                nxt = min(cycle_end, limit)
-                out(t, nxt, RadioState.CONN_DRX_OFF)
-            else:
-                k += 1
-                continue
-            t = nxt
-            if t >= cycle_end - eps:
-                k += 1
-    if g1 > rrc_abs + eps and t < g1 - eps:
-        out(max(t, rrc_abs), g1, RadioState.IDLE)
-        t = g1
-
-
-def _emit_hspa_gap(out: _TailSink, g0: float, g1: float, t_end: float,
-                   profile: RadioProfile) -> None:
-    state = RadioState.DCH
-    t = g0
-    for step_t, step_state in _hspa_cascade(t_end, profile):
-        if step_t >= g1:
-            break
-        if step_t > t:
-            out(t, step_t, state)
-            t = step_t
-        state = step_state
-    if t < g1:
-        out(t, g1, state)
+def _drx_run(drx_start: float, k: int, whole: int, cycle: float,
+             on: float) -> List[float]:
+    """The segment ends of the whole DRX cycles k..whole-1: each cycle's ON
+    end, then its OFF end, computed from the cycle start as a per-cycle
+    loop computes them."""
+    cycle_starts = [drx_start + j * cycle for j in range(k, whole)]
+    edges = [0.0] * (2 * (whole - k))
+    edges[0::2] = [cs + on for cs in cycle_starts]
+    edges[1::2] = [cs + cycle for cs in cycle_starts]
+    return edges
 
 
 def simulate(trace: ActivityTrace, profile: RadioProfile,
@@ -440,106 +373,227 @@ def simulate(trace: ActivityTrace, profile: RadioProfile,
     power of its spans' bytes over its duration, a tail segment at its
     state's configured power.
     """
-    spans = trace.spans()
+    spans = trace._spans
     if horizon_s is None:
         horizon_s = spans[-1][1] if spans else 0.0
-    spans = [(s, min(e, horizon_s), b) for (s, e, b) in spans
-             if s < horizon_s]
+    # the spans that start before the horizon (only the last of them can
+    # end past it, and is cut there), then the horizon itself as a span
+    # without bytes, which closes the final gap
+    todo = spans[:bisect_left(spans, (horizon_s,))]
+    n = len(todo)
+    if n and horizon_s < todo[-1][1]:
+        todo[-1] = (todo[-1][0], horizon_s, todo[-1][2])
+    todo.append((horizon_s, horizon_s, None))
 
-    is_hspa = profile.technology is Technology.HSPA
     active_state = _ACTIVE_STATE[profile.technology]
-    tail_power = {
-        RadioState.DCH: profile.p1_mw,
-        RadioState.CONNECTED: profile.p1_mw,
-        RadioState.FACH: profile.p2_mw,
-        RadioState.CONN_DRX_ON: profile.p_tail_mw,
-        RadioState.CONN_DRX_OFF: profile.p_drx_off_mw,
-        RadioState.PCH: profile.p_pch_mw,
-        RadioState.IDLE: profile.p_idle_mw,
-    }
+    is_hspa = active_state is _DCH
+    t1, t2, t3 = profile.t1_s, profile.t2_s, profile.t3_s
+    # the HSPA demotion schedule after activity ends: FACH at T1, then PCH
+    # (or IDLE) at T2, then IDLE at T3 when PCH has a timer; fast dormancy
+    # cuts in at its timeout while the radio is still in DCH or FACH
+    second = _PCH if profile.pch_enabled else _IDLE
+    third = profile.pch_enabled and t3 > 0
+    fd_timeout = profile.legacy_fd_timeout_s
+    dormancy = fd_timeout > 0 and \
+        profile.fast_dormancy is not FastDormancy.NONE
+    if dormancy:
+        fd_state = _IDLE if profile.fast_dormancy is FastDormancy.LEGACY \
+            or not profile.pch_enabled else _PCH
+        fd_third = fd_state is _PCH and t3 > 0
+    drx = profile.drx
+    if drx is not None:
+        idle, cycle, on = drx.idle_s, drx.cycle_s, drx.on_s
+        narrow = min(on, cycle - on)
+    defer = not is_hspa and drx is not None
+    drx_pair = [_DRX_ON, _DRX_OFF]
+
     starts: List[float] = []
     ends: List[float] = []
     states: List[RadioState] = []
-    powers: List[float] = []
-    rates: List[Optional[float]] = []
     add_start, add_end, add_state = starts.append, ends.append, states.append
-    add_power, add_rate = powers.append, rates.append
-
-    def tail(s: float, e: float, state: RadioState) -> None:
-        """Append the tail segment [s, e) at its state's power, unless it
-        is empty."""
-        if e > s:
-            add_start(s)
-            add_end(e)
-            add_state(state)
-            add_power(tail_power[state])
-            add_rate(None)
-
-    drx_states = [RadioState.CONN_DRX_ON, RadioState.CONN_DRX_OFF]
-    drx_powers = [tail_power[state] for state in drx_states]
-
-    def drx_cycles(s: float, edges: List[float]) -> None:
-        """Append a run of whole DRX cycles: ON then OFF for each cycle,
-        each segment starting where the one before it ends."""
-        add_start(s)
-        starts.extend(edges[:-1])
-        ends.extend(edges)
-        cycles = len(edges) // 2
-        states.extend(drx_states * cycles)
-        powers.extend(drx_powers * cycles)
-        rates.extend([None] * len(edges))
-
-    def emit_gap(g0: float, g1: float, t_end: float) -> None:
-        if is_hspa:
-            _emit_hspa_gap(tail, g0, g1, t_end, profile)
-        else:
-            _emit_lte_gap(tail, drx_cycles, g0, g1, t_end, profile)
-
+    active_at: List[int] = []       # the index of each receive segment
+    active_rate: List[float] = []   # and its rate
     t = 0.0
     last_end: Optional[float] = None
     i = 0
-    while i < len(spans):
-        start, end, nbytes = spans[i]
+    while i <= n:
+        start, end, nbytes = todo[i]
         i += 1
         eff_start = start
         if last_end is None:
-            tail(t, start, RadioState.IDLE)
+            if start > t:
+                add_start(t)
+                add_end(start)
+                add_state(_IDLE)
         else:
-            if not is_hspa and profile.drx is not None:
+            if defer and nbytes is not None:
                 dt = start - last_end
-                if _lte_phase_at(dt, profile) is RadioState.CONN_DRX_OFF:
-                    eff_start = last_end + min(_next_drx_on(dt, profile),
-                                               profile.t1_s)
+                if not dt >= t1 and not dt < idle and \
+                        not (dt - idle) % cycle < on:
+                    # arrival in a DRX OFF window waits for the next ON
+                    # window, or for the RRC timer if that comes first
+                    wake = idle
+                    if dt > idle:
+                        wake = idle + int((dt - idle) / cycle) * cycle
+                        if wake < dt - 1e-12:
+                            wake += cycle
+                    eff_start = last_end + (t1 if t1 < wake else wake)
             if eff_start > t:
-                emit_gap(t, min(eff_start, horizon_s), last_end)
+                # the tail of the gap [g, g1) after activity ended at
+                # last_end
+                g1 = horizon_s if horizon_s < eff_start else eff_start
+                g = t
+                if is_hspa:
+                    x1 = last_end + t1
+                    x2 = x1 + t2
+                    x3 = x2 + t3 if third else _INF
+                    s1, s2 = _FACH, second
+                    if dormancy:
+                        t_fd = last_end + fd_timeout
+                        if not x2 <= t_fd:
+                            fd_next = t_fd + t3 if fd_third else _INF
+                            if x1 < t_fd:
+                                x2, s2, x3 = t_fd, fd_state, fd_next
+                            else:
+                                x1, s1, x2, s2, x3 = (t_fd, fd_state, fd_next,
+                                                      _IDLE, _INF)
+                    # the first step at or past g1 ends the cascade
+                    state = _DCH
+                    if x1 < g1:
+                        if x1 > g:
+                            add_start(g)
+                            add_end(x1)
+                            add_state(_DCH)
+                            g = x1
+                        state = s1
+                        if x2 < g1:
+                            if x2 > g:
+                                add_start(g)
+                                add_end(x2)
+                                add_state(s1)
+                                g = x2
+                            state = s2
+                            if x3 < g1:
+                                if x3 > g:
+                                    add_start(g)
+                                    add_end(x3)
+                                    add_state(s2)
+                                    g = x3
+                                state = _IDLE
+                    if g < g1:
+                        add_start(g)
+                        add_end(g1)
+                        add_state(state)
+                else:
+                    rrc_abs = last_end + t1
+                    drx_start = last_end + idle if drx is not None \
+                        else rrc_abs
+                    head = drx_start
+                    if rrc_abs < head:
+                        head = rrc_abs
+                    if g1 < head:
+                        head = g1
+                    if g < head - _EPS:
+                        add_start(g)
+                        add_end(head)
+                        add_state(_CONNECTED)
+                        g = head
+                    if drx is not None:
+                        limit = rrc_abs if rrc_abs < g1 else g1
+                        stop = limit - _EPS
+                        # cycles 0..whole-1 end before the stop. They go out
+                        # in one run only where rounding cannot empty a
+                        # segment or reorder its boundaries: each ON and OFF
+                        # window is wider than eps plus a bound on the
+                        # rounding of the times involved.
+                        whole = 0
+                        if narrow > _EPS + 1e-14 * (
+                                abs(drx_start) + abs(limit) + cycle):
+                            whole = int((stop - drx_start) / cycle)
+                            if whole < 0:
+                                whole = 0
+                            while whole > 0 and drx_start + \
+                                    (whole - 1) * cycle + cycle >= stop:
+                                whole -= 1
+                            while drx_start + whole * cycle + cycle < stop:
+                                whole += 1
+                        k = int((g - drx_start) / cycle)
+                        if k < 0:
+                            k = 0
+                        while g < stop:
+                            cycle_start = drx_start + k * cycle
+                            on_end = cycle_start + on
+                            cycle_end = cycle_start + cycle
+                            if g < on_end - _EPS:
+                                if k < whole:
+                                    # cycles k..whole-1 as one run of ON and
+                                    # OFF segments, each starting where the
+                                    # one before it ends
+                                    edges = _drx_run(drx_start, k, whole,
+                                                     cycle, on)
+                                    add_start(g)
+                                    starts += edges
+                                    del starts[-1]
+                                    ends += edges
+                                    states += drx_pair * (whole - k)
+                                    g, k = edges[-1], whole
+                                    continue
+                                nxt = limit if limit < on_end else on_end
+                                add_state(_DRX_ON)
+                            elif g < cycle_end - _EPS:
+                                nxt = limit if limit < cycle_end else \
+                                    cycle_end
+                                add_state(_DRX_OFF)
+                            else:
+                                k += 1
+                                continue
+                            add_start(g)
+                            add_end(nxt)
+                            g = nxt
+                            if g >= cycle_end - _EPS:
+                                k += 1
+                    if g1 > rrc_abs + _EPS and g < g1 - _EPS:
+                        add_start(rrc_abs if rrc_abs > g else g)
+                        add_end(g1)
+                        add_state(_IDLE)
         if eff_start >= horizon_s:
-            t = horizon_s
             break
-        eff_end = min(eff_start + (end - start), horizon_s)
+        eff_end = eff_start + (end - start)
+        if horizon_s < eff_end:
+            eff_end = horizon_s
         # deferred delivery may now overlap following spans: absorb them
-        while i < len(spans) and spans[i][0] < eff_end + 1e-12:
-            _, nend, nb = spans[i]
+        while i < n and todo[i][0] < eff_end + 1e-12:
+            if todo[i][1] > eff_end:
+                eff_end = todo[i][1]
+            nbytes = nbytes + todo[i][2]
             i += 1
-            eff_end = min(max(eff_end, nend), horizon_s)
-            nbytes = nbytes + nb
         if eff_end > eff_start:
-            rate = nbytes * 8.0 / (eff_end - eff_start)
+            active_at.append(len(states))
+            active_rate.append(nbytes * 8.0 / (eff_end - eff_start))
             add_start(eff_start)
             add_end(eff_end)
             add_state(active_state)
-            add_power(power_rx(rate, profile))
-            add_rate(rate)
-        t = eff_end
-        last_end = eff_end
-    if t < horizon_s:
-        if last_end is None:
-            tail(t, horizon_s, RadioState.IDLE)
-        else:
-            emit_gap(t, horizon_s, last_end)
+        t = last_end = eff_end
     if not starts:
-        return StateTrace([0.0], [horizon_s], [RadioState.IDLE],
+        return StateTrace([0.0], [horizon_s], [_IDLE],
                           [profile.p_idle_mw], [None], horizon_s,
                           profile.technology)
+    tail_power = {
+        _DCH: profile.p1_mw,
+        _CONNECTED: profile.p1_mw,
+        _FACH: profile.p2_mw,
+        _DRX_ON: profile.p_tail_mw,
+        _DRX_OFF: profile.p_drx_off_mw,
+        _PCH: profile.p_pch_mw,
+        _IDLE: profile.p_idle_mw,
+    }
+    powers = list(map(tail_power.__getitem__, states))
+    rates: List[Optional[float]] = [None] * len(states)
+    a, k_coeff, p_tail = profile.a_coeff, profile.k_coeff, profile.p_tail_mw
+    for j, rate in zip(active_at, active_rate):
+        rates[j] = rate
+        # energy.power_rx(rate, profile), for a rate >= 0
+        powers[j] = (a + (k_coeff * rate if k_coeff else 0.0)) * p_tail
     return StateTrace(starts, ends, states, powers, rates, horizon_s,
                       profile.technology)
 
@@ -556,7 +610,7 @@ def energy_of(state_trace: StateTrace, profile: RadioProfile) -> float:
     for start, end, power in zip(tr.start_s, tr.end_s, tr.power_mw):
         total += (end - start) * power
     reconnects = sum(n for (src, _), n in tr.transitions.items()
-                     if src is RadioState.IDLE)
+                     if src is _IDLE)
     return total + reconnects * profile.reconnect_setup_s * profile.p1_mw
 
 

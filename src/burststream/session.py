@@ -171,8 +171,14 @@ class SimulatedSession:
                     break
         self.client.finalize(max(now, self.session_length_s))
         fs_end = points[0][0]      # the Fast Start's end
+        # the last delivery may run past the horizon and close a stall
+        # there: each stall ends at the horizon at the latest, and one that
+        # starts there is not the session's
+        end_s = self.session_length_s
+        stalls = [[start, min(end, end_s)]
+                  for start, end in self.client.stall_log if start < end_s]
         return SessionResult(
-            self.activity_spans, self.client.stall_log, fs_end,
+            self.activity_spans, stalls, fs_end,
             ctl.content_sent_bytes, ctl.content_sent_s, points,
             shaper.decision_log, self.quality_switches, self.zwa_bursts,
             shaper)

@@ -5,8 +5,11 @@ import math
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
+
+import oracles
+from oracles import reference_simulate, walk_state_trace
 
 from burststream import (ActivityTrace, BurstScenario, RadioState,
                          SignalingConfigError, SignalingCostTable,
@@ -507,8 +510,8 @@ class TestColumnDifferential:
 #
 # ``simulate`` appends the whole DRX cycles of a gap as one run. The
 # reference emitter below is the loop that emitted every cycle on its own,
-# one ON and one OFF segment at a time; ``simulate`` with it swapped in must
-# give the same columns, float for float.
+# one ON and one OFF segment at a time; the reference replay in ``oracles``
+# with it swapped in must give ``simulate``'s columns, float for float.
 
 def per_cycle_lte_gap(out, out_cycles, g0, g1, t_end, profile):
     """The LTE tail of the gap [g0, g1), one DRX cycle at a time."""
@@ -599,8 +602,8 @@ class TestDrxRunsDifferential:
             max(drx_time(end, profile, horizon), 1e-3)
         trace = ActivityTrace.from_spans(spans)
         fast = simulate(trace, profile, horizon_s=horizon_s)
-        with mock.patch.object(radio, "_emit_lte_gap", per_cycle_lte_gap):
-            slow = simulate(trace, profile, horizon_s=horizon_s)
+        with mock.patch.object(oracles, "_emit_lte_gap", per_cycle_lte_gap):
+            slow = reference_simulate(trace, profile, horizon_s=horizon_s)
         assert columns(fast) == columns(slow)
         assert fast.transitions == slow.transitions
 
@@ -608,17 +611,173 @@ class TestDrxRunsDifferential:
         # one burst, then a 9.25 s DRX tail of 640 ms cycles before the 10 s
         # RRC timer: 14 whole cycles and a partial one
         runs = []
-        emit = radio._emit_lte_gap
+        build = radio._drx_run
 
-        def spy(out, out_cycles, *args):
-            def counted(start_s, edges):
-                runs.append(len(edges) // 2)
-                out_cycles(start_s, edges)
-            emit(out, counted, *args)
+        def spy(*args):
+            edges = build(*args)
+            runs.append(len(edges) // 2)
+            return edges
 
-        with mock.patch.object(radio, "_emit_lte_gap", spy):
+        with mock.patch.object(radio, "_drx_run", spy):
             fast = simulate(periodic(30, 1.0, 1), LTE_DRX, horizon_s=30.0)
         assert runs == [14]
-        with mock.patch.object(radio, "_emit_lte_gap", per_cycle_lte_gap):
-            slow = simulate(periodic(30, 1.0, 1), LTE_DRX, horizon_s=30.0)
+        with mock.patch.object(oracles, "_emit_lte_gap", per_cycle_lte_gap):
+            slow = reference_simulate(periodic(30, 1.0, 1), LTE_DRX,
+                                      horizon_s=30.0)
         assert columns(fast) == columns(slow)
+
+
+# -- the replay against the closure-based reference --------------------------
+#
+# ``simulate`` emits every gap's tail by direct appends; ``oracles`` keeps the
+# replay that emitted each tail segment through a closure and each gap
+# through an emitter. Both must give the same columns, float for float, and
+# the same transitions in the same order.
+
+FAST_DORMANCY = st.builds(
+    lambda fd, pch, t3, timeout: RadioProfile(
+        Technology.HSPA, t1_s=8, t2_s=3, t3_s=t3, p1_mw=800, p2_mw=460,
+        p_tail_mw=600, p_pch_mw=20.0, fast_dormancy=fd, pch_enabled=pch,
+        legacy_fd_timeout_s=timeout),
+    st.sampled_from([FastDormancy.LEGACY, FastDormancy.REL8]),
+    st.booleans(), st.sampled_from([0.0, 20.0]),
+    st.one_of(st.sampled_from([0.0, 2.0, 8.0, 11.0, 12.0]),
+              st.floats(0.0, 15.0)))
+
+
+@st.composite
+def drx_edge_profiles(draw):
+    edges = draw(DRX_EDGES)
+    profile = get_profile(draw(st.sampled_from(
+        ["lte-drx-default", "lte-drx-longidle"])))
+    if edges is None:
+        return profile
+    return dataclasses.replace(profile, drx=DrxConfig(*edges))
+
+
+REPLAY_PROFILES = st.one_of(st.sampled_from(list_profiles()).map(get_profile),
+                            drx_edge_profiles(), FAST_DORMANCY)
+
+
+class TestReplayDifferential:
+    @given(profile=REPLAY_PROFILES, spans=st.lists(SPAN, max_size=25),
+           horizon=st.one_of(st.none(), st.floats(0.0, 400.0)))
+    @settings(max_examples=300, deadline=None)
+    def test_columns_and_transitions_match_the_reference(
+            self, profile, spans, horizon):
+        trace = ActivityTrace.from_spans(
+            [(t, t + d, b) for t, d, b in spans])
+        fast = simulate(trace, profile, horizon_s=horizon)
+        slow = reference_simulate(trace, profile, horizon_s=horizon)
+        assert columns(fast) == columns(slow)
+        assert list(fast.transitions.items()) == \
+            list(slow.transitions.items())
+
+    @given(profile=REPLAY_PROFILES, first=st.floats(0.0, 5.0),
+           bursts=st.lists(st.tuples(st.floats(0.0, 2.0), DRX_POINT,
+                                     st.floats(0.0, 40.0)), max_size=6),
+           horizon=st.floats(0.0, 60.0))
+    @settings(max_examples=200, deadline=None)
+    def test_bursts_near_timer_and_cycle_edges_match_the_reference(
+            self, profile, first, bursts, horizon):
+        # bursts placed on DRX cycle edges where the profile has DRX, or
+        # after a drawn gap otherwise; the horizon falls anywhere after
+        # the first burst
+        spans, end = [], first
+        for duration, point, gap in bursts:
+            start = max(drx_time(end, profile, point), end) \
+                if profile.drx is not None else end + gap
+            spans.append((start, start + duration, 100_000))
+            end = start + duration
+        trace = ActivityTrace.from_spans(spans)
+        fast = simulate(trace, profile, horizon_s=first + horizon)
+        slow = reference_simulate(trace, profile, horizon_s=first + horizon)
+        assert columns(fast) == columns(slow)
+        assert list(fast.transitions.items()) == \
+            list(slow.transitions.items())
+
+    def test_a_span_just_after_a_deferred_delivery_joins_it(self):
+        # an arrival 0.1 s into the first DRX OFF window waits for the next
+        # ON window, at 1 + 0.75 + 0.64 s; the next span starts 5e-13 s
+        # after the deferred 0.3 s delivery ends, and joins it
+        wake = 1.0 + (0.75 + 0.64)
+        trace = ActivityTrace.from_spans([
+            (0.0, 1.0, 1000), (1.85, 2.15, 1000),
+            (wake + 0.3 + 5e-13, wake + 1.3, 1000)])
+        fast = simulate(trace, LTE_DRX, horizon_s=10.0)
+        slow = reference_simulate(trace, LTE_DRX, horizon_s=10.0)
+        assert columns(fast) == columns(slow)
+        assert sum(rate is not None for rate in fast.rate_bps) == 2
+
+
+# -- the StateTrace checks against the per-segment walk ----------------------
+
+OTHER_TECHNOLOGY = {
+    Technology.HSPA: [RadioState.CONNECTED, RadioState.CONN_DRX_ON],
+    Technology.LTE: [RadioState.DCH, RadioState.PCH],
+    Technology.WIFI: [RadioState.FACH, RadioState.CONN_DRX_OFF],
+}
+# boundary offsets inside the 1e-9 s tolerance, and past it
+NEAR = st.sampled_from([0.0, 5e-10, -5e-10])
+FAR = st.sampled_from([2e-9, -2e-9])
+
+
+@st.composite
+def state_columns(draw):
+    """(start_s, end_s, state, horizon_s, technology) of a trace whose
+    boundaries may be off by 5e-10 s, and which may break the rules: one
+    boundary off by 2e-9 s, one reversed segment, a state of another
+    technology, a horizon off by 2e-9 s or short of the last end. One
+    segment may end at NaN, which the next one starts at."""
+    technology = draw(st.sampled_from(list(Technology)))
+    allowed = sorted(oracles.ALLOWED_STATES[technology],
+                     key=lambda s: s.value)
+    # past 64 segments, sorting merges runs
+    n = draw(st.integers(0, 12) | st.integers(60, 90))
+    far_at, reversed_at, alien_at, nan_at = (
+        draw(st.none() | st.integers(0, max(n - 1, 0))) for _ in range(4))
+    starts, ends, states = [], [], []
+    t = 0.0
+    for i in range(n):
+        offset = draw(FAR if i == far_at else NEAR)
+        # the same float where the offset is 0, as ``simulate`` writes it
+        start = t + offset if offset else t
+        if i == nan_at:
+            end = math.nan
+        elif i == reversed_at:
+            end = start - draw(st.floats(1e-6, 2.0))
+        else:
+            end = start + draw(st.one_of(st.just(0.0), st.floats(0.0, 5.0)))
+        if i == alien_at:
+            state = draw(st.sampled_from(OTHER_TECHNOLOGY[technology]))
+        else:
+            state = draw(st.sampled_from(allowed))
+        starts.append(start)
+        ends.append(end)
+        states.append(state)
+        t = end
+    horizon = draw(st.one_of((NEAR | FAR).map(lambda off: t + off),
+                             st.floats(1e-6, 3.0).map(lambda d: t - d)))
+    return starts, ends, states, horizon, technology
+
+
+class TestStateTraceWalkDifferential:
+    @given(columns=state_columns())
+    @settings(max_examples=300, deadline=None)
+    def test_checks_and_counts_match_the_per_segment_walk(self, columns):
+        starts, ends, states, horizon, technology = columns
+        # the error message, or the transitions in order
+        try:
+            expected = list(walk_state_trace(starts, ends, states, horizon,
+                                             technology).items())
+        except ValueError as exc:
+            expected = str(exc)
+        n = len(starts)
+        try:
+            got = list(StateTrace(starts, ends, states, [0.0] * n,
+                                  [None] * n, horizon,
+                                  technology).transitions.items())
+        except ValueError as exc:
+            got = str(exc)
+        event(expected if isinstance(expected, str) else "accepted")
+        assert got == expected

@@ -317,3 +317,21 @@ class TestSteadyStep:
         assert on == off and none == 0
         # every STEADY burst but none of the search's
         assert stepped == on.count("'STEADY')") == 355
+
+
+class TestStallLog:
+    @settings(max_examples=150, deadline=None)
+    @given(scenario=scenarios())
+    def test_stalls_are_sorted_disjoint_and_inside_the_session(
+            self, scenario):
+        try:
+            stalls = harness.run(scenario).stall_log
+        except ConfigError:
+            return
+        horizon = scenario.session_length_s
+        edges = [t for stall in stalls for t in stall]
+        # each stall ends at or after its start, and the next one starts
+        # at or after that end
+        assert edges == sorted(edges)
+        assert all(start < horizon for start, _ in stalls)
+        assert not edges or (edges[0] >= 0.0 and edges[-1] <= horizon)
