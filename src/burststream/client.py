@@ -8,23 +8,23 @@ remaining bytes can only enter as fast as playback frees space.
 
 Occupancy evolves as a piecewise-linear fluid with breakpoints computed in
 closed form, so runs are exact and independent of any step size. A delivery
-records its fluid pieces and its explicit ACKs (each zero-window pin and the
-final cumulative ACK) in ``DeliveryResult.acks``: the exact per-segment ACK
-stream, expanded only when read, and its breakpoint summary, kept as each
-part is recorded, which is all a burst observation needs. Both use one
-segment-ACK formula; the summary evaluates it for each piece's first and
-last segment (and bisects for a zero-window onset inside a piece), so a
-delivery's observation costs a few tuples, not one object per segment.
+stands for one ACK per segment boundary it crosses plus its explicit ACKs
+(each zero-window pin and the final cumulative ACK). ``DeliveryResult.acks``
+keeps of that stream its count and its breakpoint summary, which is all a
+burst observation needs: the summary evaluates the one segment-ACK formula
+for each fluid piece's first and last segment (and bisects for a
+zero-window onset inside a piece), so a delivery's observation costs a few
+floats, not one object per segment. The per-segment stream itself is
+expanded only by the tests' oracle.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterator, List, NamedTuple, Optional, Union
+from typing import List, NamedTuple, Optional
 
-from .errors import FieldError, finite_at_least, positive_finite
+from .errors import FieldError, finite_at_least, positive, positive_finite
 
 
 class DeliveryOrderError(ValueError):
@@ -73,31 +73,26 @@ class FluidPiece(NamedTuple):
     moved: float
 
 
-class SegmentAcks(Sequence):
-    """The per-segment ACK stream of one delivery, expanded on demand.
+class SegmentAcks:
+    """The per-segment ACK stream of one delivery, as its count and its
+    breakpoint summary.
 
-    ``parts`` holds, in time order, the delivery's fluid pieces and its
-    explicit ACKs. A piece stands for one ACK per segment boundary it
-    crosses; its length is counted from the piece without building them.
-    Adding a part also updates the stream's breakpoint summary: the first
+    A delivery adds, in time order, its fluid pieces and its explicit ACKs.
+    A piece stands for one ACK per segment boundary it crosses, given by
+    ``_ack``; it adds that many to ``count`` and an explicit ACK adds one,
+    and ``len`` is the count. Each part also updates the summary: the first
     and last ACK's times, the last cumulative ACK, and the time and
     cumulative ACK of the first zero-window ACK (None until one comes)."""
 
-    __slots__ = ("parts", "segment_bytes", "capacity_bytes", "first_ack_s",
+    __slots__ = ("segment_bytes", "capacity_bytes", "count", "first_ack_s",
                  "last_ack_s", "last_ack_bytes", "zwa_ack_s", "zwa_ack_bytes")
 
     def __init__(self, segment_bytes: int, capacity_bytes: float):
-        self.parts: List[Union[FluidPiece, AckEvent]] = []
         self.segment_bytes = segment_bytes
         self.capacity_bytes = capacity_bytes
+        self.count = 0
         self.first_ack_s = self.last_ack_s = self.last_ack_bytes = None
         self.zwa_ack_s = self.zwa_ack_bytes = None
-
-    def _segments(self, piece: FluidPiece) -> range:
-        """Indices of the segments whose last byte enters during ``piece``."""
-        seg = self.segment_bytes
-        return range(math.floor(piece.cum0 / seg) + 1,
-                     math.floor((piece.cum0 + piece.moved) / seg) + 1)
 
     def _ack(self, piece: FluidPiece, k: int) -> AckEvent:
         """The ACK of segment ``k`` of ``piece``, sent as the segment's last
@@ -109,17 +104,18 @@ class SegmentAcks(Sequence):
         return AckEvent(t0 + dt, float(k * seg), _nonneg(cap - occ))
 
     def add_piece(self, piece: FluidPiece) -> None:
-        """Append ``piece`` and fold in its first and last segment ACK, by
-        ``_ack``'s formula inline, and, unless a zero window came before, its
-        first zero-window ACK: a piece's window is monotone, so that is its
-        first ACK or is found by bisection."""
-        self.parts.append(piece)
+        """Count the ACKs of ``piece``, one for each segment ``k0..k1``
+        whose last byte enters during it, and fold in its first and last
+        segment ACK, by ``_ack``'s formula inline, and, unless a zero window
+        came before, its first zero-window ACK: a piece's window is
+        monotone, so that is its first ACK or is found by bisection."""
         seg, cap = self.segment_bytes, self.capacity_bytes
         t0, cum0, occ0, fill, net, moved = piece
-        k0 = math.floor(cum0 / seg) + 1            # as ``_segments``
+        k0 = math.floor(cum0 / seg) + 1
         k1 = math.floor((cum0 + moved) / seg)
         if k1 < k0:
             return
+        self.count += k1 - k0 + 1
         dt0 = (k0 * seg - cum0) / fill
         dt1 = (k1 * seg - cum0) / fill
         if self.first_ack_s is None:
@@ -141,55 +137,32 @@ class SegmentAcks(Sequence):
         self.zwa_ack_s, self.zwa_ack_bytes, _ = self._ack(piece, lo)
 
     def add_ack(self, ack: AckEvent) -> None:
-        """Append the explicit ``ack`` and fold it in; a cumulative ACK
-        more than 1e-9 bytes below the last one is a FeedError."""
+        """Count the explicit ``ack`` and fold it in; a cumulative ACK
+        more than 1e-9 bytes below the last one is a FeedError, and is
+        neither counted nor folded in."""
         time_s, cum, window = ack
         last = self.last_ack_bytes
         if last is not None and cum < last - 1e-9:
             raise FeedError("cumulative ack regressed")
-        self.parts.append(ack)
+        self.count += 1
         if self.first_ack_s is None:
             self.first_ack_s = time_s
         self.last_ack_s, self.last_ack_bytes = time_s, cum
         if window <= 0 and self.zwa_ack_s is None:
             self.zwa_ack_s, self.zwa_ack_bytes = time_s, cum
 
-    def _part_len(self, part: Union[FluidPiece, AckEvent]) -> int:
-        return 1 if isinstance(part, AckEvent) else len(self._segments(part))
-
     def __len__(self) -> int:
-        return sum(self._part_len(part) for part in self.parts)
-
-    def __iter__(self) -> Iterator[AckEvent]:
-        for part in self.parts:
-            if isinstance(part, AckEvent):
-                yield part
-            else:
-                for k in self._segments(part):
-                    yield self._ack(part, k)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return list(self)[i]
-        if i < 0:
-            i += len(self)
-        for part in self.parts if i >= 0 else ():
-            n = self._part_len(part)
-            if i < n:
-                return part if isinstance(part, AckEvent) else \
-                    self._ack(part, self._segments(part)[i])
-            i -= n
-        raise IndexError("ack index out of range")
+        return self.count
 
 
 @dataclass(slots=True)
 class DeliveryResult:
     """Outcome of one ``StreamingClient.deliver`` call.
 
-    ``acks`` is the exact per-segment ACK stream, one ACK per segment
-    boundary crossed plus the explicit pin and final ACKs; it is a lazy
-    view whose length is counted without expanding it, and it carries the
-    stream's breakpoint summary, from which a burst observation is read.
+    ``acks`` stands for the exact per-segment ACK stream, one ACK per
+    segment boundary crossed plus the explicit pin and final ACKs: its
+    ``len`` is that stream's length, and it carries the stream's
+    breakpoint summary, from which a burst observation is read.
     """
 
     acks: SegmentAcks
@@ -216,6 +189,9 @@ class StreamingClient:
                  content_duration_s: Optional[float] = None):
         positive_finite("capacity_bytes", capacity_bytes)
         positive_finite("drain_rate_bps", drain_rate_bps)
+        positive("link_rate_bps", link_rate_bps)
+        finite_at_least("startup_threshold_s", startup_threshold_s)
+        finite_at_least("segment_bytes", segment_bytes, 1)
         self.capacity_bytes = float(capacity_bytes)
         self.drain_rate_bps = float(drain_rate_bps)
         self.link_rate_bps = float(link_rate_bps)

@@ -10,8 +10,9 @@ socket backpressure. The bandwidth estimate is the transport's: each
 ``TrafficProfiler`` derives the same observation from the whole ACK
 stream, one ACK at a time: a burst's byte range is registered before it
 is sent (bursts are never pipelined, so attribution is unambiguous), then
-its ACKs are fed in time order. No transport runs it; the tests hold the
-summary to it.
+its ACKs are fed in time order. No transport runs it: the tests feed it
+the per-segment stream that their oracle expands from a delivery's
+recorded pieces and hold the summary to it.
 """
 
 from __future__ import annotations

@@ -69,8 +69,9 @@ the client without the origin's ``Content-Length``; the close of the
 connection ends it.
 
 A request the proxy cannot serve is answered before any response head has
-gone out: 400 for a head it cannot parse or resolve to an origin or that
-has more than one ``Host`` line, 408 for a head not complete within
+gone out: 400 for a head it cannot parse or resolve to an origin, that
+has more than one ``Host`` line, or that has a folded line or whitespace
+between a field name and its colon, 408 for a head not complete within
 ``HEAD_TIMEOUT_S``, 501 for a method other than GET, 502 when the origin
 connection or request fails or the origin's head is malformed, over
 64 KiB, or gives no usable rate or ``Content-Length`` (lines whose values
@@ -415,6 +416,12 @@ def _fetch(host: str, port: int, path: str, wanted: Optional[str],
             raise ProxyError(f"origin {host}:{port} failed: {exc!r}",
                              502) from exc
         raise
+
+
+# a field line that a prefix match would misread: a folded line, which
+# starts with SP or HTAB (RFC 9112 §5.2), or whitespace between a field
+# name and its colon (§5.1)
+_BAD_FIELD_LINE = re.compile(r"\n[ \t]|\n[^:\r\n]*[ \t]:")
 
 
 def _headers(head: str, name: str) -> List[str]:
@@ -1028,6 +1035,9 @@ class ShapingProxy:
         if parts[0] != "GET":
             raise ProxyError(f"unsupported method: {request_line!r}", 501)
         target = parts[1]
+        if _BAD_FIELD_LINE.search(head):
+            raise ProxyError("folded header line or whitespace before a "
+                             "colon", 400)
         hosts = _headers(head, "Host")
         if len(hosts) > 1:
             raise ProxyError(f"{len(hosts)} Host headers", 400)

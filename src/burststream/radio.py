@@ -372,10 +372,14 @@ def simulate(trace: ActivityTrace, profile: RadioProfile,
     Every segment is priced here, once: a receive segment at the receive
     power of its spans' bytes over its duration, a tail segment at its
     state's configured power.
+
+    ``horizon_s``, the last span's end if not given, must be >= 0 and
+    finite (a FieldError naming it otherwise).
     """
     spans = trace._spans
     if horizon_s is None:
         horizon_s = spans[-1][1] if spans else 0.0
+    finite_at_least("horizon_s", horizon_s)
     # the spans that start before the horizon (only the last of them can
     # end past it, and is cut there), then the horizon itself as a span
     # without bytes, which closes the final gap

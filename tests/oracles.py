@@ -12,12 +12,56 @@ emitters.
 ``walk_state_trace`` is the per-segment walk that ``StateTrace`` checked
 its columns with: the first fault in segment order raises, and the RRC
 transitions are counted one segment at a time.
+
+``RecordingAcks`` is a ``client.SegmentAcks`` that also keeps each fluid
+piece and explicit ACK it is given; the tests patch it into
+``burststream.client`` so that every delivery records its parts, and
+``ack_stream`` expands them into the per-segment ACK stream that the
+count and the breakpoint summary are held to.
 """
 
-from typing import Callable, Dict, List, Optional, Tuple
+import math
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
+from burststream.client import AckEvent, FluidPiece, SegmentAcks
 from burststream.energy import FastDormancy, RadioProfile, Technology, power_rx
+from burststream.errors import finite_at_least
 from burststream.radio import ActivityTrace, RadioState, StateTrace
+
+
+class RecordingAcks(SegmentAcks):
+    """``SegmentAcks`` that keeps, in time order, each part it counts."""
+
+    __slots__ = ("parts",)
+
+    def __init__(self, segment_bytes: int, capacity_bytes: float):
+        super().__init__(segment_bytes, capacity_bytes)
+        self.parts: List[Union[FluidPiece, AckEvent]] = []
+
+    def add_piece(self, piece: FluidPiece) -> None:
+        super().add_piece(piece)
+        self.parts.append(piece)
+
+    def add_ack(self, ack: AckEvent) -> None:
+        super().add_ack(ack)          # a regressed ACK raises, unkept
+        self.parts.append(ack)
+
+
+def ack_stream(acks: RecordingAcks) -> List[AckEvent]:
+    """The per-segment ACK stream of the recorded parts: each explicit ACK,
+    and for each piece the ACK of each segment whose last byte enters
+    during it, by ``SegmentAcks._ack``."""
+    seg = acks.segment_bytes
+    stream: List[AckEvent] = []
+    for part in acks.parts:
+        if isinstance(part, AckEvent):
+            stream.append(part)
+        else:
+            stream.extend(acks._ack(part, k) for k in range(
+                math.floor(part.cum0 / seg) + 1,
+                math.floor((part.cum0 + part.moved) / seg) + 1))
+    return stream
+
 
 ACTIVE_STATE = {
     Technology.HSPA: RadioState.DCH,
@@ -209,6 +253,7 @@ def reference_simulate(trace: ActivityTrace, profile: RadioProfile,
     spans = trace.spans()
     if horizon_s is None:
         horizon_s = spans[-1][1] if spans else 0.0
+    finite_at_least("horizon_s", horizon_s)
     spans = [(s, min(e, horizon_s), b) for (s, e, b) in spans
              if s < horizon_s]
 

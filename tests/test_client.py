@@ -11,6 +11,10 @@ from burststream import (AckEvent, DeliveryOrderError, FeedError,
                          StreamingClient)
 from burststream.client import SegmentAcks
 from burststream.errors import FieldError
+from oracles import RecordingAcks, ack_stream
+
+# every delivery records its parts, so that a test can read its stream
+pytestmark = pytest.mark.usefixtures("recorded_acks")
 
 
 def make_client(capacity=4_000_000, r_s=500e3, link=16e6, startup=2.0,
@@ -38,8 +42,9 @@ class TestDeliver:
         res = c.deliver(1_000_000, 16e6, 0.0)
         assert res.zwa_episodes == 0
         assert res.end_s == pytest.approx(1_000_000 * 8 / 16e6)
-        assert res.acks[-1].cum_ack_bytes == pytest.approx(1_000_000)
-        assert all(a.advertised_window_bytes > 0 for a in res.acks)
+        stream = ack_stream(res.acks)
+        assert stream[-1].cum_ack_bytes == pytest.approx(1_000_000)
+        assert all(a.advertised_window_bytes > 0 for a in stream)
 
     def test_overflow_trails_at_drain_rate(self):
         # free space plus 1 MB, playback held off: exactly one zero-window
@@ -92,7 +97,7 @@ class TestDeliver:
         c = make_client(segment_bytes=1460)
         res = c.deliver(14_600, 16e6, 0.0)
         # ten segment acks, cumulative sequence numbers
-        assert [a.cum_ack_bytes for a in res.acks] == \
+        assert [a.cum_ack_bytes for a in ack_stream(res.acks)] == \
             [1460.0 * k for k in range(1, 11)]
 
 
@@ -188,7 +193,7 @@ class TestPostZwaRate:
     def test_overflow_bytes_enter_at_drain_rate(self):
         c = make_client(capacity=2_000_000, r_s=500e3, startup=0.0)
         res = c.deliver(6_000_000, 16e6, 0.0)
-        overflow_bytes = res.acks[-1].cum_ack_bytes - \
+        overflow_bytes = ack_stream(res.acks)[-1].cum_ack_bytes - \
             (res.bytes_at_first_zwa or 0.0)
         span = res.end_s - res.first_zwa_time_s
         avg_rate = overflow_bytes * 8 / span
@@ -203,24 +208,33 @@ class TestAckSummary:
     def test_reads_the_stream_of_every_prefix(self, ops, segment_bytes):
         # every prefix of a delivery's parts, the empty one and those
         # ending in a piece that crosses no segment boundary included: the
-        # summary holds the first and the last ACK of the stream so far
+        # count is the length of the stream so far, the summary holds its
+        # first and last ACK, and a regressed ACK is refused uncounted
         c = make_client(capacity=3_000_000, r_s=750e3,
                         segment_bytes=segment_bytes)
         t = 0.0
         for nbytes, rate, gap in ops:
             res = c.deliver(nbytes, rate, t)
-            acks = SegmentAcks(segment_bytes, c.capacity_bytes)
+            acks = RecordingAcks(segment_bytes, c.capacity_bytes)
             for part in [None, *res.acks.parts]:
                 if isinstance(part, AckEvent):
                     acks.add_ack(part)
                 elif part is not None:
                     acks.add_piece(part)
+                stream = ack_stream(acks)
+                assert len(acks) == len(stream)
                 assert (acks.last_ack_bytes is None) == (len(acks) == 0)
                 if len(acks):
+                    summary = (acks.first_ack_s, acks.last_ack_s,
+                               acks.last_ack_bytes)
+                    assert summary == (stream[0].time_s, stream[-1].time_s,
+                                       stream[-1].cum_ack_bytes)
+                    with pytest.raises(FeedError):
+                        acks.add_ack(AckEvent(acks.last_ack_s,
+                                              acks.last_ack_bytes - 1.0, 1.0))
+                    assert len(acks) == len(stream)
                     assert (acks.first_ack_s, acks.last_ack_s,
-                            acks.last_ack_bytes) == (
-                        acks[0].time_s, acks[-1].time_s,
-                        acks[-1].cum_ack_bytes)
+                            acks.last_ack_bytes) == summary
             t = res.end_s + gap
 
     def test_regressed_ack_rejected(self):
@@ -229,6 +243,24 @@ class TestAckSummary:
         with pytest.raises(FeedError):
             acks.add_ack(AckEvent(0.2, 2000.0, 0.0))
         assert acks.last_ack_bytes == 3000.0 and len(acks) == 1
+
+
+class TestClientRules:
+    @pytest.mark.parametrize("field, value", [
+        # a fraction of a byte divided by zero in ``deliver``, a negative
+        # size gave a one-ACK stream
+        ("segment_bytes", 0), ("segment_bytes", 0.5),
+        ("segment_bytes", -1460), ("segment_bytes", math.nan),
+        ("segment_bytes", math.inf),
+        ("startup_threshold_s", math.nan), ("startup_threshold_s", -1.0),
+        ("startup_threshold_s", math.inf),
+        # ``min`` dropped a NaN link rate
+        ("link_rate_bps", math.nan), ("link_rate_bps", 0.0),
+        ("link_rate_bps", -16e6)])
+    def test_each_bad_value_names_its_field(self, field, value):
+        with pytest.raises(FieldError) as err:
+            StreamingClient(4_000_000, 500e3, **{field: value})
+        assert err.value.field == field
 
 
 class TestRateTooLowToEnd:

@@ -12,8 +12,12 @@ from burststream import (AckEvent, BandwidthTrace, FeedError, QualityLevel,
                          SimulatedSession, StreamingClient, StreamSpec,
                          TrafficProfiler)
 from burststream import session as session_module
-from burststream.client import FluidPiece, SegmentAcks
+from burststream.client import FluidPiece
 from burststream.session import _observe
+from oracles import RecordingAcks, ack_stream
+
+# every delivery records its parts, so that a test can read its stream
+pytestmark = pytest.mark.usefixtures("recorded_acks")
 
 
 def run_burst(profiler, client, size, rate, start, burst_id=None,
@@ -21,7 +25,7 @@ def run_burst(profiler, client, size, rate, start, burst_id=None,
     profiler.begin_burst(size, client.total_delivered_bytes, start,
                          burst_id=burst_id)
     res = client.deliver(size, rate, start, abort_on_zwa=abort)
-    for ack in res.acks:
+    for ack in ack_stream(res.acks):
         profiler.ingest(ack)
     return profiler.finish_burst(), res
 
@@ -100,19 +104,30 @@ def observe(acks, size, start_byte, send_at):
 
 
 def assert_summary_of(acks, size, start_byte, send_at):
-    """Require the summary of ``acks`` to hold the first and last ACK and
-    the first zero-window ACK of the dense stream, and the observation read
-    off it to equal the profiler's of that stream, field by field."""
-    dense = list(acks)
+    """Require the count of ``acks`` to be the length of the dense stream,
+    its summary to hold the first and last ACK and the first zero-window
+    ACK of that stream, and the observation read off it to equal the
+    profiler's of that stream, field by field; then require a regressed
+    ACK to be refused, neither counted nor folded in."""
+    dense = ack_stream(acks)
     assert len(acks) == len(dense)
     zwa = next((a for a in dense if a.advertised_window_bytes <= 0), None)
-    assert (acks.first_ack_s, acks.last_ack_s, acks.last_ack_bytes) == (
+    summary = (acks.first_ack_s, acks.last_ack_s, acks.last_ack_bytes,
+               acks.zwa_ack_s, acks.zwa_ack_bytes)
+    assert summary[:3] == (
         (dense[0].time_s, dense[-1].time_s, dense[-1].cum_ack_bytes)
         if dense else (None, None, None))
-    assert (acks.zwa_ack_s, acks.zwa_ack_bytes) == (
+    assert summary[3:] == (
         (zwa.time_s, zwa.cum_ack_bytes) if zwa else (None, None))
     assert asdict(_observe(acks, 0, size, start_byte, send_at)) == \
         asdict(observe(dense, size, start_byte, send_at))
+    if dense:
+        with pytest.raises(FeedError):
+            acks.add_ack(AckEvent(acks.last_ack_s, acks.last_ack_bytes - 1.0,
+                                  0.0))
+        assert len(acks) == len(dense)
+        assert (acks.first_ack_s, acks.last_ack_s, acks.last_ack_bytes,
+                acks.zwa_ack_s, acks.zwa_ack_bytes) == summary
 
 
 def deliver_checked(client, nbytes, rate, at, abort=False):
@@ -158,7 +173,7 @@ class TestBreakpointFeedback:
         cap, seg = 1e6, 1460
 
         def piece(segments):
-            acks = SegmentAcks(seg, cap)
+            acks = RecordingAcks(seg, cap)
             acks.add_piece(FluidPiece(0.0, 0.0, cap - 1e-9, float(seg), net,
                                       segments * float(seg)))
             return acks
@@ -169,9 +184,9 @@ class TestBreakpointFeedback:
 
         segments = 2000
         if place == "last but one":
-            segments = onset_of(piece(segments)) + 2
+            segments = onset_of(ack_stream(piece(segments))) + 2
         acks = piece(segments)
-        dense = list(acks)
+        dense = ack_stream(acks)
         onset = onset_of(dense)
         assert onset == {"second": 1, "last but one": len(dense) - 2}.get(
             place, onset)
@@ -185,15 +200,16 @@ class TestBreakpointFeedback:
                                  segment_bytes=seg)
         first = deliver_checked(client, 400_000, 2e7, 0.0, abort=True)
         res = deliver_checked(client, 50_000, 2e7, first.end_s)
-        assert res.acks and \
-            all(a.advertised_window_bytes == 0.0 for a in res.acks)
+        stream = ack_stream(res.acks)
+        assert stream and \
+            all(a.advertised_window_bytes == 0.0 for a in stream)
 
     @pytest.mark.parametrize("seg", SEGMENT_SIZES)
     def test_abort_on_zwa(self, seg):
         client = StreamingClient(100_000, 1e6, segment_bytes=seg)
         res = deliver_checked(client, 400_000, 2e7, 0.0, abort=True)
         assert res.aborted
-        assert res.acks[-1].advertised_window_bytes == 0
+        assert ack_stream(res.acks)[-1].advertised_window_bytes == 0
 
     @pytest.mark.parametrize("seg", SEGMENT_SIZES)
     def test_startup_threshold_crossed(self, seg):
@@ -258,7 +274,7 @@ def test_seeded_sessions_observe_the_same_bursts_from_both_feeds(
 
     def checked(acks, burst_id, size, start_byte, send_at):
         obs = observe_summary(acks, burst_id, size, start_byte, send_at)
-        dense = observe(acks, size, start_byte, send_at)
+        dense = observe(ack_stream(acks), size, start_byte, send_at)
         dense.burst_id = burst_id
         bursts.append((asdict(obs), asdict(dense)))
         return obs

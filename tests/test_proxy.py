@@ -373,6 +373,9 @@ class TestResolveOrigin:
         ("GET http://origin:81/a HTTP/1.1\r\n\r\n", ("origin", 81, "/a")),
         ("GET http://[::1]/a HTTP/1.1\r\nHost: x:1\r\n\r\n",
          ("::1", 80, "/a")),
+        # whitespace before a colon inside a field value is no fault
+        ("GET /a HTTP/1.1\r\nX-Note: a :b\r\nHost: origin\r\n\r\n",
+         ("origin", 80, "/a")),
     ])
     def test_from_absolute_target_else_host_header(self, head, origin):
         proxy = ShapingProxy(SessionConfig(listen=("127.0.0.1", 0)))
@@ -385,6 +388,26 @@ class TestResolveOrigin:
                                            origin=override))
         head = (f"GET {target} HTTP/1.1\r\nHost: good.example\r\n"
                 f"Host: evil.example:81\r\n\r\n")
+        with pytest.raises(ProxyError) as caught:
+            proxy._resolve_origin(head)
+        assert caught.value.status == 400
+
+    @pytest.mark.parametrize("override", [None, "http://o.example:81"])
+    @pytest.mark.parametrize("lines", [
+        "Host: good.example\r\nRange: seconds=1\r\n 0-",
+        "Host: good.example\r\nRange: seconds=1\r\n\t0-",
+        "\tHost: good.example",
+        "Host: good.example\r\nHost : evil.example:80",
+        "Host\t: evil.example:80",
+    ], ids=["fold-sp", "fold-htab", "fold-first-line", "sp-before-colon",
+            "htab-before-colon"])
+    def test_folded_line_or_space_before_colon_is_a_bad_request(
+            self, override, lines):
+        # a prefix match read ``Range: seconds=1`` off the folded Range
+        # and let ``Host :`` past the one-Host rule
+        proxy = ShapingProxy(SessionConfig(listen=("127.0.0.1", 0),
+                                           origin=override))
+        head = f"GET http://good.example/a HTTP/1.1\r\n{lines}\r\n\r\n"
         with pytest.raises(ProxyError) as caught:
             proxy._resolve_origin(head)
         assert caught.value.status == 400
@@ -1605,6 +1628,24 @@ class TestUnservableRequests:
             reply = _answer(b"GET /a HTTP/1.1\r\n\r\n"
                             b"GET /b HTTP/1.1\r\nHost: 127.0.0.1:%d\r\n\r\n"
                             % port)
+        finally:
+            origin.shutdown()
+        assert reply == _bare_status(b"400 Bad Request")
+        assert origin.ranges == []
+
+    @pytest.mark.parametrize("lines", [
+        "Host: x\r\nRange: seconds=1\r\n 0-",
+        "Host: 127.0.0.1:{port}\r\nHost : 127.0.0.1:9",
+    ], ids=["folded-range", "second-host-before-colon"])
+    def test_malformed_field_line_never_reaches_the_origin(self, lines):
+        # a folded Range went on as ``seconds=1``, and a ``Host :`` line
+        # was not counted as a second Host
+        origin = _serve(_CannedOrigin(
+            200, [("X-Stream-Info", "duration=1;bitrate=80000")], b"b" * 10))
+        port = origin.server_address[1]
+        try:
+            head = f"GET /a HTTP/1.1\r\n{lines.format(port=port)}\r\n\r\n"
+            reply = _answer(head.encode(), origin=f"http://127.0.0.1:{port}")
         finally:
             origin.shutdown()
         assert reply == _bare_status(b"400 Bad Request")

@@ -19,6 +19,7 @@ from burststream import (ActivityTrace, BurstScenario, RadioState,
                          tail_states_energy)
 from burststream import radio
 from burststream.energy import DrxConfig, FastDormancy, RadioProfile
+from burststream.errors import FieldError
 
 HSPA = get_profile("hspa-default")
 HSPA_FD = get_profile("hspa-legacy-fd")
@@ -180,6 +181,16 @@ class TestLteStateMachine:
             RadioState.CONNECTED, RadioState.CONNECTED, RadioState.IDLE]
         # PSM timer 0.2 s
         assert st.segments[1].duration_s == pytest.approx(0.2)
+
+
+@pytest.mark.parametrize("horizon_s", [math.nan, math.inf, -1.0])
+@pytest.mark.parametrize("profile", [HSPA, LTE_DRX], ids=["hspa", "lte-drx"])
+def test_horizon_not_finite_and_at_least_zero_rejected(profile, horizon_s):
+    # NaN replayed as an IDLE segment [0, nan] of NaN energy, infinity
+    # priced NaN energy, and -1 failed the trace's own segment check
+    with pytest.raises(FieldError) as err:
+        simulate(periodic(10, 1.0, 2), profile, horizon_s=horizon_s)
+    assert err.value.field == "horizon_s"
 
 
 class TestEnergy:
