@@ -192,6 +192,10 @@ class StreamingClient:
         positive("link_rate_bps", link_rate_bps)
         finite_at_least("startup_threshold_s", startup_threshold_s)
         finite_at_least("segment_bytes", segment_bytes, 1)
+        if segment_bytes % 1:
+            raise FieldError("segment_bytes", "a whole number")
+        if content_duration_s is not None:    # None is endless content
+            positive("content_duration_s", content_duration_s)
         self.capacity_bytes = float(capacity_bytes)
         self.drain_rate_bps = float(drain_rate_bps)
         self.link_rate_bps = float(link_rate_bps)
@@ -440,18 +444,20 @@ class StreamingClient:
     def steady_delivery(self, total_bytes: float, at_rate_bps: float,
                         start_s: float) -> Optional[tuple]:
         """``deliver(total_bytes, at_rate_bps, start_s, abort_on_zwa=True)``
-        worked out without writing anything, for a delivery that is one
-        fluid piece: at most one drain step to ``start_s``, then one
-        unpinned piece that neither stalls, pins, draws a zero window at
-        its first or last segment ACK, nor reaches the end of the content.
+        worked out without writing anything, for any burst that is one
+        fluid piece, in whatever phase it is sent: at most one drain step
+        to ``start_s``, then one unpinned piece that neither stalls, pins,
+        draws a zero window at its first or last segment ACK, nor reaches
+        the end of the content.
 
         Returns ``(end_s, delivered_bytes, last_ack_bytes, position_s,
-        occupancy_bytes, delivered_total_bytes, drained_total_bytes)``, the
-        values ``deliver`` would leave (``last_ack_bytes`` is its ACK
-        summary's last cumulative ACK), for ``take_steady`` to write; None
-        for any other delivery, which ``deliver`` alone computes. Each value
-        comes from ``advance`` and ``deliver``'s float operations in their
-        order."""
+        occupancy_bytes, delivered_total_bytes, drained_total_bytes,
+        first_ack_s, last_ack_s)``, the values ``deliver`` would leave
+        (``last_ack_bytes``, ``first_ack_s`` and ``last_ack_s`` are its ACK
+        summary's, the times by ``SegmentAcks._ack``'s segment-ACK
+        formula), for ``take_steady`` to write; None for any other
+        delivery, which ``deliver`` alone computes. Each value comes from
+        ``advance`` and ``deliver``'s float operations in their order."""
         now, occ = self.now_s, self.occupancy_bytes
         pos, drained = self.playback_position_s, self.total_drained_bytes
         if not self.playback_started or self._stalled or \
@@ -502,23 +508,28 @@ class StreamingClient:
         if not moved > 0 or total_bytes - moved > eps or \
                 net < -1e-15 and occ <= eps or occ >= capacity - eps:
             return None       # no progress, a second piece, a stall or a pin
-        # ``SegmentAcks.add_piece``'s window test at the first and last
-        # segment, then the final cumulative ACK: a segment's window,
+        # ``SegmentAcks.add_piece``'s window test and ACK times at the first
+        # and last segment, then the final cumulative ACK, which comes at
+        # ``end``: a segment's window,
         # ``_nonneg(capacity - _clamp(x, capacity))`` for the occupancy
         # ``x``, is > 0 exactly when ``x < capacity``
         seg = self.segment_bytes
         k0 = math.floor(cum0 / seg) + 1
         k1 = math.floor(cum / seg)
-        last = cum
+        last, first_s, last_s = cum, end, end
         if k1 >= k0:
-            if not (occ0 + net * ((k0 * seg - cum0) / rate) < capacity and
-                    occ0 + net * ((k1 * seg - cum0) / rate) < capacity):
+            dt0 = (k0 * seg - cum0) / rate
+            dt1 = (k1 * seg - cum0) / rate
+            if not (occ0 + net * dt0 < capacity and
+                    occ0 + net * dt1 < capacity):
                 return None                     # a zero window
+            first_s = now + dt0
             if not float(k1 * seg) < cum - 1e-9:
-                last = float(k1 * seg)
-        return end, moved, last, pos, occ, cum, drained
+                last, last_s = float(k1 * seg), now + dt1
+        return end, moved, last, pos, occ, cum, drained, first_s, last_s
 
     def take_steady(self, delivery: tuple) -> None:
-        """Write the state a ``steady_delivery`` result leaves."""
+        """Write the state a ``steady_delivery`` result leaves, for any
+        one-piece burst it took."""
         (self.now_s, _, _, self.playback_position_s, self.occupancy_bytes,
-         self.total_delivered_bytes, self.total_drained_bytes) = delivery
+         self.total_delivered_bytes, self.total_drained_bytes, _, _) = delivery

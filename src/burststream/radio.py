@@ -24,9 +24,11 @@ floats a per-cycle loop would.
 
 ``StateTrace`` checks its columns with one C-level pass per rule (a list
 comparison for contiguity, measuring only the boundaries that differ
-against the 1e-9 s tolerance; ``map(lt, ...)`` for reversed segments; a
-set for the states) and raises what a walk in segment order would. It
-counts the RRC transitions from the states as bytes, one per segment.
+against the 1e-9 s tolerance; a sort and a sum of the ends, or
+``map(ge, ...)``, for reversed segments; a set for the states), each
+comparing under ``not`` so that a NaN time fails it, and raises what a
+walk in segment order would. It counts the RRC transitions from the
+states as bytes, one per segment.
 
 State sets per technology:
   HSPA   DCH -> FACH -> PCH -> IDLE, driven by the T1/T2/T3 inactivity
@@ -46,7 +48,7 @@ import enum
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import chain, compress
-from operator import lt, ne
+from operator import ge, ne, not_
 from typing import Dict, Iterable, List, Optional, Tuple
 
 from .energy import FastDormancy, RadioProfile, Technology
@@ -203,27 +205,32 @@ class StateTrace:
             raise ValueError("state trace columns differ in length")
         # each rule is one C-level pass; where one fails, the first segment
         # that breaks any rule names the error, as a walk in segment order
-        # would find it. Each segment starts where the one before it ends
-        # (the first at 0) within 1e-9 s: only the boundaries that differ
-        # are measured.
+        # would find it. Each rule compares under ``not``, which NaN fails.
+        # Each segment starts where the one before it ends (the first at 0)
+        # within 1e-9 s: only the boundaries that differ are measured (a
+        # list compares an element to itself as equal, NaN too, but a NaN
+        # start the same as the end before it follows a NaN end, which
+        # breaks the next rule first).
         prev_end = [0.0]
         prev_end += end_s
         exact = start_s == prev_end[:-1]
         allowed = _ALLOWED_STATES[self.technology]
         gap = back = alien = n
+        reversed_any = True
         if not exact:
             gap = next((i for i in compress(range(n), map(ne, start_s,
                                                           prev_end))
-                        if abs(start_s[i] - prev_end[i]) > 1e-9), n)
-        if exact:
+                        if not abs(start_s[i] - prev_end[i]) <= 1e-9), n)
+        else:
             # none ends before it starts iff the ends, after the 0, never
             # step down: iff sorting leaves them as they are, which takes
-            # one run of float comparisons
-            reversed_any = prev_end != sorted(prev_end)
-        else:
-            reversed_any = any(map(lt, end_s, start_s))
+            # one run of float comparisons, and none is NaN, which the
+            # sort may leave in place but which makes their sum NaN
+            total = sum(end_s)
+            reversed_any = total != total or prev_end != sorted(prev_end)
         if reversed_any:
-            back = next(compress(range(n), map(lt, end_s, start_s)))
+            back = next(compress(range(n), map(not_, map(ge, end_s,
+                                                         start_s))), n)
         if not allowed.issuperset(state):
             alien = next(i for i, s in enumerate(state) if s not in allowed)
         first = min(gap, back, alien)
@@ -234,7 +241,7 @@ class StateTrace:
                 raise ValueError("segment ends before it starts")
             raise ValueError(f"state {state[first]} invalid for "
                              f"{self.technology}")
-        if abs((end_s[-1] if n else 0.0) - self.horizon_s) > 1e-9:
+        if not abs((end_s[-1] if n else 0.0) - self.horizon_s) <= 1e-9:
             raise ValueError("state trace must cover the horizon")
         # each segment's RRC code as one byte; the codes of the segments
         # before them (IDLE before the first), shifted three bits within

@@ -2,23 +2,33 @@
 
 ``SimulatedSession`` is the simulated transport of the shaping loop: it
 performs each send a ``ShapingController`` asks for against the fluid
-client, reads the burst's observation off the delivery's breakpoint ACK
-summary, and reports back, on one simulated clock up to the session
-horizon. Also provides the isolated probe search and the linear-sweep
-oracle used to validate the search against a client of known buffer size.
+client, reads the burst's observation off the delivery's closed form or
+its breakpoint ACK summary, and reports back, on one simulated clock up
+to the session horizon. Also provides the isolated probe search and the
+linear-sweep oracle used to validate the search against a client of
+known buffer size.
+
+Most bursts are one fluid piece: ``StreamingClient.steady_delivery``
+works such a delivery out in closed form, by ``deliver``'s float
+operations in its order, with its last cumulative ACK and its first and
+last ACK times. ``_deliver`` asks it first for every burst, in every
+phase (Fast Start, the search's probes, steady bursts), and builds the
+observation and report from its numbers; ``deliver`` and its ACK summary
+serve any other send, and ``ShapingController.report`` books both alike.
 
 The steady state is periodic: equal bursts at equal intervals into a
 client whose buffer refills to about the same level. Once a send of a
 non-adaptive session comes back STEADY, each following period that is
 one unpinned fluid piece, draws no zero window, opens no stall, leaves
 content to send and reads an estimate of at least the encoding rate is
-taken in one step: ``StreamingClient.steady_delivery`` and
-``ShapingController.report_steady`` compute it by the per-send path's
-float operations, in its order, without the ACK summary, observation,
-report or send objects, so both routes give the same outputs bit for bit.
-The first period that fails any of those tests, all made before any
-state is written, goes to the per-send path, which serves every other
-send; ``_STEADY_STEP = False`` sends every period there.
+taken in one step: ``steady_delivery`` and
+``ShapingController.report_steady`` compute it without the observation,
+report or send objects. Both routes give the same outputs bit for bit as
+the per-send path. The first period that fails any of the step's tests,
+all made before any state is written, goes to ``_deliver``.
+``_STEADY_STEP = False`` turns off the step and the closed-form branch
+alike, so that every send goes through ``deliver``, the reference both
+are held to.
 """
 
 from __future__ import annotations
@@ -62,9 +72,13 @@ class BandwidthTrace:
         return cls(((0.0, bps),))
 
 
-# whether ``SimulatedSession.run`` takes plain STEADY periods in one step
-# (see the module docstring); False runs every send on the per-send path
+# whether ``SimulatedSession`` takes plain STEADY periods in one step and
+# any other one-piece burst by its closed form (see the module docstring);
+# False runs every send on the per-send path
 _STEADY_STEP = True
+
+# read as a module constant on the per-send path, not off the Enum class
+_STEADY = Phase.STEADY
 
 # the keys of a trajectory point, in the order of its value tuple
 TRAJECTORY_KEYS = ("time_s", "phase", "t_s", "t_min_s", "t_max_s", "t_old_s",
@@ -126,11 +140,28 @@ class SimulatedSession:
         self.zwa_bursts = self._sends = 0
 
     def _deliver(self, send: Send) -> Report:
-        """Perform one send against the fluid client."""
+        """Perform one send against the fluid client: a burst that
+        ``StreamingClient.steady_delivery`` takes as one fluid piece by its
+        closed form, any other send by ``deliver``."""
         size, send_at = send.size_bytes, send.at_s
-        start_byte = self.client.total_delivered_bytes
-        res = self.client.deliver(size, self.bandwidth.at(send_at), send_at,
-                                  abort_on_zwa=send.abort_on_zwa)
+        client = self.client
+        start_byte = client.total_delivered_bytes
+        rate = self.bandwidth.at(send_at)
+        if _STEADY_STEP and send.abort_on_zwa:
+            got = client.steady_delivery(size, rate, send_at)
+            if got is not None and got[0] > send_at:
+                client.take_steady(got)
+                end, delivered = got[0], got[1]
+                acked, complete = _acked(size, start_byte, got[2])
+                obs = BurstObservation(self._sends, size, start_byte,
+                                       send_at, got[7], got[8], acked,
+                                       complete)
+                self._sends += 1
+                self.activity_spans.append((send_at, end, delivered))
+                return Report(obs, delivered, send_at, end,
+                              delivered * 8.0 / (end - send_at), got[3])
+        res = client.deliver(size, rate, send_at,
+                             abort_on_zwa=send.abort_on_zwa)
         obs = _observe(res.acks, self._sends, size, start_byte, send_at)
         self._sends += 1
         delivered = res.delivered_bytes
@@ -141,7 +172,7 @@ class SimulatedSession:
         wall = res.end_s - send_at
         est = delivered * 8.0 / wall if wall > 0 and delivered > 0 else None
         return Report(obs, delivered, send_at, res.end_s, est,
-                      self.client.playback_position_s)
+                      client.playback_position_s)
 
     def run(self) -> SessionResult:
         ctl, shaper, st = self.controller, self.shaper, self.shaper.state
@@ -163,8 +194,7 @@ class SimulatedSession:
                            ctl.runway_s))
             if send is None or send.at_s >= horizon:
                 break
-            if _STEADY_STEP and st.phase is Phase.STEADY and \
-                    not ctl.adaptive:
+            if _STEADY_STEP and st.phase is _STEADY and not ctl.adaptive:
                 send = self._steady(send)
                 now = points[-1][0]
                 if send.at_s >= horizon:
@@ -197,10 +227,8 @@ class SimulatedSession:
             got = client.steady_delivery(size, rate_at(at), at)
             if got is None or not got[0] > at:
                 break
-            end, delivered, cum = got[0], got[1], got[2]
-            start_byte = client.total_delivered_bytes
-            last = start_byte + size              # ``_observe``'s acked
-            acked = (last if last < cum else cum) - start_byte
+            end, delivered = got[0], got[1]
+            acked = _acked(size, client.total_delivered_bytes, got[2])[0]
             booked = ctl.report_steady(self._sends, size, delivered, acked,
                                        at, end, delivered * 8.0 / (end - at),
                                        got[3])
@@ -217,6 +245,15 @@ class SimulatedSession:
         return Send(size, at, True)
 
 
+def _acked(size: float, start_byte: float,
+           cum: float) -> Tuple[float, bool]:
+    """The bytes of the burst of ``size`` bytes from ``start_byte`` that a
+    last cumulative ACK of ``cum`` bytes acknowledges, and whether they are
+    the whole burst (within 1e-9 bytes)."""
+    end = start_byte + size
+    return (end if end < cum else cum) - start_byte, cum >= end - 1e-9
+
+
 def _observe(acks: SegmentAcks, burst_id: int, size: float,
              start_byte: float, send_at: float) -> BurstObservation:
     """The burst of ``size`` bytes from ``start_byte`` as its delivery's ACK
@@ -224,12 +261,11 @@ def _observe(acks: SegmentAcks, burst_id: int, size: float,
     cum = acks.last_ack_bytes
     if cum is None:
         return BurstObservation(burst_id, size, start_byte, send_at)
-    end = start_byte + size
+    acked, complete = _acked(size, start_byte, cum)
     zwa_s = acks.zwa_ack_s
     return BurstObservation(
         burst_id, size, start_byte, send_at, acks.first_ack_s,
-        acks.last_ack_s, (end if end < cum else cum) - start_byte,
-        cum >= end - 1e-9, zwa_s is not None, zwa_s,
+        acks.last_ack_s, acked, complete, zwa_s is not None, zwa_s,
         None if zwa_s is None else acks.zwa_ack_bytes - start_byte)
 
 

@@ -39,6 +39,12 @@ class Phase(enum.Enum):
     LOW_BANDWIDTH = "LOW_BANDWIDTH"
 
 
+# the members as module constants, which the per-send path reads without
+# an attribute lookup on the Enum class
+_FAST_START, _SEARCHING, _STEADY, _LOW_BANDWIDTH = (
+    Phase.FAST_START, Phase.SEARCHING, Phase.STEADY, Phase.LOW_BANDWIDTH)
+
+
 @dataclass(frozen=True)
 class QualityLevel:
     bitrate_bps: float
@@ -235,8 +241,8 @@ class Shaper:
             return
         self._last_feedback_id = obs.burst_id
 
-        if st.phase is not Phase.SEARCHING:
-            if obs.zwa_seen and st.phase is Phase.STEADY and \
+        if st.phase is not _SEARCHING:
+            if obs.zwa_seen and st.phase is _STEADY and \
                     obs.sent_bytes_at_first_zwa:
                 # client shrank below the settled operating point
                 st.bs_opt_bytes = obs.sent_bytes_at_first_zwa
@@ -291,20 +297,20 @@ class Shaper:
         st = self.state
         if est_bps is None:
             return
-        if st.phase is Phase.LOW_BANDWIDTH:
+        if st.phase is _LOW_BANDWIDTH:
             st.t_max_s = max(runway_s, 0.0)
             if est_bps >= SAFETY_FACTOR * self.r_s_bps:
                 st.t_s = st.t_old_s
                 st.t_min_s = 0.0
                 st.t_old_s = None
                 st.bs_opt_bytes = None
-                st.phase = Phase.SEARCHING
+                st.phase = _SEARCHING
                 self._decide(f"bandwidth_recovered t={st.t_s:.3f} "
                              f"t_max={st.t_max_s:.3f}")
-        elif est_bps < self.r_s_bps and st.phase in (Phase.SEARCHING,
-                                                     Phase.STEADY):
+        elif est_bps < self.r_s_bps and (st.phase is _SEARCHING or
+                                         st.phase is _STEADY):
             st.t_old_s = st.t_s
-            st.phase = Phase.LOW_BANDWIDTH
+            st.phase = _LOW_BANDWIDTH
             self._decide(f"bandwidth_low t_old={st.t_old_s:.3f} "
                          f"est={est_bps:.0f}")
 
@@ -444,12 +450,12 @@ class ShapingController:
         self.content_sent_bytes += rep.delivered_bytes
         self.content_sent_s += rep.delivered_bytes * 8.0 / r_s
         self.pending_bytes = max(obs.size_bytes - rep.delivered_bytes, 0.0)
-        if phase is Phase.FAST_START:
+        if phase is _FAST_START:
             if obs.zwa_seen:
                 sh.fast_start_zwa(obs.sent_bytes_at_first_zwa)
             else:
                 sh.end_fast_start(obs.acked_bytes)
-        elif phase is not Phase.LOW_BANDWIDTH:
+        elif phase is not _LOW_BANDWIDTH:
             sh.log_burst(obs.burst_id, st.t_s, obs.acked_bytes, obs.zwa_seen)
             sh.on_burst_feedback(obs)
             if self.adaptive:
@@ -457,7 +463,7 @@ class ShapingController:
             self._last_burst_start = rep.start_s
         self.runway_s = self.content_sent_s - rep.played_s
         sh.on_bandwidth_change(rep.est_bps, self.runway_s)
-        if phase is Phase.LOW_BANDWIDTH and st.phase is Phase.SEARCHING:
+        if phase is _LOW_BANDWIDTH and st.phase is _SEARCHING:
             # the recovered search times its bursts from the chunk's end
             self._last_burst_start = rep.end_s
         self._now = rep.end_s
@@ -481,7 +487,7 @@ class ShapingController:
         rise, so the next burst passes that check either way."""
         sh = self.shaper
         st = sh.state
-        if self.adaptive or st.phase is not Phase.STEADY:
+        if self.adaptive or st.phase is not _STEADY:
             return None
         r_s = sh.r_s_bps
         if est_bps < r_s:
@@ -508,17 +514,19 @@ class ShapingController:
 
     def _next(self) -> Optional[Send]:
         sh = self.shaper
-        phase, r_s = sh.state.phase, sh.r_s_bps
+        st = sh.state
+        phase, r_s = st.phase, sh.r_s_bps
         left = self._left(self.content_sent_s, r_s)
-        if phase is Phase.FAST_START:
+        if phase is _FAST_START:
             return Send(min(sh.stream.fast_start_s * r_s / 8.0, left),
                         self._now, True)
-        if phase is Phase.LOW_BANDWIDTH:
+        if phase is _LOW_BANDWIDTH:
             size = min(self.low_bw_chunk_s * r_s / 8.0 + self.pending_bytes,
                        left)
             return Send(size, self._now, False) if size > 0 else None
-        size = min(sh.next_burst_bytes(self.pending_bytes), left)
+        # ``Shaper.next_burst_bytes``, without reading the rate again
+        size = min(_burst_bytes(st, r_s, self.pending_bytes), left)
         if size <= 1e-9:
             return None
-        return Send(size, max(self._last_burst_start + sh.state.t_s,
-                              self._now), True)
+        return Send(size, max(self._last_burst_start + st.t_s, self._now),
+                    True)

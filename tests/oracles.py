@@ -88,9 +88,10 @@ def walk_state_trace(start_s, end_s, state, horizon_s, technology,
     prev = RadioState.IDLE
     t = 0.0
     for start, end, s in zip(start_s, end_s, state):
-        if abs(start - t) > 1e-9:
+        # each rule compares under ``not``, which a NaN time fails
+        if not abs(start - t) <= 1e-9:
             raise ValueError("state trace must be contiguous from 0")
-        if end < start:
+        if not end >= start:
             raise ValueError("segment ends before it starts")
         if s not in allowed:
             raise ValueError(f"state {s} invalid for {technology}")
@@ -99,7 +100,7 @@ def walk_state_trace(start_s, end_s, state, horizon_s, technology,
         if cur is not prev:
             counts[(prev, cur)] = counts.get((prev, cur), 0) + 1
         prev = cur
-    if abs(t - horizon_s) > 1e-9:
+    if not abs(t - horizon_s) <= 1e-9:
         raise ValueError("state trace must cover the horizon")
     return counts
 

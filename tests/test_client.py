@@ -252,6 +252,11 @@ class TestClientRules:
         ("segment_bytes", 0), ("segment_bytes", 0.5),
         ("segment_bytes", -1460), ("segment_bytes", math.nan),
         ("segment_bytes", math.inf),
+        # a fractional segment size was cut to a whole one
+        ("segment_bytes", 1.9),
+        # NaN content played as endless, none or less than none as nothing
+        ("content_duration_s", math.nan), ("content_duration_s", 0.0),
+        ("content_duration_s", -5.0),
         ("startup_threshold_s", math.nan), ("startup_threshold_s", -1.0),
         ("startup_threshold_s", math.inf),
         # ``min`` dropped a NaN link rate
@@ -261,6 +266,12 @@ class TestClientRules:
         with pytest.raises(FieldError) as err:
             StreamingClient(4_000_000, 500e3, **{field: value})
         assert err.value.field == field
+
+    @pytest.mark.parametrize("content_s", [None, math.inf])
+    def test_endless_content_and_a_whole_float_segment_pass(self, content_s):
+        c = StreamingClient(4_000_000, 500e3, content_duration_s=content_s,
+                            segment_bytes=1460.0)
+        assert c.content_duration_s == math.inf and c.segment_bytes == 1460
 
 
 class TestRateTooLowToEnd:

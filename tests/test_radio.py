@@ -792,3 +792,32 @@ class TestStateTraceWalkDifferential:
             got = str(exc)
         event(expected if isinstance(expected, str) else "accepted")
         assert got == expected
+
+    @pytest.mark.parametrize("n, nan_start, nan_end, nan_horizon, error", [
+        # the trace ``StateTrace([0.0, nan], [nan, 2.0], ...)``: a NaN end
+        # that the next segment starts at, the same float
+        (2, None, 0, False, "segment ends before it starts"),
+        # past 64 segments, where sorting merges runs
+        (80, None, 40, False, "segment ends before it starts"),
+        (80, None, 79, True, "segment ends before it starts"),
+        (2, 0, None, False, "state trace must be contiguous from 0"),
+        (80, 50, None, False, "state trace must be contiguous from 0"),
+        (2, None, None, True, "state trace must cover the horizon"),
+        (0, None, None, True, "state trace must cover the horizon")])
+    def test_a_nan_time_raises_what_the_walk_raises(
+            self, n, nan_start, nan_end, nan_horizon, error):
+        # each segment starts at the float the one before it ends at
+        starts, ends = [], []
+        t = 0.0
+        for i in range(n):
+            starts.append(math.nan if i == nan_start else t)
+            t = math.nan if i == nan_end else float(i + 1)
+            ends.append(t)
+        horizon = math.nan if nan_horizon else float(n)
+        states = [RadioState.DCH, RadioState.IDLE] * (n // 2)
+        with pytest.raises(ValueError, match=error):
+            walk_state_trace(starts, ends, states, horizon,
+                             Technology.HSPA)
+        with pytest.raises(ValueError, match=error):
+            StateTrace(starts, ends, states, [0.0] * n, [None] * n,
+                       horizon, Technology.HSPA)

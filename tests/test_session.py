@@ -1,5 +1,6 @@
 """End-to-end simulated session tests: search outcomes, fallback, adaptation."""
 
+import copy
 import math
 
 import pytest
@@ -12,7 +13,7 @@ from burststream import (BandwidthTrace, Phase, QualityLevel, Scenario,
                          harness, linear_sweep_oracle, probe_search)
 from burststream import session as session_module
 from burststream.profiles import ConfigError, get_profile
-from burststream.shaper import ShapingController
+from burststream.shaper import Send, ShapingController
 
 
 def cbr_session(r_s=128e3, fs=14.0, buffer_bytes=5_000_000, bw=None,
@@ -175,14 +176,16 @@ class TestAdaptiveSession:
     LADDER = tuple(QualityLevel(r * 1000) for r in
                    (700, 1200, 1500, 2000, 2500, 3000))
 
-    def run_step_up(self, buffer_bytes=12_000_000):
+    def run_step_up_session(self, buffer_bytes=12_000_000):
         stream = StreamSpec(self.LADDER, duration_s=900.0, fast_start_s=40.0)
         client = StreamingClient(buffer_bytes, 700e3, 16e6,
                                  content_duration_s=900.0)
         bw = BandwidthTrace(((0.0, 2.2e6), (300.0, 16e6)))
-        sess = SimulatedSession(stream, client, bw, session_length_s=860.0,
+        return SimulatedSession(stream, client, bw, session_length_s=860.0,
                                 adaptive=True)
-        return sess.run()
+
+    def run_step_up(self, buffer_bytes=12_000_000):
+        return self.run_step_up_session(buffer_bytes).run()
 
     def test_upgrade_shrinks_interval_then_research(self):
         res = self.run_step_up()
@@ -265,21 +268,34 @@ class TestTrajectoryView:
 
 def _outputs(scenario, step):
     """Every output of ``harness.run(scenario)`` with the steady step on or
-    off, as one string (a run that fails gives its error), and the number
-    of sends the step took."""
-    stepped = []
+    off, as one string (a run that fails gives its error), the number of
+    sends the steady step took and the number that ``_deliver`` took by
+    the closed form."""
+    stepped, closed = [], []
+    in_step = []
     take = StreamingClient.take_steady
+    steady = SimulatedSession._steady
     kept = session_module._STEADY_STEP
     session_module._STEADY_STEP = step
     StreamingClient.take_steady = lambda client, got: \
-        stepped.append(got) or take(client, got)
+        (closed if not in_step else stepped).append(got) or take(client, got)
+
+    def counted_steady(sim, send):
+        in_step.append(True)
+        try:
+            return steady(sim, send)
+        finally:
+            in_step.pop()
+
+    SimulatedSession._steady = counted_steady
     try:
         res = harness.run(scenario)
     except ConfigError as exc:
-        return f"ConfigError: {exc}", 0
+        return f"ConfigError: {exc}", 0, 0
     finally:
         session_module._STEADY_STEP = kept
         StreamingClient.take_steady = take
+        SimulatedSession._steady = steady
     s = res.session
     ledgers = [(ledger.total_messages, sorted(
         (a.value, b.value, n) for (a, b), n in
@@ -291,18 +307,20 @@ def _outputs(scenario, step):
         s.zwa_bursts, s.fs_end_s, s.content_sent_bytes, s.content_sent_s,
         s.shaper.state, res.energy_mj, res.energy_baseline_mj, ledgers,
         res.state_trace.segments, res.baseline_trace.segments)), \
-        len(stepped)
+        len(stepped), len(closed)
 
 
 class TestSteadyStep:
-    """The steady step changes no output: each run is repr-equal with the
-    step on and with every send on the per-send path."""
+    """The steady step and the closed-form branch of ``_deliver`` change no
+    output: each run is repr-equal with them on and with every send on the
+    per-send path."""
 
     @settings(max_examples=100, deadline=None)
     @given(scenario=scenarios())
     def test_drawn_scenarios_are_the_same_either_way(self, scenario):
-        on, stepped = _outputs(scenario, True)
+        on, stepped, closed = _outputs(scenario, True)
         event("stepped" if stepped else "not stepped")
+        event("closed form" if closed else "no closed form")
         assert on == _outputs(scenario, False)[0]
 
     def test_a_two_hour_stream_is_the_same_and_steps_each_steady_burst(
@@ -312,11 +330,160 @@ class TestSteadyStep:
             "two-hours", get_profile("hspa-default"),
             StreamSpec.single(1e6, math.inf, 20.0), 2.5e6,
             BandwidthTrace.flat(6e6), 7200.0)
-        on, stepped = _outputs(scenario, True)
-        off, none = _outputs(scenario, False)
-        assert on == off and none == 0
+        on, stepped, closed = _outputs(scenario, True)
+        off, none, no_closed = _outputs(scenario, False)
+        assert on == off and none == no_closed == 0
         # every STEADY burst but none of the search's
         assert stepped == on.count("'STEADY')") == 355
+        # and each of the search's probes, one fluid piece apiece
+        assert closed == on.count("'SEARCHING')") == 5
+
+
+_DELIVER = SimulatedSession._deliver
+
+
+def _reference(sim, send):
+    """``_deliver`` on a copy of ``sim`` with the closed form off: the
+    copy's report from ``deliver`` and ``_observe``, or the error."""
+    twin = copy.copy(sim)
+    twin.client = copy.deepcopy(sim.client)
+    twin.activity_spans = list(sim.activity_spans)
+    kept = session_module._STEADY_STEP
+    session_module._STEADY_STEP = False
+    try:
+        return twin, _DELIVER(twin, send)
+    except Exception as exc:
+        return twin, exc
+    finally:
+        session_module._STEADY_STEP = kept
+
+
+def _deliver_as_reference(sim, send, taken):
+    """``_deliver(send)`` on ``sim`` with the closed form on, held equal,
+    report, observation, client and session, to ``_reference``; each send
+    the closed form takes is added to ``taken``."""
+    twin, want = _reference(sim, send)
+    take = StreamingClient.take_steady
+    kept = session_module._STEADY_STEP
+    session_module._STEADY_STEP = True
+    StreamingClient.take_steady = lambda client, got: \
+        taken.append(got) or take(client, got)
+    try:
+        got = _DELIVER(sim, send)
+    except Exception as exc:
+        assert repr(exc) == repr(want)
+        raise
+    finally:
+        session_module._STEADY_STEP = kept
+        StreamingClient.take_steady = take
+    # a repr shows every field, and each float by its exact digits
+    assert repr(got) == repr(want)
+    assert repr(vars(sim.client)) == repr(vars(twin.client))
+    assert (sim.activity_spans, sim._sends, sim.zwa_bursts) == \
+        (twin.activity_spans, twin._sends, twin.zwa_bursts)
+    return got
+
+
+class TestClosedFormDelivery:
+    """A burst that ``_deliver`` takes by ``steady_delivery``'s closed form
+    gives the report, every observation field (the ACK times, the acked
+    bytes and completeness among them) and the client and session state
+    that ``deliver`` and ``_observe`` give."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(capacity=st.floats(2e5, 2e7), r_s=st.floats(64e3, 4e6),
+           fill=st.floats(0.05, 1.0), link=st.floats(0.5, 50.0),
+           offered=st.floats(0.2, 10.0), wait=st.floats(0.0, 1.2),
+           refill=st.floats(0.0, 1.5), seg=st.sampled_from((536, 1460)),
+           content_s=st.sampled_from((math.inf, 60.0, 400.0)),
+           sends=st.integers(1, 4))
+    def test_drawn_client_states(self, capacity, r_s, fill, link, offered,
+                                 wait, refill, seg, content_s, sends):
+        # ``TestSteadyDelivery``'s client states and sends, each sent as a
+        # burst through the session
+        client = StreamingClient(capacity, r_s, link * r_s,
+                                 segment_bytes=seg,
+                                 content_duration_s=content_s)
+        client.deliver(fill * capacity, 4.0 * r_s, 0.0)
+        sim = SimulatedSession(StreamSpec.single(r_s, content_s), client,
+                               BandwidthTrace.flat(offered * r_s), 1e4)
+        taken = []
+        for _ in range(sends):
+            gap = wait * client.occupancy_bytes * 8.0 / r_s
+            send = Send(refill * gap * r_s / 8.0, client.now_s + gap, True)
+            try:
+                _deliver_as_reference(sim, send, taken)
+            except RuntimeError:     # full, with the content played out
+                return
+        event(f"{len(taken)} of {sends} by the closed form")
+
+    @settings(max_examples=60, deadline=None)
+    @given(scenario=scenarios())
+    def test_drawn_scenarios(self, scenario):
+        taken = []
+        SimulatedSession._deliver = lambda sim, send: \
+            _deliver_as_reference(sim, send, taken)
+        try:
+            harness.run(scenario)
+        except ConfigError:
+            pass
+        finally:
+            SimulatedSession._deliver = _DELIVER
+        event("closed form" if taken else "no closed form")
+
+    def test_a_burst_just_past_a_segment_boundary(self):
+        # the final cumulative ACK would be within 1e-9 bytes of the last
+        # segment ACK, so it is not sent: the last ACK is the segment's,
+        # before the burst ends
+        client = StreamingClient(4e6, 500e3, 8e6, startup_threshold_s=0.0)
+        sim = SimulatedSession(StreamSpec.single(500e3, math.inf), client,
+                               BandwidthTrace.flat(8e6), 1e4)
+        taken = []
+        rep = _deliver_as_reference(sim, Send(14600 + 5e-10, 0.0, True),
+                                    taken)
+        assert len(taken) == 1
+        assert rep.obs.last_ack_s == 0.0146 < rep.end_s
+        assert rep.obs.acked_bytes == 14600.0 and rep.obs.complete
+
+    def _taken(self, monkeypatch, sim):
+        """Run ``sim`` with the closed form on; the phase of each send
+        that ``_deliver`` took by it."""
+        phases, taken = [], []
+        take = StreamingClient.take_steady
+
+        def deliver(s, send):
+            n = len(taken)
+            phase = s.shaper.state.phase
+            report = _DELIVER(s, send)
+            phases.extend([phase] * (len(taken) - n))
+            return report
+
+        monkeypatch.setattr(session_module, "_STEADY_STEP", True)
+        monkeypatch.setattr(StreamingClient, "take_steady",
+                            lambda client, got: taken.append(got) or
+                            take(client, got))
+        monkeypatch.setattr(SimulatedSession, "_deliver", deliver)
+        sim.run()
+        return phases
+
+    def test_a_search_sends_probes_by_it(self, monkeypatch):
+        phases = self._taken(monkeypatch, cbr_session())
+        assert Phase.SEARCHING in phases
+
+    def test_an_adaptive_session_sends_bursts_by_it(self, monkeypatch):
+        phases = self._taken(monkeypatch,
+                             TestAdaptiveSession().run_step_up_session())
+        assert Phase.STEADY in phases and Phase.SEARCHING in phases
+
+    def test_off_the_closed_form_is_never_asked(self, monkeypatch):
+        # with the switch off every burst goes through ``deliver``
+        def refuse(*args):
+            raise AssertionError("steady_delivery called")
+
+        monkeypatch.setattr(session_module, "_STEADY_STEP", False)
+        monkeypatch.setattr(StreamingClient, "steady_delivery", refuse)
+        cbr_session().run()
+        TestAdaptiveSession().run_step_up()
 
 
 class TestStallLog:
