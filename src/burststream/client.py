@@ -10,19 +10,23 @@ Occupancy evolves as a piecewise-linear fluid with breakpoints computed in
 closed form, so runs are exact and independent of any step size. A delivery
 stands for one ACK per segment boundary it crosses plus its explicit ACKs
 (each zero-window pin and the final cumulative ACK). ``DeliveryResult.acks``
-keeps of that stream its count and its breakpoint summary, which is all a
-burst observation needs: the summary evaluates the one segment-ACK formula
-for each fluid piece's first and last segment (and bisects for a
-zero-window onset inside a piece), so a delivery's observation costs a few
-floats, not one object per segment. The per-segment stream itself is
-expanded only by the tests' oracle.
+keeps of that stream its count and its breakpoint summary, all a burst
+observation needs: the ACKs at each piece's first and last segment, and a
+bisection for a zero-window onset inside a piece. Only the tests' oracle
+expands the per-segment stream.
+
+``send`` takes a burst that is one fluid piece by its closed form,
+``steady_delivery``, and any other by ``deliver``'s fluid loop. Both use
+the same three rules: the drain step (``_drain_step``, also ``advance``'s),
+a piece's length, which tells whether it is the last (``_piece_dt``), and
+the ACKs at its first and last segment (``_segment_ends``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Union
 
 from .errors import FieldError, finite_at_least, positive, positive_finite
 
@@ -73,6 +77,23 @@ class FluidPiece(NamedTuple):
     moved: float
 
 
+def _segment_ends(seg: int, cap: float, t0: float, cum0: float, occ0: float,
+                  fill: float, net: float, moved: float) -> Optional[tuple]:
+    """``(k0, k1, t0_ack, t1_ack, open0, open1)``: the first and last
+    segment whose last byte enters during the fluid piece ``(t0, cum0,
+    occ0, fill, net, moved)``, their ACK times by ``SegmentAcks._ack``'s
+    formula and whether each ACK's window is open, that is, occupancy
+    below ``cap``; None if no segment ends in the piece."""
+    k0 = math.floor(cum0 / seg) + 1
+    k1 = math.floor((cum0 + moved) / seg)
+    if k1 < k0:
+        return None
+    dt0 = (k0 * seg - cum0) / fill
+    dt1 = (k1 * seg - cum0) / fill
+    return (k0, k1, t0 + dt0, t0 + dt1, occ0 + net * dt0 < cap,
+            occ0 + net * dt1 < cap)
+
+
 class SegmentAcks:
     """The per-segment ACK stream of one delivery, as its count and its
     breakpoint summary.
@@ -106,26 +127,23 @@ class SegmentAcks:
     def add_piece(self, piece: FluidPiece) -> None:
         """Count the ACKs of ``piece``, one for each segment ``k0..k1``
         whose last byte enters during it, and fold in its first and last
-        segment ACK, by ``_ack``'s formula inline, and, unless a zero window
-        came before, its first zero-window ACK: a piece's window is
-        monotone, so that is its first ACK or is found by bisection."""
-        seg, cap = self.segment_bytes, self.capacity_bytes
-        t0, cum0, occ0, fill, net, moved = piece
-        k0 = math.floor(cum0 / seg) + 1
-        k1 = math.floor((cum0 + moved) / seg)
-        if k1 < k0:
+        segment ACK, by ``_segment_ends``, and, unless a zero window came
+        before, its first zero-window ACK: a piece's window is monotone,
+        so that is its first ACK or is found by bisection."""
+        ends = _segment_ends(self.segment_bytes, self.capacity_bytes, *piece)
+        if ends is None:
             return
+        k0, k1, first_s, last_s, open0, open1 = ends
         self.count += k1 - k0 + 1
-        dt0 = (k0 * seg - cum0) / fill
-        dt1 = (k1 * seg - cum0) / fill
         if self.first_ack_s is None:
-            self.first_ack_s = t0 + dt0
-        self.last_ack_s, self.last_ack_bytes = t0 + dt1, float(k1 * seg)
+            self.first_ack_s = first_s
+        self.last_ack_s = last_s
+        self.last_ack_bytes = float(k1 * self.segment_bytes)
         if self.zwa_ack_s is not None:
             return
         lo = k0
-        if _nonneg(cap - _clamp(occ0 + net * dt0, cap)) > 0:
-            if _nonneg(cap - _clamp(occ0 + net * dt1, cap)) > 0:
+        if open0:
+            if open1:
                 return
             lo, hi = k0 + 1, k1   # segment hi is zero-window, k0 not
             while lo < hi:
@@ -237,37 +255,44 @@ class StreamingClient:
         """Advance the clock, draining the buffer and opening a stall
         when it runs dry."""
         if to_s < self.now_s - 1e-12:
-            raise DeliveryOrderError("cannot advance backwards")
-        drain = self.drain_rate_bps / 8.0
-        complete_at = self.content_duration_s - 1e-12
+            raise DeliveryOrderError(
+                f"{to_s} s predates the client's clock, {self.now_s} s")
         while to_s > self.now_s + 1e-15:
-            occ = self.occupancy_bytes
-            # drains only while playing, not stalled or complete, non-empty
-            if not self.playback_started or self._stalled or \
-                    self.playback_position_s >= complete_at or not occ > 0:
-                self.now_s = to_s
-                break
-            dt = to_s - self.now_s
-            dt_empty = occ / drain
-            dt_done = self.content_duration_s - self.playback_position_s
-            step = dt    # min(dt, dt_empty, dt_done)
-            if dt_empty < step:
-                step = dt_empty
-            if dt_done < step:
-                step = dt_done
-            self._drain(step)
-            self.now_s += step
-            if not self.playback_position_s >= complete_at and \
-                    self.occupancy_bytes <= self._eps and \
-                    step >= dt_empty - 1e-15:
+            (self.now_s, taken, self.occupancy_bytes,
+             self.playback_position_s, stalls) = self._drain_step(
+                self.now_s, to_s, self.occupancy_bytes,
+                self.playback_position_s)
+            self.total_drained_bytes += taken
+            if stalls:
                 self.occupancy_bytes = 0.0
                 self._open_stall(self.now_s)
 
-    def _drain(self, dt: float) -> None:
-        taken = dt * self.drain_bytes_per_s
-        self.occupancy_bytes = _nonneg(self.occupancy_bytes - taken)
-        self.total_drained_bytes += taken
-        self.playback_position_s += dt
+    def _drain_step(self, now: float, to_s: float, occ: float,
+                    pos: float) -> tuple:
+        """``advance``'s one step from ``now`` toward ``to_s`` with ``occ``
+        bytes buffered at playback position ``pos``: ``(now, taken, occ,
+        pos, stalls)`` after it, with the bytes it drains and whether a
+        stall opens at its end. Playback that does not drain (not started,
+        stalled, complete or empty) takes the whole step and drains 0."""
+        content_s = self.content_duration_s
+        complete_at = content_s - 1e-12
+        if not self.playback_started or self._stalled or \
+                pos >= complete_at or not occ > 0:
+            return to_s, 0.0, occ, pos, False
+        drain = self.drain_rate_bps / 8.0
+        dt_empty = occ / drain
+        dt_done = content_s - pos
+        step = to_s - now     # min(to_s - now, dt_empty, dt_done)
+        if dt_empty < step:
+            step = dt_empty
+        if dt_done < step:
+            step = dt_done
+        taken = step * drain
+        occ = _nonneg(occ - taken)
+        pos += step
+        return now + step, taken, occ, pos, (not pos >= complete_at and
+                                             occ <= self._eps and
+                                             step >= dt_empty - 1e-15)
 
     def _open_stall(self, t: float) -> None:
         if not self._stalled:
@@ -301,9 +326,6 @@ class StreamingClient:
         at the drain rate. With ``abort_on_zwa`` the remainder is dropped at
         the first pin and reported via ``delivered_bytes``.
         """
-        if start_s < self.now_s - 1e-12:
-            raise DeliveryOrderError(
-                f"delivery at {start_s} predates client clock {self.now_s}")
         finite_at_least("total_bytes", total_bytes)
         self.advance(start_s)
         rate = min(at_rate_bps, self.link_rate_bps) / 8.0  # bytes/s
@@ -326,8 +348,7 @@ class StreamingClient:
         drain = self.drain_rate_bps / 8.0
         startup = self.startup_bytes
         resume_at = startup - eps
-        content_s = self.content_duration_s
-        complete_at = content_s - 1e-12
+        complete_at = self.content_duration_s - 1e-12
         # the clock, occupancy, cumulative bytes, playback position and
         # startup flag live in locals during the loop and are written back
         # however it ends; the stall flag stays on self
@@ -365,36 +386,11 @@ class StreamingClient:
                     fill = rate
                     net = fill - (drain if piece_drains else 0.0)
 
-                # closed-form time to the next breakpoint: the running
-                # minimum of the candidate steps, then at least 0.0, as
-                # max(0.0, min(steps)) gives it
-                dt = remaining / fill
-                if not pinned and net > 1e-15:
-                    step = (capacity - occ) / net
-                    if step < dt:
-                        dt = step
-                if not started:
-                    step = (startup - occ) / fill
-                    if step < dt:
-                        dt = step
-                if self._stalled:
-                    step = (startup - occ) / fill
-                    if step < dt:
-                        dt = step
-                if piece_drains:
-                    step = content_s - pos
-                    if step < dt:
-                        dt = step
-                    if net < -1e-15:
-                        step = occ / -net
-                        if step < dt:
-                            dt = step
-                if not dt > 0.0:
-                    dt = 0.0
-
+                dt = self._piece_dt(remaining, fill, net, occ, pos, started,
+                                    piece_drains)
                 t0, cum0, occ0 = now, cum, occ
                 moved = fill * dt
-                if piece_drains:    # _drain(dt); occupancy is set below
+                if piece_drains:    # occupancy is set below
                     self.total_drained_bytes += dt * drain
                     pos += dt
                 occ = capacity if pinned else _clamp(occ0 + net * dt, capacity)
@@ -441,95 +437,110 @@ class StreamingClient:
                               zwa_episodes, first_zwa_t, bytes_at_zwa,
                               aborted)
 
+    def _piece_dt(self, remaining: float, fill: float, net: float,
+                  occ: float, pos: float, started: bool,
+                  drains: bool) -> float:
+        """The length of a fluid piece that fills at ``fill`` byte/s while
+        occupancy moves at ``net`` from ``occ`` at playback position
+        ``pos``: the least step to deliver ``remaining`` bytes, to fill the
+        buffer, to reach the startup threshold (not ``started``, or
+        stalled) and, if the piece ``drains``, to the content's end or an
+        empty buffer; at least 0.0. The piece that delivers the rest is a
+        delivery's last."""
+        dt = remaining / fill
+        if net > 1e-15:
+            step = (self.capacity_bytes - occ) / net
+            if step < dt:
+                dt = step
+        if not started or self._stalled:
+            step = (self.startup_bytes - occ) / fill
+            if step < dt:
+                dt = step
+        if drains:
+            step = self.content_duration_s - pos
+            if step < dt:
+                dt = step
+            if net < -1e-15:
+                step = occ / -net
+                if step < dt:
+                    dt = step
+        return dt if dt > 0.0 else 0.0
+
     def steady_delivery(self, total_bytes: float, at_rate_bps: float,
                         start_s: float) -> Optional[tuple]:
-        """``deliver(total_bytes, at_rate_bps, start_s, abort_on_zwa=True)``
-        worked out without writing anything, for any burst that is one
-        fluid piece, in whatever phase it is sent: at most one drain step
-        to ``start_s``, then one unpinned piece that neither stalls, pins,
-        draws a zero window at its first or last segment ACK, nor reaches
-        the end of the content.
+        """``deliver(total_bytes, at_rate_bps, start_s)`` under either
+        ``abort_on_zwa``, worked out without writing anything, for a burst
+        that is one fluid piece while playback runs: at most one
+        ``_drain_step``, then one piece of ``_piece_dt``'s length that
+        neither stalls nor pins, so the flag cannot act, and draws no zero
+        window at its first or last segment ACK (``_segment_ends``).
 
         Returns ``(end_s, delivered_bytes, last_ack_bytes, position_s,
         occupancy_bytes, delivered_total_bytes, drained_total_bytes,
-        first_ack_s, last_ack_s)``, the values ``deliver`` would leave
-        (``last_ack_bytes``, ``first_ack_s`` and ``last_ack_s`` are its ACK
-        summary's, the times by ``SegmentAcks._ack``'s segment-ACK
-        formula), for ``take_steady`` to write; None for any other
-        delivery, which ``deliver`` alone computes. Each value comes from
-        ``advance`` and ``deliver``'s float operations in their order."""
+        first_ack_s, last_ack_s)``, the values ``deliver`` would leave, for
+        ``take_steady`` to write; None for any other delivery."""
         now, occ = self.now_s, self.occupancy_bytes
         pos, drained = self.playback_position_s, self.total_drained_bytes
         if not self.playback_started or self._stalled or \
                 start_s < now - 1e-12:
             return None
+        if start_s > now + 1e-15:              # ``advance``
+            now, taken, occ, pos, stalls = self._drain_step(now, start_s,
+                                                            occ, pos)
+            drained += taken
+            if stalls or start_s > now + 1e-15:
+                return None                     # a stall or a second step
         eps, capacity = self._eps, self.capacity_bytes
         drain = self.drain_rate_bps / 8.0
-        content_s = self.content_duration_s
-        complete_at = content_s - 1e-12
-        if start_s > now + 1e-15:              # ``advance``: one step
-            if pos >= complete_at or not occ > 0:
-                return None
-            dt = start_s - now
-            dt_empty = occ / drain
-            if dt_empty < dt or content_s - pos < dt:
-                return None
-            taken = dt * drain
-            occ = _nonneg(occ - taken)
-            drained += taken
-            pos += dt
-            now += dt
-            if not pos >= complete_at and occ <= eps and \
-                    dt >= dt_empty - 1e-15:
-                return None                     # a stall opens
-            if start_s > now + 1e-15:
-                return None                     # a second step
         rate = min(at_rate_bps, self.link_rate_bps) / 8.0
         if not (0 < rate < math.inf and total_bytes / rate < math.inf and
-                total_bytes > eps):
-            return None
-        # ``deliver``'s first piece, which must be its last
-        if occ >= capacity - eps or pos >= complete_at or \
+                total_bytes > eps) or occ >= capacity - eps or \
+                pos >= self.content_duration_s - 1e-12 or \
                 occ <= eps and rate < drain:
-            return None                         # pinned, done or stalling
+            return None       # no finite burst, or pinned, done or stalling
         net = rate - drain
-        dt = total_bytes / rate
-        if net > 1e-15 and (capacity - occ) / net < dt or \
-                content_s - pos < dt or \
-                net < -1e-15 and occ / -net < dt or not dt > 0.0:
-            return None
-        cum0, occ0 = self.total_delivered_bytes, occ
+        dt = self._piece_dt(total_bytes, rate, net, occ, pos, True, True)
         moved = rate * dt
+        if not moved > 0 or total_bytes - moved > eps:
+            return None                         # no progress, a second piece
+        cum0, occ0 = self.total_delivered_bytes, occ
         drained += dt * drain
         pos += dt
         occ = _clamp(occ0 + net * dt, capacity)
         cum = cum0 + moved
         end = now + dt
-        if not moved > 0 or total_bytes - moved > eps or \
-                net < -1e-15 and occ <= eps or occ >= capacity - eps:
-            return None       # no progress, a second piece, a stall or a pin
-        # ``SegmentAcks.add_piece``'s window test and ACK times at the first
-        # and last segment, then the final cumulative ACK, which comes at
-        # ``end``: a segment's window,
-        # ``_nonneg(capacity - _clamp(x, capacity))`` for the occupancy
-        # ``x``, is > 0 exactly when ``x < capacity``
+        if net < -1e-15 and occ <= eps or occ >= capacity - eps:
+            return None                         # a stall or a pin
+        # the last ACK is the final cumulative ACK at ``end``, or the last
+        # segment's if that is within 1e-9 bytes of it
         seg = self.segment_bytes
-        k0 = math.floor(cum0 / seg) + 1
-        k1 = math.floor(cum / seg)
         last, first_s, last_s = cum, end, end
-        if k1 >= k0:
-            dt0 = (k0 * seg - cum0) / rate
-            dt1 = (k1 * seg - cum0) / rate
-            if not (occ0 + net * dt0 < capacity and
-                    occ0 + net * dt1 < capacity):
+        ends = _segment_ends(seg, capacity, now, cum0, occ0, rate, net, moved)
+        if ends is not None:
+            _, k1, first_s, k1_s, open0, open1 = ends
+            if not (open0 and open1):
                 return None                     # a zero window
-            first_s = now + dt0
             if not float(k1 * seg) < cum - 1e-9:
-                last, last_s = float(k1 * seg), now + dt1
+                last, last_s = float(k1 * seg), k1_s
         return end, moved, last, pos, occ, cum, drained, first_s, last_s
 
     def take_steady(self, delivery: tuple) -> None:
-        """Write the state a ``steady_delivery`` result leaves, for any
-        one-piece burst it took."""
+        """Write the state a ``steady_delivery`` result leaves."""
         (self.now_s, _, _, self.playback_position_s, self.occupancy_bytes,
          self.total_delivered_bytes, self.total_drained_bytes, _, _) = delivery
+
+    def send(self, total_bytes: float, at_rate_bps: float, start_s: float,
+             abort_on_zwa: bool = False, piece: Union[tuple, bool, None] = True
+             ) -> Union[tuple, DeliveryResult]:
+        """Deliver a burst by its one route: a one-piece burst by
+        ``take_steady``, returning ``steady_delivery``'s tuple, any other by
+        ``deliver``, returning its ``DeliveryResult``. ``piece`` is that
+        tuple if the caller has it, None to take ``deliver`` (the closed
+        form declined, or is not wanted), or True to work it out here."""
+        if piece is True:
+            piece = self.steady_delivery(total_bytes, at_rate_bps, start_s)
+        if piece is None:
+            return self.deliver(total_bytes, at_rate_bps, start_s,
+                                abort_on_zwa=abort_on_zwa)
+        self.take_steady(piece)
+        return piece

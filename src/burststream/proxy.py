@@ -1068,7 +1068,7 @@ class ShapingProxy:
         """Encoding rate: X-Stream-Info bitrate, else the override, else
         content length over declared duration. A ``Content-Length`` that
         does not read as one count (lines whose values differ, say), or a
-        rate that is not > 0 and finite, would fail the session after its
+        rate that ``StreamSpec`` refuses, would fail the session after its
         head went out, so each is a bad gateway too."""
         declared = response.getheader("Content-Length")
         if response.length is None and declared is not None and \
@@ -1088,7 +1088,7 @@ class ShapingProxy:
                     raise ProxyError("origin does not declare a bitrate "
                                      "and no --rate-override-bps given", 502)
                 rate = length * 8.0 / duration
-            positive_finite("stream rate", rate)
+            StreamSpec.single(rate, math.inf, self.config.fast_start_seconds)
         except ValueError as exc:         # ProtocolError or a bad number
             raise ProxyError(f"bad X-Stream-Info {header!r}: {exc}",
                              502) from exc

@@ -2,33 +2,26 @@
 
 ``SimulatedSession`` is the simulated transport of the shaping loop: it
 performs each send a ``ShapingController`` asks for against the fluid
-client, reads the burst's observation off the delivery's closed form or
-its breakpoint ACK summary, and reports back, on one simulated clock up
-to the session horizon. Also provides the isolated probe search and the
-linear-sweep oracle used to validate the search against a client of
-known buffer size.
+client, reads the burst's observation off the delivery, and reports back,
+on one simulated clock up to the session horizon. Also provides the
+isolated probe search and the linear-sweep oracle used to validate the
+search against a client of known buffer size.
 
-Most bursts are one fluid piece: ``StreamingClient.steady_delivery``
-works such a delivery out in closed form, by ``deliver``'s float
-operations in its order, with its last cumulative ACK and its first and
-last ACK times. ``_deliver`` asks it first for every burst, in every
-phase (Fast Start, the search's probes, steady bursts), and builds the
-observation and report from its numbers; ``deliver`` and its ACK summary
-serve any other send, and ``ShapingController.report`` books both alike.
+Each send is one ``StreamingClient.send`` call, in any phase: a burst that
+is one fluid piece, aborted on a zero window or not, takes the closed form
+``steady_delivery``, any other ``deliver``. Both routes compute a piece by
+the same client rules, so they leave the same values bit for bit.
 
 The steady state is periodic: equal bursts at equal intervals into a
 client whose buffer refills to about the same level. Once a send of a
-non-adaptive session comes back STEADY, each following period that is
-one unpinned fluid piece, draws no zero window, opens no stall, leaves
-content to send and reads an estimate of at least the encoding rate is
-taken in one step: ``steady_delivery`` and
-``ShapingController.report_steady`` compute it without the observation,
-report or send objects. Both routes give the same outputs bit for bit as
-the per-send path. The first period that fails any of the step's tests,
-all made before any state is written, goes to ``_deliver``.
-``_STEADY_STEP = False`` turns off the step and the closed-form branch
-alike, so that every send goes through ``deliver``, the reference both
-are held to.
+non-adaptive session comes back STEADY, each following period that
+``steady_delivery`` takes and ``ShapingController.report_steady`` books
+(an estimate of at least the encoding rate, content left) is taken in one
+step, without the observation, report or send objects. The first period
+that either declines goes to ``_deliver`` with the closed form's result,
+so no delivery is worked out twice. ``_STEADY_STEP = False`` turns off
+the step and the closed form alike, so that every send goes through
+``deliver``, the reference both are held to.
 """
 
 from __future__ import annotations
@@ -36,7 +29,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Tuple, Union
 
 from .client import SegmentAcks, StreamingClient
 from .errors import finite_at_least, positive
@@ -139,48 +132,41 @@ class SimulatedSession:
         self.quality_switches: List[Tuple[float, int]] = []
         self.zwa_bursts = self._sends = 0
 
-    def _deliver(self, send: Send) -> Report:
-        """Perform one send against the fluid client: a burst that
-        ``StreamingClient.steady_delivery`` takes as one fluid piece by its
-        closed form, any other send by ``deliver``."""
+    def _deliver(self, send: Send,
+                 piece: Union[tuple, bool, None] = True) -> Report:
+        """Perform one send by one ``StreamingClient.send`` call, whose
+        ``piece`` argument this is: ``_steady`` hands on the closed form's
+        result it has already worked out."""
         size, send_at = send.size_bytes, send.at_s
         client = self.client
         start_byte = client.total_delivered_bytes
-        rate = self.bandwidth.at(send_at)
-        if _STEADY_STEP and send.abort_on_zwa:
-            got = client.steady_delivery(size, rate, send_at)
-            if got is not None and got[0] > send_at:
-                client.take_steady(got)
-                end, delivered = got[0], got[1]
-                acked, complete = _acked(size, start_byte, got[2])
-                obs = BurstObservation(self._sends, size, start_byte,
-                                       send_at, got[7], got[8], acked,
-                                       complete)
-                self._sends += 1
-                self.activity_spans.append((send_at, end, delivered))
-                return Report(obs, delivered, send_at, end,
-                              delivered * 8.0 / (end - send_at), got[3])
-        res = client.deliver(size, rate, send_at,
-                             abort_on_zwa=send.abort_on_zwa)
-        obs = _observe(res.acks, self._sends, size, start_byte, send_at)
+        got = client.send(size, self.bandwidth.at(send_at), send_at,
+                          send.abort_on_zwa, piece if _STEADY_STEP else None)
+        if got.__class__ is tuple:          # the closed form
+            end, delivered = got[0], got[1]
+            acked, complete = _acked(size, start_byte, got[2])
+            obs = BurstObservation(self._sends, size, start_byte, send_at,
+                                   got[7], got[8], acked, complete)
+        else:
+            end, delivered = got.end_s, got.delivered_bytes
+            obs = _observe(got.acks, self._sends, size, start_byte, send_at)
+            if obs.zwa_seen:
+                self.zwa_bursts += 1
         self._sends += 1
-        delivered = res.delivered_bytes
-        if res.end_s > send_at and delivered > 0:
-            self.activity_spans.append((send_at, res.end_s, delivered))
-        if obs.zwa_seen:
-            self.zwa_bursts += 1
-        wall = res.end_s - send_at
-        est = delivered * 8.0 / wall if wall > 0 and delivered > 0 else None
-        return Report(obs, delivered, send_at, res.end_s, est,
+        wall, est = end - send_at, None
+        if wall > 0 and delivered > 0:
+            self.activity_spans.append((send_at, end, delivered))
+            est = delivered * 8.0 / wall
+        return Report(obs, delivered, send_at, end, est,
                       client.playback_position_s)
 
     def run(self) -> SessionResult:
         ctl, shaper, st = self.controller, self.shaper, self.shaper.state
         points = self.trajectory_points
         horizon = self.session_length_s - 1e-9
-        send = ctl.start()
+        send, piece = ctl.start(), True
         while True:       # the Fast Start always goes out
-            report = self._deliver(send)
+            report = self._deliver(send, piece)
             quality = st.current_quality_index
             send = ctl.report(report)
             now = report.end_s
@@ -194,8 +180,9 @@ class SimulatedSession:
                            ctl.runway_s))
             if send is None or send.at_s >= horizon:
                 break
+            piece = True
             if _STEADY_STEP and st.phase is _STEADY and not ctl.adaptive:
-                send = self._steady(send)
+                send, piece = self._steady(send)
                 now = points[-1][0]
                 if send.at_s >= horizon:
                     break
@@ -213,12 +200,13 @@ class SimulatedSession:
             shaper.decision_log, self.quality_switches, self.zwa_bursts,
             shaper)
 
-    def _steady(self, send: Send) -> Send:
+    def _steady(self, send: Send) -> Tuple[Send, Union[tuple, bool, None]]:
         """Take ``send`` and the sends after it, each as ``_deliver``,
-        ``ShapingController.report`` and ``run`` do, while each is a STEADY
-        burst whose delivery ``StreamingClient.steady_delivery`` takes as
-        one fluid piece and whose report ``report_steady`` books; return
-        the first send that is not, or that is due at the horizon."""
+        ``ShapingController.report`` and ``run`` do, while
+        ``StreamingClient.steady_delivery`` takes each and ``report_steady``
+        books it. Return the first send that is not, with its
+        ``steady_delivery`` result for ``_deliver``, or that is due at the
+        horizon."""
         client, ctl, st = self.client, self.controller, self.shaper.state
         spans, points = self.activity_spans, self.trajectory_points
         rate_at, horizon = self.bandwidth.at, self.session_length_s - 1e-9
@@ -241,8 +229,9 @@ class SimulatedSession:
                            st.t_old_s, st.bs_opt_bytes, ctl.runway_s))
             size, at = booked
             if at >= horizon:
+                got = True
                 break
-        return Send(size, at, True)
+        return Send(size, at, True), got
 
 
 def _acked(size: float, start_byte: float,

@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import enum
 import logging
+import math
 from dataclasses import dataclass, field
 from typing import IO, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
-from .errors import positive, positive_finite
+from .errors import FieldError, positive, positive_finite
 from .profiler import BurstObservation
 
 log = logging.getLogger(__name__)
@@ -71,6 +72,11 @@ class StreamSpec:
                              "bitrate")
         positive("duration_s", self.duration_s)
         positive_finite("fast_start_s", self.fast_start_s)
+        # each rung's Fast Start in bytes, the scale of every send at that
+        # rate, is finite: a rate near the float range overflows it
+        if not self.fast_start_s * rates[-1] / 8.0 < math.inf:
+            raise FieldError("bitrate_bps", "small enough that fast_start_s "
+                                            "* bitrate_bps / 8 is finite")
 
     @classmethod
     def single(cls, bitrate_bps: float, duration_s: float,
@@ -157,7 +163,8 @@ def select_quality(est_bps: float, ladder: Sequence[QualityLevel],
 
 
 def _burst_bytes(st: ShaperState, r_s: float, pending_bytes: float) -> float:
-    """``Shaper.next_burst_bytes`` at encoding rate ``r_s``."""
+    """The next burst's size at rate ``r_s``: an interval of content plus
+    the ``pending_bytes`` re-offered, capped by BS_OPT, else t_max."""
     size = st.t_s * r_s / 8.0 + pending_bytes
     if st.bs_opt_bytes is not None:
         size = min(size, st.bs_opt_bytes)
@@ -194,13 +201,6 @@ class Shaper:
     @property
     def phase(self) -> Phase:
         return self.state.phase
-
-    def next_burst_bytes(self, pending_bytes: float = 0.0) -> float:
-        """Size of the next burst: interval worth of content plus any
-        remainder re-offered after an aborted burst, capped by BS_OPT."""
-        if self.state.t_s is None:
-            raise RuntimeError("no interval chosen yet")
-        return _burst_bytes(self.state, self.r_s_bps, pending_bytes)
 
     # -- fast start -------------------------------------------------------
 
@@ -524,7 +524,6 @@ class ShapingController:
             size = min(self.low_bw_chunk_s * r_s / 8.0 + self.pending_bytes,
                        left)
             return Send(size, self._now, False) if size > 0 else None
-        # ``Shaper.next_burst_bytes``, without reading the rate again
         size = min(_burst_bytes(st, r_s, self.pending_bytes), left)
         if size <= 1e-9:
             return None

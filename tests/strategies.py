@@ -1,14 +1,19 @@
-"""Hypothesis strategies shared by the whole-session tests.
+"""Hypothesis strategies shared by the whole-session tests, and the
+example counts of the tests that fix their own.
 
 ``scenarios()`` draws a ``harness.Scenario`` of 120-600 s over every
 shipped radio profile: a ladder of 1-3 rungs (adaptive or not), a
 bandwidth trace of 1-4 steps between 0.3x and 8x the lowest rung, a buffer
 and a Fast Start, a startup threshold > 0, an optional link rate, optional
 periodic background traffic, and finite or endless content.
+
+``examples(n)`` is a test's count of ``n`` examples under the loaded
+Hypothesis profile (see ``conftest.py``).
 """
 
 import math
 
+from hypothesis import settings
 from hypothesis import strategies as st
 
 from burststream import BackgroundTraffic, Scenario
@@ -18,6 +23,13 @@ from burststream.shaper import QualityLevel, StreamSpec
 
 PROFILES = list_profiles()
 RUNGS = (1.0, 1.5, 2.0)
+
+
+def examples(n: int) -> int:
+    """``n`` scaled as the loaded profile scales ``default``'s count: ``n``
+    under ``default``, 20 times ``n`` under ``deep``."""
+    return n * settings().max_examples // \
+        settings.get_profile("default").max_examples
 
 
 @st.composite

@@ -386,7 +386,9 @@ class TestMalformedFiles:
         ("scenario", "granularity_s", "inf"), ("client", "link_bps", "0"),
         ("stream", "bitrate_bps", "nan"), ("stream", "bitrate_bps", "inf"),
         ("stream", "bitrate_bps", "-5"), ("stream", "bitrate_bps", "0"),
+        ("stream", "bitrate_bps", "1e308"),
         ("stream", "qualities_bps", "128000,nan"),
+        ("stream", "qualities_bps", "128000,1e308"),
         ("scenario", "fast_start_s", "inf"),
         ("client", "buffer_bytes", "50%")])
     def test_scenario(self, capsys, tmp_path, section, key, value):

@@ -12,6 +12,7 @@ from burststream import (AckEvent, DeliveryOrderError, FeedError,
 from burststream.client import SegmentAcks
 from burststream.errors import FieldError
 from oracles import RecordingAcks, ack_stream
+from strategies import examples
 
 # every delivery records its parts, so that a test can read its stream
 pytestmark = pytest.mark.usefixtures("recorded_acks")
@@ -288,19 +289,19 @@ class TestRateTooLowToEnd:
 
 class TestSteadyDelivery:
     """``steady_delivery`` is ``deliver`` for a delivery that is one plain
-    fluid piece, bit for bit, and declines every other delivery without
-    writing anything."""
+    fluid piece, bit for bit, under either ``abort_on_zwa``, and declines
+    every other delivery without writing anything."""
 
-    @settings(max_examples=400, deadline=None)
+    @settings(max_examples=examples(400), deadline=None)
     @given(capacity=st.floats(2e5, 2e7), r_s=st.floats(64e3, 4e6),
            fill=st.floats(0.05, 1.0), link=st.floats(0.5, 50.0),
            offered=st.floats(0.2, 10.0), wait=st.floats(0.0, 1.2),
            refill=st.floats(0.0, 1.5), seg=st.sampled_from((536, 1460)),
            content_s=st.sampled_from((math.inf, 60.0, 400.0)),
-           sends=st.integers(1, 4))
+           sends=st.integers(1, 4), abort=st.booleans())
     def test_equals_deliver_or_declines(self, capacity, r_s, fill, link,
                                         offered, wait, refill, seg,
-                                        content_s, sends):
+                                        content_s, sends, abort):
         # each send waits ``wait`` times what the buffer holds and refills
         # ``refill`` times what playback took meanwhile; the link runs at
         # ``link`` times the encoding rate
@@ -316,7 +317,7 @@ class TestSteadyDelivery:
             assert repr(vars(client)) == before      # nothing written
             twin = copy.deepcopy(client)
             try:
-                res = twin.deliver(size, rate, at, abort_on_zwa=True)
+                res = twin.deliver(size, rate, at, abort_on_zwa=abort)
             except RuntimeError:     # full, with the content played out
                 assert got is None
                 return

@@ -254,6 +254,7 @@ class _Headers:
 # length over an endless duration
 UNUSABLE_RATES = ["duration=8;bitrate=0", "duration=8;bitrate=nan",
                   "duration=8;bitrate=-5", "duration=8;bitrate=inf",
+                  "duration=8;bitrate=1e308",
                   "duration=inf;seconds=0-"]
 
 

@@ -6,7 +6,7 @@ import math
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
-from strategies import scenarios
+from strategies import examples, scenarios
 
 from burststream import (BandwidthTrace, Phase, QualityLevel, Scenario,
                          SimulatedSession, StreamingClient, StreamSpec,
@@ -315,7 +315,7 @@ class TestSteadyStep:
     output: each run is repr-equal with them on and with every send on the
     per-send path."""
 
-    @settings(max_examples=100, deadline=None)
+    @settings(max_examples=examples(100), deadline=None)
     @given(scenario=scenarios())
     def test_drawn_scenarios_are_the_same_either_way(self, scenario):
         on, stepped, closed = _outputs(scenario, True)
@@ -358,10 +358,10 @@ def _reference(sim, send):
         session_module._STEADY_STEP = kept
 
 
-def _deliver_as_reference(sim, send, taken):
-    """``_deliver(send)`` on ``sim`` with the closed form on, held equal,
-    report, observation, client and session, to ``_reference``; each send
-    the closed form takes is added to ``taken``."""
+def _deliver_as_reference(sim, send, taken, piece=True):
+    """``_deliver(send, piece)`` on ``sim`` with the closed form on, held
+    equal, report, observation, client and session, to ``_reference``;
+    each send the closed form takes is added to ``taken``."""
     twin, want = _reference(sim, send)
     take = StreamingClient.take_steady
     kept = session_module._STEADY_STEP
@@ -369,7 +369,7 @@ def _deliver_as_reference(sim, send, taken):
     StreamingClient.take_steady = lambda client, got: \
         taken.append(got) or take(client, got)
     try:
-        got = _DELIVER(sim, send)
+        got = _DELIVER(sim, send, piece)
     except Exception as exc:
         assert repr(exc) == repr(want)
         raise
@@ -390,17 +390,17 @@ class TestClosedFormDelivery:
     bytes and completeness among them) and the client and session state
     that ``deliver`` and ``_observe`` give."""
 
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     @given(capacity=st.floats(2e5, 2e7), r_s=st.floats(64e3, 4e6),
            fill=st.floats(0.05, 1.0), link=st.floats(0.5, 50.0),
            offered=st.floats(0.2, 10.0), wait=st.floats(0.0, 1.2),
            refill=st.floats(0.0, 1.5), seg=st.sampled_from((536, 1460)),
            content_s=st.sampled_from((math.inf, 60.0, 400.0)),
-           sends=st.integers(1, 4))
+           sends=st.integers(1, 4), abort=st.booleans())
     def test_drawn_client_states(self, capacity, r_s, fill, link, offered,
-                                 wait, refill, seg, content_s, sends):
-        # ``TestSteadyDelivery``'s client states and sends, each sent as a
-        # burst through the session
+                                 wait, refill, seg, content_s, sends, abort):
+        # ``TestSteadyDelivery``'s client states and sends, each sent
+        # through the session as a burst or, unaborted, as a chunk
         client = StreamingClient(capacity, r_s, link * r_s,
                                  segment_bytes=seg,
                                  content_duration_s=content_s)
@@ -410,19 +410,19 @@ class TestClosedFormDelivery:
         taken = []
         for _ in range(sends):
             gap = wait * client.occupancy_bytes * 8.0 / r_s
-            send = Send(refill * gap * r_s / 8.0, client.now_s + gap, True)
+            send = Send(refill * gap * r_s / 8.0, client.now_s + gap, abort)
             try:
                 _deliver_as_reference(sim, send, taken)
             except RuntimeError:     # full, with the content played out
                 return
         event(f"{len(taken)} of {sends} by the closed form")
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=examples(60), deadline=None)
     @given(scenario=scenarios())
     def test_drawn_scenarios(self, scenario):
         taken = []
-        SimulatedSession._deliver = lambda sim, send: \
-            _deliver_as_reference(sim, send, taken)
+        SimulatedSession._deliver = lambda sim, send, piece=True: \
+            _deliver_as_reference(sim, send, taken, piece)
         try:
             harness.run(scenario)
         except ConfigError:
@@ -451,10 +451,10 @@ class TestClosedFormDelivery:
         phases, taken = [], []
         take = StreamingClient.take_steady
 
-        def deliver(s, send):
+        def deliver(s, send, piece=True):
             n = len(taken)
             phase = s.shaper.state.phase
-            report = _DELIVER(s, send)
+            report = _DELIVER(s, send, piece)
             phases.extend([phase] * (len(taken) - n))
             return report
 
@@ -475,6 +475,12 @@ class TestClosedFormDelivery:
                              TestAdaptiveSession().run_step_up_session())
         assert Phase.STEADY in phases and Phase.SEARCHING in phases
 
+    def test_a_dip_sends_low_bandwidth_chunks_by_it(self, monkeypatch):
+        # a chunk is not aborted on a zero window, but one that is one
+        # fluid piece never pins, so the closed form takes it too
+        phases = self._taken(monkeypatch, TestLowBandwidthFallback().make())
+        assert Phase.LOW_BANDWIDTH in phases
+
     def test_off_the_closed_form_is_never_asked(self, monkeypatch):
         # with the switch off every burst goes through ``deliver``
         def refuse(*args):
@@ -484,6 +490,57 @@ class TestClosedFormDelivery:
         monkeypatch.setattr(StreamingClient, "steady_delivery", refuse)
         cbr_session().run()
         TestAdaptiveSession().run_step_up()
+
+
+def _asks_per_send(scenario):
+    """Run ``scenario`` with the closed form on; for each send, in order,
+    how many times it asked ``steady_delivery`` before ``take_steady`` or
+    ``deliver`` took it."""
+    per_send, asked = [], [0]
+    ask = StreamingClient.steady_delivery
+
+    def counted(client, *args):
+        asked[0] += 1
+        return ask(client, *args)
+
+    def taking(route):
+        def take(client, *args, **kwargs):
+            per_send.append(asked[0])
+            asked[0] = 0
+            return route(client, *args, **kwargs)
+        return take
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(session_module, "_STEADY_STEP", True)
+        patch.setattr(StreamingClient, "steady_delivery", counted)
+        for name in ("take_steady", "deliver"):
+            patch.setattr(StreamingClient, name,
+                          taking(getattr(StreamingClient, name)))
+        try:
+            harness.run(scenario)
+        except ConfigError:
+            pass
+    return per_send
+
+
+class TestOneAskPerSend:
+    """Each send asks the closed form once, whichever route then takes it:
+    the steady step hands on the result it has when it stops, and
+    ``_deliver`` makes one client call."""
+
+    @settings(max_examples=examples(60), deadline=None)
+    @given(scenario=scenarios())
+    def test_drawn_scenarios(self, scenario):
+        assert set(_asks_per_send(scenario)) <= {1}
+
+    def test_a_two_hour_stream(self):
+        scenario = Scenario(
+            "two-hours", get_profile("hspa-default"),
+            StreamSpec.single(1e6, math.inf, 20.0), 2.5e6,
+            BandwidthTrace.flat(6e6), 7200.0)
+        asks = _asks_per_send(scenario)
+        # the 355 stepped STEADY bursts among them
+        assert len(asks) > 355 and set(asks) == {1}
 
 
 class TestStallLog:

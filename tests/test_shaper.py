@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from burststream import (BurstObservation, Phase, QualityLevel, Shaper,
                          StreamSpec, initial_quality, select_quality)
+from burststream import shaper
+from burststream.errors import FieldError
 from burststream.shaper import Report, ShapingController, render_burst_row
 
 LADDER = tuple(QualityLevel(r * 1000) for r in
@@ -49,6 +51,15 @@ class TestFastStart:
         assert sh.phase is Phase.STEADY
         assert sh.state.bs_opt_bytes == 7_750_000
         assert t_opt == pytest.approx(31.0)
+
+    def test_a_fast_start_too_large_for_a_float_names_the_bitrate(self):
+        # 20 s at 1e308 bit/s overflows the Fast Start's size, which ended
+        # the run in an error on ``total_bytes`` once it was sent
+        for ladder in ((1e308,), (1e5, 1e308)):
+            with pytest.raises(FieldError, match="fast_start_s") as err:
+                StreamSpec(tuple(map(QualityLevel, ladder)), 600.0, 20.0)
+            assert err.value.field == "bitrate_bps"
+        StreamSpec.single(1e308, 600.0, 1.0)    # 1.25e307 bytes
 
 
 class TestBinarySearch:
@@ -102,9 +113,9 @@ class TestBinarySearch:
     def test_burst_size_capped_before_and_after(self):
         sh = make_shaper(r_s=1e6)
         sh.end_fast_start(5_000_000)  # t_max = 40 s
-        assert sh.next_burst_bytes() <= 40 * 1e6 / 8
+        assert shaper._burst_bytes(sh.state, sh.r_s_bps, 0.0) <= 40 * 1e6 / 8
         sh.on_burst_feedback(feedback(0, zwa=True, sent_at_zwa=2_000_000))
-        assert sh.next_burst_bytes(pending_bytes=9e9) == 2_000_000
+        assert shaper._burst_bytes(sh.state, sh.r_s_bps, 9e9) == 2_000_000
 
 
 class TestLowBandwidth:
