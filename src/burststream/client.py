@@ -15,18 +15,19 @@ observation needs: the ACKs at each piece's first and last segment, and a
 bisection for a zero-window onset inside a piece. Only the tests' oracle
 expands the per-segment stream.
 
-``send`` takes a burst that is one fluid piece by its closed form,
-``steady_delivery``, and any other by ``deliver``'s fluid loop. Both use
-the same three rules: the drain step (``_drain_step``, also ``advance``'s),
-a piece's length, which tells whether it is the last (``_piece_dt``), and
-the ACKs at its first and last segment (``_segment_ends``).
+A burst that is one fluid piece may be taken by its closed form,
+``steady_delivery`` and ``take_steady``, any burst by ``deliver``'s fluid
+loop. Both use the same three rules: the drain step (``_drain_step``,
+also ``advance``'s), a piece's length, which tells whether it is the last
+(``_piece_dt``), and the ACKs at its first and last segment
+(``_segment_ends``).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, NamedTuple, Optional, Union
+from typing import List, NamedTuple, Optional
 
 from .errors import FieldError, finite_at_least, positive, positive_finite
 
@@ -193,6 +194,18 @@ class DeliveryResult:
     aborted: bool = False
 
 
+def tolerance(field: str, capacity_bytes: float,
+              segment_bytes: int = 1460) -> float:
+    """The byte tolerance of a buffer of ``capacity_bytes``, > 0 and finite,
+    kept below one segment: a larger one took in a whole Fast Start."""
+    positive_finite(field, capacity_bytes)
+    eps = max(1e-6, 1e-9 * capacity_bytes)
+    if not eps < segment_bytes:
+        raise FieldError(field, f"< {segment_bytes * 1e9:g}, so that its "
+                                f"tolerance stays below one segment")
+    return eps
+
+
 # Stall intervals shorter than this are fluid-boundary artifacts, not stalls.
 STALL_EPSILON_S = 1e-9
 
@@ -205,7 +218,6 @@ class StreamingClient:
                  startup_threshold_s: float = 2.0,
                  segment_bytes: int = 1460,
                  content_duration_s: Optional[float] = None):
-        positive_finite("capacity_bytes", capacity_bytes)
         positive_finite("drain_rate_bps", drain_rate_bps)
         positive("link_rate_bps", link_rate_bps)
         finite_at_least("startup_threshold_s", startup_threshold_s)
@@ -214,6 +226,8 @@ class StreamingClient:
             raise FieldError("segment_bytes", "a whole number")
         if content_duration_s is not None:    # None is endless content
             positive("content_duration_s", content_duration_s)
+        self._eps = tolerance("capacity_bytes", capacity_bytes,
+                              segment_bytes)
         self.capacity_bytes = float(capacity_bytes)
         self.drain_rate_bps = float(drain_rate_bps)
         self.link_rate_bps = float(link_rate_bps)
@@ -222,7 +236,6 @@ class StreamingClient:
                                    else float(content_duration_s))
         self.startup_bytes = min(startup_threshold_s * self.drain_bytes_per_s,
                                  self.capacity_bytes)
-        self._eps = max(1e-6, 1e-9 * self.capacity_bytes)
 
         self.now_s = 0.0
         self.occupancy_bytes = 0.0
@@ -528,19 +541,3 @@ class StreamingClient:
         """Write the state a ``steady_delivery`` result leaves."""
         (self.now_s, _, _, self.playback_position_s, self.occupancy_bytes,
          self.total_delivered_bytes, self.total_drained_bytes, _, _) = delivery
-
-    def send(self, total_bytes: float, at_rate_bps: float, start_s: float,
-             abort_on_zwa: bool = False, piece: Union[tuple, bool, None] = True
-             ) -> Union[tuple, DeliveryResult]:
-        """Deliver a burst by its one route: a one-piece burst by
-        ``take_steady``, returning ``steady_delivery``'s tuple, any other by
-        ``deliver``, returning its ``DeliveryResult``. ``piece`` is that
-        tuple if the caller has it, None to take ``deliver`` (the closed
-        form declined, or is not wanted), or True to work it out here."""
-        if piece is True:
-            piece = self.steady_delivery(total_bytes, at_rate_bps, start_s)
-        if piece is None:
-            return self.deliver(total_bytes, at_rate_bps, start_s,
-                                abort_on_zwa=abort_on_zwa)
-        self.take_steady(piece)
-        return piece

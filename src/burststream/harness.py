@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from .client import StreamingClient
+from .client import StreamingClient, tolerance
 from .energy import RadioProfile, power_surface, surface_to_csv
 from .errors import FieldError, finite_at_least, positive, positive_finite
 from .profiles import (ConfigError, _read_ini, config_value, get_profile,
@@ -53,6 +53,10 @@ class BackgroundTraffic:
         return out
 
 
+# the most background spans, session_s / period_s, a run may hold in memory
+MAX_BACKGROUND_SPANS = 100_000
+
+
 @dataclass
 class Scenario:
     name: str
@@ -69,9 +73,14 @@ class Scenario:
 
     def __post_init__(self) -> None:
         # an endless session never ends ``run`` and a NaN one prices as
-        # NaN; an endless buffer fails in Fast Start
-        for name in ("session_length_s", "buffer_bytes", "granularity_s"):
+        # NaN; the client's buffer rule holds at load
+        for name in ("session_length_s", "granularity_s"):
             positive_finite(name, getattr(self, name))
+        tolerance("buffer_bytes", self.buffer_bytes)
+        if self.background and not self.session_length_s / \
+                self.background.period_s <= MAX_BACKGROUND_SPANS:
+            raise FieldError("period_s", f">= session_s / "
+                                         f"{MAX_BACKGROUND_SPANS}")
         finite_at_least("startup_s", self.startup_s)
         if self.link_bps is not None:
             positive("link_bps", self.link_bps)
@@ -94,7 +103,8 @@ _SCENARIO_KEYS = {"session_length_s": "[scenario] session_s",
                   "duration_s": "[stream] duration_s",
                   "buffer_bytes": "[client] buffer_bytes",
                   "startup_s": "[client] startup_s",
-                  "link_bps": "[client] link_bps"}
+                  "link_bps": "[client] link_bps",
+                  "period_s": "[background] period_s"}
 
 
 def _scenario_from_parser(cp: configparser.ConfigParser,

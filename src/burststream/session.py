@@ -7,20 +7,17 @@ on one simulated clock up to the session horizon. Also provides the
 isolated probe search and the linear-sweep oracle used to validate the
 search against a client of known buffer size.
 
-Each send is one ``StreamingClient.send`` call, in any phase: a burst that
-is one fluid piece, aborted on a zero window or not, takes the closed form
-``steady_delivery``, any other ``deliver``. Both routes compute a piece by
-the same client rules, so they leave the same values bit for bit.
-
-The steady state is periodic: equal bursts at equal intervals into a
-client whose buffer refills to about the same level. Once a send of a
-non-adaptive session comes back STEADY, each following period that
-``steady_delivery`` takes and ``ShapingController.report_steady`` books
-(an estimate of at least the encoding rate, content left) is taken in one
-step, without the observation, report or send objects. The first period
-that either declines goes to ``_deliver`` with the closed form's result,
-so no delivery is worked out twice. ``_STEADY_STEP = False`` turns off
-the step and the closed form alike, so that every send goes through
+``run`` is the one send loop. A burst of one fluid piece, aborted on a
+zero window or not, is taken by the closed form ``steady_delivery``, any
+other send by ``deliver``: both compute a piece by the same client rules,
+so they leave the same values bit for bit. A STEADY period of a
+non-adaptive session that the closed form takes and
+``ShapingController.report_steady`` books (an estimate of at least the
+encoding rate, content left) is stepped, with no observation, report or
+send object. Any other send goes to ``_deliver``, with the closed form's
+result if it was asked, so each send asks it once. Both routes record
+the same span, estimate and trajectory point. ``_STEADY_STEP = False``
+turns off the step and the closed form, so that every send goes through
 ``deliver``, the reference both are held to.
 """
 
@@ -29,13 +26,13 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Optional, Tuple, Union
 
 from .client import SegmentAcks, StreamingClient
 from .errors import finite_at_least, positive
 from .profiler import BurstObservation
-from .shaper import (Phase, Report, Send, Shaper, ShapingController,
-                     StreamSpec)
+from .shaper import (_STEADY, Phase, Report, Send, Shaper,
+                     ShapingController, StreamSpec)
 
 
 @dataclass(frozen=True)
@@ -65,13 +62,9 @@ class BandwidthTrace:
         return cls(((0.0, bps),))
 
 
-# whether ``SimulatedSession`` takes plain STEADY periods in one step and
-# any other one-piece burst by its closed form (see the module docstring);
-# False runs every send on the per-send path
+# whether ``SimulatedSession`` steps plain STEADY periods and takes any
+# other one-piece burst by its closed form; False: every send by ``deliver``
 _STEADY_STEP = True
-
-# read as a module constant on the per-send path, not off the Enum class
-_STEADY = Phase.STEADY
 
 # the keys of a trajectory point, in the order of its value tuple
 TRAJECTORY_KEYS = ("time_s", "phase", "t_s", "t_min_s", "t_max_s", "t_old_s",
@@ -134,104 +127,98 @@ class SimulatedSession:
 
     def _deliver(self, send: Send,
                  piece: Union[tuple, bool, None] = True) -> Report:
-        """Perform one send by one ``StreamingClient.send`` call, whose
-        ``piece`` argument this is: ``_steady`` hands on the closed form's
-        result it has already worked out."""
+        """Perform one send: by ``take_steady`` if the closed form, which
+        gave ``piece`` (True: not asked yet), takes it, else ``deliver``."""
         size, send_at = send.size_bytes, send.at_s
-        client = self.client
+        client, rate = self.client, self.bandwidth.at(send_at)
         start_byte = client.total_delivered_bytes
-        got = client.send(size, self.bandwidth.at(send_at), send_at,
-                          send.abort_on_zwa, piece if _STEADY_STEP else None)
-        if got.__class__ is tuple:          # the closed form
-            end, delivered = got[0], got[1]
-            acked, complete = _acked(size, start_byte, got[2])
+        if not _STEADY_STEP:
+            piece = None
+        elif piece is True:
+            piece = client.steady_delivery(size, rate, send_at)
+        if piece is not None:          # the closed form
+            client.take_steady(piece)
+            end, delivered = piece[0], piece[1]
+            acked, complete = _acked(size, start_byte, piece[2])
             obs = BurstObservation(self._sends, size, start_byte, send_at,
-                                   got[7], got[8], acked, complete)
+                                   piece[7], piece[8], acked, complete)
         else:
+            got = client.deliver(size, rate, send_at,
+                                 abort_on_zwa=send.abort_on_zwa)
             end, delivered = got.end_s, got.delivered_bytes
             obs = _observe(got.acks, self._sends, size, start_byte, send_at)
             if obs.zwa_seen:
                 self.zwa_bursts += 1
         self._sends += 1
-        wall, est = end - send_at, None
-        if wall > 0 and delivered > 0:
-            self.activity_spans.append((send_at, end, delivered))
-            est = delivered * 8.0 / wall
-        return Report(obs, delivered, send_at, end, est,
+        return Report(obs, delivered, send_at, end,
+                      _estimate(send_at, end, delivered),
                       client.playback_position_s)
 
     def run(self) -> SessionResult:
+        """Perform, report and record each send, stepping a plain STEADY
+        period (see the module docstring), up to the horizon."""
         ctl, shaper, st = self.controller, self.shaper, self.shaper.state
-        points = self.trajectory_points
+        client, rate_at = self.client, self.bandwidth.at
+        spans, points = self.activity_spans, self.trajectory_points
         horizon = self.session_length_s - 1e-9
-        send, piece = ctl.start(), True
+        send = ctl.start()
         while True:       # the Fast Start always goes out
-            report = self._deliver(send, piece)
-            quality = st.current_quality_index
-            send = ctl.report(report)
-            now = report.end_s
-            if st.current_quality_index != quality:
-                self.quality_switches.append((now, st.current_quality_index))
-                self.client.set_drain_rate(shaper.r_s_bps)
-            # in TRAJECTORY_KEYS order; ``_value_`` is the member's value,
-            # read without the property
-            points.append((now, st.phase._value_, st.t_s, st.t_min_s,
+            size, at = send[0], send[1]    # a Send or report_steady's pair
+            piece, booked = True, None
+            if _STEADY_STEP and st.phase is _STEADY and not ctl.adaptive:
+                piece = client.steady_delivery(size, rate_at(at), at)
+                if piece is not None:
+                    end, delivered = piece[0], piece[1]
+                    est = _estimate(at, end, delivered)
+                    if est is not None:
+                        booked = ctl.report_steady(
+                            self._sends, size, delivered,
+                            _acked(size, client.total_delivered_bytes,
+                                   piece[2])[0],
+                            at, end, est, piece[3])
+            if booked is not None:
+                client.take_steady(piece)
+                self._sends += 1
+                send = booked       # (size_bytes, at_s), not a Send
+            else:
+                if not isinstance(send, Send):   # a burst the step declined
+                    send = Send(size, at, True)
+                report = self._deliver(send, piece)
+                quality = st.current_quality_index
+                send = ctl.report(report)
+                _, delivered, _, end, est, _ = report
+                if st.current_quality_index != quality:
+                    self.quality_switches.append(
+                        (end, st.current_quality_index))
+                    client.set_drain_rate(shaper.r_s_bps)
+            if est is not None:
+                spans.append((at, end, delivered))
+            # in TRAJECTORY_KEYS order; ``_value_`` skips the property
+            points.append((end, st.phase._value_, st.t_s, st.t_min_s,
                            st.t_max_s, st.t_old_s, st.bs_opt_bytes,
                            ctl.runway_s))
-            if send is None or send.at_s >= horizon:
+            if send is None or send[1] >= horizon:
                 break
-            piece = True
-            if _STEADY_STEP and st.phase is _STEADY and not ctl.adaptive:
-                send, piece = self._steady(send)
-                now = points[-1][0]
-                if send.at_s >= horizon:
-                    break
-        self.client.finalize(max(now, self.session_length_s))
-        fs_end = points[0][0]      # the Fast Start's end
+        client.finalize(max(end, self.session_length_s))
         # the last delivery may run past the horizon and close a stall
         # there: each stall ends at the horizon at the latest, and one that
         # starts there is not the session's
         end_s = self.session_length_s
         stalls = [[start, min(end, end_s)]
-                  for start, end in self.client.stall_log if start < end_s]
-        return SessionResult(
-            self.activity_spans, stalls, fs_end,
+                  for start, end in client.stall_log if start < end_s]
+        return SessionResult(   # the first point is at the Fast Start's end
+            spans, stalls, points[0][0],
             ctl.content_sent_bytes, ctl.content_sent_s, points,
             shaper.decision_log, self.quality_switches, self.zwa_bursts,
             shaper)
 
-    def _steady(self, send: Send) -> Tuple[Send, Union[tuple, bool, None]]:
-        """Take ``send`` and the sends after it, each as ``_deliver``,
-        ``ShapingController.report`` and ``run`` do, while
-        ``StreamingClient.steady_delivery`` takes each and ``report_steady``
-        books it. Return the first send that is not, with its
-        ``steady_delivery`` result for ``_deliver``, or that is due at the
-        horizon."""
-        client, ctl, st = self.client, self.controller, self.shaper.state
-        spans, points = self.activity_spans, self.trajectory_points
-        rate_at, horizon = self.bandwidth.at, self.session_length_s - 1e-9
-        size, at = send.size_bytes, send.at_s
-        while True:
-            got = client.steady_delivery(size, rate_at(at), at)
-            if got is None or not got[0] > at:
-                break
-            end, delivered = got[0], got[1]
-            acked = _acked(size, client.total_delivered_bytes, got[2])[0]
-            booked = ctl.report_steady(self._sends, size, delivered, acked,
-                                       at, end, delivered * 8.0 / (end - at),
-                                       got[3])
-            if booked is None:
-                break
-            client.take_steady(got)
-            self._sends += 1
-            spans.append((at, end, delivered))
-            points.append((end, "STEADY", st.t_s, st.t_min_s, st.t_max_s,
-                           st.t_old_s, st.bs_opt_bytes, ctl.runway_s))
-            size, at = booked
-            if at >= horizon:
-                got = True
-                break
-        return Send(size, at, True), got
+
+def _estimate(start_s: float, end_s: float,
+              delivered: float) -> Optional[float]:
+    """The bit rate of ``delivered`` bytes from ``start_s`` to ``end_s``;
+    None, and no activity span, if that took no time or moved nothing."""
+    wall = end_s - start_s
+    return delivered * 8.0 / wall if wall > 0 and delivered > 0 else None
 
 
 def _acked(size: float, start_byte: float,

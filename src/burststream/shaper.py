@@ -11,12 +11,12 @@ that loop without I/O, for the simulated session and the live proxy alike;
 the ``Shaper`` methods it calls change the shaper's state and return
 nothing else. An endless stream is a ``StreamSpec`` of infinite duration.
 
-Each burst is recorded once, as one tuple of values, a ``BurstRecord``:
-by ``Shaper.log_burst``, or, for a plain STEADY burst that a simulated
-session takes in one step, by ``ShapingController.report_steady`` with the
-same values. The CSV rows of ``Shaper.burst_log`` are rendered from those
-records, by ``render_burst_row`` alone, only when they are read, and
-``write_burst_log`` writes them to a burst-log file.
+Each burst is recorded once, as one tuple of values, a ``BurstRecord``,
+by ``Shaper.log_burst``; ``ShapingController.report_steady`` books a
+plain STEADY burst by ``report``'s rules (``_booking``, ``_burst``, also
+``_next``'s, and that record). The CSV rows of ``Shaper.burst_log`` are
+rendered from the records, by ``render_burst_row`` alone, only when they
+are read, and ``write_burst_log`` writes them to a burst-log file.
 """
 
 from __future__ import annotations
@@ -162,15 +162,22 @@ def select_quality(est_bps: float, ladder: Sequence[QualityLevel],
     return 0, True
 
 
-def _burst_bytes(st: ShaperState, r_s: float, pending_bytes: float) -> float:
-    """The next burst's size at rate ``r_s``: an interval of content plus
-    the ``pending_bytes`` re-offered, capped by BS_OPT, else t_max."""
+def _burst(st: ShaperState, r_s: float, pending_bytes: float,
+           left_bytes: float, last_start_s: float,
+           now_s: float) -> Optional[Tuple[float, float]]:
+    """The next burst, ``(size_bytes, at_s)``: an interval of content at
+    ``r_s`` plus the ``pending_bytes`` re-offered, capped by BS_OPT, else
+    t_max, and by the ``left_bytes`` of content, an interval after
+    ``last_start_s`` and not before ``now_s``; None once nothing is left."""
     size = st.t_s * r_s / 8.0 + pending_bytes
     if st.bs_opt_bytes is not None:
         size = min(size, st.bs_opt_bytes)
     elif st.t_max_s is not None:
         size = min(size, st.t_max_s * r_s / 8.0)
-    return size
+    size = min(size, left_bytes)
+    if size <= 1e-9:
+        return None
+    return size, max(last_start_s + st.t_s, now_s)
 
 
 class Shaper:
@@ -447,9 +454,9 @@ class ShapingController:
         sh, obs = self.shaper, rep.obs
         st = sh.state
         phase, r_s = st.phase, sh.r_s_bps
-        self.content_sent_bytes += rep.delivered_bytes
-        self.content_sent_s += rep.delivered_bytes * 8.0 / r_s
-        self.pending_bytes = max(obs.size_bytes - rep.delivered_bytes, 0.0)
+        (self.content_sent_bytes, self.content_sent_s,
+         self.pending_bytes) = self._booking(obs.size_bytes,
+                                             rep.delivered_bytes, r_s)
         if phase is _FAST_START:
             if obs.zwa_seen:
                 sh.fast_start_zwa(obs.sent_bytes_at_first_zwa)
@@ -474,38 +481,37 @@ class ShapingController:
                       start_s: float, end_s: float, est_bps: float,
                       played_s: float) -> Optional[Tuple[float, float]]:
         """``report`` for a STEADY burst of a non-adaptive session that
-        drew no zero window, taking the report's values one by one and
-        returning the next send's ``(size_bytes, at_s)``.
-
-        None, with nothing written, when ``report`` would change the
-        phase (an estimate below the encoding rate) or return no send (the
-        content is exhausted), or the session is adaptive or not STEADY:
-        ``report`` then books the burst. Each value comes from ``report``
-        and ``_next``'s float operations in their order. Such a burst
-        leaves every other part of the shaper's state as it was, except
-        ``on_burst_feedback``'s mark against stale feedback: burst ids only
-        rise, so the next burst passes that check either way."""
+        drew no zero window, from its values: the next send's
+        ``(size_bytes, at_s)``, or None, writing nothing, where the session
+        is adaptive or not STEADY or ``report`` would change the phase or
+        return no send. Burst ids only rise, so the mark against stale
+        feedback, which only ``report`` sets, passes the same bursts."""
         sh = self.shaper
         st = sh.state
-        if self.adaptive or st.phase is not _STEADY:
-            return None
         r_s = sh.r_s_bps
-        if est_bps < r_s:
+        if self.adaptive or st.phase is not _STEADY or est_bps < r_s:
             return None
-        sent_bytes = self.content_sent_bytes + delivered_bytes
-        sent_s = self.content_sent_s + delivered_bytes * 8.0 / r_s
-        pending = max(size_bytes - delivered_bytes, 0.0)
-        size = min(_burst_bytes(st, r_s, pending), self._left(sent_s, r_s))
-        if size <= 1e-9:
+        sent_bytes, sent_s, pending = self._booking(size_bytes,
+                                                    delivered_bytes, r_s)
+        burst = _burst(st, r_s, pending, self._left(sent_s, r_s), start_s,
+                       end_s)
+        if burst is None:
             return None
         self.content_sent_bytes, self.content_sent_s = sent_bytes, sent_s
         self.pending_bytes = pending
-        sh.burst_records.append((burst_id, r_s, st.t_s, acked_bytes, False,
-                                 st.bs_opt_bytes, "STEADY"))
+        sh.log_burst(burst_id, st.t_s, acked_bytes, False)
         self._last_burst_start = start_s
         self.runway_s = sent_s - played_s
         self._now = end_s
-        return size, max(self._last_burst_start + st.t_s, self._now)
+        return burst
+
+    def _booking(self, size_bytes: float, delivered_bytes: float,
+                 r_s: float) -> Tuple[float, float, float]:
+        """``(content_sent_bytes, content_sent_s, pending_bytes)`` once a
+        send of ``size_bytes`` at rate ``r_s`` moved ``delivered_bytes``."""
+        return (self.content_sent_bytes + delivered_bytes,
+                self.content_sent_s + delivered_bytes * 8.0 / r_s,
+                max(size_bytes - delivered_bytes, 0.0))
 
     def _left(self, sent_s: float, r_s: float) -> float:
         """The content bytes left at encoding rate ``r_s`` after ``sent_s``
@@ -524,8 +530,6 @@ class ShapingController:
             size = min(self.low_bw_chunk_s * r_s / 8.0 + self.pending_bytes,
                        left)
             return Send(size, self._now, False) if size > 0 else None
-        size = min(_burst_bytes(st, r_s, self.pending_bytes), left)
-        if size <= 1e-9:
-            return None
-        return Send(size, max(self._last_burst_start + st.t_s, self._now),
-                    True)
+        burst = _burst(st, r_s, self.pending_bytes, left,
+                       self._last_burst_start, self._now)
+        return None if burst is None else Send(*burst, True)

@@ -390,7 +390,11 @@ class TestMalformedFiles:
         ("stream", "qualities_bps", "128000,nan"),
         ("stream", "qualities_bps", "128000,1e308"),
         ("scenario", "fast_start_s", "inf"),
-        ("client", "buffer_bytes", "50%")])
+        ("client", "buffer_bytes", "50%"),
+        # its tolerance took in the whole Fast Start: "fast start
+        # sent_bytes" named no key of the file
+        ("client", "buffer_bytes", "1e300"),
+        ("client", "buffer_bytes", "1e308")])
     def test_scenario(self, capsys, tmp_path, section, key, value):
         path = tmp_path / "bad.ini"
         path.write_text(ini_text(with_key(SCENARIO, section, key, value)))
@@ -450,6 +454,17 @@ class TestMalformedFiles:
                                           value)))
         assert main(["run", str(path)]) == 1
         assert f"[background]: {key}" in error_line(capsys)
+
+    def test_a_background_period_implying_endless_spans(self, capsys,
+                                                        tmp_path):
+        # ``period_s = 1e-308`` passed its rule, and the run then grew its
+        # background spans until memory ran out
+        sections = dict(SCENARIO, background={"period_s": "1e-308",
+                                              "bytes": "1000"})
+        path = tmp_path / "bad.ini"
+        path.write_text(ini_text(sections))
+        assert main(["run", str(path)]) == 1
+        assert "[background] period_s" in error_line(capsys)
 
 
 class TestProxyOptions:

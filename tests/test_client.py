@@ -268,6 +268,20 @@ class TestClientRules:
             StreamingClient(4_000_000, 500e3, **{field: value})
         assert err.value.field == field
 
+    @pytest.mark.parametrize("capacity, segment", [
+        (1e300, 1460), (1e308, 1460), (1.5e12, 1460), (6e11, 536)])
+    def test_a_tolerance_of_a_segment_names_the_capacity(self, capacity,
+                                                         segment):
+        # the tolerance, 1e-9 of the capacity, took in a whole Fast Start,
+        # so that ``deliver`` moved nothing
+        with pytest.raises(FieldError, match="one segment") as err:
+            StreamingClient(capacity, 500e3, segment_bytes=segment)
+        assert err.value.field == "capacity_bytes"
+
+    def test_a_capacity_just_inside_the_rule_takes_a_fast_start(self):
+        c = StreamingClient(1.4e12, 128e3)
+        assert c.deliver(288_000, 16e6, 0.0).delivered_bytes == 288_000
+
     @pytest.mark.parametrize("content_s", [None, math.inf])
     def test_endless_content_and_a_whole_float_segment_pass(self, content_s):
         c = StreamingClient(4_000_000, 500e3, content_duration_s=content_s,

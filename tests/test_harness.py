@@ -61,6 +61,31 @@ class TestScenarioFiles:
         with pytest.raises(ValueError, match=key):
             BackgroundTraffic(period_s, nbytes, phase_s)
 
+    def test_a_period_implying_too_many_spans_names_it(self):
+        # ``period_s = 1e-308`` passed its rule, and ``spans`` then grew
+        # until memory ran out
+        with pytest.raises(ValueError, match="period_s") as err:
+            small_scenario(background=BackgroundTraffic(1e-308, 1000.0))
+        assert err.value.field == "period_s"
+        limit = harness.MAX_BACKGROUND_SPANS
+        with pytest.raises(ValueError, match="period_s"):
+            small_scenario(background=BackgroundTraffic(
+                300.0 / limit * 0.999, 1000.0))
+        small_scenario(background=BackgroundTraffic(300.0 / limit * 1.001,
+                                                    1000.0))
+
+    @pytest.mark.parametrize("buffer_bytes", [1e300, 1e308, 1.5e12])
+    def test_a_buffer_whose_tolerance_tops_a_segment_names_it(
+            self, buffer_bytes):
+        # 1e-9 of a 1e300-byte buffer took in the whole Fast Start, and
+        # the run failed later on "fast start sent_bytes"
+        with pytest.raises(ValueError, match="one segment") as err:
+            small_scenario(buffer_bytes=buffer_bytes)
+        assert err.value.field == "buffer_bytes"
+
+    def test_the_largest_buffer_runs(self):
+        assert run(small_scenario(buffer_bytes=1.4e12)).stall_log == []
+
     def test_missing_profile_rejected(self, tmp_path):
         bad = tmp_path / "bad.ini"
         bad.write_text("[scenario]\nname=x\nprofile=no-such\nsession_s=10\n"

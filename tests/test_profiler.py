@@ -15,6 +15,7 @@ from burststream import session as session_module
 from burststream.client import FluidPiece
 from burststream.session import _observe
 from oracles import RecordingAcks, ack_stream
+from strategies import examples
 
 # every delivery records its parts, so that a test can read its stream
 pytestmark = pytest.mark.usefixtures("recorded_acks")
@@ -151,7 +152,7 @@ class TestBreakpointFeedback:
                # long one drains it into a stall
                st.one_of(st.just(0.0), st.floats(0.0, 20.0)),
                st.booleans()), min_size=1, max_size=6))
-    @settings(max_examples=120, deadline=None)
+    @settings(max_examples=examples(120), deadline=None)
     def test_random_deliveries(self, capacity, r_s, startup, seg, ops):
         # a zero startup threshold with supply below the encoding rate is a
         # known client defect, pinned by test_client's xfail test

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 import oracles
 from oracles import reference_simulate, walk_state_trace
+from strategies import examples
 
 from burststream import (ActivityTrace, BurstScenario, RadioState,
                          SignalingConfigError, SignalingCostTable,
@@ -388,7 +389,7 @@ class TestPricingDifferential:
            spans=st.lists(SPAN, max_size=25),
            horizon=st.one_of(st.none(), st.floats(1.0, 400.0)),
            window=st.tuples(st.floats(0.0, 400.0), st.floats(0.0, 400.0)))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     def test_trace_readers_match_per_segment_pricing(
             self, name, spans, horizon, window):
         profile = get_profile(name)
@@ -466,7 +467,7 @@ class TestStateTraceChecks:
 
 class TestColumnDifferential:
     @given(spans=st.lists(SPAN, max_size=25))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     def test_from_spans_merges_as_the_reference_does(self, spans):
         raw = [(t, t + d, b) for t, d, b in spans]
         merged = ActivityTrace.from_spans(raw).spans()
@@ -493,7 +494,7 @@ class TestColumnDifferential:
     @given(name=st.sampled_from(list_profiles()),
            spans=st.lists(SPAN, max_size=25),
            horizon=st.one_of(st.none(), st.floats(0.0, 400.0)))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     def test_segments_time_in_and_csv_match_per_segment_loops(
             self, name, spans, horizon):
         trace = simulate(
@@ -597,7 +598,7 @@ class TestDrxRunsDifferential:
            bursts=st.lists(st.tuples(st.floats(0.0, 2.0), DRX_POINT),
                            max_size=6),
            horizon=st.one_of(st.none(), DRX_POINT))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     def test_runs_match_the_per_cycle_loop(self, name, edges, first, bursts,
                                            horizon):
         profile = get_profile(name)
@@ -673,7 +674,7 @@ REPLAY_PROFILES = st.one_of(st.sampled_from(list_profiles()).map(get_profile),
 class TestReplayDifferential:
     @given(profile=REPLAY_PROFILES, spans=st.lists(SPAN, max_size=25),
            horizon=st.one_of(st.none(), st.floats(0.0, 400.0)))
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     def test_columns_and_transitions_match_the_reference(
             self, profile, spans, horizon):
         trace = ActivityTrace.from_spans(
@@ -688,7 +689,7 @@ class TestReplayDifferential:
            bursts=st.lists(st.tuples(st.floats(0.0, 2.0), DRX_POINT,
                                      st.floats(0.0, 40.0)), max_size=6),
            horizon=st.floats(0.0, 60.0))
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=examples(200), deadline=None)
     def test_bursts_near_timer_and_cycle_edges_match_the_reference(
             self, profile, first, bursts, horizon):
         # bursts placed on DRX cycle edges where the profile has DRX, or
@@ -774,7 +775,7 @@ def state_columns(draw):
 
 class TestStateTraceWalkDifferential:
     @given(columns=state_columns())
-    @settings(max_examples=300, deadline=None)
+    @settings(max_examples=examples(300), deadline=None)
     def test_checks_and_counts_match_the_per_segment_walk(self, columns):
         starts, ends, states, horizon, technology = columns
         # the error message, or the transitions in order

@@ -272,22 +272,23 @@ def _outputs(scenario, step):
     sends the steady step took and the number that ``_deliver`` took by
     the closed form."""
     stepped, closed = [], []
-    in_step = []
+    in_deliver = []
     take = StreamingClient.take_steady
-    steady = SimulatedSession._steady
+    deliver = SimulatedSession._deliver
     kept = session_module._STEADY_STEP
     session_module._STEADY_STEP = step
+    # ``run`` takes a stepped send itself, any other in ``_deliver``
     StreamingClient.take_steady = lambda client, got: \
-        (closed if not in_step else stepped).append(got) or take(client, got)
+        (closed if in_deliver else stepped).append(got) or take(client, got)
 
-    def counted_steady(sim, send):
-        in_step.append(True)
+    def counted_deliver(sim, send, piece=True):
+        in_deliver.append(True)
         try:
-            return steady(sim, send)
+            return deliver(sim, send, piece)
         finally:
-            in_step.pop()
+            in_deliver.pop()
 
-    SimulatedSession._steady = counted_steady
+    SimulatedSession._deliver = counted_deliver
     try:
         res = harness.run(scenario)
     except ConfigError as exc:
@@ -295,7 +296,7 @@ def _outputs(scenario, step):
     finally:
         session_module._STEADY_STEP = kept
         StreamingClient.take_steady = take
-        SimulatedSession._steady = steady
+        SimulatedSession._deliver = deliver
     s = res.session
     ledgers = [(ledger.total_messages, sorted(
         (a.value, b.value, n) for (a, b), n in
@@ -525,8 +526,8 @@ def _asks_per_send(scenario):
 
 class TestOneAskPerSend:
     """Each send asks the closed form once, whichever route then takes it:
-    the steady step hands on the result it has when it stops, and
-    ``_deliver`` makes one client call."""
+    ``run`` hands a send the step declines on to ``_deliver`` with the
+    result it has, and ``_deliver`` asks only a send that comes without."""
 
     @settings(max_examples=examples(60), deadline=None)
     @given(scenario=scenarios())
@@ -544,7 +545,7 @@ class TestOneAskPerSend:
 
 
 class TestStallLog:
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=examples(150), deadline=None)
     @given(scenario=scenarios())
     def test_stalls_are_sorted_disjoint_and_inside_the_session(
             self, scenario):

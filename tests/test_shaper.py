@@ -4,8 +4,9 @@ import copy
 import math
 
 import pytest
-from hypothesis import given
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from strategies import examples
 
 from burststream import (BurstObservation, Phase, QualityLevel, Shaper,
                          StreamSpec, initial_quality, select_quality)
@@ -113,9 +114,14 @@ class TestBinarySearch:
     def test_burst_size_capped_before_and_after(self):
         sh = make_shaper(r_s=1e6)
         sh.end_fast_start(5_000_000)  # t_max = 40 s
-        assert shaper._burst_bytes(sh.state, sh.r_s_bps, 0.0) <= 40 * 1e6 / 8
+
+        def size(pending_bytes):
+            return shaper._burst(sh.state, sh.r_s_bps, pending_bytes,
+                                 math.inf, 0.0, 0.0)[0]
+
+        assert size(0.0) <= 40 * 1e6 / 8
         sh.on_burst_feedback(feedback(0, zwa=True, sent_at_zwa=2_000_000))
-        assert shaper._burst_bytes(sh.state, sh.r_s_bps, 9e9) == 2_000_000
+        assert size(9e9) == 2_000_000
 
 
 class TestLowBandwidth:
@@ -341,3 +347,55 @@ class TestReportSteady:
         assert ctl.report_steady(1, 1e6, 1e6, 1e6, 16.0, 18.0, est,
                                  6.0) is None
         assert self.values(ctl) == before
+
+    @settings(max_examples=examples(300), deadline=None)
+    @given(r_s=st.floats(64e3, 4e6), t_s=st.floats(0.5, 60.0),
+           bs_opt=st.none() | st.floats(0.1, 3.0),
+           phase=st.sampled_from([Phase.STEADY] * 3 + [Phase.SEARCHING]),
+           pending=st.floats(0.0, 1e6),
+           content_s=st.sampled_from([math.inf, 600.0]),
+           left_s=st.floats(0.0, 120.0) | st.just(0.0),
+           size=st.floats(1.0, 2e6), got=st.floats(0.5, 1.0) | st.just(1.0),
+           acked=st.floats(0.9, 1.0) | st.just(1.0),
+           est=st.floats(0.5, 8.0) | st.just(1.0),
+           wait=st.floats(0.0, 30.0), wall=st.floats(1e-3, 30.0),
+           played=st.floats(-60.0, 60.0),
+           adaptive=st.sampled_from([False] * 3 + [True]))
+    def test_drawn_states_book_as_report_or_write_nothing(
+            self, r_s, t_s, bs_opt, phase, pending, content_s, left_s, size,
+            got, acked, est, wait, wall, played, adaptive):
+        # a controller in the drawn state, with ``left_s`` of content left
+        # (endless content has no end), and a burst of ``size`` bytes that
+        # delivered ``got`` of it, acknowledged ``acked`` of that and read
+        # an estimate of ``est`` times the encoding rate
+        ctl = ShapingController(Shaper(StreamSpec(
+            (QualityLevel(r_s), QualityLevel(2.5 * r_s)), content_s, 20.0)),
+            adaptive=adaptive)
+        state = ctl.shaper.state
+        state.phase, state.t_s, state.t_max_s = phase, t_s, 2.0 * t_s
+        state.bs_opt_bytes = None if bs_opt is None else \
+            bs_opt * t_s * r_s / 8.0
+        sent_s = 300.0 if content_s == math.inf else content_s - left_s
+        ctl.content_sent_s, ctl.content_sent_bytes = sent_s, sent_s * r_s / 8
+        ctl.pending_bytes, ctl.runway_s = pending, sent_s - played
+        ctl._last_burst_start, ctl._now = 250.0, 250.0 + wait
+        rate = ctl.shaper.r_s_bps
+        delivered, start = size * got, 250.0 + wait
+        twin, before = copy.deepcopy(ctl), self.values(ctl)
+        obs = BurstObservation(7, size, 0.0, start)
+        obs.acked_bytes, obs.complete = delivered * acked, acked == 1.0
+        send = twin.report(Report(obs, delivered, start, start + wall,
+                                  est * rate, start + wall - played))
+        booked = ctl.report_steady(7, size, delivered, delivered * acked,
+                                   start, start + wall, est * rate,
+                                   start + wall - played)
+        if booked is None:
+            event("declined")
+            assert self.values(ctl) == before
+            # only a burst that ``report`` books otherwise
+            assert adaptive or phase is not Phase.STEADY or send is None or \
+                twin.shaper.phase is not Phase.STEADY
+        else:
+            event("booked")
+            assert repr(booked) == repr((send.size_bytes, send.at_s))
+            assert self.values(ctl) == self.values(twin)
